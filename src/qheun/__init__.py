@@ -47,6 +47,7 @@ from .accessory import (
     recurrence_coeffs,
 )
 from .qtransform import (
+    Seed,
     TransformResult,
     TransformSpec,
     boundary_limits,

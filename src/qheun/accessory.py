@@ -236,7 +236,8 @@ def poly_roots(poly: Poly, tol: float = 1e-13, max_iter: int = 200) -> list[comp
     magnitude; a root freezes once its update is below tol or its value
     drops under the evaluation roundoff bound; each root is
     Newton-polished afterwards.  Raises NoConvergence when the
-    iteration budget runs out or a residual certificate fails.
+    iteration budget runs out or a residual certificate fails or is not
+    finite (a root that overflowed or became NaN).
     """
     cs = list(Poly.of(poly.coeffs).coeffs)
     deg = len(cs) - 1
@@ -274,11 +275,39 @@ def poly_roots(poly: Poly, tol: float = 1e-13, max_iter: int = 200) -> list[comp
             if dv == 0 or abs(pv) <= noise:
                 break
             z[k] = z[k] - pv / dv
-    scale = max(abs(c) for c in cs)
     for r in z:
-        if abs(poly(r)) / (scale * max(1.0, abs(r)) ** deg) > 1e-10:
-            raise NoConvergence(f"root certificate failed at {r!r}")
+        cert = root_certificate(cs, r)
+        if not cert <= 1e-10:  # also fails a NaN certificate
+            raise NoConvergence(f"root certificate failed at {r!r}: {cert:.3g}")
     return z
+
+
+def root_certificate(cs: Sequence[complex], r: complex) -> float:
+    """Residual certificate |p(r)| / (max|c_k| * max(1, |r|)**deg) of a root.
+
+    Formed directly wherever that is finite.  Where p(r) or |r|**deg
+    overflows, it is formed from the equal sum p(r) / m**deg =
+    sum c_k u**k t**(deg-k), with m = max(1, |r|), u = r/m and t = 1/m,
+    in which no factor exceeds 1 in modulus.  A non-finite root gives NaN.
+    """
+    scale = max(abs(c) for c in cs)
+    m = max(1.0, abs(r))
+    value = 0j
+    for c in reversed(cs):
+        value = value * r + c
+    try:
+        cert = abs(value) / (scale * m ** (len(cs) - 1))
+    except OverflowError:
+        cert = math.inf
+    if math.isfinite(cert):
+        return cert
+    u, t = r / m, 1.0 / m
+    acc = cs[-1]
+    tk = 1.0
+    for c in reversed(cs[:-1]):
+        tk *= t
+        acc = acc * u + c * tk
+    return abs(acc) / scale
 
 
 def series_coefficients(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import click
 
 from . import acceptance
-from .accessory import accessory_poly, poly_roots, polynomial_solution
+from .accessory import accessory_poly, poly_roots, polynomial_solution, root_certificate
 from .errors import PreconditionError, QHeunError
 from .family_one import (
     family1_bilateral,
@@ -149,8 +149,7 @@ def _accessory_data(cfg: JobConfig) -> dict:
     else:
         cpoly = accessory_poly(p, N)
         roots = poly_roots(cpoly)
-    scale = max(abs(c) for c in cpoly.coeffs)
-    certs = [abs(cpoly(r)) / (scale * max(1.0, abs(r)) ** cpoly.degree) for r in roots]
+    certs = [root_certificate(cpoly.coeffs, r) for r in roots]
     data = {
         "coeffs": [_pair(c) for c in cpoly.coeffs],
         "roots": [_pair(r) for r in roots],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 from ._bilateral import weighted_bilateral
 from .accessory import Poly, RecurrenceCoeffs, poly_roots, run_poly_recursion
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .qcore import DEFAULT_CONTROL, SeriesControl, phi_series, q_pochhammer_ratio
 from .qheun_op import QHeunParams
-from .qtransform import source_system
+from .qtransform import Seed, source_system
 
 INTEGER_TOL = 1e-9
 
@@ -112,46 +112,35 @@ def family1_source_params(setup: Family1Setup) -> QHeunParams:
     return source_system(setup.params, mu0=0.0)
 
 
-def family1_seed(setup: Family1Setup, which: Literal["h1", "h2"], E0: complex) -> Callable[[complex], complex]:
+def family1_seed(setup: Family1Setup, which: Literal["h1", "h2"], E0: complex) -> Seed:
     """Seed solutions of the source system feeding the q-integral transform.
 
     h1 pairs with kernel P1 to produce g1; h2 pairs with P2 to produce
     g2.  Both carry the polynomial-type factor with coefficients
-    evaluated at the accessory root E0.
+    evaluated at the accessory root E0:
+
+        h1(s) = s^e1 (s/a; q)_inf / (s/b; q)_inf * sum_k c_k s^k,
+        h2(s) = s^e2 (q^(h1+1/2) t1/s; q)_inf / (q^(l1+1/2) t1/s; q)_inf * sum_k c_k s^k,
+
+    with a = q^(l1-1/2) t1, b = q^(h1-1/2) t1 in source parameters.  The
+    returned Seed is callable; transform and boundary_limits step its
+    factors along the integration spiral.
     """
     _require_root(setup, E0)
     src = family1_source_params(setup)
     q = src.q
-    coeffs = setup.coeff_values(E0)
+    coeffs = tuple(setup.coeff_values(E0))
     t1 = src.t1
-
-    def poly_part(s: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(coeffs):
-            acc = acc * s + c
-        return acc
-
     if which == "h1":
         expo = (src.h1 + src.h2 - src.l1 - src.l2 - src.alpha1 - src.alpha2 - src.beta + 2.0) / 2.0
         a = q ** (src.l1 - 0.5) * t1
         b = q ** (src.h1 - 0.5) * t1
-
-        def h(s: complex) -> complex:
-            s = complex(s)
-            return s ** expo * q_pochhammer_ratio([s / a], [s / b], q) * poly_part(s)
-
-        return h
+        return Seed(q, expo, coeffs, num=(1.0 / a,), den=(1.0 / b,))
     if which == "h2":
-        expo = -src.alpha2 - setup.N
-
-        def h(s: complex) -> complex:
-            s = complex(s)
-            ratio = q_pochhammer_ratio(
-                [q ** (src.h1 + 0.5) * t1 / s], [q ** (src.l1 + 0.5) * t1 / s], q
-            )
-            return s ** expo * ratio * poly_part(s)
-
-        return h
+        return Seed(
+            q, -src.alpha2 - setup.N, coeffs,
+            inv_num=(q ** (src.h1 + 0.5) * t1,), inv_den=(q ** (src.l1 + 0.5) * t1,),
+        )
     raise DomainError("which must be 'h1' or 'h2'")
 
 

@@ -13,7 +13,7 @@ and g2 solve explicit inhomogeneous equations as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 from ._bilateral import weighted_bilateral
 from .accessory import (
@@ -27,7 +27,7 @@ from .accessory import (
 from .errors import ConvergenceError, DomainError, NotARoot, PreconditionError
 from .qcore import DEFAULT_CONTROL, SeriesControl, phi_series, q_pochhammer_ratio, theta
 from .qheun_op import QHeunParams
-from .qtransform import source_system
+from .qtransform import Seed, source_system
 
 INTEGER_TOL = 1e-9
 POLY_MATCH_REL = 1e-10
@@ -140,43 +140,32 @@ def family2_source_params(setup: Family2Setup) -> QHeunParams:
     return source_system(setup.params, mu0=0.0)
 
 
-def family2_seed(setup: Family2Setup, which: Literal["h1", "h2"], E0: complex) -> Callable[[complex], complex]:
-    """Seeds of the source system: h1 feeds kernel P1 (-> g1), h2 feeds P2 (-> g2)."""
+def family2_seed(setup: Family2Setup, which: Literal["h1", "h2"], E0: complex) -> Seed:
+    """Seeds of the source system: h1 feeds kernel P1 (-> g1), h2 feeds P2 (-> g2).
+
+        h1(s) = s^e1 prod_i (s/a_i; q)_inf / (s/b_i; q)_inf * sum_k c_k s^k,
+        h2(s) = s^e2 prod_i (q^(h_i+1/2) t_i/s; q)_inf / (q^(l_i+1/2) t_i/s; q)_inf * sum_k c_k s^k,
+
+    with a_i = q^(l_i-1/2) t_i, b_i = q^(h_i-1/2) t_i in source
+    parameters and c_k the coefficients at the accessory root E0.  The
+    returned Seed is callable; transform and boundary_limits step its
+    factors along the integration spiral.
+    """
     _require_root(setup, E0)
     src = family2_source_params(setup)
     q = src.q
-    coeffs = setup.coeff_values(E0)
-
-    def poly_part(s: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(coeffs):
-            acc = acc * s + c
-        return acc
-
+    coeffs = tuple(setup.coeff_values(E0))
     if which == "h1":
         expo = (src.h1 + src.h2 - src.l1 - src.l2 - src.alpha1 - src.alpha2 + src.beta + 2.0) / 2.0
-        num = [1.0 / (q ** (src.l1 - 0.5) * src.t1), 1.0 / (q ** (src.l2 - 0.5) * src.t2)]
-        den = [1.0 / (q ** (src.h1 - 0.5) * src.t1), 1.0 / (q ** (src.h2 - 0.5) * src.t2)]
-
-        def h(s: complex) -> complex:
-            s = complex(s)
-            ratio = q_pochhammer_ratio([s * v for v in num], [s * v for v in den], q)
-            return s ** expo * ratio * poly_part(s)
-
-        return h
+        num = (1.0 / (q ** (src.l1 - 0.5) * src.t1), 1.0 / (q ** (src.l2 - 0.5) * src.t2))
+        den = (1.0 / (q ** (src.h1 - 0.5) * src.t1), 1.0 / (q ** (src.h2 - 0.5) * src.t2))
+        return Seed(q, expo, coeffs, num=num, den=den)
     if which == "h2":
-        expo = -src.alpha2 - setup.N
-
-        def h(s: complex) -> complex:
-            s = complex(s)
-            ratio = q_pochhammer_ratio(
-                [q ** (src.h1 + 0.5) * src.t1 / s, q ** (src.h2 + 0.5) * src.t2 / s],
-                [q ** (src.l1 + 0.5) * src.t1 / s, q ** (src.l2 + 0.5) * src.t2 / s],
-                q,
-            )
-            return s ** expo * ratio * poly_part(s)
-
-        return h
+        return Seed(
+            q, -src.alpha2 - setup.N, coeffs,
+            inv_num=(q ** (src.h1 + 0.5) * src.t1, q ** (src.h2 + 0.5) * src.t2),
+            inv_den=(q ** (src.l1 + 0.5) * src.t1, q ** (src.l2 + 0.5) * src.t2),
+        )
     raise DomainError("which must be 'h1' or 'h2'")
 
 

@@ -9,18 +9,13 @@ boundary terms proportional to the spiral limits C1 and C2 of h.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
+from ._bilateral import SpiralTerms, spiral_product
 from .errors import DomainError, NoLimit, PreconditionError
-from .qcore import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    jackson_integral,
-    q_pochhammer_ratio,
-    q_spiral,
-    theta,
-)
+from .qcore import DEFAULT_CONTROL, SeriesControl, bilateral_sum, q_pochhammer_ratio, theta
 from .qheun_op import QHeunParams
 
 KernelName = Literal["P1", "P2"]
@@ -126,20 +121,90 @@ def source_eigenvalue(target: QHeunParams, E_target: complex, mu0: float = 0.0, 
     return target.q ** (-mu0 + a1p - target.alpha1) * complex(E_target)
 
 
-def kernel_value(spec: TransformSpec, x: complex, s: complex) -> complex:
-    """Transform kernel at (x, s); both arguments must be nonzero."""
-    if x == 0 or s == 0:
-        raise DomainError("kernel arguments must be nonzero")
+@dataclass(frozen=True)
+class Seed:
+    """A product-type seed h(s), callable pointwise.
+
+    h(s) = s**exponent * V(s) * sum_k coeffs[k] s**k with
+    V(s) = prod (c s; q)_inf [c in num] / prod (d s; q)_inf [d in den]
+         * prod (c / s; q)_inf [c in inv_num] / prod (d / s; q)_inf [d in inv_den],
+    i.e. spiral_product(s, num, den, inv_num, inv_den, q).
+
+    Calling the record evaluates h directly; transform and
+    boundary_limits read the fields to step h along a spiral instead.
+    """
+
+    q: float
+    exponent: float
+    coeffs: tuple[complex, ...]
+    num: tuple[complex, ...] = ()
+    den: tuple[complex, ...] = ()
+    inv_num: tuple[complex, ...] = ()
+    inv_den: tuple[complex, ...] = ()
+
+    def __call__(self, s: complex) -> complex:
+        s = complex(s)
+        ratio = spiral_product(s, self.num, self.den, self.inv_num, self.inv_den, self.q)
+        poly = 0.0 + 0.0j
+        for c in reversed(self.coeffs):
+            poly = poly * s + c
+        return s**self.exponent * ratio * poly
+
+
+def _kernel_factors(spec: TransformSpec, x: complex):
+    """(num, den, inv_num, inv_den, power) of K(x, s) = (x/s)**power * V(s) in Seed's notation."""
     q = spec.source.q
     mu0 = spec.mu0
     mu = mu0 + 1.0 + source_chi(spec.source)
     if spec.kernel == "P1":
-        v = s / x
-        return q_pochhammer_ratio([q ** mu * v], [q ** mu0 * v], q)
-    w = x / s
-    return w ** (mu - mu0) * q_pochhammer_ratio(
-        [q ** (-mu0 + 1.0) * w], [q ** (-mu + 1.0) * w], q
-    )
+        return [q**mu / x], [q**mu0 / x], [], [], 0.0
+    return [], [], [q ** (-mu0 + 1.0) * x], [q ** (-mu + 1.0) * x], mu - mu0
+
+
+def kernel_value(spec: TransformSpec, x: complex, s: complex) -> complex:
+    """Transform kernel at (x, s); both arguments must be nonzero.
+
+    P1: (q^mu s/x; q)_inf / (q^mu0 s/x; q)_inf;
+    P2: (x/s)^(mu - mu0) (q^(1-mu0) x/s; q)_inf / (q^(1-mu) x/s; q)_inf,
+    with mu = mu0 + 1 + chi.
+    """
+    if x == 0 or s == 0:
+        raise DomainError("kernel arguments must be nonzero")
+    x, s = complex(x), complex(s)
+    *factors, power = _kernel_factors(spec, x)
+    return (x / s) ** power * spiral_product(s, *factors, spec.source.q)
+
+
+def _spiral_terms(
+    h: Callable[[complex], complex],
+    xi: complex,
+    q: float,
+    shift: float,
+    kernel: Sequence[Sequence[complex]] = ((), (), (), ()),
+    weight: complex = 1.0,
+    rate: float = 1.0,
+) -> tuple[Callable[[int], complex], Callable[[int], complex]]:
+    """(term, point) with point(n) = s = q**n xi and
+    term(n) = weight * rate**n * s**shift * h(s) * V(s).
+
+    V is the product of the kernel factors (num, den, inv_num, inv_den).
+    A Seed on the same base q has its own factors, power and polynomial
+    join the stepped product, since (q**n xi)**a == q**(n a) * xi**a for
+    q > 0; any other h, a Seed on another base included, is evaluated at
+    each point.
+    """
+    num, den, inv_num, inv_den = (list(f) for f in kernel)
+    if isinstance(h, Seed) and h.q == q:
+        e = h.exponent + shift
+        weights = [weight * c * xi ** (e + k) for k, c in enumerate(h.coeffs)]
+        rates = [rate * q ** (e + k) for k in range(len(h.coeffs))]
+        terms = SpiralTerms(
+            num + list(h.num), den + list(h.den), weights, rates, q, xi,
+            inv_num + list(h.inv_num), inv_den + list(h.inv_den),
+        )
+        return terms, terms.point
+    terms = SpiralTerms(num, den, [weight * xi**shift], [rate * q**shift], q, xi, inv_num, inv_den)
+    return (lambda n: terms(n) * h(terms.point(n))), terms.point
 
 
 def transform(
@@ -153,23 +218,33 @@ def transform(
 
     Returns x^(-alpha1) times the q-integral over s of
     s^(-weight) h(s) K(x, s) along the spiral anchored at xi
-    (or xi * x in proportional mode).  E_source is accepted for
-    interface symmetry with param_map; the integral itself does not
-    depend on it.
+    (or xi * x in proportional mode), i.e.
+    (1 - q) sum_n s_n^(1-weight) h(s_n) K(x, s_n) with s_n = q^n xi.
+    The kernel's products are computed once at s = xi and stepped along
+    the spiral by one finite factor per term; a Seed record on the
+    source's base q is stepped with them, while any other callable h is
+    evaluated at each s_n.
+    E_source is accepted for interface symmetry with param_map; the
+    integral itself does not depend on it.
     """
     del E_source
+    if x == 0:
+        raise DomainError("kernel arguments must be nonzero")
     src = spec.source
-    sigma = seed_weight_exponent(src)
-    anchor = spec.xi * x if spec.xi_proportional else spec.xi
-
-    def integrand(s: complex) -> complex:
-        return s ** (-sigma) * h(s) * kernel_value(spec, x, s)
-
-    return complex(x) ** (-spec.alpha1) * jackson_integral(integrand, anchor, src.q, ctl)
+    x = complex(x)
+    xi = complex(spec.xi * x if spec.xi_proportional else spec.xi)
+    *factors, power = _kernel_factors(spec, x)
+    # (x / s_n)**power == (x / xi)**power * q**(-n * power) along the spiral.
+    term, _ = _spiral_terms(
+        h, xi, src.q, 1.0 - seed_weight_exponent(src), factors,
+        (x / xi) ** power, src.q ** (-power),
+    )
+    return x ** (-spec.alpha1) * (1.0 - src.q) * bilateral_sum(term, ctl)
 
 
 def _spiral_limit(
     values: Callable[[int], complex],
+    point: Callable[[int], complex],
     ctl: SeriesControl,
     zero_abs: float = 1e-12,
 ) -> complex:
@@ -177,13 +252,19 @@ def _spiral_limit(
 
     Declares convergence when three successive values agree to rel_tol,
     zero when magnitudes decay monotonically below zero_abs; raises
-    NoLimit otherwise.
+    NoLimit otherwise, including when a value overflows or is not
+    finite (the message names the index k and the point s = point(k)).
     """
     window: list[complex] = []
     decay_run = 0
     prev_mag = None
     for k in range(ctl.max_terms):
-        v = complex(values(k))
+        try:
+            v = complex(values(k))
+        except OverflowError as exc:
+            raise NoLimit(f"spiral sequence overflows at k = {k}, s = {point(k)!r}") from exc
+        if not cmath.isfinite(v):
+            raise NoLimit(f"spiral sequence is not finite at k = {k}, s = {point(k)!r}: {v!r}")
         mag = abs(v)
         if prev_mag is not None and mag < zero_abs and mag <= prev_mag:
             decay_run += 1
@@ -201,7 +282,7 @@ def _spiral_limit(
                 abs(window[i + 1] - window[i]) <= ctl.rel_tol * scale for i in range(2)
             ):
                 return window[-1]
-    raise NoLimit("spiral sequence neither settled nor decayed to zero")
+    raise NoLimit(f"spiral sequence neither settled nor decayed to zero by k = {ctl.max_terms - 1}")
 
 
 def boundary_limits(
@@ -211,24 +292,22 @@ def boundary_limits(
 ) -> tuple[complex, complex]:
     """Numerical estimates of the two spiral limits (C1, C2) of the seed.
 
-    C1 follows h(s) / s^weight as s runs down the spiral to 0, C2
-    follows h(s) * s^alpha1' as s runs outward.  Requires a fixed xi.
+    C1 follows h(s) / s^weight as s = q^k xi runs down the spiral to 0,
+    C2 follows h(s) * s^alpha1' as s = q^-k xi runs outward.  A Seed
+    record on the source's base q is stepped along the spiral from xi as
+    in transform; any other callable h is evaluated at each point.
+    Requires a fixed xi.
     """
     if spec.xi_proportional:
         raise PreconditionError("boundary limits need a fixed xi, not a proportional one")
     src = spec.source
-    sigma = seed_weight_exponent(src)
-    spiral = q_spiral(spec.xi, src.q)
-
-    def inward(k: int) -> complex:
-        s = spiral(k)
-        return h(s) * s ** (-sigma)
-
-    def outward(k: int) -> complex:
-        s = spiral(-k)
-        return h(s) * s ** (src.alpha1)
-
-    return _spiral_limit(inward, ctl), _spiral_limit(outward, ctl)
+    xi = complex(spec.xi)
+    inward, inward_at = _spiral_terms(h, xi, src.q, -seed_weight_exponent(src))
+    outward, outward_at = _spiral_terms(h, xi, src.q, src.alpha1)
+    return (
+        _spiral_limit(inward, inward_at, ctl),
+        _spiral_limit(lambda k: outward(-k), lambda k: outward_at(-k), ctl),
+    )
 
 
 def boundary_terms(spec: TransformSpec, C1: complex, C2: complex, x: complex) -> tuple[complex, complex]:

@@ -1,5 +1,6 @@
 """Recurrence data, accessory polynomials, roots, local solutions."""
 
+import numpy as np
 import pytest
 
 from qheun.accessory import (
@@ -15,7 +16,7 @@ from qheun.accessory import (
     recurrence_coeffs,
     series_coefficients,
 )
-from qheun.errors import DegenerateRecurrence, NotARoot, PreconditionError
+from qheun.errors import DegenerateRecurrence, NoConvergence, NotARoot, PreconditionError
 from qheun.qheun_op import (
     QHeunParams,
     default_grid,
@@ -197,6 +198,28 @@ class TestPolyRoots:
         assert got[0] == pytest.approx(1.0, abs=1e-12)
         assert got[1] == pytest.approx(2.0, abs=1e-12)
         assert got[2] == pytest.approx(3.0, abs=1e-12)
+
+    def test_certificate_of_huge_roots_does_not_overflow(self):
+        # A generic N = 12 draw: coefficients span 1 .. 2e25 and roots
+        # reach modulus ~1.7e25, so max(1, |r|)**13 overflows a float.
+        p = random_generic_params(np.random.default_rng(2))
+        poly = accessory_poly(p, 12)
+        deg = poly.degree
+        roots = poly_roots(poly)
+        assert len(roots) == deg
+        assert max(abs(r) for r in roots) > 1e25
+        scale = max(abs(c) for c in poly.coeffs)
+        for r in roots:  # the certificate p(r) / max(1, |r|)**deg, term by term
+            m = max(1.0, abs(r))
+            value = sum(c * (r / m) ** k * m ** (k - deg) for k, c in enumerate(poly.coeffs))
+            assert abs(value) / scale <= 1e-10
+
+    @pytest.mark.parametrize("coeffs", [[1e300, 0.0, 1e-300], [-1e150, 0.0, 0.0, 1e-200]])
+    def test_non_finite_roots_fail_the_certificate(self, coeffs):
+        # The monic coefficients overflow, the iteration turns NaN, and a
+        # NaN certificate must not pass.
+        with pytest.raises(NoConvergence, match="certificate"):
+            poly_roots(Poly.of(coeffs))
 
 
 class TestPowerSeries:

@@ -1,6 +1,8 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -44,6 +46,27 @@ class TestAccessory:
         assert complex(*roots[0]) == pytest.approx(st.roots[0])
         assert "d_coeffs" in rep["accessory"]
         assert rep["accessory"]["certificates"][0] < 1e-10
+
+    def test_certificates_of_huge_roots(self, tmp_path, runner):
+        # A family1 N = 9 draw whose roots all have modulus ~5e31: the
+        # certificate's max(1, |r|)**10 used to overflow the report.
+        cfg = {
+            "h1": 12.017799152028836, "h2": -10.4941940978305,
+            "l1": 0.818981165881957, "l2": -0.49419409783049906,
+            "alpha1": 1.170594886183617, "alpha2": 0.6468525452056657,
+            "beta": 0.3155020644223961, "q": 0.37178951174942665,
+            "t1": [0.25823249082445926, 0.8794904978229996],
+            "t2": [0.698134189468116, -1.0065507909939253],
+            "family": "family1", "N": 9,
+        }
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["accessory", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        acc = json.loads(res.output)["accessory"]
+        assert min(abs(complex(*r)) for r in acc["roots"]) > 1e31
+        assert len(acc["certificates"]) == 10
+        assert all(c <= 1e-10 for c in acc["certificates"])
 
     def test_generic_quadratic_roots(self, tmp_path, runner, rng):
         p = random_admissible_params(rng, 1)
@@ -126,6 +149,20 @@ class TestVerify:
         forms = {r["form"] for r in rep["results"]}
         assert forms == {"g3", "g4", "g5", "g6-g7", "g7-g8", "g6", "g7", "g8"}
         assert all(r["max_residual"] < 1e-8 for r in rep["results"])
+
+    def test_readme_sample_config_passes(self, tmp_path, runner):
+        # The README's sample job, verbatim, so the documented config
+        # cannot drift from one that verifies.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sample = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "job.json"
+        path.write_text(sample)
+        res = runner.invoke(main, ["verify", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        rep = json.loads(res.output)
+        assert rep["family"] == "family2" and len(rep["accessory"]["roots"]) == 3
+        assert len(rep["results"]) == 24
+        assert all(r["status"] == "pass" for r in rep["results"])
 
     def test_wrong_eigenvalue_fails(self, tmp_path, runner, rng):
         p = random_family2_params(rng, 1)

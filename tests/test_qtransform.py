@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from qheun.accessory import accessory_poly, poly_roots, polynomial_solution
-from qheun.errors import PoleError, PreconditionError
+from qheun.errors import NoLimit, PoleError, PreconditionError
 from qheun.family_one import (
     family1_bilateral,
     family1_seed,
@@ -19,16 +19,19 @@ from qheun.family_two import (
     family2_seed,
     family2_setup,
     family2_source_params,
+    g2_inhomogeneity,
 )
-from qheun.qcore import SeriesControl, theta
-from qheun.qheun_op import grid_points, residual_report, singular_spirals
+from qheun.qcore import SeriesControl, jackson_integral, theta
+from qheun.qheun_op import QHeunParams, grid_points, residual_report, singular_spirals
 from qheun.qtransform import (
+    Seed,
     TransformSpec,
     boundary_limits,
     boundary_terms,
     gauge_transform,
     kernel_value,
     param_map,
+    seed_weight_exponent,
     source_chi,
     source_system,
     swapped_params,
@@ -174,6 +177,59 @@ class TestTransform:
         assert transform(prop, seed, E0, x) == transform(fixed, seed, E0, x)
 
 
+FAMILIES = {
+    "family1": (random_family1_params, family1_setup, family1_source_params, family1_seed),
+    "family2": (random_family2_params, family2_setup, family2_source_params, family2_seed),
+}
+
+
+def pointwise_transform(spec, h, x):
+    """transform from its definition: the integrand evaluated point by point."""
+    sigma = seed_weight_exponent(spec.source)
+    anchor = spec.xi * x if spec.xi_proportional else spec.xi
+    integrand = lambda s: s ** (-sigma) * h(s) * kernel_value(spec, x, s)
+    return x ** (-spec.alpha1) * jackson_integral(integrand, anchor, spec.source.q)
+
+
+class TestSteppedTransform:
+    @pytest.mark.parametrize("family", ["family1", "family2"])
+    @pytest.mark.parametrize("which, kernel", [("h1", "P1"), ("h2", "P2")])
+    @pytest.mark.parametrize("proportional", [False, True])
+    def test_matches_pointwise_integrand(self, rng, family, which, kernel, proportional):
+        draw, setup, source, seed_of = FAMILIES[family]
+        for N in (1, 2):
+            p = draw(rng, N)
+            st = setup(p, N)
+            E0 = st.roots[-1]
+            seed = seed_of(st, which, E0)
+            assert isinstance(seed, Seed)
+            xi = 0.6 if proportional else 0.9 * abs(p.t1)
+            spec = TransformSpec(
+                source=source(st), mu0=0.0, xi=xi, kernel=kernel, alpha1=p.alpha1,
+                xi_proportional=proportional,
+            )
+            for x in (1.23 * abs(p.t1), 2.07 * abs(p.t1) * cmath.exp(0.3j)):
+                want = pointwise_transform(spec, seed, x)
+                assert abs(transform(spec, seed, E0, x) - want) <= 1e-11 * abs(want)
+                # An opaque callable is evaluated per point, the kernel stepped.
+                opaque = transform(spec, lambda s: seed(s), E0, x)
+                assert abs(opaque - want) <= 1e-11 * abs(want)
+                # A record on another base is not stepped with the kernel.
+                other = replace(seed, q=0.97 * seed.q)
+                want = pointwise_transform(spec, other, x)
+                assert abs(transform(spec, other, E0, x) - want) <= 1e-11 * abs(want)
+
+    def test_seed_record_fields(self, rng):
+        p = random_family2_params(rng, 2)
+        st = family2_setup(p, 2)
+        E0 = st.roots[0]
+        h1, h2 = family2_seed(st, "h1", E0), family2_seed(st, "h2", E0)
+        assert h1.coeffs == h2.coeffs == tuple(st.coeff_values(E0))
+        assert len(h1.num) == len(h1.den) == 2 and not h1.inv_num and not h1.inv_den
+        assert len(h2.inv_num) == len(h2.inv_den) == 2 and not h2.num and not h2.den
+        assert h2.exponent == pytest.approx(-family2_source_params(st).alpha2 - 2)
+
+
 class TestBoundaryData:
     def test_family1_limits_vanish(self, rng):
         p = random_family1_params(rng, 1)
@@ -216,6 +272,36 @@ class TestBoundaryData:
         )
         assert abs(c1 - want) < 1e-9 * abs(want)
         assert c2 == 0
+
+    def test_family2_limits_past_the_old_overflow(self):
+        # A draw on which the pointwise limit walk ran on, jittering near
+        # 1e-13, until s**exponent overflowed; stepped, both roots' limits
+        # settle and reproduce the explicit g2 inhomogeneity.
+        p = QHeunParams(
+            h1=1.5473530004167375, h2=1.5507670025605893,
+            l1=-0.7935263419142183, l2=0.40223246490960585,
+            alpha1=1.3163654396576951, alpha2=0.13756200439114852, beta=2.0,
+            t1=-0.5920997064142569 - 0.7801890279788551j,
+            t2=0.5761408482219612 + 0.5132088646410496j,
+            q=0.35864324430709676,
+        )
+        xi = 0.8830787325222794
+        st = family2_setup(p, 1)
+        spec = TransformSpec(source=family2_source_params(st), mu0=0.0, xi=xi, kernel="P2", alpha1=p.alpha1)
+        x = xi * p.q**-1.37
+        for E0 in st.roots:
+            C1, C2 = boundary_limits(spec, family2_seed(st, "h2", E0))
+            k1, k2 = boundary_terms(spec, C1, C2, x)
+            want = g2_inhomogeneity(st, xi, x)
+            assert abs((1 - p.q) * (k2 - k1) - want) <= 1e-8 * abs(want)
+
+    def test_overflow_is_a_typed_no_limit(self, rng):
+        src = random_generic_params(rng)
+        spec = TransformSpec(source=src, mu0=0.0, xi=0.9, alpha1=0.3)
+        with pytest.raises(NoLimit, match=r"overflows at k = \d+, s = "):
+            boundary_limits(spec, lambda s: complex(s) ** 400, LIMIT_CTL)
+        with pytest.raises(NoLimit, match=r"not finite at k = \d+, s = "):
+            boundary_limits(spec, lambda s: complex("nan"), LIMIT_CTL)
 
     def test_proportional_anchor_rejected(self, rng):
         src = random_generic_params(rng)
