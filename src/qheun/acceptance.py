@@ -1,8 +1,10 @@
 """Property-based acceptance criteria, runnable as a suite.
 
-Each criterion returns (passed, detail); run_all wraps them with
-timing.  The CLI `selftest` subcommand and tests/test_acceptance.py
-both drive this module, so the shipped package can re-verify itself.
+Each criterion returns (passed, detail); run_one times one criterion
+and run_all runs them all.  The CLI `selftest` subcommand and
+tests/test_acceptance.py both drive this module, so the shipped
+package can re-verify itself.  Criteria 4, 5 and 7 take their forms
+and residual grids from the registry in qheun.forms.
 """
 
 from __future__ import annotations
@@ -19,37 +21,23 @@ from .accessory import (
     accessory_poly,
     accessory_poly_expanded,
     apparent_singularity_check,
+    coeff_gap,
     poly_roots,
     polynomial_solution,
 )
-from .family_one import (
-    family1_bilateral,
-    family1_residual_band,
-    family1_setup,
-    family1_seed,
-    family1_source_params,
-    family1_unilateral,
-)
+from .family_one import family1_bilateral, family1_seed, family1_source_params
 from .family_two import (
     family2_bilateral,
     family2_homogeneous,
-    family2_inhomogeneous_triple,
     family2_pole_spirals,
     family2_seed,
     family2_setup,
     family2_source_params,
-    g1_inhomogeneity,
     polys_match,
 )
+from .forms import FAMILIES
 from .qcore import SeriesControl, phi_series, q_pochhammer, q_pochhammer_ratio, theta
-from .qheun_op import (
-    QHeunParams,
-    default_grid,
-    grid_points,
-    residual_report,
-    singular_spirals,
-    spiral_distance,
-)
+from .qheun_op import QHeunParams, default_grid, grid_points, residual_report, spiral_distance
 from .qtransform import TransformSpec, boundary_limits, source_chi, transform
 from .sampling import (
     random_admissible_params,
@@ -72,14 +60,6 @@ class CriterionResult:
         return f"[{status}] criterion {self.index}: {self.name} ({self.seconds:.2f}s) {self.detail}"
 
 
-def _max_rel_coeff_diff(a, b) -> float:
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = list(a.coeffs) + [0j] * (n - len(a.coeffs))
-    cb = list(b.coeffs) + [0j] * (n - len(b.coeffs))
-    scale = max(max(abs(v) for v in ca), max(abs(v) for v in cb))
-    return max(abs(x - y) for x, y in zip(ca, cb)) / scale
-
-
 def accessory_equivalence() -> tuple[bool, str]:
     """Recursive and expanded accessory polynomials agree; both monic."""
     rng = np.random.default_rng(101)
@@ -92,7 +72,7 @@ def accessory_equivalence() -> tuple[bool, str]:
         for N in range(7):
             c = accessory_poly(p, N)
             e = accessory_poly_expanded(p, N)
-            worst = max(worst, _max_rel_coeff_diff(c, e))
+            worst = max(worst, coeff_gap(c, e))
             worst_monic = max(worst_monic, abs(c.lead - 1.0))
     ok = worst < 1e-10 and worst_monic < 1e-10
     return ok, f"max coeff diff {worst:.2e}, max monic defect {worst_monic:.2e}"
@@ -124,7 +104,7 @@ def family2_apparent() -> tuple[bool, str]:
         N = int(rng.integers(0, 6))
         p = random_family2_params(rng, N)
         st = family2_setup(p, N)
-        worst = max(worst, _max_rel_coeff_diff(st.accessory, st.d_poly))
+        worst = max(worst, coeff_gap(st.accessory, st.d_poly))
         if not polys_match(st.accessory, st.d_poly):
             checks = False
         for r in st.roots:
@@ -133,27 +113,18 @@ def family2_apparent() -> tuple[bool, str]:
     return checks and worst < 1e-10, f"max coeff diff {worst:.2e}"
 
 
-def _family1_form_grid(setup, form, seed) -> list[complex]:
-    rmin, rmax = family1_residual_band(setup, form)
-    return grid_points(
-        setup.params.q, singular_spirals(setup.params), 10, rmin, rmax, seed=seed
-    )
-
-
 def family1_finite_sums() -> tuple[bool, str]:
     """All four finite-sum forms solve the equation at every root."""
     rng = np.random.default_rng(404)
+    family = FAMILIES["family1"]
     worst = 0.0
     for N in (0, 1, 2):
-        p = random_family1_params(rng, N)
-        st = family1_setup(p, N)
-        for form in ("g3", "g4", "g5", "g6"):
-            pts = _family1_form_grid(st, form, seed=N + 17)
+        st = family.setup(random_family1_params(rng, N), N)
+        for name in ("g3", "g4", "g5", "g6"):
+            form = family.form(name)
+            pts = form.grid(st, None, 10, seed=N + 17)
             for E0 in st.roots:
-                rep = residual_report(
-                    p, E0, lambda x: family1_unilateral(st, form, E0, x), pts
-                )
-                worst = max(worst, rep.max_residual)
+                worst = max(worst, form.residuals(st, E0, None, pts).max_residual)
     return worst < 1e-8, f"worst residual {worst:.2e}"
 
 
@@ -161,51 +132,22 @@ def family2_solutions() -> tuple[bool, str]:
     """Homogeneous forms, pairwise differences of the triple, and the
     explicit inhomogeneous identities for g1 and g6."""
     rng = np.random.default_rng(505)
+    family = FAMILIES["family2"]
+    forms = [family.form(name) for name in ("g3", "g4", "g5", "g6-g7", "g7-g8", "g1", "g6")]
     worst_h = 0.0
     worst_n = 0.0
     for N in (0, 1, 2):
         p = random_family2_params(rng, N)
-        st = family2_setup(p, N)
-        m = min(abs(p.t1), abs(p.t2))
-        xi = 0.77 * abs(p.t1)
-        pts = grid_points(
-            p.q,
-            family2_pole_spirals(st) + [xi + 0j],
-            10,
-            0.4 * m,
-            3.0 * m,
-            seed=N + 29,
-            min_rel_dist=1e-3,
-        )
-        inhom = lambda x: g1_inhomogeneity(st, x)
+        st = family.setup(p, N)
+        xi = 0.77 * abs(p.t1) + 0j
+        pts = forms[0].grid(st, xi, 10, seed=N + 29)  # every family-2 form shares this grid
         for E0 in st.roots:
-            for form in ("g3", "g4", "g5"):
-                rep = residual_report(
-                    p, E0, lambda x: family2_homogeneous(st, form, E0, x), pts
-                )
-                worst_h = max(worst_h, rep.max_residual)
-            for a, b in (("g6", "g7"), ("g7", "g8")):
-                diff = lambda x: family2_inhomogeneous_triple(
-                    st, a, E0, x
-                ) - family2_inhomogeneous_triple(st, b, E0, x)
-                rep = residual_report(p, E0, diff, pts)
-                worst_h = max(worst_h, rep.max_residual)
-            rep = residual_report(
-                p,
-                E0,
-                lambda x: family2_bilateral(st, "g1", E0, xi, x),
-                pts,
-                inhomogeneity=inhom,
-            )
-            worst_n = max(worst_n, rep.max_residual)
-            rep = residual_report(
-                p,
-                E0,
-                lambda x: family2_inhomogeneous_triple(st, "g6", E0, x),
-                pts,
-                inhomogeneity=inhom,
-            )
-            worst_n = max(worst_n, rep.max_residual)
+            for form in forms:
+                res = form.residuals(st, E0, xi, pts).max_residual
+                if form.inhomogeneity is None:
+                    worst_h = max(worst_h, res)
+                else:
+                    worst_n = max(worst_n, res)
     ok = worst_h < 1e-8 and worst_n < 1e-8
     return ok, f"worst homogeneous {worst_h:.2e}, worst inhomogeneous {worst_n:.2e}"
 
@@ -301,53 +243,35 @@ def transform_consistency() -> tuple[bool, str]:
     ctl = SeriesControl()
     lctl = SeriesControl(rel_tol=1e-12)
     worst = 0.0
-    worst_c = 0.0
-
-    p1 = random_family1_params(rng, 1)
-    st1 = family1_setup(p1, 1)
-    E1 = st1.roots[0]
-    src1 = family1_source_params(st1)
-    xi1 = 0.9 * abs(p1.t1)
-    bases1 = singular_spirals(p1) + [xi1 + 0j]
-    xs1 = _off_spiral_reals(xi1, p1.q, bases1)
-    seed_h1 = family1_seed(st1, "h1", E1)
-    seed_h2 = family1_seed(st1, "h2", E1)
-    spec_a = TransformSpec(source=src1, mu0=0.0, xi=xi1, kernel="P1", alpha1=p1.alpha1)
-    spec_b = TransformSpec(source=src1, mu0=0.0, xi=xi1, kernel="P2", alpha1=p1.alpha1)
-    for x in xs1:
-        want = family1_bilateral(st1, "g1", E1, xi1, x, ctl)
-        got = transform(spec_a, seed_h1, E1, x, ctl)
-        worst = max(worst, abs(got - want) / abs(want))
-        want = family1_bilateral(st1, "g2", E1, xi1, x, ctl)
-        got = transform(spec_b, seed_h2, E1, x, ctl)
-        worst = max(worst, abs(got - want) / abs(want))
-    # beta' < 0 and alpha1' < alpha2' hold for this family's source system,
-    # so both limits must vanish.
-    c1, c2 = boundary_limits(spec_a, seed_h1, lctl)
-    worst_c = max(worst_c, abs(c1), abs(c2))
-
-    p2 = random_family2_params(rng, 1)
-    st2 = family2_setup(p2, 1)
-    E2 = st2.roots[0]
-    src2 = family2_source_params(st2)
-    xi2 = 0.9 * abs(p2.t1)
-    bases2 = family2_pole_spirals(st2) + [xi2 + 0j]
-    xs2 = _off_spiral_reals(xi2, p2.q, bases2)
-    seed2_h1 = family2_seed(st2, "h1", E2)
-    seed2_h2 = family2_seed(st2, "h2", E2)
-    spec_c = TransformSpec(source=src2, mu0=0.0, xi=xi2, kernel="P1", alpha1=p2.alpha1)
-    spec_d = TransformSpec(source=src2, mu0=0.0, xi=xi2, kernel="P2", alpha1=p2.alpha1)
-    for x in xs2:
-        want = family2_bilateral(st2, "g1", E2, xi2, x, ctl)
-        got = transform(spec_c, seed2_h1, E2, x, ctl)
-        worst = max(worst, abs(got - want) / abs(want))
-        want = family2_bilateral(st2, "g2", E2, xi2, x, ctl)
-        got = transform(spec_d, seed2_h2, E2, x, ctl)
-        worst = max(worst, abs(got - want) / abs(want))
-    # The P2 seed has the explicit theta-quotient inward limit.
-    c1, c2 = boundary_limits(spec_d, seed2_h2, lctl)
+    drawn = {}
+    for family, draw, source_params, seed, bilateral in (
+        ("family1", random_family1_params, family1_source_params, family1_seed, family1_bilateral),
+        ("family2", random_family2_params, family2_source_params, family2_seed, family2_bilateral),
+    ):
+        p = draw(rng, 1)
+        st = FAMILIES[family].setup(p, 1)
+        E = st.roots[0]
+        xi = 0.9 * abs(p.t1)
+        xs = _off_spiral_reals(xi, p.q, FAMILIES[family].form("g1").spirals(st, xi + 0j))
+        # h1 with kernel P1 gives g1, h2 with P2 gives g2.
+        for which, kernel, form in (("h1", "P1", "g1"), ("h2", "P2", "g2")):
+            spec = TransformSpec(source=source_params(st), mu0=0.0, xi=xi, kernel=kernel, alpha1=p.alpha1)
+            h = seed(st, which, E)
+            drawn[family, which] = st, spec, h
+            for x in xs:
+                want = bilateral(st, form, E, xi, x, ctl)
+                worst = max(worst, abs(transform(spec, h, E, x, ctl) - want) / abs(want))
+    # beta' < 0 and alpha1' < alpha2' hold for family 1's source system,
+    # so both limits of its P1 seed must vanish.
+    _, spec, h = drawn["family1", "h1"]
+    c1, c2 = boundary_limits(spec, h, lctl)
+    worst_c = max(abs(c1), abs(c2))
+    # The family-2 P2 seed has the explicit theta-quotient inward limit.
+    st2, spec, h = drawn["family2", "h2"]
+    c1, c2 = boundary_limits(spec, h, lctl)
+    p2, xi2 = st2.params, spec.xi
     q = p2.q
-    chi = source_chi(src2)
+    chi = source_chi(spec.source)
     expected = xi2 ** (-p2.h1 - p2.h2 + p2.l1 + p2.l2 + 2.0 * chi) * (
         theta(q ** (p2.h1 - chi + 0.5) * p2.t1 / xi2, q)
         * theta(q ** (p2.h2 - chi + 0.5) * p2.t2 / xi2, q)
@@ -409,18 +333,21 @@ CRITERIA: list[tuple[str, Callable[[], tuple[bool, str]], float | None]] = [
 ]
 
 
+def run_one(index: int) -> CriterionResult:
+    """Run criterion `index` (1-based), timed; its time budget counts toward pass/fail."""
+    name, fn, budget = CRITERIA[index - 1]
+    t0 = time.perf_counter()
+    try:
+        passed, detail = fn()
+    except Exception as exc:  # surfaced, not raised: selftest reports all
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    dt = time.perf_counter() - t0
+    if budget is not None and dt > budget:
+        passed = False
+        detail += f" [exceeded {budget:.0f}s budget]"
+    return CriterionResult(index=index, name=name, passed=passed, detail=detail, seconds=dt)
+
+
 def run_all() -> list[CriterionResult]:
-    """Run criteria 1..8, timing each; time budgets count toward pass/fail."""
-    out: list[CriterionResult] = []
-    for i, (name, fn, budget) in enumerate(CRITERIA, start=1):
-        t0 = time.perf_counter()
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # surfaced, not raised: selftest reports all
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        dt = time.perf_counter() - t0
-        if budget is not None and dt > budget:
-            passed = False
-            detail += f" [exceeded {budget:.0f}s budget]"
-        out.append(CriterionResult(index=i, name=name, passed=passed, detail=detail, seconds=dt))
-    return out
+    """Run criteria 1..8 in order."""
+    return [run_one(i) for i in range(1, len(CRITERIA) + 1)]

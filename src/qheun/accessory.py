@@ -50,10 +50,7 @@ class Poly:
         return self.coeffs[-1]
 
     def __call__(self, value: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return horner(self.coeffs, value)
 
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -73,6 +70,23 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             shifted[i] += y * c
         return Poly.of(shifted)
+
+
+def horner(coeffs: Sequence[complex], x: complex) -> complex:
+    """sum coeffs[k] x**k by Horner's rule."""
+    acc = 0.0 + 0.0j
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def coeff_gap(a: Poly, b: Poly) -> float:
+    """Largest coefficient difference relative to the larger coefficient scale."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    ca = list(a.coeffs) + [0j] * (n - len(a.coeffs))
+    cb = list(b.coeffs) + [0j] * (n - len(b.coeffs))
+    scale = max(max(abs(v) for v in ca), max(abs(v) for v in cb), 1e-300)
+    return max(abs(x - y) for x, y in zip(ca, cb)) / scale
 
 
 POLY_ONE = Poly((1.0 + 0.0j,))
@@ -98,10 +112,7 @@ class SeriesSolution:
 
     def __call__(self, x: complex) -> complex:
         x = complex(x)
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return x ** self.exponent * acc
+        return x ** self.exponent * horner(self.coeffs, x)
 
 
 def exponent_at_origin(p: QHeunParams) -> float:
@@ -292,9 +303,7 @@ def root_certificate(cs: Sequence[complex], r: complex) -> float:
     """
     scale = max(abs(c) for c in cs)
     m = max(1.0, abs(r))
-    value = 0j
-    for c in reversed(cs):
-        value = value * r + c
+    value = horner(cs, r)
     try:
         cert = abs(value) / (scale * m ** (len(cs) - 1))
     except OverflowError:
@@ -308,6 +317,13 @@ def root_certificate(cs: Sequence[complex], r: complex) -> float:
         tk *= t
         acc = acc * u + c * tk
     return abs(acc) / scale
+
+
+def require_root(poly: Poly, E0: complex) -> None:
+    """Raise NotARoot unless E0's root certificate in poly is at most 1e-8."""
+    cert = root_certificate(poly.coeffs, E0)
+    if not cert <= 1e-8:  # also fails a NaN certificate
+        raise NotARoot(f"root certificate {cert:.3e} of E0 exceeds 1e-8")
 
 
 def series_coefficients(
@@ -386,10 +402,7 @@ def polynomial_solution(p: QHeunParams, E0: complex, N: int) -> SeriesSolution:
     for n in range(1, N + 1):
         if abs(p.beta - n) < INTEGER_TOL:
             raise PreconditionError(f"beta = {n} degenerates the recurrence")
-    c = accessory_poly(p, N)
-    scale = max(abs(v) for v in c.coeffs) * max(1.0, abs(E0)) ** c.degree
-    if abs(c(E0)) > 1e-8 * scale:
-        raise NotARoot(f"|c(E0)| = {abs(c(E0)):.3e} exceeds tolerance")
+    require_root(accessory_poly(p, N), E0)
     if N == 0:
         coeffs: list[complex] = [1.0 + 0.0j]
     else:

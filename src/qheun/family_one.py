@@ -15,19 +15,19 @@ from dataclasses import dataclass
 from typing import Literal
 
 from ._bilateral import weighted_bilateral
-from .accessory import Poly, RecurrenceCoeffs, poly_roots, run_poly_recursion
-from .errors import (
-    ConvergenceError,
-    ConvergenceHypothesisWarning,
-    DomainError,
-    NotARoot,
-    PreconditionError,
+from .accessory import (
+    INTEGER_TOL,
+    Poly,
+    RecurrenceCoeffs,
+    exponent_at_origin,
+    poly_roots,
+    require_root,
+    run_poly_recursion,
 )
+from .errors import ConvergenceError, ConvergenceHypothesisWarning, DomainError, PreconditionError
 from .qcore import DEFAULT_CONTROL, SeriesControl, phi_series, q_pochhammer_ratio
 from .qheun_op import QHeunParams
 from .qtransform import Seed, source_system
-
-INTEGER_TOL = 1e-9
 
 UnilateralName = Literal["g3", "g4", "g5", "g6"]
 BilateralName = Literal["g1", "g2"]
@@ -55,7 +55,7 @@ def family1_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
     if n < 1:
         raise DomainError("recurrence index must be >= 1")
     q = p.q
-    lam = family1_lambda1(p)
+    lam = exponent_at_origin(p)
     x = (
         p.t1
         * p.t2
@@ -74,17 +74,13 @@ def family1_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(n=n, x=x, y=y, z=z)
 
 
-def family1_lambda1(p: QHeunParams) -> float:
-    return (p.h1 + p.h2 - p.l1 - p.l2 - p.alpha1 - p.alpha2 - p.beta + 2.0) / 2.0
-
-
 def family1_setup(p: QHeunParams, N: int) -> Family1Setup:
     """Validate the integer relation and assemble recurrence, polynomial, roots."""
     if N < 0:
         raise DomainError("N must be non-negative")
     if abs(p.h2 - (p.l2 - 1.0 - N)) > INTEGER_TOL:
         raise PreconditionError("h2 != l2 - 1 - N")
-    lam1 = family1_lambda1(p)
+    lam1 = exponent_at_origin(p)
     polys, cpoly = run_poly_recursion(
         lambda n: family1_recurrence(p, N, n), N, abs(p.t1 * p.t2)
     )
@@ -98,13 +94,6 @@ def family1_setup(p: QHeunParams, N: int) -> Family1Setup:
         accessory=cpoly,
         roots=tuple(poly_roots(cpoly)),
     )
-
-
-def _require_root(setup: Family1Setup, E0: complex) -> None:
-    c = setup.accessory
-    scale = max(abs(v) for v in c.coeffs) * max(1.0, abs(E0)) ** c.degree
-    if abs(c(E0)) > 1e-8 * scale:
-        raise NotARoot(f"|c(E0)| = {abs(c(E0)):.3e} exceeds tolerance")
 
 
 def family1_source_params(setup: Family1Setup) -> QHeunParams:
@@ -126,13 +115,13 @@ def family1_seed(setup: Family1Setup, which: Literal["h1", "h2"], E0: complex) -
     returned Seed is callable; transform and boundary_limits step its
     factors along the integration spiral.
     """
-    _require_root(setup, E0)
+    require_root(setup.accessory, E0)
     src = family1_source_params(setup)
     q = src.q
     coeffs = tuple(setup.coeff_values(E0))
     t1 = src.t1
     if which == "h1":
-        expo = (src.h1 + src.h2 - src.l1 - src.l2 - src.alpha1 - src.alpha2 - src.beta + 2.0) / 2.0
+        expo = exponent_at_origin(src)
         a = q ** (src.l1 - 0.5) * t1
         b = q ** (src.h1 - 0.5) * t1
         return Seed(q, expo, coeffs, num=(1.0 / a,), den=(1.0 / b,))
@@ -161,7 +150,7 @@ def family1_bilateral(
     ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Bilateral solution g1 or g2 at anchor xi and point x."""
-    _require_root(setup, E0)
+    require_root(setup.accessory, E0)
     _check_bilateral_hypotheses(setup)
     if xi == 0 or x == 0:
         raise DomainError("xi and x must be nonzero")
@@ -218,7 +207,7 @@ def family1_unilateral(
     ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Finite-sum solution g3..g6 at the point x, inside its domain."""
-    _require_root(setup, E0)
+    require_root(setup.accessory, E0)
     p = setup.params
     q = p.q
     lam1 = setup.lambda1

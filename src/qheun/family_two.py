@@ -17,19 +17,22 @@ from typing import Literal
 
 from ._bilateral import weighted_bilateral
 from .accessory import (
+    INTEGER_TOL,
     Poly,
     RecurrenceCoeffs,
     accessory_poly,
     apparent_singularity_check,
+    coeff_gap,
+    exponent_at_origin,
     poly_roots,
+    require_root,
     run_poly_recursion,
 )
-from .errors import ConvergenceError, DomainError, NotARoot, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError
 from .qcore import DEFAULT_CONTROL, SeriesControl, phi_series, q_pochhammer_ratio, theta
 from .qheun_op import QHeunParams
-from .qtransform import Seed, source_system
+from .qtransform import Seed, seed_weight_exponent, source_system
 
-INTEGER_TOL = 1e-9
 POLY_MATCH_REL = 1e-10
 
 HomogeneousName = Literal["g3", "g4", "g5"]
@@ -52,17 +55,13 @@ class Family2Setup:
         return [poly(E0) for poly in self.coeff_polys]
 
 
-def family2_lambda1(p: QHeunParams) -> float:
-    return (p.h1 + p.h2 - p.l1 - p.l2 - p.alpha1 - p.alpha2 - p.beta + 2.0) / 2.0
-
-
 def family2_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
     """Family-specific recurrence triple (reversed-index mirror of the
     generic one)."""
     if n < 1:
         raise DomainError("recurrence index must be >= 1")
     q = p.q
-    lam = family2_lambda1(p)
+    lam = exponent_at_origin(p)
     x = (
         p.t1
         * p.t2
@@ -87,7 +86,7 @@ def family2_setup(p: QHeunParams, N: int) -> Family2Setup:
         raise DomainError("N must be non-negative")
     if abs(p.beta - (N + 1.0)) > INTEGER_TOL:
         raise PreconditionError("beta != N+1")
-    lam = family2_lambda1(p)
+    lam = exponent_at_origin(p)
     shift = -lam - p.alpha1
     for m in range(N):
         if abs(shift - m) < INTEGER_TOL:
@@ -111,11 +110,7 @@ def family2_setup(p: QHeunParams, N: int) -> Family2Setup:
 
 def polys_match(a: Poly, b: Poly, rel: float = POLY_MATCH_REL) -> bool:
     """Coefficient-wise agreement relative to the larger coefficient scale."""
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = list(a.coeffs) + [0j] * (n - len(a.coeffs))
-    cb = list(b.coeffs) + [0j] * (n - len(b.coeffs))
-    scale = max(max(abs(v) for v in ca), max(abs(v) for v in cb), 1e-300)
-    return all(abs(x - y) <= rel * scale for x, y in zip(ca, cb))
+    return coeff_gap(a, b) <= rel
 
 
 def apparent_equivalence(setup: Family2Setup) -> bool:
@@ -126,13 +121,6 @@ def apparent_equivalence(setup: Family2Setup) -> bool:
     return all(
         apparent_singularity_check(setup.params, r, setup.N) for r in setup.roots
     )
-
-
-def _require_root(setup: Family2Setup, E0: complex) -> None:
-    c = setup.accessory
-    scale = max(abs(v) for v in c.coeffs) * max(1.0, abs(E0)) ** c.degree
-    if abs(c(E0)) > 1e-8 * scale:
-        raise NotARoot(f"|c(E0)| = {abs(c(E0)):.3e} exceeds tolerance")
 
 
 def family2_source_params(setup: Family2Setup) -> QHeunParams:
@@ -151,12 +139,12 @@ def family2_seed(setup: Family2Setup, which: Literal["h1", "h2"], E0: complex) -
     returned Seed is callable; transform and boundary_limits step its
     factors along the integration spiral.
     """
-    _require_root(setup, E0)
+    require_root(setup.accessory, E0)
     src = family2_source_params(setup)
     q = src.q
     coeffs = tuple(setup.coeff_values(E0))
     if which == "h1":
-        expo = (src.h1 + src.h2 - src.l1 - src.l2 - src.alpha1 - src.alpha2 + src.beta + 2.0) / 2.0
+        expo = seed_weight_exponent(src)
         num = (1.0 / (q ** (src.l1 - 0.5) * src.t1), 1.0 / (q ** (src.l2 - 0.5) * src.t2))
         den = (1.0 / (q ** (src.h1 - 0.5) * src.t1), 1.0 / (q ** (src.h2 - 0.5) * src.t2))
         return Seed(q, expo, coeffs, num=num, den=den)
@@ -222,7 +210,7 @@ def family2_bilateral(
     ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Bilateral form g1 or g2 at anchor xi and point x."""
-    _require_root(setup, E0)
+    require_root(setup.accessory, E0)
     p = setup.params
     if not setup.lambda1 + p.alpha2 > 1.0:
         raise PreconditionError("bilateral forms need lambda1 + alpha2 > 1")
@@ -280,7 +268,7 @@ def family2_homogeneous(
     q^(lambda1 + alpha2 + N - k); lambda1 + alpha2 > 0 is required for
     convergence of every term.
     """
-    _require_root(setup, E0)
+    require_root(setup.accessory, E0)
     p = setup.params
     q = p.q
     lam = setup.lambda1
@@ -377,7 +365,7 @@ def family2_inhomogeneous_triple(
 ) -> complex:
     """Member of the g6..g8 triple; each solves the same inhomogeneous
     equation as g1, so pairwise differences are homogeneous solutions."""
-    _require_root(setup, E0)
+    require_root(setup.accessory, E0)
     p = setup.params
     q = p.q
     lam = setup.lambda1

@@ -10,15 +10,22 @@ boundary terms proportional to the spiral limits C1 and C2 of h.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
 from ._bilateral import SpiralTerms, spiral_product
+from .accessory import horner
 from .errors import DomainError, NoLimit, PreconditionError
 from .qcore import DEFAULT_CONTROL, SeriesControl, bilateral_sum, q_pochhammer_ratio, theta
 from .qheun_op import QHeunParams
 
 KernelName = Literal["P1", "P2"]
+
+# Smallest relative step _spiral_limit accepts as settled: each step of a
+# limit walk multiplies in a few rounded factors, so successive values
+# drift by a few ulps even once the sequence has converged.
+SETTLE_FLOOR = 16 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -145,10 +152,7 @@ class Seed:
     def __call__(self, s: complex) -> complex:
         s = complex(s)
         ratio = spiral_product(s, self.num, self.den, self.inv_num, self.inv_den, self.q)
-        poly = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            poly = poly * s + c
-        return s**self.exponent * ratio * poly
+        return s**self.exponent * ratio * horner(self.coeffs, s)
 
 
 def _kernel_factors(spec: TransformSpec, x: complex):
@@ -251,10 +255,12 @@ def _spiral_limit(
     """Limit of a sequence along the spiral index.
 
     Declares convergence when three successive values agree to rel_tol,
-    zero when magnitudes decay monotonically below zero_abs; raises
-    NoLimit otherwise, including when a value overflows or is not
-    finite (the message names the index k and the point s = point(k)).
+    but never to less than SETTLE_FLOOR; zero when magnitudes decay
+    monotonically below zero_abs; raises NoLimit otherwise, including
+    when a value overflows or is not finite (the message names the
+    index k and the point s = point(k)).
     """
+    settle = max(ctl.rel_tol, SETTLE_FLOOR)
     window: list[complex] = []
     decay_run = 0
     prev_mag = None
@@ -279,7 +285,7 @@ def _spiral_limit(
         if len(window) == 3:
             scale = max(abs(w) for w in window)
             if scale > 0 and all(
-                abs(window[i + 1] - window[i]) <= ctl.rel_tol * scale for i in range(2)
+                abs(window[i + 1] - window[i]) <= settle * scale for i in range(2)
             ):
                 return window[-1]
     raise NoLimit(f"spiral sequence neither settled nor decayed to zero by k = {ctl.max_terms - 1}")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from qheun import forms
 from qheun.accessory import polynomial_solution
 from qheun.cli import main
 from qheun.family_two import family2_setup
@@ -32,6 +33,11 @@ def write_config(tmp_path, p, name="job.json", **extra):
     return str(path)
 
 
+def readme_config() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+
+
 class TestAccessory:
     def test_family2_single_root(self, tmp_path, runner, rng):
         p = random_family2_params(rng, 0)
@@ -49,7 +55,9 @@ class TestAccessory:
 
     def test_certificates_of_huge_roots(self, tmp_path, runner):
         # A family1 N = 9 draw whose roots all have modulus ~5e31: the
-        # certificate's max(1, |r|)**10 used to overflow the report.
+        # certificate's max(1, |r|)**10 used to overflow the report, and
+        # the same power in the root check of eval and verify ended them
+        # in an untyped OverflowError.
         cfg = {
             "h1": 12.017799152028836, "h2": -10.4941940978305,
             "l1": 0.818981165881957, "l2": -0.49419409783049906,
@@ -57,7 +65,7 @@ class TestAccessory:
             "beta": 0.3155020644223961, "q": 0.37178951174942665,
             "t1": [0.25823249082445926, 0.8794904978229996],
             "t2": [0.698134189468116, -1.0065507909939253],
-            "family": "family1", "N": 9,
+            "family": "family1", "N": 9, "grid_count": 2, "solution": "g3",
         }
         path = tmp_path / "job.json"
         path.write_text(json.dumps(cfg))
@@ -67,6 +75,10 @@ class TestAccessory:
         assert min(abs(complex(*r)) for r in acc["roots"]) > 1e31
         assert len(acc["certificates"]) == 10
         assert all(c <= 1e-10 for c in acc["certificates"])
+        res = runner.invoke(main, ["eval", "--config", str(path)])
+        assert [row["status"] for row in json.loads(res.output)["rows"]] == ["ok", "ok"]
+        res = runner.invoke(main, ["verify", "--config", str(path)])
+        assert len(json.loads(res.output)["results"]) == 10  # a report, whatever its verdict
 
     def test_generic_quadratic_roots(self, tmp_path, runner, rng):
         p = random_admissible_params(rng, 1)
@@ -151,12 +163,10 @@ class TestVerify:
         assert all(r["max_residual"] < 1e-8 for r in rep["results"])
 
     def test_readme_sample_config_passes(self, tmp_path, runner):
-        # The README's sample job, verbatim, so the documented config
-        # cannot drift from one that verifies.
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        sample = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        # The README's sample job, so the documented config cannot drift
+        # from one that verifies.
         path = tmp_path / "job.json"
-        path.write_text(sample)
+        path.write_text(json.dumps(readme_config()))
         res = runner.invoke(main, ["verify", "--config", str(path)])
         assert res.exit_code == 0, res.output
         rep = json.loads(res.output)
@@ -175,6 +185,67 @@ class TestVerify:
         rep = json.loads(res.output)
         assert rep["all_pass"] is False
         assert all(r["max_residual"] > 1e-3 for r in rep["results"])
+
+    def test_error_results_carry_message_and_point(self, tmp_path, runner):
+        # The README job with alpha2 = -0.2 breaks lambda1 + alpha2 > 0,
+        # which g3's series needs.
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({**readme_config(), "alpha2": -0.2}))
+        res = runner.invoke(main, ["verify", "--config", str(path), "--solution", "g3"])
+        assert res.exit_code == 1
+        results = json.loads(res.output)["results"]
+        assert len(results) == 3
+        for r in results:
+            assert r["status"] == "error: ConvergenceError"
+            assert r["error"]["message"] == "series argument needs lambda1 + alpha2 > 0"
+            assert len(r["error"]["point"]) == 2
+
+    @pytest.mark.parametrize(
+        "family, draw, order",
+        [
+            ("family1", random_family1_params, ["g1", "g2", "g3", "g4", "g5", "g6"]),
+            (
+                "family2",
+                random_family2_params,
+                ["g1", "g2", "g3", "g4", "g5", "g6-g7", "g7-g8", "g6", "g7", "g8"],
+            ),
+        ],
+    )
+    def test_every_form_in_report_order(self, tmp_path, runner, rng, family, draw, order):
+        p = draw(rng, 1)
+        path = write_config(
+            tmp_path, p, family=family, N=1, grid_count=4, xi=[0.8 * abs(p.t1), 0.0]
+        )
+        res = runner.invoke(main, ["verify", "--config", path])
+        assert res.exit_code == 0, res.output
+        results = json.loads(res.output)["results"]
+        assert [(r["form"], r["root_index"]) for r in results] == [
+            (form, i) for form in order for i in range(2)
+        ]
+        assert all(r["status"] == "pass" and "error" not in r for r in results)
+
+    def test_one_family_setup_per_command(self, tmp_path, runner, rng, monkeypatch):
+        # Forms look family functions up by name when they run, so a
+        # patched module binding (as a tracer installs) sees every call.
+        calls = []
+        monkeypatch.setattr(forms, "family2_setup", lambda *a: calls.append(a) or family2_setup(*a))
+        p = random_family2_params(rng, 1)
+        path = write_config(tmp_path, p, family="family2", N=1, grid_count=3, xi=[0.8 * abs(p.t1), 0.0])
+        for command in ("accessory", "eval", "verify"):
+            assert runner.invoke(main, [command, "--config", path]).exit_code == 0
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "key, value", [("N", None), ("h1", [1, 2]), ("points", 3), ("out", [1])]
+    )
+    def test_malformed_field_exits_2(self, tmp_path, runner, rng, key, value):
+        p = random_family2_params(rng, 1)
+        path = write_config(tmp_path, p, **{"family": "family2", "N": 1, "grid_count": 3, key: value})
+        res = runner.invoke(main, ["verify", "--config", path])
+        assert res.exit_code == 2, res.output
+        rep = json.loads(res.output)
+        assert rep["schema"] == "qheun/1"
+        assert rep["error"]["reason"].startswith(f"precondition: config key {key!r}")
 
     def test_empty_grid_exits_2(self, tmp_path, runner, rng):
         p = random_family2_params(rng, 1)

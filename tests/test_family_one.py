@@ -22,9 +22,12 @@ from qheun.family_one import (
     family1_special_anchor,
     family1_unilateral,
 )
+from qheun.forms import FAMILIES
 from qheun.qheun_op import grid_points, residual_report, singular_spirals
 from qheun.qtransform import source_chi
 from qheun.sampling import random_family1_params
+
+FAMILY1 = FAMILIES["family1"]
 
 
 class TestSetup:
@@ -87,15 +90,10 @@ class TestUnilateral:
     @pytest.mark.parametrize("form", ["g3", "g4", "g5", "g6"])
     def test_solves_equation_at_every_root(self, rng, form):
         for N in (0, 1, 2, 3):
-            p = random_family1_params(rng, N)
-            st = family1_setup(p, N)
-            lo, hi = family1_residual_band(st, form)
-            pts = grid_points(p.q, singular_spirals(p), 10, lo, hi, seed=N)
+            st = family1_setup(random_family1_params(rng, N), N)
+            pts = FAMILY1.form(form).grid(st, None, 10, seed=N)
             for E0 in st.roots:
-                rep = residual_report(
-                    p, E0, lambda x: family1_unilateral(st, form, E0, x), pts
-                )
-                assert rep.max_residual < 1e-8
+                assert FAMILY1.form(form).residuals(st, E0, None, pts).max_residual < 1e-8
 
     def test_degree_zero_single_term(self, rng):
         p = random_family1_params(rng, 0)
@@ -153,8 +151,7 @@ class TestUnilateral:
     def test_roots_give_independent_solutions(self, rng):
         p = random_family1_params(rng, 1)
         st = family1_setup(p, 1)
-        lo, hi = family1_residual_band(st, "g5")
-        xs = grid_points(p.q, singular_spirals(p), 5, lo, hi, seed=7)
+        xs = FAMILY1.form("g5").grid(st, None, 5, seed=7)
         vals = [
             [family1_unilateral(st, "g5", E0, x) for x in xs] for E0 in st.roots
         ]

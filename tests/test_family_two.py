@@ -11,25 +11,22 @@ from qheun.family_two import (
     family2_bilateral,
     family2_homogeneous,
     family2_inhomogeneous_triple,
-    family2_pole_spirals,
     family2_recurrence,
     family2_setup,
-    g1_inhomogeneity,
     g2_inhomogeneity,
     polys_match,
 )
+from qheun.forms import FAMILIES
 from qheun.qcore import phi_series, q_pochhammer_ratio
-from qheun.qheun_op import grid_points, residual_report
+from qheun.qheun_op import residual_report
 from qheun.sampling import random_family2_params
 
+FAMILY2 = FAMILIES["family2"]
 
-def form_grid(st, count=6, seed=0, extra=()):
-    p = st.params
-    m = min(abs(p.t1), abs(p.t2))
-    return grid_points(
-        p.q, family2_pole_spirals(st) + list(extra), count, 0.4 * m, 3.0 * m,
-        seed=seed, min_rel_dist=1e-3,
-    )
+
+def form_grid(st, count=6, seed=0, xi=None):
+    """The grid every family-2 form checks its residual on."""
+    return FAMILY2.form("g3").grid(st, xi, count, seed)
 
 
 class TestSetup:
@@ -88,14 +85,10 @@ class TestHomogeneousForms:
     @pytest.mark.parametrize("form", ["g3", "g4", "g5"])
     def test_solves_equation_at_every_root(self, rng, form):
         for N in (0, 1, 2):
-            p = random_family2_params(rng, N)
-            st = family2_setup(p, N)
+            st = family2_setup(random_family2_params(rng, N), N)
             pts = form_grid(st, seed=N)
             for E0 in st.roots:
-                rep = residual_report(
-                    p, E0, lambda x: family2_homogeneous(st, form, E0, x), pts
-                )
-                assert rep.max_residual < 1e-8
+                assert FAMILY2.form(form).residuals(st, E0, None, pts).max_residual < 1e-8
 
     def test_degree_zero_matches_variant_solutions(self, rng):
         # At N = 0 the three forms are exactly the degree-two variant
@@ -163,14 +156,7 @@ class TestInhomogeneousTriple:
             E0 = st.roots[0]
             pts = form_grid(st, seed=N + 3)
             for form in ("g6", "g7", "g8"):
-                rep = residual_report(
-                    p,
-                    E0,
-                    lambda x: family2_inhomogeneous_triple(st, form, E0, x),
-                    pts,
-                    inhomogeneity=lambda x: g1_inhomogeneity(st, x),
-                )
-                assert rep.max_residual < 1e-8
+                assert FAMILY2.form(form).residuals(st, E0, None, pts).max_residual < 1e-8
 
     def test_differences_are_homogeneous_solutions(self, rng):
         p = random_family2_params(rng, 1)
@@ -202,30 +188,16 @@ class TestBilateral:
             st = family2_setup(p, N)
             E0 = st.roots[-1]
             xi = 0.77 * abs(p.t1)
-            pts = form_grid(st, seed=N, extra=[xi])
-            rep = residual_report(
-                p,
-                E0,
-                lambda x: family2_bilateral(st, "g1", E0, xi, x),
-                pts,
-                inhomogeneity=lambda x: g1_inhomogeneity(st, x),
-            )
-            assert rep.max_residual < 1e-8
+            pts = form_grid(st, seed=N, xi=xi)
+            assert FAMILY2.form("g1").residuals(st, E0, xi, pts).max_residual < 1e-8
 
     def test_g2_theta_inhomogeneous_identity(self, rng):
         p = random_family2_params(rng, 1)
         st = family2_setup(p, 1)
         E0 = st.roots[0]
         xi = 0.69 * abs(p.t2)
-        pts = form_grid(st, seed=4, extra=[xi])
-        rep = residual_report(
-            p,
-            E0,
-            lambda x: family2_bilateral(st, "g2", E0, xi, x),
-            pts,
-            inhomogeneity=lambda x: g2_inhomogeneity(st, xi, x),
-        )
-        assert rep.max_residual < 1e-8
+        pts = form_grid(st, seed=4, xi=xi)
+        assert FAMILY2.form("g2").residuals(st, E0, xi, pts).max_residual < 1e-8
 
     def test_g2_at_theta_zero_anchor_is_homogeneous(self, rng):
         # Anchoring on the lattice zero of the leading theta factor kills
@@ -235,7 +207,7 @@ class TestBilateral:
         E0 = st.roots[0]
         xi = p.q ** (-st.lambda1 + p.h1 - p.alpha1 + 0.5) * p.t1
         assert abs(g2_inhomogeneity(st, xi, 1.3 * abs(p.t1))) < 1e-20
-        pts = form_grid(st, seed=6, extra=[xi])
+        pts = form_grid(st, seed=6, xi=xi)
         rep = residual_report(
             p, E0, lambda x: family2_bilateral(st, "g2", E0, xi, x), pts
         )

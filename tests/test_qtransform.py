@@ -273,6 +273,18 @@ class TestBoundaryData:
         assert abs(c1 - want) < 1e-9 * abs(want)
         assert c2 == 0
 
+    @staticmethod
+    def assert_g2_limits(p, N, xi):
+        """At every root the P2 seed's limits give the explicit g2 inhomogeneity."""
+        st = family2_setup(p, N)
+        spec = TransformSpec(source=family2_source_params(st), mu0=0.0, xi=xi, kernel="P2", alpha1=p.alpha1)
+        x = xi * p.q**-1.37
+        for E0 in st.roots:
+            C1, C2 = boundary_limits(spec, family2_seed(st, "h2", E0))
+            k1, k2 = boundary_terms(spec, C1, C2, x)
+            want = g2_inhomogeneity(st, xi, x)
+            assert abs((1 - p.q) * (k2 - k1) - want) <= 1e-8 * abs(want)
+
     def test_family2_limits_past_the_old_overflow(self):
         # A draw on which the pointwise limit walk ran on, jittering near
         # 1e-13, until s**exponent overflowed; stepped, both roots' limits
@@ -285,15 +297,21 @@ class TestBoundaryData:
             t2=0.5761408482219612 + 0.5132088646410496j,
             q=0.35864324430709676,
         )
-        xi = 0.8830787325222794
-        st = family2_setup(p, 1)
-        spec = TransformSpec(source=family2_source_params(st), mu0=0.0, xi=xi, kernel="P2", alpha1=p.alpha1)
-        x = xi * p.q**-1.37
-        for E0 in st.roots:
-            C1, C2 = boundary_limits(spec, family2_seed(st, "h2", E0))
-            k1, k2 = boundary_terms(spec, C1, C2, x)
-            want = g2_inhomogeneity(st, xi, x)
-            assert abs((1 - p.q) * (k2 - k1) - want) <= 1e-8 * abs(want)
+        self.assert_g2_limits(p, 1, 0.8830787325222794)
+
+    def test_family2_limit_settles_below_rounding_drift(self):
+        # At the default rel_tol of 1e-15 the inward walk of this draw's
+        # second root never settled: its values drift by ~1.5e-15 per step
+        # from rounding, and the walk ran on to s ~ 3e-309, where 1/s overflows.
+        p = QHeunParams(
+            h1=2.513061754284353, h2=3.8240164689288347,
+            l1=0.10988975727447015, l2=-0.11778762416727906,
+            alpha1=1.258476052875353, alpha2=0.3944066412998506, beta=5.0,
+            t1=0.6252626300539108 - 0.2607749030787815j,
+            t2=0.5243178365710499 - 0.639071281415125j,
+            q=0.3801598243473255,
+        )
+        self.assert_g2_limits(p, 4, 0.5775731054601115)
 
     def test_overflow_is_a_typed_no_limit(self, rng):
         src = random_generic_params(rng)
