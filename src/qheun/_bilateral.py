@@ -11,9 +11,10 @@ anchors a product of such factors once at n = 0 and then steps it both
 ways, which costs O(1) per term instead of a full infinite product.
 The same stepping gives the two-sided series of both solution families,
 
-    sum_n  [ prod_i (u_i; q)_n / prod_j (v_j; q)_n ] * sum_k w_k r_k^n,
+    sum_n  [ prod_j (v_j q^n; q)_inf / prod_i (u_i q^n; q)_inf ] * sum_k w_k r_k^n,
 
-whose coefficient is the stepped product relative to its n = 0 value.
+i.e. (v; q)_inf / (u; q)_inf times the shifted-factorial coefficient
+(u; q)_n / (v; q)_n.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from itertools import zip_longest
 from operator import mul
 from typing import Sequence
 
-from .errors import PoleError
-from .qcore import DEFAULT_CONTROL, POLE_CUTOFF, SeriesControl, bilateral_sum, q_pochhammer_ratio
+from .qcore import bilateral_sum, q_pochhammer_ratio
 
 # A step factor (1 - y) closer to zero than this would divide out, or
 # multiply in, a zero or pole of the anchored value; the value at the
@@ -68,14 +68,6 @@ class SpiralTerms:
     the value there is recomputed directly, which also raises PoleError
     at a pole exactly where the direct product does.
 
-    With ``anchor`` given, it replaces V(xi): term(n) then carries the
-    ratio V(s_n) / V(xi), i.e. the shifted-factorial coefficient
-    (u; q)_n / (v; q)_n for xi = 1, num = v, den = u.  That ratio stays
-    finite where V(xi) itself vanishes or is infinite (terminating or
-    truncated series), so nothing can be recomputed; a vanishing divisor
-    is a pole of the coefficient, and a coefficient that reached zero
-    stays zero.
-
     Only the states at n = 0 and at the two walk fronts are kept.  A
     state holds V(s_n) * c and r_k**n / c for a scale c that keeps the
     powers near 1.
@@ -91,7 +83,6 @@ class SpiralTerms:
         xi: complex = 1.0,
         inv_num: Sequence[complex] = (),
         inv_den: Sequence[complex] = (),
-        anchor: complex | None = None,
     ) -> None:
         self.num = [complex(u) for u in num]
         self.den = [complex(v) for v in den]
@@ -100,7 +91,6 @@ class SpiralTerms:
         self.weights = [complex(w) for w in weights]
         self.rates = [complex(r) for r in rates]
         self.q = q
-        self.exact = anchor is None
         # Interleaved (multiplied, divided) coefficient pairs per direction,
         # so that large factors cancel before they overflow; a missing
         # partner is 0, whose factor is exactly 1.
@@ -109,9 +99,8 @@ class SpiralTerms:
         self.inv_pairs_up = list(zip_longest(self.inv_num, self.inv_den, fillvalue=0j))
         self.inv_pairs_down = [(b, a) for a, b in self.inv_pairs_up]
         s0 = complex(xi)
-        value = self._direct(s0) if self.exact else complex(anchor)
         # A state is [n, s_n, value * c, powers r_k**n / c, c].
-        self.origin = (0, s0, value, [1.0 + 0.0j] * len(self.rates), 1.0)
+        self.origin = (0, s0, self._direct(s0), [1.0 + 0.0j] * len(self.rates), 1.0)
         self.up = list(self.origin)
         self.down = list(self.origin)
 
@@ -134,17 +123,11 @@ class SpiralTerms:
         if inv_pairs:
             t = 1.0 / (s1 if upward else s)
             factors += [(1.0 - a * t, 1.0 - b * t) for a, b in inv_pairs]
-        if self.exact:
-            for f, g in factors:
-                if abs(f) < RECOMPUTE_CUTOFF or abs(g) < RECOMPUTE_CUTOFF:
-                    value = self._direct(s1) * scale
-                    break
-                value = value * f / g
-        elif value != 0:
-            for f, g in factors:
-                if abs(g) < POLE_CUTOFF * (1.0 + abs(1.0 - g)):
-                    raise PoleError(f"coefficient ratio has a pole at index {n1}")
-                value = value * f / g
+        for f, g in factors:
+            if abs(f) < RECOMPUTE_CUTOFF or abs(g) < RECOMPUTE_CUTOFF:
+                value = self._direct(s1) * scale
+                break
+            value = value * f / g
         m = max(map(abs, powers), default=1.0)
         if not 1.0 / RESCALE_AT < m < RESCALE_AT and 0.0 < m < math.inf:
             # A power of two, so that rescaling rounds nothing.
@@ -177,7 +160,11 @@ def weighted_bilateral(
     weights: Sequence[complex],
     rates: Sequence[complex],
     q: float,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
-    """Evaluate the two-sided sum described in the module docstring."""
-    return bilateral_sum(SpiralTerms(den, num, weights, rates, q, anchor=1.0), ctl)
+    """The two-sided sum of the module docstring, with u = num and v = den.
+
+    Its terms are SpiralTerms(den, num, weights, rates, q) along
+    s_n = q**n, so PoleError is raised where (num q**n; q)_inf vanishes,
+    the anchor n = 0 included.
+    """
+    return bilateral_sum(SpiralTerms(den, num, weights, rates, q))

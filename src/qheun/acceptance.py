@@ -240,7 +240,6 @@ def transform_consistency() -> tuple[bool, str]:
     """Numeric Jackson transforms match the explicit bilateral formulas;
     the boundary detector reproduces the known limits."""
     rng = np.random.default_rng(707)
-    ctl = SeriesControl()
     lctl = SeriesControl(rel_tol=1e-12)
     worst = 0.0
     drawn = {}
@@ -259,8 +258,8 @@ def transform_consistency() -> tuple[bool, str]:
             h = seed(st, which, E)
             drawn[family, which] = st, spec, h
             for x in xs:
-                want = bilateral(st, form, E, xi, x, ctl)
-                worst = max(worst, abs(transform(spec, h, E, x, ctl) - want) / abs(want))
+                want = bilateral(st, form, E, xi, x)
+                worst = max(worst, abs(transform(spec, h, E, x) - want) / abs(want))
     # beta' < 0 and alpha1' < alpha2' hold for family 1's source system,
     # so both limits of its P1 seed must vanish.
     _, spec, h = drawn["family1", "h1"]

@@ -25,7 +25,7 @@ from .accessory import (
     run_poly_recursion,
 )
 from .errors import ConvergenceError, ConvergenceHypothesisWarning, DomainError, PreconditionError
-from .qcore import DEFAULT_CONTROL, SeriesControl, phi_series, q_pochhammer_ratio
+from .qcore import phi_series, q_pochhammer_ratio
 from .qheun_op import QHeunParams
 from .qtransform import Seed, source_system
 
@@ -147,7 +147,6 @@ def family1_bilateral(
     E0: complex,
     xi: complex,
     x: complex,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Bilateral solution g1 or g2 at anchor xi and point x."""
     require_root(setup.accessory, E0)
@@ -166,15 +165,13 @@ def family1_bilateral(
         den = [q ** (-p.l1 + 0.5) * xi / p.t1, q ** (lam1 + p.alpha1) * xi / x]
         weights = [xi ** (lam1 + p.alpha1 + p.beta + k) * coeffs[k] for k in range(N + 1)]
         rates = [q ** (lam1 + p.alpha1 + p.beta + k) for k in range(N + 1)]
-        pref = (1.0 - q) * x ** (-p.alpha1) * q_pochhammer_ratio(den, num, q)
-        return pref * weighted_bilateral(num, den, weights, rates, q, ctl)
+        return (1.0 - q) * x ** (-p.alpha1) * weighted_bilateral(num, den, weights, rates, q)
     if which == "g2":
         num = [q ** (p.l1 + 0.5) * p.t1 / xi, q ** (-lam1 - p.alpha1 + 1.0) * x / xi]
         den = [q ** (-lam1 + p.h1 - p.alpha1 + 1.5) * p.t1 / xi, q * x / xi]
         weights = [xi ** (-lam1 - p.alpha2 - N + k) * coeffs[k] for k in range(N + 1)]
         rates = [q ** (lam1 + p.alpha2 + N - k) for k in range(N + 1)]
-        pref = (1.0 - q) * x ** lam1 * q_pochhammer_ratio(den, num, q)
-        return pref * weighted_bilateral(num, den, weights, rates, q, ctl)
+        return (1.0 - q) * x ** lam1 * weighted_bilateral(num, den, weights, rates, q)
     raise DomainError("which must be 'g1' or 'g2'")
 
 
@@ -204,7 +201,6 @@ def family1_unilateral(
     which: UnilateralName,
     E0: complex,
     x: complex,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Finite-sum solution g3..g6 at the point x, inside its domain."""
     require_root(setup.accessory, E0)
@@ -241,7 +237,6 @@ def family1_unilateral(
                 [q ** (-p.beta + 1.0 - k)],
                 q,
                 z,
-                ctl,
             )
         elif which == "g4":
             scalar = (q ** (-lam1 - p.alpha1 + 1.0) * x) ** k
@@ -251,7 +246,6 @@ def family1_unilateral(
                 [q ** (p.beta + k + 1.0)],
                 q,
                 z,
-                ctl,
             )
         elif which == "g5":
             scalar = (q ** (p.l1 + 0.5) * p.t1) ** k
@@ -263,7 +257,6 @@ def family1_unilateral(
                 [q ** (p.alpha1 - p.alpha2 - N + k + 1.0)],
                 q,
                 z,
-                ctl,
             )
         else:
             scalar = x ** (k - N)
@@ -275,7 +268,6 @@ def family1_unilateral(
                 [q ** (-p.alpha1 + p.alpha2 + 1.0 + N - k)],
                 q,
                 z,
-                ctl,
             )
         total += scalar * coeffs[k] * ratio * series
 

@@ -29,7 +29,7 @@ from .accessory import (
     run_poly_recursion,
 )
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .qcore import DEFAULT_CONTROL, SeriesControl, phi_series, q_pochhammer_ratio, theta
+from .qcore import phi_series, q_pochhammer_ratio, theta
 from .qheun_op import QHeunParams
 from .qtransform import Seed, seed_weight_exponent, source_system
 
@@ -207,7 +207,6 @@ def family2_bilateral(
     E0: complex,
     xi: complex,
     x: complex,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Bilateral form g1 or g2 at anchor xi and point x."""
     require_root(setup.accessory, E0)
@@ -235,8 +234,7 @@ def family2_bilateral(
         ]
         weights = [xi ** (k + 1.0) * coeffs[k] for k in range(N + 1)]
         rates = [q ** (k + 1.0) for k in range(N + 1)]
-        pref = (1.0 - q) * x ** (-p.alpha1) * q_pochhammer_ratio(den, num, q)
-        return pref * weighted_bilateral(num, den, weights, rates, q, ctl)
+        return (1.0 - q) * x ** (-p.alpha1) * weighted_bilateral(num, den, weights, rates, q)
     if which == "g2":
         num = [
             q ** (p.l1 + 0.5) * p.t1 / xi,
@@ -250,8 +248,7 @@ def family2_bilateral(
         ]
         weights = [xi ** (-lam - p.alpha2 - N + k) * coeffs[k] for k in range(N + 1)]
         rates = [q ** (lam + p.alpha2 + N - k) for k in range(N + 1)]
-        pref = (1.0 - q) * x ** lam * q_pochhammer_ratio(den, num, q)
-        return pref * weighted_bilateral(num, den, weights, rates, q, ctl)
+        return (1.0 - q) * x ** lam * weighted_bilateral(num, den, weights, rates, q)
     raise DomainError("which must be 'g1' or 'g2'")
 
 
@@ -260,7 +257,6 @@ def family2_homogeneous(
     which: HomogeneousName,
     E0: complex,
     x: complex,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Homogeneous finite-sum solution g3, g4 or g5.
 
@@ -296,7 +292,6 @@ def family2_homogeneous(
                 ],
                 q,
                 z,
-                ctl,
             )
         elif which == "g4":
             scalar = (q ** (-lam + p.h2 - p.alpha1 + 0.5) * p.t2) ** k
@@ -312,7 +307,6 @@ def family2_homogeneous(
                 ],
                 q,
                 z,
-                ctl,
             )
         else:
             scalar = x ** (k - N)
@@ -328,7 +322,6 @@ def family2_homogeneous(
                 ],
                 q,
                 z,
-                ctl,
             )
         total += scalar * coeffs[k] * series
 
@@ -361,7 +354,6 @@ def family2_inhomogeneous_triple(
     which: TripleName,
     E0: complex,
     x: complex,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Member of the g6..g8 triple; each solves the same inhomogeneous
     equation as g1, so pairwise differences are homogeneous solutions."""
@@ -400,7 +392,6 @@ def family2_inhomogeneous_triple(
                 ],
                 q,
                 z,
-                ctl,
             )
         else:
             scalar = (q ** (-lam - p.alpha1 + 1.0) * x) ** (k + 1)
@@ -416,7 +407,6 @@ def family2_inhomogeneous_triple(
                 ],
                 q,
                 z,
-                ctl,
             )
         total += scalar * coeffs[k] * series
 

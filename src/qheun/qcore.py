@@ -16,7 +16,9 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -25,6 +27,8 @@ from .errors import ConvergenceError, DomainError, PoleError
 PRODUCT_CUTOFF = 1e-17
 # Denominator factors closer to zero than this (relative) count as poles.
 POLE_CUTOFF = 1e-12
+# A parameter a of phi_series terminates it where |1 - a q**m| is below this.
+TERMINATION_TOL = 16 * sys.float_info.epsilon
 _TINY = 1e-300
 
 
@@ -71,17 +75,10 @@ def q_pochhammer(a: complex, q: float, n) -> complex:
 
     Raises PoleError when a negative-n value requires division by zero.
     """
+    if n is math.inf or (isinstance(n, float) and math.isinf(n) and n > 0):
+        return q_pochhammer_ratio([a], [], q)
     check_q(q)
     a = complex(a)
-    if n is math.inf or (isinstance(n, float) and math.isinf(n) and n > 0):
-        prod = 1.0 + 0.0j
-        ak = a
-        for _ in range(DEFAULT_CONTROL.max_terms):
-            if abs(ak) < PRODUCT_CUTOFF or prod == 0.0:
-                break
-            prod *= 1.0 - ak
-            ak *= q
-        return prod
     if not isinstance(n, (int,)):
         raise DomainError(f"n must be an integer or math.inf, got {n!r}")
     if n == 0:
@@ -115,35 +112,31 @@ def inv_q_pochhammer(q: float, k: int) -> complex:
 def q_pochhammer_ratio(num: Sequence[complex], den: Sequence[complex], q: float) -> complex:
     """prod_i (num_i; q)_inf / prod_j (den_j; q)_inf, formed level by level.
 
-    Multiplications and divisions are interleaved within each level so
-    that balanced numerator/denominator lists with large arguments
-    cancel before they can overflow.  Raises PoleError when a
-    denominator factor vanishes.
+    This is the one loop that forms infinite products.  Level k takes
+    the factors (1 - a q**k) with a fresh power q**k, so rounding does
+    not accumulate over the levels.  Multiplications and divisions are
+    interleaved within each level so that balanced numerator/denominator
+    lists with large arguments cancel before they can overflow.  Raises
+    PoleError when a denominator factor vanishes.
     """
     check_q(q)
-    a = [complex(v) for v in num]
-    b = [complex(v) for v in den]
+    # (numerator, denominator) argument pairs; a missing partner is 0,
+    # whose factor is exactly 1.
+    pairs = list(zip_longest(map(complex, num), map(complex, den), fillvalue=0j))
     value = 1.0 + 0.0j
-    for _ in range(DEFAULT_CONTROL.max_terms):
+    for k in range(DEFAULT_CONTROL.max_terms):
+        qk = q**k
         live = False
-        for i in range(max(len(a), len(b))):
-            if i < len(a):
-                x = a[i]
-                if abs(x) >= PRODUCT_CUTOFF:
-                    live = True
-                value *= 1.0 - x
-            if i < len(b):
-                y = b[i]
-                if abs(y) >= PRODUCT_CUTOFF:
-                    live = True
-                f = 1.0 - y
-                if abs(f) < POLE_CUTOFF * (1.0 + abs(y)):
-                    raise PoleError(f"denominator factor (1 - {y!r}) vanishes")
-                value /= f
+        for a, b in pairs:
+            x, y = a * qk, b * qk
+            if abs(x) >= PRODUCT_CUTOFF or abs(y) >= PRODUCT_CUTOFF:
+                live = True
+            f = 1.0 - y
+            if abs(f) < POLE_CUTOFF * (1.0 + abs(y)):
+                raise PoleError(f"denominator factor (1 - {y!r}) vanishes")
+            value = value * (1.0 - x) / f
         if not live:
             return value
-        a = [x * q for x in a]
-        b = [y * q for y in b]
     raise ConvergenceError("infinite product did not settle within max_terms levels")
 
 
@@ -153,30 +146,24 @@ def theta(t: complex, q: float) -> complex:
     t = complex(t)
     if t == 0:
         raise DomainError("theta is undefined at t = 0")
-    return (
-        q_pochhammer(t, q, math.inf)
-        * q_pochhammer(q / t, q, math.inf)
-        * q_pochhammer(q, q, math.inf)
-    )
+    return q_pochhammer_ratio([t, q / t, q], [], q)
 
 
 def _termination_index(params: Sequence[complex], q: float) -> int | None:
-    """Smallest m >= 0 with some parameter equal to q**(-m), else None."""
-    best: int | None = None
+    """Smallest m >= 0 with some parameter equal to q**(-m), else None.
+
+    A parameter counts as q**(-m) only where the factor 1 - a q**m that
+    ends the series is at rounding level; one merely near the lattice
+    leaves a tail of relative size about |1 - a q**m| and is summed.
+    """
+    stops = []
     for a in params:
         if a == 0:
             continue
-        if abs(a.imag) > 1e-12 * abs(a):
-            continue
-        ar = a.real
-        if ar <= 0.0:
-            continue
-        mu = math.log(ar) / math.log(q)
-        m = round(mu)
-        if m <= 0 and abs(mu - m) < 1e-9:
-            mm = -m
-            best = mm if best is None else min(best, mm)
-    return best
+        m = -round(math.log(abs(a)) / math.log(q))
+        if m >= 0 and abs(1.0 - a * q**m) <= TERMINATION_TOL:
+            stops.append(m)
+    return min(stops, default=None)
 
 
 def phi_series(

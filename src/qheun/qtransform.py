@@ -122,12 +122,6 @@ def source_system(target: QHeunParams, mu0: float = 0.0, alpha1_source: float | 
     )
 
 
-def source_eigenvalue(target: QHeunParams, E_target: complex, mu0: float = 0.0, alpha1_source: float | None = None) -> complex:
-    """Eigenvalue of the inverted system matching source_system."""
-    a1p = target.alpha1 if alpha1_source is None else alpha1_source
-    return target.q ** (-mu0 + a1p - target.alpha1) * complex(E_target)
-
-
 @dataclass(frozen=True)
 class Seed:
     """A product-type seed h(s), callable pointwise.

@@ -47,9 +47,8 @@ class TestSpiralTerms:
             assert abs(terms(n) - want) <= 1e-13 * abs(want), n
 
     def test_matches_high_precision_products_near_q_one(self):
-        # At q = 0.8 the direct products themselves drift by up to ~1e-12
-        # after 500 steps (their level arguments are formed by repeated
-        # multiplication), so the reference here is mpmath at 40 digits.
+        # 500 steps at q = 0.8 against mpmath at 40 digits, a reference
+        # that shares no code with the stepped or the direct products.
         mp = pytest.importorskip("mpmath")
         q = 0.8
         num, den, inv_num, inv_den = GENERIC
@@ -147,31 +146,47 @@ class TestSpiralTerms:
 
 
 class TestCoefficientRatios:
-    """anchor = 1 turns the product into (u; q)_n / (v; q)_n."""
+    """Stepped from xi = 1, V(q**n) is V(1) times (u; q)_n / (v; q)_n."""
 
     def test_ratio_coefficients(self):
         q = 0.6
         u, v = [0.3 + 0.2j, 0.7], [0.5j, 1.4 - 0.3j]
-        terms = SpiralTerms(v, u, [1.0], [1.0], q, anchor=1.0)
+        terms = SpiralTerms(v, u, [1.0], [1.0], q)
         for n in range(-12, 13):
-            want = q_pochhammer(u[0], q, n) * q_pochhammer(u[1], q, n) / (
+            want = terms(0) * q_pochhammer(u[0], q, n) * q_pochhammer(u[1], q, n) / (
                 q_pochhammer(v[0], q, n) * q_pochhammer(v[1], q, n)
             )
             assert abs(terms(n) - want) <= 1e-13 * abs(want)
 
-    def test_terminating_sum(self):
-        # (q^-3; q)_n vanishes for n > 3: a polynomial in the rate.
-        q, z = 0.5, 0.3
-        got = weighted_bilateral([q**-3], [0.25j], [1.0], [z], q)
-        want = sum(q_pochhammer(q**-3, q, n) / q_pochhammer(0.25j, q, n) * z**n for n in range(4))
-        want += sum(
-            q_pochhammer(q**-3, q, n) / q_pochhammer(0.25j, q, n) * z**n for n in range(-1, -30, -1)
+    @staticmethod
+    def direct_sum(num, den, weights, rates, q, ns):
+        return sum(
+            q_pochhammer_ratio([d * q**n for d in den], [c * q**n for c in num], q)
+            * sum(w * r**n for w, r in zip(weights, rates))
+            for n in ns
         )
+
+    def test_weighted_bilateral_matches_direct_products(self):
+        q = 0.5
+        # Terms decay like r**n upward and like (0.17 / r)**|n| downward.
+        num, den = [1.3 + 0.4j, 0.9 - 0.6j], [0.5j, 0.4 - 0.3j]
+        weights, rates = [1.0, 0.5 - 0.25j], [0.6, 0.6 * q]
+        got = weighted_bilateral(num, den, weights, rates, q)
+        want = self.direct_sum(num, den, weights, rates, q, range(-80, 80))
         assert got == pytest.approx(want, rel=1e-13)
 
-    def test_coefficient_pole(self):
+    def test_truncating_denominator(self):
+        # den = q: (q^(n+1); q)_inf vanishes for n <= -1, so the sum is
+        # one-sided, as at the special anchors of the bilateral forms.
         q = 0.5
-        terms = SpiralTerms([q**-2], [0.3], [1.0], [0.5], q, anchor=1.0)
-        terms(2)
-        with pytest.raises(PoleError, match="index 3"):
-            terms(3)
+        num, den = [0.3 + 0.2j], [q, 1.4 - 0.3j]
+        got = weighted_bilateral(num, den, [1.0], [0.4], q)
+        want = self.direct_sum(num, den, [1.0], [0.4], q, range(80))
+        assert self.direct_sum(num, den, [1.0], [0.4], q, range(-10, 0)) == 0
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_terminating_numerator_poles_at_the_anchor(self):
+        # (q^-3 q^n; q)_inf vanishes for n <= 3: its reciprocal poles at n = 0.
+        q = 0.5
+        with pytest.raises(PoleError):
+            weighted_bilateral([q**-3], [0.25j], [1.0], [0.3], q)

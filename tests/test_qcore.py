@@ -3,8 +3,9 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qheun.errors import ConvergenceError, DomainError, PoleError
@@ -56,7 +57,7 @@ class TestQPochhammer:
         rhs = q_pochhammer(a, q, math.inf) / q_pochhammer(a * q**n, q, math.inf)
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40, deadline=None)
     @given(a=complexes(), q=QS, m=st.integers(-3, 3), n=st.integers(-3, 3))
     def test_index_splitting(self, a, q, m, n):
         def split(a):
@@ -119,6 +120,23 @@ class TestQPochhammer:
             q_pochhammer(0.3, 1.2, 2)
 
 
+class TestQPochhammerRatio:
+    def test_matches_high_precision_products_near_q_one(self):
+        # Balanced pairs c s, d s with |s| up to 1e40 need ~400 levels at
+        # q = 0.8; each level's arguments must not accumulate rounding.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2024)
+        q = 0.8
+        for _ in range(12):
+            s = 10 ** rng.uniform(0, 40) * cmath.exp(1j * rng.uniform(-3, 3))
+            args = [rng.uniform(0.5, 1.5) * cmath.exp(1j * rng.uniform(-3, 3)) * s for _ in range(4)]
+            got = q_pochhammer_ratio(args[:2], args[2:], q)
+            with mp.workdps(40):
+                qp = [mp.qp(mp.mpc(a), mp.mpf(q)) for a in args]
+                want = qp[0] * qp[1] / (qp[2] * qp[3])
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+
 class TestInvQPochhammer:
     def test_negative_is_zero(self):
         assert inv_q_pochhammer(0.5, -2) == 0
@@ -128,6 +146,42 @@ class TestInvQPochhammer:
 
     def test_single_factor(self):
         assert inv_q_pochhammer(0.5, 1) == pytest.approx(2.0)
+
+
+def theta_factors(t: complex, q: float) -> list[complex]:
+    """The arguments x of the factors 1 - x of theta(t) that can vanish,
+    rounded as the product kernel rounds them."""
+    xs = []
+    for a in (complex(t), q / complex(t)):
+        k = 0
+        while abs(a * q**k) >= 1e-17:
+            xs.append(a * q**k)
+            k += 1
+    return xs
+
+
+def assert_theta_identity(lhs, rhs, sides, q, tol):
+    """lhs == rhs, each side a power factor times thetas: sides lists
+    (factor, theta arguments...) per side.
+
+    Away from zeros of theta the identity holds to tol.  Near a zero a
+    factor 1 - x of size c costs ~eps / c of relative accuracy, as in
+    test_index_splitting.  Where a factor is exactly 0 (an argument on
+    the lattice) both sides vanish, up to the rounding of the lattice
+    point: eps times the largest value the products could take.
+    """
+    xs = [x for _, *args in sides for v in args for x in theta_factors(v, q)]
+    cond = min(abs(1 - x) for x in xs)
+    if cond == 0:
+        bound = max(
+            abs(c) * math.prod(math.prod(1 + abs(x) for x in theta_factors(v, q)) for v in args)
+            for c, *args in sides
+        )
+        assert abs(lhs) <= 1e-14 * bound and abs(rhs) <= 1e-14 * bound
+        return
+    if cond < 0.01:
+        tol = max(tol, 1e-14 / cond)
+    assert abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs))
 
 
 class TestTheta:
@@ -140,17 +194,20 @@ class TestTheta:
 
     @settings(max_examples=40, deadline=None)
     @given(t=complexes(), q=QS)
+    @example(t=0.99999, q=0.765625)  # theta ~ 1e-11: 1 ulp in t moves it by 1e-11
     def test_inversion_symmetry(self, t, q):
-        # q/(q/t) round-trips to t only up to rounding, hence the tolerance.
-        lhs, rhs = theta(t, q), theta(q / t, q)
-        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+        # q/(q/t) round-trips to t only up to rounding.
+        assert_theta_identity(theta(t, q), theta(q / t, q), [(1, t), (1, q / t)], q, 1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(t=complexes(), s=complexes(), q=QS, K=st.integers(-3, 3))
+    @example(t=1.0, s=0.5 + 0.5j, q=0.5, K=0)  # theta(t) = 0
+    @example(t=0.5 + 0.5j, s=1.0, q=0.5, K=1)  # theta(s) = 0
     def test_quasi_periodicity(self, t, s, q, K):
-        lhs = theta(q**K * t, q) / theta(q**K * s, q)
-        rhs = (s / t) ** K * theta(t, q) / theta(s, q)
-        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+        # theta(q^K t) / theta(q^K s) = (s/t)^K theta(t) / theta(s), cross-multiplied.
+        lhs = t**K * theta(q**K * t, q) * theta(s, q)
+        rhs = s**K * theta(q**K * s, q) * theta(t, q)
+        assert_theta_identity(lhs, rhs, [(t**K, q**K * t, s), (s**K, q**K * s, t)], q, 1e-12)
 
 
 class TestPhiSeries:
@@ -200,6 +257,7 @@ class TestPhiSeries:
         # acceptance suite covers the full q range at the same tolerance.
         q=st.floats(min_value=0.25, max_value=0.65),
     )
+    @example(a=1.0, b=0.5, c=0.5 + 5e-13j, z=0.5, q=0.5)  # c/b near q**0
     def test_heine_transformation(self, a, b, c, z, q):
         # Both sides pole on the lattice {q^-m}; keep a safety margin.
         assume(all(_off_lattice(v, q) for v in (b, c, z, a * z)))
@@ -208,6 +266,14 @@ class TestPhiSeries:
             [c / b, z], [a * z], q, b
         )
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    def test_near_terminating_parameter_is_summed(self):
+        # c/b = 1 + 1e-12j is q**0 only to 1e-12: the series tail beyond
+        # the first term is of that size and must not be dropped.
+        a, b, c, z, q = 1.0, 0.5, 0.5 + 5e-13j, 0.5, 0.5
+        lhs = phi_series([a, b], [c], q, z)
+        rhs = q_pochhammer_ratio([b, a * z], [c, z], q) * phi_series([c / b, z], [a * z], q, b)
+        assert abs(lhs - rhs) <= 1e-15 * abs(lhs)
 
 
 class TestBilateralSum:
