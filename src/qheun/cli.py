@@ -234,10 +234,11 @@ def eval_cmd(config_path, **overrides) -> None:
     except CONFIG_ERRORS as exc:
         raise _fail_config(exc)
     E0 = st.roots[cfg.root_index] + cfg.e_offset
+    g = form.solution(st, E0, cfg.xi)
     rows = []
     for x in pts:
         try:
-            rows.append({"x": _pair(x), "value": _pair(form.evaluate(st, E0, cfg.xi, x)), "status": "ok"})
+            rows.append({"x": _pair(x), "value": _pair(g(x)), "status": "ok"})
         except QHeunError as exc:
             rows.append({"x": _pair(x), "value": None, "status": type(exc).__name__})
     _emit(cfg, "eval", rows, solution=form.name, root_index=cfg.root_index, E=_pair(E0), rows=rows)

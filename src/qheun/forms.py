@@ -1,12 +1,12 @@
 """Registry of the special solution forms: the one place a form is defined.
 
 Each family pairs its setup (integer relation, accessory polynomial,
-roots) with its forms in report order.  A form evaluates itself at an
-accessory root, may carry the inhomogeneity T of Op g = E g + T, may
-need the bilateral anchor xi, and names the grid of its residual
-check: a default |x| band, the q-spirals to avoid and the relative
-distance to keep from them.  The CLI and the acceptance criteria both
-read forms from here.
+roots) with its forms in report order.  A form gives its solution at
+an accessory root as a function of x, may carry the inhomogeneity T of
+Op g = E g + T, may need the bilateral anchor xi, and names the grid of
+its residual check: a default |x| band, the q-spirals to avoid and the
+relative distance to keep from them.  The CLI and the acceptance
+criteria both read forms from here.
 
 Family functions are looked up by name when a form runs, never stored
 at import, so a patched module binding (a tracer's wrapper) is honoured.
@@ -15,6 +15,7 @@ at import, so a patched module binding (a tracer's wrapper) is honoured.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .accessory import Poly, accessory_poly, poly_roots, polynomial_solution
@@ -48,7 +49,7 @@ def generic_setup(p: QHeunParams, N: int) -> GenericSetup:
 @dataclass(frozen=True)
 class Form:
     name: str
-    evaluate: Callable  # (setup, E0, xi, x) -> g(x)
+    solution: Callable  # (setup, E0, xi) -> g, the form as a function of x
     band: Callable  # setup -> default (rmin, rmax) of |x|
     spirals: Callable  # (setup, xi) -> bases of the q-spirals the grid avoids
     min_rel_dist: float = 1e-6
@@ -70,9 +71,7 @@ class Form:
         inhom = None
         if self.inhomogeneity is not None:
             inhom = lambda x: self.inhomogeneity(setup, xi, x)
-        return residual_report(
-            setup.params, E0, lambda x: self.evaluate(setup, E0, xi, x), pts, inhomogeneity=inhom
-        )
+        return residual_report(setup.params, E0, self.solution(setup, E0, xi), pts, inhomogeneity=inhom)
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def _singular(setup, xi) -> list[complex]:
 
 def _bilateral1(name: str) -> Form:
     return Form(
-        name, lambda st, E0, xi, x: family1_bilateral(st, name, E0, xi, x),
+        name, lambda st, E0, xi: lambda x: family1_bilateral(st, name, E0, xi, x),
         _band(0.6, 2.5), lambda st, xi: singular_spirals(st.params) + [xi], 1e-4, needs_xi=True,
     )
 
@@ -108,24 +107,24 @@ def _bilateral1(name: str) -> Form:
 def _unilateral1(name: str) -> Form:
     """Finite sum g3..g6, checked inside its own convergence domain."""
     return Form(
-        name, lambda st, E0, xi, x: family1_unilateral(st, name, E0, x),
+        name, lambda st, E0, xi: lambda x: family1_unilateral(st, name, E0, x),
         lambda st: family1_residual_band(st, name), _singular,
     )
 
 
 def _bilateral2(name: str) -> Callable:
-    return lambda st, E0, xi, x: family2_bilateral(st, name, E0, xi, x)
+    return lambda st, E0, xi: lambda x: family2_bilateral(st, name, E0, xi, x)
 
 
 def _homogeneous2(name: str) -> Callable:
-    return lambda st, E0, xi, x: family2_homogeneous(st, name, E0, x)
+    return lambda st, E0, xi: lambda x: family2_homogeneous(st, name, E0, x)
 
 
 def _triple2(a: str, b: str | None = None) -> Callable:
     """Member a of the g6..g8 triple, or the difference a - b."""
     if b is None:
-        return lambda st, E0, xi, x: family2_inhomogeneous_triple(st, a, E0, x)
-    return lambda st, E0, xi, x: (
+        return lambda st, E0, xi: lambda x: family2_inhomogeneous_triple(st, a, E0, x)
+    return lambda st, E0, xi: lambda x: (
         family2_inhomogeneous_triple(st, a, E0, x) - family2_inhomogeneous_triple(st, b, E0, x)
     )
 
@@ -134,20 +133,27 @@ def _g1_defect(st, xi, x) -> complex:
     return g1_inhomogeneity(st, x)
 
 
-def _form2(name: str, evaluate: Callable, inhomogeneity=None, needs_xi: bool = False) -> Form:
+def _form2(name: str, solution: Callable, inhomogeneity=None, needs_xi: bool = False) -> Form:
     """Family-2 forms share one band and spiral set; xi joins the spirals when given."""
     spirals = lambda st, xi: family2_pole_spirals(st) + ([xi] if xi is not None else [])
-    return Form(name, evaluate, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi)
+    return Form(name, solution, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi)
+
+
+def _polynomial(st, E0, xi) -> Callable:
+    """The polynomial solution at E0, built once, at its first point.
+
+    A build that fails (E0 off the roots, say) raises at each point, as
+    any evaluation error does, and so carries the point it was asked at.
+    """
+    build = cache(lambda: polynomial_solution(st.params, E0, st.N))
+    return lambda x: build()(x)
 
 
 FAMILIES: dict[str, Family] = {
     "generic": Family(
         lambda p, N: generic_setup(p, N),
         (
-            Form(
-                "poly", lambda st, E0, xi, x: polynomial_solution(st.params, E0, st.N)(x),
-                _band(0.1, 10.0), _singular,
-            ),
+            Form("poly", _polynomial, _band(0.1, 10.0), _singular),
         ),
     ),
     "family1": Family(

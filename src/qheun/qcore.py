@@ -36,10 +36,14 @@ _TINY = 1e-300
 class SeriesControl:
     """Truncation policy for infinite sums.
 
-    A one-sided sum stops once ``divergence_window`` consecutive terms
+    ``phi_series`` stops once a bound on its whole remaining tail falls
+    below ``rel_tol`` times the partial sum.  A one-sided half of a
+    bilateral sum stops once ``divergence_window`` consecutive terms
     fall below ``rel_tol`` times the running partial sum, and is
     declared divergent if terms fail to decrease for that many
-    consecutive indices or ``max_terms`` is exhausted.
+    consecutive indices; ``divergence_window`` governs bilateral sums
+    only.  Every sum is declared divergent once ``max_terms`` is
+    exhausted.
     """
 
     rel_tol: float = 1e-15
@@ -73,7 +77,9 @@ def q_pochhammer(a: complex, q: float, n) -> complex:
     convention 1 / (a q^n; q)_{-n}; n = math.inf gives the truncated
     infinite product.
 
-    Raises PoleError when a negative-n value requires division by zero.
+    Raises PoleError when a negative-n value divides by a factor
+    1 - a q^k that vanishes to within POLE_CUTOFF (relative), as the
+    product kernel does.
     """
     if n is math.inf or (isinstance(n, float) and math.isinf(n) and n > 0):
         return q_pochhammer_ratio([a], [], q)
@@ -94,10 +100,11 @@ def q_pochhammer(a: complex, q: float, n) -> complex:
     denom = 1.0 + 0.0j
     ak = a * q ** n
     for _ in range(-n):
-        denom *= 1.0 - ak
+        f = 1.0 - ak
+        if abs(f) < POLE_CUTOFF * (1.0 + abs(ak)):
+            raise PoleError(f"(a; q)_n has a pole at a={a!r}, n={n}")
+        denom *= f
         ak *= q
-    if denom == 0.0:
-        raise PoleError(f"(a; q)_n has a pole at a={a!r}, n={n}")
     return 1.0 / denom
 
 
@@ -180,9 +187,17 @@ def phi_series(
     non-negative integer m (the partial sum through n = m is then
     returned exactly); otherwise |z| < 1 is required.
 
+    A non-terminating series stops at a certified tail bound.  With
+    y = q**(n+1), every term ratio t_{k+1} / t_k for k > n is at most
+    rho = |z| prod(1 + |a_i| y) / ((1 - q y) prod(1 - |b_j| y)) in
+    modulus, wherever every 1 - |b_j| y is positive (Gasper & Rahman,
+    Basic Hypergeometric Series, sec. 1.2).  So once rho < 1 and
+    |t_{n+1}| / (1 - rho) <= ctl.rel_tol |partial sum|, the sum through
+    t_{n+1} is returned: the tail beyond it is smaller than that.
+
     Raises ConvergenceError for a non-terminating series with |z| >= 1
-    and PoleError when a lower-parameter factor vanishes before
-    termination.
+    or one that has not stopped within ctl.max_terms terms, and
+    PoleError when a lower-parameter factor vanishes before termination.
     """
     check_q(q)
     ups = [complex(a) for a in upper]
@@ -195,11 +210,13 @@ def phi_series(
     stop = _termination_index(ups, q)
     if stop is None and abs(z) >= 1.0:
         raise ConvergenceError(f"non-terminating series with |z| = {abs(z)} >= 1")
+    abs_ups = [abs(a) for a in ups]
+    abs_los = [abs(b) for b in los]
+    max_lo = max(abs_los, default=0.0)
 
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
     qn = 1.0  # q**n
-    small_run = 0
     for n in range(ctl.max_terms):
         total += term
         if stop is not None and n == stop:
@@ -216,12 +233,17 @@ def phi_series(
         term = term * ratio / den
         qn *= q
         if stop is None:
-            if abs(term) <= ctl.rel_tol * max(abs(total), _TINY):
-                small_run += 1
-                if small_run >= ctl.divergence_window:
-                    return total
-            else:
-                small_run = 0
+            # The tail bound is formed only once the term itself is negligible.
+            mag = abs(term)
+            limit = ctl.rel_tol * max(abs(total + term), _TINY)
+            if mag <= limit and max_lo * qn < 1.0:
+                rho = (
+                    abs(z)
+                    * math.prod(1.0 + a * qn for a in abs_ups)
+                    / ((1.0 - q * qn) * math.prod(1.0 - b * qn for b in abs_los))
+                )
+                if rho < 1.0 and mag <= limit * (1.0 - rho):
+                    return total + term
     raise ConvergenceError("series did not reach the stopping rule within max_terms")
 
 

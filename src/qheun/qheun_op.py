@@ -81,12 +81,14 @@ class ResidualReport:
     max_residual: float
 
 
-def qheun_terms(p: QHeunParams, g: Callable[[complex], complex], x: complex) -> tuple[complex, complex, complex]:
-    """The three summands of the operator applied to g at x.
+def qheun_terms(p: QHeunParams, g: Callable[[complex], complex], x: complex) -> tuple[complex, complex, complex, complex]:
+    """The three summands of the operator applied to g at x, and g(x).
 
     Term one shifts down (g(x/q)), term two shifts up (g(qx)), term
-    three is the multiplication part.  Raises DomainError at x = 0 and
-    propagates evaluation errors of g.
+    three is the multiplication part.  g is evaluated once at each
+    stencil point, in the order x/q, qx, x; g(x) is returned beside the
+    summands so that E g(x) costs no further evaluation.  Raises
+    DomainError at x = 0 and propagates evaluation errors of g.
     """
     if x == 0:
         raise DomainError("the operator is singular at x = 0")
@@ -106,13 +108,14 @@ def qheun_terms(p: QHeunParams, g: Callable[[complex], complex], x: complex) -> 
         * p.t1
         * p.t2
     )
-    mid = -((q ** p.alpha1 + q ** p.alpha2) * x + b0 / x) * g(x)
-    return down, up, mid
+    gx = g(x)
+    mid = -((q ** p.alpha1 + q ** p.alpha2) * x + b0 / x) * gx
+    return down, up, mid, gx
 
 
 def apply_qheun(p: QHeunParams, g: Callable[[complex], complex], x: complex) -> complex:
     """Apply the q-Heun operator to g at the point x."""
-    down, up, mid = qheun_terms(p, g, x)
+    down, up, mid, _ = qheun_terms(p, g, x)
     return down + up + mid
 
 
@@ -175,8 +178,8 @@ def residual_report(
     residuals: list[float] = []
     for x in xs:
         try:
-            down, up, mid = qheun_terms(p, g, x)
-            eg = E * g(x)
+            down, up, mid, gx = qheun_terms(p, g, x)
+            eg = E * gx
             extra = inhomogeneity(x) if inhomogeneity is not None else 0.0
         except QHeunError as exc:
             exc.point = x

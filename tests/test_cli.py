@@ -262,6 +262,34 @@ class TestVerify:
         assert len(rep["results"]) == 3  # one per root
         assert all(r["status"] == "pass" for r in rep["results"])
 
+    def test_generic_builds_its_solution_once_per_root(self, tmp_path, runner, rng, monkeypatch):
+        builds = []
+        monkeypatch.setattr(forms, "polynomial_solution", lambda *a: builds.append(a) or polynomial_solution(*a))
+        p = random_admissible_params(rng, 6)
+        path = write_config(tmp_path, p, family="generic", N=6, grid_count=20)
+        rep = json.loads(runner.invoke(main, ["verify", "--config", path]).output)
+        assert [len(r["points"]) for r in rep["results"]] == [20] * 7
+        assert len(builds) == 7
+        builds.clear()
+        rep = json.loads(runner.invoke(main, ["eval", "--config", path]).output)
+        assert [r["status"] for r in rep["rows"]] == ["ok"] * 20
+        assert len(builds) == 1
+
+    def test_generic_failed_build_reports_the_first_point(self, tmp_path, runner, rng):
+        # Off the roots the build fails; it fails at each point it is asked
+        # for, so every eval row and the first verify point carry the error.
+        p = random_admissible_params(rng, 2)
+        path = write_config(tmp_path, p, family="generic", N=2, grid_count=4, e_offset=0.1)
+        res = runner.invoke(main, ["verify", "--config", path])
+        assert res.exit_code == 1
+        rep = json.loads(res.output)
+        grid = forms.FAMILIES["generic"].form("poly").grid(forms.generic_setup(p, 2), None, 4, 0)
+        for r in rep["results"]:
+            assert r["status"] == "error: NotARoot"
+            assert r["error"]["point"] == [grid[0].real, grid[0].imag]
+        rep = json.loads(runner.invoke(main, ["eval", "--config", path]).output)
+        assert [r["status"] for r in rep["rows"]] == ["NotARoot"] * 4
+
     def test_bilateral_forms_with_anchor(self, tmp_path, runner, rng):
         p = random_family2_params(rng, 0)
         path = write_config(

@@ -49,6 +49,11 @@ class TestQPochhammer:
         # a = q makes (a q^-1; q)_1 vanish exactly.
         with pytest.raises(PoleError):
             q_pochhammer(0.5, 0.5, -1)
+        # A factor at rounding level is a pole too, as in the product kernel.
+        with pytest.raises(PoleError):
+            q_pochhammer(0.5 * (1 + 1e-15), 0.5, -1)
+        with pytest.raises(PoleError):
+            q_pochhammer_ratio([], [0.5 * (1 + 1e-15) / 0.5], 0.5)
 
     @pytest.mark.parametrize("n", range(-3, 4))
     def test_infinite_product_consistency(self, n):
@@ -274,6 +279,100 @@ class TestPhiSeries:
         lhs = phi_series([a, b], [c], q, z)
         rhs = q_pochhammer_ratio([b, a * z], [c, z], q) * phi_series([c / b, z], [a * z], q, b)
         assert abs(lhs - rhs) <= 1e-15 * abs(lhs)
+
+
+def _phi_draw(rng: np.random.Generator):
+    """A 2phi1 or 3phi2 with parameters of modulus 0.01-30 and |z| up to 0.97."""
+    def par(lo, hi):  # log-uniform modulus, uniform phase
+        return 10 ** rng.uniform(math.log10(lo), math.log10(hi)) * cmath.exp(1j * rng.uniform(-3.1, 3.1))
+
+    r = int(rng.integers(2, 4))
+    ups = [par(0.01, 30) for _ in range(r)]
+    los = [par(0.01, 30) for _ in range(r - 1)]
+    return ups, los, float(rng.uniform(0.2, 0.9)), par(0.01, 0.97)
+
+
+def _phi_terms(mp, ups, los, q, z) -> list:
+    """The terms of the series, until they fall below 1e-20 of the partial
+    sum (enough for the conditioning, which needs only a few digits)."""
+    ups, los, q, z = [mp.mpmathify(a) for a in ups], [mp.mpmathify(b) for b in los], mp.mpf(q), mp.mpmathify(z)
+    terms, t, qn, partial = [], mp.mpf(1), mp.mpf(1), mp.mpf(0)
+    while len(terms) < 50 or abs(t) > 1e-20 * abs(partial):
+        terms.append(t)
+        partial += t
+        t *= z * mp.fprod(1 - a * qn for a in ups) / ((1 - q * qn) * mp.fprod(1 - b * qn for b in los))
+        qn *= q
+    return terms
+
+
+def _rho(ups, los, q, z, y) -> float:
+    """The tail-ratio bound at y = q**(n+1); inf where a lower factor bound fails."""
+    if any(abs(b) * y >= 1 for b in los):
+        return math.inf
+    den = (1 - q * y) * math.prod(1 - abs(b) * y for b in los)
+    return abs(z) * math.prod(1 + abs(a) * y for a in ups) / den
+
+
+def _assert_matches_qhyper(mp, ups, los, q, z) -> float:
+    """phi_series against mpmath.qhyper at 40 digits, to 1e-14 times the
+    conditioning sum |t_n| / |sum t_n|; returns the first negligible
+    term's ratio bound."""
+    got = phi_series(ups, los, q, z)
+    with mp.workdps(40):
+        want = complex(mp.qhyper(ups, los, q, z))
+        terms = _phi_terms(mp, ups, los, q, z)
+        total = mp.fsum(terms)
+        cond = float(mp.fsum(abs(t) for t in terms) / abs(total))
+        partial = mp.mpf(0)
+        first = None
+        for n, t in enumerate(terms):
+            partial += t
+            if first is None and n > 0 and abs(t) <= 1e-15 * abs(partial):
+                first = n
+    assert abs(got - want) <= 1e-14 * cond * abs(want)
+    return _rho(ups, los, q, z, q**first)
+
+
+class TestPhiSeriesOracle:
+    def test_matches_qhyper_on_seeded_draws(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(515)
+        rhos = [_assert_matches_qhyper(mp, *_phi_draw(rng)) for _ in range(60)]
+        # Some draws have parameters large enough that the first negligible
+        # term does not yet certify the tail, so the sum must go on past it.
+        assert sum(rho >= 1 for rho in rhos) >= 3
+
+    @pytest.mark.parametrize("ups, los, q", [([0.3, 0.5], [0.2], 0.5), ([0.3, 0.5, 0.1], [0.2, 0.6], 0.7)])
+    def test_slowly_decaying_tail_is_summed(self, ups, los, q):
+        # Every term is positive at z = 0.97, so nothing cancels, and the tail
+        # beyond the first term below 1e-15 of the sum is ~30 times that term.
+        mp = pytest.importorskip("mpmath")
+        _assert_matches_qhyper(mp, ups, los, q, 0.97)
+
+    def test_sum_passes_a_dip_below_the_tolerance(self):
+        # 1 - a q**3 = -5e-15: the term after n = 3 collapses by that much and
+        # is the first below 1e-15 of the sum, where the ratio bound is 1.33.
+        mp = pytest.importorskip("mpmath")
+        q = z = 0.5
+        a = q**-3 * (1 + 5e-15)
+        rho = _assert_matches_qhyper(mp, [a, 10.0], [0.9j], q, z)
+        assert rho >= 1
+
+    @pytest.mark.parametrize("z", [1.0, -1.0, 1j, 0.6 + 0.8j])
+    def test_argument_on_the_unit_circle_diverges(self, z):
+        with pytest.raises(ConvergenceError):
+            phi_series([0.3, 0.7j], [0.2], 0.5, z)
+
+    def test_growing_at_the_term_budget_diverges(self):
+        # Terms grow while |a| q**n > 1, far past 20 terms.
+        with pytest.raises(ConvergenceError):
+            phi_series([1e6, 1e6], [0.5], 0.9, 0.5, SeriesControl(max_terms=20))
+
+    def test_tail_not_certified_within_the_term_budget(self):
+        # At |z| = 0.9995 the terms fall by at most that ratio, so no stop
+        # within the default 10000 terms can bound the tail.
+        with pytest.raises(ConvergenceError):
+            phi_series([0.3, 0.7], [0.2], 0.5, 0.9995)
 
 
 class TestBilateralSum:

@@ -3,7 +3,7 @@
 import pytest
 
 from qheun.accessory import exponent_at_origin, recurrence_coeffs
-from qheun.errors import DomainError
+from qheun.errors import DomainError, PoleError
 from qheun.qheun_op import (
     QHeunParams,
     apply_qheun,
@@ -102,6 +102,29 @@ class TestResiduals:
         g = random_cubic(rng)
         rep = residual_report(p, 0.5, g, default_grid(p, count=7))
         assert rep.max_residual == max(rep.residuals)
+
+    def test_each_stencil_point_evaluated_once(self, rng):
+        p = random_generic_params(rng)
+        g = random_cubic(rng)
+        pts = default_grid(p, count=5)
+        calls = []
+        residual_report(p, 0.5, lambda x: calls.append(x) or g(x), pts)
+        # g(x/q), g(qx), g(x) per point, in that order; g(x) also gives E g(x).
+        assert calls == [v for x in map(complex, pts) for v in (x / p.q, p.q * x, x)]
+
+    def test_error_at_the_lower_stencil_point_reports_its_grid_point(self, rng):
+        p = random_generic_params(rng)
+        pts = default_grid(p, count=5)
+        bad = complex(pts[2]) / p.q
+
+        def g(x):
+            if x == bad:
+                raise PoleError("g has a pole here")
+            return x
+
+        with pytest.raises(PoleError) as info:
+            residual_report(p, 0.5, g, pts)
+        assert info.value.point == pts[2]
 
 
 class TestGrid:
