@@ -35,7 +35,7 @@ def main() -> None:
         gap = max(
             abs(a - b) for a, b in zip(st.accessory.coeffs, st.d_poly.coeffs)
         ) / max(abs(c) for c in st.accessory.coeffs)
-        for j, root in enumerate(sorted(st.roots, key=lambda z: (z.real, z.imag))):
+        for j, root in enumerate(st.roots):
             writer.writerow([f"{q:.4f}", j, f"{root.real:.12g}", f"{root.imag:.12g}", f"{gap:.3e}"])
 
 

@@ -5,15 +5,18 @@ the coefficients through a three-term recurrence.  Truncating at degree
 N and demanding consistency yields a monic polynomial of degree N + 1
 in the eigenvalue; its roots are exactly the eigenvalues admitting
 polynomial-type solutions (under the integer exponent condition) or an
-apparent singularity at the origin (when beta = N + 1).
+apparent singularity at the origin (when beta = N + 1).  The roots are
+companion-matrix eigenvalues; the coefficients c_0..c_N at each root are
+an eigenvector of the recurrence's tridiagonal matrix, solved once per setup.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateRecurrence,
@@ -105,13 +108,15 @@ class RecurrenceCoeffs:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """A local solution x^exponent * sum coeffs[n] x^n, callable at x != 0."""
+    """A local solution x^exponent * sum coeffs[n] x^n (DomainError at 0 if exponent < 0)."""
 
     exponent: float
     coeffs: tuple[complex, ...]
 
     def __call__(self, x: complex) -> complex:
         x = complex(x)
+        if x == 0 and self.exponent < 0:
+            raise DomainError("a negative exponent has no value at x = 0")
         return x ** self.exponent * horner(self.coeffs, x)
 
 
@@ -227,70 +232,64 @@ def accessory_poly_expanded(p: QHeunParams, N: int) -> Poly:
     return expand_accessory_poly(lambda n: recurrence_coeffs(p, n), N)
 
 
-def _horner2(coeffs: Sequence[complex], x: complex) -> tuple[complex, complex, float]:
-    """Value, derivative and a roundoff bound on the value at x."""
-    p = coeffs[-1]
-    dp = 0.0 + 0.0j
-    err = abs(p)
-    ax = abs(x)
-    for c in reversed(coeffs[:-1]):
-        dp = dp * x + p
-        p = p * x + c
-        err = err * ax + abs(p)
-    return p, dp, err * 1e-15
+def poly_roots(poly: Poly) -> list[complex]:
+    """All complex roots: the eigenvalues of the companion matrix (numpy.roots).
 
-
-def poly_roots(poly: Poly, tol: float = 1e-13, max_iter: int = 200) -> list[complex]:
-    """All complex roots via simultaneous (Aberth-style) iteration.
-
-    Initial guesses sit on a circle of radius 1 + max monic-coefficient
-    magnitude; a root freezes once its update is below tol or its value
-    drops under the evaluation roundoff bound; each root is
-    Newton-polished afterwards.  Raises NoConvergence when the
-    iteration budget runs out or a residual certificate fails or is not
-    finite (a root that overflowed or became NaN).
+    The eigenvalue route is backward-stable where root iteration on the
+    monomial coefficients is not (Edelman & Murakami, Math. Comp. 64,
+    1995).  The roots come back sorted by (real, imag); the CLI's
+    root_index and every report follow that order.  Raises NoConvergence
+    when a root's certificate exceeds 1e-10, or when the monic
+    coefficients are not finite, so that no root can be certified.
     """
-    cs = list(Poly.of(poly.coeffs).coeffs)
-    deg = len(cs) - 1
-    if deg < 1:
+    cs = Poly.of(poly.coeffs).coeffs
+    if len(cs) < 2:
         raise DomainError("root finding needs degree >= 1")
-    lead = cs[-1]
-    monic = [c / lead for c in cs]
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    z = [
-        radius * cmath.exp(2j * math.pi * (k + 0.35) / deg + 0.45j)
-        for k in range(deg)
-    ]
-    for _ in range(max_iter):
-        done = True
-        new = list(z)
-        for k in range(deg):
-            pv, dv, noise = _horner2(monic, z[k])
-            if abs(pv) <= noise:
-                continue
-            newton = pv / dv if dv != 0 else pv
-            rep = sum(1.0 / (z[k] - z[j]) for j in range(deg) if j != k)
-            denom = 1.0 - newton * rep
-            step = newton / denom if denom != 0 else newton
-            new[k] = z[k] - step
-            if abs(step) > tol * (1.0 + abs(new[k])):
-                done = False
-        z = new
-        if done:
-            break
-    else:
-        raise NoConvergence("root iteration exhausted its budget")
-    for k in range(deg):
-        for _ in range(3):
-            pv, dv, noise = _horner2(monic, z[k])
-            if dv == 0 or abs(pv) <= noise:
-                break
-            z[k] = z[k] - pv / dv
-    for r in z:
+    with np.errstate(over="ignore", invalid="ignore"):
+        monic = np.asarray(cs[::-1]) / cs[-1]
+    if not np.isfinite(monic).all():
+        raise NoConvergence("root certificate failed: the monic coefficients are not finite")
+    roots = sorted((complex(r) for r in np.roots(monic)), key=lambda r: (r.real, r.imag))
+    for r in roots:
         cert = root_certificate(cs, r)
         if not cert <= 1e-10:  # also fails a NaN certificate
             raise NoConvergence(f"root certificate failed at {r!r}: {cert:.3g}")
-    return z
+    return roots
+
+
+def solve_accessory(
+    recurrence: Sequence[RecurrenceCoeffs], scale: float
+) -> tuple[Poly, tuple[complex, ...], dict[complex, tuple[complex, ...]]]:
+    """Accessory polynomial, its roots and the coefficients c_0..c_N of each root.
+
+    recurrence holds the triples of indices 1..N+1, each evaluated once.
+    Closed by c_{N+1} = 0, the recurrence says E c = M c for the
+    tridiagonal M with M[i, i] = -y_{i+1}, M[i, i-1] = z_{i+1} and
+    M[i, i+1] = x_{i+1}.  One eigen-solve of M serves every root: the
+    eigenvector of the eigenvalue nearest the root, scaled to c_0 = 1.
+    An eigenvector is accurate only relative to its largest entry, so
+    c_1 up to that entry come from the recurrence at the eigenvalue,
+    which grows toward it stably; a graded vector's tiny c_0 would
+    otherwise set the scale of all of them from rounding noise.
+    """
+    _, poly = run_poly_recursion(lambda n: recurrence[n - 1], len(recurrence) - 1, scale)
+    roots = tuple(poly_roots(poly))
+    matrix = (
+        np.diag([-rc.y for rc in recurrence])
+        + np.diag([rc.z for rc in recurrence[1:]], -1)
+        + np.diag([rc.x for rc in recurrence[:-1]], 1)
+    )
+    values, vectors = np.linalg.eig(matrix)
+    coeffs = {}
+    for r in roots:
+        j = np.argmin(abs(values - r))
+        E, column = complex(values[j]), vectors[:, j].tolist()
+        peak = max(range(len(column)), key=lambda i: abs(column[i]))
+        c = [0j, 1.0 + 0j]  # c_{-1}, c_0
+        for rc in recurrence[:peak]:
+            c.append(((E + rc.y) * c[-1] - rc.z * c[-2]) / rc.x)
+        coeffs[r] = tuple(c[1:] + [v * c[-1] / column[peak] for v in column[peak + 1:]])
+    return poly, roots, coeffs
 
 
 def root_certificate(cs: Sequence[complex], r: complex) -> float:

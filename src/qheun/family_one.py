@@ -20,9 +20,8 @@ from .accessory import (
     Poly,
     RecurrenceCoeffs,
     exponent_at_origin,
-    poly_roots,
     require_root,
-    run_poly_recursion,
+    solve_accessory,
 )
 from .errors import ConvergenceError, ConvergenceHypothesisWarning, DomainError, PreconditionError
 from .qcore import phi_series, q_pochhammer_ratio
@@ -40,13 +39,13 @@ class Family1Setup:
     lambda1: float
     lambda2: float
     recurrence: tuple[RecurrenceCoeffs, ...]  # indices 1..N+1
-    coeff_polys: tuple[Poly, ...]  # c_0(E)..c_N(E)
     accessory: Poly
     roots: tuple[complex, ...]
+    root_coeffs: dict[complex, tuple[complex, ...]]  # root -> c_0..c_N
 
     def coeff_values(self, E0: complex) -> list[complex]:
-        """c_0(E0)..c_N(E0) from the stored coefficient polynomials."""
-        return [poly(E0) for poly in self.coeff_polys]
+        """c_0..c_N at the root nearest E0, from the setup's eigen-solve."""
+        return list(self.root_coeffs[min(self.roots, key=lambda r: abs(r - E0))])
 
 
 def family1_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
@@ -75,24 +74,24 @@ def family1_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
 
 
 def family1_setup(p: QHeunParams, N: int) -> Family1Setup:
-    """Validate the integer relation and assemble recurrence, polynomial, roots."""
+    """Validate the integer relation and assemble recurrence, polynomial, roots
+    and the coefficients at each root."""
     if N < 0:
         raise DomainError("N must be non-negative")
     if abs(p.h2 - (p.l2 - 1.0 - N)) > INTEGER_TOL:
         raise PreconditionError("h2 != l2 - 1 - N")
     lam1 = exponent_at_origin(p)
-    polys, cpoly = run_poly_recursion(
-        lambda n: family1_recurrence(p, N, n), N, abs(p.t1 * p.t2)
-    )
+    recurrence = tuple(family1_recurrence(p, N, n) for n in range(1, N + 2))
+    cpoly, roots, root_coeffs = solve_accessory(recurrence, abs(p.t1 * p.t2))
     return Family1Setup(
         params=p,
         N=N,
         lambda1=lam1,
         lambda2=lam1 + p.beta,
-        recurrence=tuple(family1_recurrence(p, N, n) for n in range(1, N + 2)),
-        coeff_polys=tuple(polys),
+        recurrence=recurrence,
         accessory=cpoly,
-        roots=tuple(poly_roots(cpoly)),
+        roots=roots,
+        root_coeffs=root_coeffs,
     )
 
 

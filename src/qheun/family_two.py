@@ -24,9 +24,8 @@ from .accessory import (
     apparent_singularity_check,
     coeff_gap,
     exponent_at_origin,
-    poly_roots,
     require_root,
-    run_poly_recursion,
+    solve_accessory,
 )
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .qcore import phi_series, q_pochhammer_ratio, theta
@@ -46,13 +45,14 @@ class Family2Setup:
     N: int
     lambda1: float
     recurrence: tuple[RecurrenceCoeffs, ...]  # indices 1..N+1
-    coeff_polys: tuple[Poly, ...]  # c_0(E)..c_N(E)
     accessory: Poly
     d_poly: Poly
     roots: tuple[complex, ...]
+    root_coeffs: dict[complex, tuple[complex, ...]]  # root -> c_0..c_N
 
     def coeff_values(self, E0: complex) -> list[complex]:
-        return [poly(E0) for poly in self.coeff_polys]
+        """c_0..c_N at the root nearest E0, from the setup's eigen-solve."""
+        return list(self.root_coeffs[min(self.roots, key=lambda r: abs(r - E0))])
 
 
 def family2_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
@@ -91,20 +91,18 @@ def family2_setup(p: QHeunParams, N: int) -> Family2Setup:
     for m in range(N):
         if abs(shift - m) < INTEGER_TOL:
             raise PreconditionError("-lambda1 - alpha1 lies in {0..N-1}")
-    polys, cpoly = run_poly_recursion(
-        lambda n: family2_recurrence(p, N, n), N, abs(p.t1 * p.t2)
-    )
-    # Independent route: the generic origin recurrence run on p itself.
-    dpoly = accessory_poly(p, N)
+    recurrence = tuple(family2_recurrence(p, N, n) for n in range(1, N + 2))
+    cpoly, roots, root_coeffs = solve_accessory(recurrence, abs(p.t1 * p.t2))
     return Family2Setup(
         params=p,
         N=N,
         lambda1=lam,
-        recurrence=tuple(family2_recurrence(p, N, n) for n in range(1, N + 2)),
-        coeff_polys=tuple(polys),
+        recurrence=recurrence,
         accessory=cpoly,
-        d_poly=dpoly,
-        roots=tuple(poly_roots(cpoly)),
+        # Independent route: the generic origin recurrence run on p itself.
+        d_poly=accessory_poly(p, N),
+        roots=roots,
+        root_coeffs=root_coeffs,
     )
 
 

@@ -23,7 +23,7 @@ def _complex_scale(rng: np.random.Generator, lo: float = 0.6, hi: float = 1.6) -
 
 def random_generic_params(rng: np.random.Generator) -> QHeunParams:
     """Unconstrained draw with exponents in [-1.5, 1.5]."""
-    e = rng.uniform(-1.5, 1.5, size=7)
+    e = rng.uniform(-1.5, 1.5, size=7).tolist()
     return QHeunParams(
         h1=e[0],
         h2=e[1],
@@ -48,7 +48,7 @@ def random_admissible_params(rng: np.random.Generator, N: int, which_alpha: int 
     if which_alpha is None:
         which_alpha = int(rng.choice([1, 2]))
     for _ in range(1000):
-        h1, h2, l1, l2 = rng.uniform(-1.5, 1.5, size=4)
+        h1, h2, l1, l2 = rng.uniform(-1.5, 1.5, size=4).tolist()
         beta = rng.uniform(-1.5, 1.5)
         if any(abs(beta - m) < 0.05 for m in range(1, N + 1)):
             continue
@@ -84,7 +84,7 @@ def random_family1_params(rng: np.random.Generator, N: int) -> QHeunParams:
     s = rng.uniform(1.05, 1.6)
     du = rng.uniform(0.15, 0.85)
     beta = rng.uniform(0.3, 0.9)
-    l1, l2 = rng.uniform(-1.0, 1.0, size=2)
+    l1, l2 = rng.uniform(-1.0, 1.0, size=2).tolist()
     alpha2 = rng.uniform(-1.0, 1.0)
     alpha1 = alpha2 + du
     lam1 = s - alpha2
@@ -115,8 +115,8 @@ def random_family2_params(rng: np.random.Generator, N: int) -> QHeunParams:
     beta = float(N + 1)
     for _ in range(2000):
         s = rng.uniform(1.05, 1.3)
-        h1, h2 = rng.uniform(0.3 + 0.5 * N, 2.0 + 0.5 * N, size=2)
-        l1, l2 = rng.uniform(-1.0, 0.5, size=2)
+        h1, h2 = rng.uniform(0.3 + 0.5 * N, 2.0 + 0.5 * N, size=2).tolist()
+        l1, l2 = rng.uniform(-1.0, 0.5, size=2).tolist()
         # lambda1 + alpha2 = s forces the alpha gap.
         du = (h1 + h2 - l1 - l2 - beta + 2.0) - 2.0 * s  # alpha1 - alpha2
         if not -1.6 <= du <= 1.6:

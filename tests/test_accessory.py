@@ -1,5 +1,7 @@
 """Recurrence data, accessory polynomials, roots, local solutions."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -14,16 +16,44 @@ from qheun.accessory import (
     polynomial_solution,
     power_series_solution,
     recurrence_coeffs,
+    root_certificate,
+    run_poly_recursion,
     series_coefficients,
 )
 from qheun.errors import DegenerateRecurrence, NoConvergence, NotARoot, PreconditionError
+from qheun.family_one import family1_setup
+from qheun.family_two import family2_setup
 from qheun.qheun_op import (
     QHeunParams,
     default_grid,
     hahn_coefficients,
     residual_report,
 )
-from qheun.sampling import random_admissible_params, random_family2_params, random_generic_params
+from qheun.sampling import (
+    random_admissible_params,
+    random_family1_params,
+    random_family2_params,
+    random_generic_params,
+)
+
+
+EPS = 2.0**-52
+
+
+def assert_roots_match(mp, poly: Poly, roots, rel: float, conditioned: bool = False) -> None:
+    """Every exact root of poly (mpmath at 60 digits) has one of roots within
+    rel |r|, times the root's condition number sum |c_k r^k| / |r p'(r)|
+    when conditioned."""
+    assert len(roots) == poly.degree
+    with mp.workdps(60):
+        exact = mp.polyroots([mp.mpc(c) for c in reversed(poly.coeffs)], maxsteps=500, extraprec=200)
+        for w in exact:
+            kappa = 1.0
+            if conditioned:
+                dp = mp.polyval([k * mp.mpc(c) for k, c in reversed(list(enumerate(poly.coeffs)))][:-1], w)
+                kappa = float(sum(abs(c) * abs(w) ** k for k, c in enumerate(poly.coeffs)) / abs(w * dp))
+            w = complex(w)
+            assert min(abs(r - w) for r in roots) <= rel * kappa * abs(w)
 
 
 def params(**kw) -> QHeunParams:
@@ -199,27 +229,97 @@ class TestPolyRoots:
         assert got[1] == pytest.approx(2.0, abs=1e-12)
         assert got[2] == pytest.approx(3.0, abs=1e-12)
 
+    def test_roots_come_back_sorted(self):
+        poly = Poly.of([1.0])
+        for r in (2.0 - 1j, -0.9 + 3j, 2.1 + 1j, 0.5, -1.0 - 3j):
+            poly = poly.times_linear(-r)
+        got = poly_roots(poly)
+        want = [-1.0 - 3j, -0.9 + 3j, 0.5, 2.0 - 1j, 2.1 + 1j]
+        assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
+
     def test_certificate_of_huge_roots_does_not_overflow(self):
-        # A generic N = 12 draw: coefficients span 1 .. 2e25 and roots
-        # reach modulus ~1.7e25, so max(1, |r|)**13 overflows a float.
+        # A generic N = 12 draw whose coefficients span 1 .. 2e25.  Its
+        # roots have moduli 3.3 .. 6.2e3; at |r| = 1.729e25 the power
+        # max(1, |r|)**13 overflows a float, and the certificate is formed
+        # term by term instead.
+        mp = pytest.importorskip("mpmath")
         p = random_generic_params(np.random.default_rng(2))
         poly = accessory_poly(p, 12)
+        assert_roots_match(mp, poly, poly_roots(poly), rel=1e-10)
+        r = 1.729e25 * cmath.exp(0.4j)
         deg = poly.degree
-        roots = poly_roots(poly)
-        assert len(roots) == deg
-        assert max(abs(r) for r in roots) > 1e25
         scale = max(abs(c) for c in poly.coeffs)
-        for r in roots:  # the certificate p(r) / max(1, |r|)**deg, term by term
-            m = max(1.0, abs(r))
-            value = sum(c * (r / m) ** k * m ** (k - deg) for k, c in enumerate(poly.coeffs))
-            assert abs(value) / scale <= 1e-10
+        value = sum(c * (r / abs(r)) ** k * abs(r) ** (k - deg) for k, c in enumerate(poly.coeffs))
+        assert root_certificate(poly.coeffs, r) == pytest.approx(abs(value) / scale, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [4, 8, 12])
+    @pytest.mark.parametrize("family", ["generic", "family1", "family2"])
+    def test_roots_match_mpmath(self, family, N):
+        # Each root within 16 eps times its condition number of the exact
+        # roots of the same float polynomial, as a backward-stable solver
+        # guarantees.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            if family == "generic":
+                poly = accessory_poly(random_generic_params(rng), N)
+                roots = poly_roots(poly)
+            elif family == "family1":
+                st = family1_setup(random_family1_params(rng, N), N)
+                poly, roots = st.accessory, st.roots
+            else:
+                st = family2_setup(random_family2_params(rng, N), N)
+                poly, roots = st.accessory, st.roots
+            assert_roots_match(mp, poly, roots, rel=16 * EPS, conditioned=True)
 
     @pytest.mark.parametrize("coeffs", [[1e300, 0.0, 1e-300], [-1e150, 0.0, 0.0, 1e-200]])
     def test_non_finite_roots_fail_the_certificate(self, coeffs):
-        # The monic coefficients overflow, the iteration turns NaN, and a
-        # NaN certificate must not pass.
+        # The monic coefficients overflow, so no root can be certified.
         with pytest.raises(NoConvergence, match="certificate"):
             poly_roots(Poly.of(coeffs))
+
+
+class TestRootCoefficients:
+    @pytest.mark.parametrize("family, N", [("family2", 8), ("family1", 12)])
+    def test_eigenvectors_match_mpmath(self, family, N):
+        # The coefficients at each root against a 60-digit eigenvector of
+        # the same float recurrence matrix.  The coefficient polynomials
+        # at the root missed it by up to 1.4e-5 on the family2 draws; the
+        # family1 eigenvectors are graded, and scaling a computed one by
+        # its tiny c_0 missed by up to 2.7.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            if family == "family1":
+                st = family1_setup(random_family1_params(rng, N), N)
+            else:
+                st = family2_setup(random_family2_params(rng, N), N)
+            n = len(st.recurrence)
+            with mp.workdps(60):
+                M = mp.matrix(n, n)
+                for i, rc in enumerate(st.recurrence):
+                    M[i, i] = -mp.mpc(rc.y)
+                    if i > 0:
+                        M[i, i - 1] = mp.mpc(rc.z)
+                    if i < n - 1:
+                        M[i, i + 1] = mp.mpc(rc.x)
+                values, vectors = mp.eig(M)
+                for root in st.roots:
+                    j = min(range(n), key=lambda k: abs(values[k] - root))
+                    want = [complex(vectors[i, j] / vectors[0, j]) for i in range(n)]
+                    got = st.coeff_values(root)
+                    scale = max(abs(w) for w in want)
+                    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10 * scale
+
+    def test_small_n_matches_coefficient_polys(self, rng):
+        for N in (0, 1, 2):
+            st = family2_setup(random_family2_params(rng, N), N)
+            polys, _ = run_poly_recursion(lambda n: st.recurrence[n - 1], N, abs(st.params.t1 * st.params.t2))
+            for root in st.roots:
+                got = st.coeff_values(root)
+                want = [c(root) for c in polys]
+                scale = max(abs(w) for w in want)
+                assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-11 * scale
 
 
 class TestPowerSeries:

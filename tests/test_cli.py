@@ -4,17 +4,19 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qheun import forms
-from qheun.accessory import polynomial_solution
+from qheun.accessory import exponent_at_origin, polynomial_solution
 from qheun.cli import main
 from qheun.family_two import family2_setup
 from qheun.sampling import (
     random_admissible_params,
     random_family1_params,
     random_family2_params,
+    random_generic_params,
 )
 
 
@@ -54,10 +56,10 @@ class TestAccessory:
         assert rep["accessory"]["certificates"][0] < 1e-10
 
     def test_certificates_of_huge_roots(self, tmp_path, runner):
-        # A family1 N = 9 draw whose roots all have modulus ~5e31: the
-        # certificate's max(1, |r|)**10 used to overflow the report, and
-        # the same power in the root check of eval and verify ended them
-        # in an untyped OverflowError.
+        # A family1 N = 9 draw whose accessory coefficients reach ~1e31:
+        # its roots (moduli 247 .. 1.27e4) must match mpmath's, and eval
+        # and verify must report on them.
+        mp = pytest.importorskip("mpmath")
         cfg = {
             "h1": 12.017799152028836, "h2": -10.4941940978305,
             "l1": 0.818981165881957, "l2": -0.49419409783049906,
@@ -72,7 +74,11 @@ class TestAccessory:
         res = runner.invoke(main, ["accessory", "--config", str(path)])
         assert res.exit_code == 0, res.output
         acc = json.loads(res.output)["accessory"]
-        assert min(abs(complex(*r)) for r in acc["roots"]) > 1e31
+        roots = [complex(*r) for r in acc["roots"]]
+        with mp.workdps(80):
+            exact = mp.polyroots([mp.mpc(*c) for c in reversed(acc["coeffs"])], maxsteps=500, extraprec=250)
+        for w in map(complex, exact):
+            assert min(abs(r - w) for r in roots) <= 1e-10 * abs(w)
         assert len(acc["certificates"]) == 10
         assert all(c <= 1e-10 for c in acc["certificates"])
         res = runner.invoke(main, ["eval", "--config", str(path)])
@@ -139,6 +145,24 @@ class TestEval:
             x = complex(*row["x"])
             want = sol(x)
             assert complex(*row["value"]) == want
+
+    def test_draws_are_plain_python_numbers(self, rng):
+        # The CLI reads floats back from JSON; a numpy scalar in a draw
+        # would take a different arithmetic path from the same value.
+        draws = [random_admissible_params(rng, 2), random_family1_params(rng, 2), random_family2_params(rng, 2)]
+        for p in draws + [random_generic_params(rng)]:
+            assert {type(getattr(p, k)) for k in ("h1", "h2", "l1", "l2", "alpha1", "alpha2", "beta", "q")} == {float}
+            assert {type(p.t1), type(p.t2)} == {complex}
+
+    def test_zero_point_with_negative_exponent_is_a_domain_error(self, tmp_path, runner):
+        rng = np.random.default_rng(7)
+        random_admissible_params(rng, 0)
+        p = random_admissible_params(rng, 1)
+        assert exponent_at_origin(p) < 0
+        path = write_config(tmp_path, p, family="generic", N=1, points=[[0, 0], [1, 0.5]])
+        res = runner.invoke(main, ["eval", "--config", path])
+        assert res.exit_code == 0, res.output
+        assert [r["status"] for r in json.loads(res.output)["rows"]] == ["DomainError", "ok"]
 
     def test_csv_format(self, tmp_path, runner, rng):
         p = random_admissible_params(rng, 1)
