@@ -16,7 +16,6 @@ from .qcore import (
     DEFAULT_CONTROL,
     SeriesControl,
     bilateral_sum,
-    inv_q_pochhammer,
     jackson_integral,
     phi_series,
     q_pochhammer,

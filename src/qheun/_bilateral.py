@@ -14,7 +14,10 @@ The same stepping gives the two-sided series of both solution families,
     sum_n  [ prod_j (v_j q^n; q)_inf / prod_i (u_i q^n; q)_inf ] * sum_k w_k r_k^n,
 
 i.e. (v; q)_inf / (u; q)_inf times the shifted-factorial coefficient
-(u; q)_n / (v; q)_n.
+(u; q)_n / (v; q)_n.  The products and the powers r_k**n do not depend
+on the weights w_k, so one walk serves several weight vectors
+(weighted_bilateral_multi): a form's N + 1 accessory roots differ only
+in their weights.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from itertools import zip_longest
 from operator import mul
 from typing import Sequence
 
-from .qcore import bilateral_sum, q_pochhammer_ratio
+from .errors import QHeunError
+from .qcore import TailSum, bilateral_sum, q_pochhammer_ratio
 
 # A step factor (1 - y) closer to zero than this would divide out, or
 # multiply in, a zero or pole of the anchored value; the value at the
@@ -168,3 +172,68 @@ def weighted_bilateral(
     the anchor n = 0 included.
     """
     return bilateral_sum(SpiralTerms(den, num, weights, rates, q))
+
+
+def weighted_bilateral_multi(
+    num: Sequence[complex],
+    den: Sequence[complex],
+    weight_rows: Sequence[Sequence[complex]],
+    rates: Sequence[complex],
+    q: float,
+) -> list[complex | QHeunError]:
+    """weighted_bilateral for several weight vectors, over one walk per side.
+
+    The products and powers at each index are stepped once for all rows.
+    Each row forms its terms, partial sums and stop decisions exactly as
+    weighted_bilateral does for it alone, so each entry is bit-for-bit
+    that sum, or the QHeunError its own call raises: an error of a step
+    goes only to the rows whose walks reach that index.
+    """
+    try:
+        terms = SpiralTerms(den, num, (), rates, q)
+    except QHeunError as exc:
+        return [exc] * len(weight_rows)
+    rows = [[complex(w) for w in row] for row in weight_rows]
+    # Per row: its error once it failed, else its plus side, then its sum.
+    results: list = [None] * len(rows)
+    for start, step in ((0, +1), (-1, -1)):
+        live = [(j, rows[j], TailSum()) for j, r in enumerate(results) if not isinstance(r, QHeunError)]
+        n = start
+        while live:
+            try:
+                _, _, value, powers, _ = terms._seek(n)
+            except QHeunError as exc:
+                for j, _, _ in live:
+                    results[j] = exc
+                break
+            ended = []
+            for j, row, tail in live:
+                try:
+                    if not tail.add(value * sum(map(mul, row, powers)), n):
+                        continue
+                except QHeunError as exc:
+                    results[j] = exc
+                else:
+                    results[j] = tail.total if step > 0 else results[j] + tail.total
+                ended.append(j)
+            if ended:
+                live = [entry for entry in live if entry[0] not in ended]
+            n += step
+    return results
+
+
+def bilateral_form(parts: tuple, coeffs: Sequence[complex], q: float) -> complex:
+    """factor * weighted_bilateral(num, den, weights, rates, q) for the
+    parts (factor, num, den, xi_powers, rates) of a family's g1/g2, with
+    weights xi_powers[k] * coeffs[k]."""
+    factor, num, den, xi_powers, rates = parts
+    weights = [w * c for w, c in zip(xi_powers, coeffs)]
+    return factor * weighted_bilateral(num, den, weights, rates, q)
+
+
+def bilateral_form_multi(parts: tuple, coeff_rows: Sequence[Sequence[complex]], q: float) -> list[complex | QHeunError]:
+    """bilateral_form for each coefficient vector, over one shared walk."""
+    factor, num, den, xi_powers, rates = parts
+    rows = [[w * c for w, c in zip(xi_powers, coeffs)] for coeffs in coeff_rows]
+    sums = weighted_bilateral_multi(num, den, rows, rates, q)
+    return [s if isinstance(s, QHeunError) else factor * s for s in sums]

@@ -25,6 +25,7 @@ from .accessory import (
     poly_roots,
     polynomial_solution,
 )
+from .errors import QHeunError
 from .family_one import family1_bilateral, family1_seed, family1_source_params
 from .family_two import (
     family2_bilateral,
@@ -37,7 +38,7 @@ from .family_two import (
 )
 from .forms import FAMILIES
 from .qcore import SeriesControl, phi_series, q_pochhammer, q_pochhammer_ratio, theta
-from .qheun_op import QHeunParams, default_grid, grid_points, residual_report, spiral_distance
+from .qheun_op import QHeunParams, ResidualReport, default_grid, grid_points, residual_report, spiral_distance
 from .qtransform import TransformSpec, boundary_limits, source_chi, transform
 from .sampling import (
     random_admissible_params,
@@ -113,6 +114,13 @@ def family2_apparent() -> tuple[bool, str]:
     return checks and worst < 1e-10, f"max coeff diff {worst:.2e}"
 
 
+def _report(rep: ResidualReport | QHeunError) -> ResidualReport:
+    """A root_residuals entry as a report; an error entry is raised."""
+    if isinstance(rep, QHeunError):
+        raise rep
+    return rep
+
+
 def family1_finite_sums() -> tuple[bool, str]:
     """All four finite-sum forms solve the equation at every root."""
     rng = np.random.default_rng(404)
@@ -123,8 +131,8 @@ def family1_finite_sums() -> tuple[bool, str]:
         for name in ("g3", "g4", "g5", "g6"):
             form = family.form(name)
             pts = form.grid(st, None, 10, seed=N + 17)
-            for E0 in st.roots:
-                worst = max(worst, form.residuals(st, E0, None, pts).max_residual)
+            for rep in form.root_residuals(st, st.roots, None, pts):
+                worst = max(worst, _report(rep).max_residual)
     return worst < 1e-8, f"worst residual {worst:.2e}"
 
 
@@ -141,9 +149,9 @@ def family2_solutions() -> tuple[bool, str]:
         st = family.setup(p, N)
         xi = 0.77 * abs(p.t1) + 0j
         pts = forms[0].grid(st, xi, 10, seed=N + 29)  # every family-2 form shares this grid
-        for E0 in st.roots:
-            for form in forms:
-                res = form.residuals(st, E0, xi, pts).max_residual
+        for form in forms:
+            for rep in form.root_residuals(st, st.roots, xi, pts):
+                res = _report(rep).max_residual
                 if form.inhomogeneity is None:
                     worst_h = max(worst_h, res)
                 else:

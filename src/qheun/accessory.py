@@ -12,6 +12,7 @@ an eigenvector of the recurrence's tridiagonal matrix, solved once per setup.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,6 +25,7 @@ from .errors import (
     NoConvergence,
     NotARoot,
     PreconditionError,
+    QHeunError,
 )
 from .qheun_op import QHeunParams
 
@@ -292,6 +294,25 @@ def solve_accessory(
     return poly, roots, coeffs
 
 
+def _scaled_horner(cs: Sequence[complex], r: complex) -> tuple[complex, float]:
+    """p(r) / m**deg and sum |c_k| |r|**k / m**deg, with m = max(1, |r|).
+
+    Formed as sum c_k u**k t**(deg-k) with u = r/m and t = 1/m, in which
+    no factor exceeds 1 in modulus, so neither overflows.
+    """
+    m = max(1.0, abs(r))
+    u, t = r / m, 1.0 / m
+    au = abs(u)
+    acc = cs[-1]
+    size = abs(cs[-1])
+    tk = 1.0
+    for c in reversed(cs[:-1]):
+        tk *= t
+        acc = acc * u + c * tk
+        size = size * au + abs(c) * tk
+    return acc, size
+
+
 def root_certificate(cs: Sequence[complex], r: complex) -> float:
     """Residual certificate |p(r)| / (max|c_k| * max(1, |r|)**deg) of a root.
 
@@ -309,20 +330,65 @@ def root_certificate(cs: Sequence[complex], r: complex) -> float:
         cert = math.inf
     if math.isfinite(cert):
         return cert
-    u, t = r / m, 1.0 / m
-    acc = cs[-1]
-    tk = 1.0
-    for c in reversed(cs[:-1]):
-        tk *= t
-        acc = acc * u + c * tk
-    return abs(acc) / scale
+    return abs(_scaled_horner(cs, r)[0]) / scale
+
+
+def backward_error(cs: Sequence[complex], E: complex) -> float:
+    """Coefficient-wise backward error |p(E)| / sum |c_k| |E|**k of E as a root.
+
+    E is an exact root of a polynomial whose every coefficient moved by
+    at most this relative amount.  Unlike root_certificate, which
+    divides by max|c_k| * max(1, |E|)**deg, it is not fooled by graded
+    coefficients: a large c_k that |E|**k does not reach cannot mask
+    |p(E)|.  A non-finite E gives NaN.
+    """
+    value, size = _scaled_horner(cs, E)
+    return abs(value) / size
 
 
 def require_root(poly: Poly, E0: complex) -> None:
-    """Raise NotARoot unless E0's root certificate in poly is at most 1e-8."""
-    cert = root_certificate(poly.coeffs, E0)
-    if not cert <= 1e-8:  # also fails a NaN certificate
-        raise NotARoot(f"root certificate {cert:.3e} of E0 exceeds 1e-8")
+    """Raise NotARoot unless E0's backward error in poly is at most 1e-8."""
+    err = backward_error(poly.coeffs, E0)
+    if not err <= 1e-8:  # also fails a NaN
+        raise NotARoot(f"backward error {err:.3e} of E0 as an accessory root exceeds 1e-8")
+
+
+def at_roots(
+    poly: Poly, E0s: Sequence[complex], evaluate: Callable[[list[complex]], Sequence]
+) -> list:
+    """Per-eigenvalue results of a form evaluated at several E0 in one call.
+
+    require_root runs per E0; evaluate(live) then receives the E0 that
+    pass, in order, and returns one result each.  Entry j is the NotARoot
+    of E0s[j], or its result from evaluate, or, if evaluate raises a
+    QHeunError (an error that does not depend on E0), that error.  So
+    each entry is what the single-root call at E0s[j] returns or raises.
+    """
+    out: list = []
+    live: list[complex] = []
+    for E0 in E0s:
+        try:
+            require_root(poly, E0)
+        except NotARoot as exc:
+            out.append(exc)
+        else:
+            out.append(None)
+            live.append(E0)
+    if live:
+        try:
+            values = iter(evaluate(live))
+        except QHeunError as exc:
+            values = itertools.repeat(exc)
+        out = [next(values) if v is None else v for v in out]
+    return out
+
+
+def one_root(results: Sequence) -> complex:
+    """The single entry of an at_roots result list: its value, or raise its error."""
+    (value,) = results
+    if isinstance(value, QHeunError):
+        raise value
+    return value
 
 
 def series_coefficients(

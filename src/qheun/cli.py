@@ -257,23 +257,25 @@ def verify(config_path, **overrides) -> None:
     except CONFIG_ERRORS as exc:
         raise _fail_config(exc)
     results = []
+    E0s = [root + cfg.e_offset for root in st.roots]
     for form, pts in zip(forms, grids):
-        for idx, root in enumerate(st.roots):
+        # Every root in one pass: each form's root-independent pieces are
+        # evaluated once per stencil point.
+        for idx, rep in enumerate(form.root_residuals(st, E0s, cfg.xi, pts)):
             result = {"form": form.name, "root_index": idx}
-            try:
-                rep = form.residuals(st, root + cfg.e_offset, cfg.xi, pts)
+            if isinstance(rep, QHeunError):
+                point = getattr(rep, "point", None)
+                result.update(
+                    points=[], residuals=[], max_residual=float("inf"),
+                    status=f"error: {type(rep).__name__}",
+                    error={"message": str(rep), "point": None if point is None else _pair(complex(point))},
+                )
+            else:
                 result.update(
                     points=[_pair(x) for x in rep.points],
                     residuals=list(rep.residuals),
                     max_residual=rep.max_residual,
                     status="fail" if rep.max_residual >= cfg.tol else "pass",
-                )
-            except QHeunError as exc:
-                point = getattr(exc, "point", None)
-                result.update(
-                    points=[], residuals=[], max_residual=float("inf"),
-                    status=f"error: {type(exc).__name__}",
-                    error={"message": str(exc), "point": None if point is None else _pair(complex(point))},
                 )
             results.append(result)
     all_pass = all(r["status"] == "pass" for r in results)

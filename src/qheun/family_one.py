@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
-from ._bilateral import weighted_bilateral
+from ._bilateral import bilateral_form, bilateral_form_multi
 from .accessory import (
     INTEGER_TOL,
     Poly,
     RecurrenceCoeffs,
+    at_roots,
     exponent_at_origin,
+    one_root,
     require_root,
     solve_accessory,
 )
-from .errors import ConvergenceError, ConvergenceHypothesisWarning, DomainError, PreconditionError
+from .errors import ConvergenceError, ConvergenceHypothesisWarning, DomainError, PreconditionError, QHeunError
 from .qcore import phi_series, q_pochhammer_ratio
 from .qheun_op import QHeunParams
 from .qtransform import Seed, source_system
@@ -140,6 +142,33 @@ def _check_bilateral_hypotheses(setup: Family1Setup) -> None:
         )
 
 
+def _bilateral_parts(setup: Family1Setup, which: BilateralName, xi: complex, x: complex):
+    """Root-independent parts of g1/g2 at (xi, x): prefactor, products,
+    the powers of xi that times c_k give the weights, and the rates."""
+    _check_bilateral_hypotheses(setup)
+    if xi == 0 or x == 0:
+        raise DomainError("xi and x must be nonzero")
+    p = setup.params
+    q = p.q
+    lam1 = setup.lambda1
+    N = setup.N
+    xi = complex(xi)
+    x = complex(x)
+    if which == "g1":
+        num = [q ** (lam1 - p.h1 + p.alpha1 - 0.5) * xi / p.t1, xi / x]
+        den = [q ** (-p.l1 + 0.5) * xi / p.t1, q ** (lam1 + p.alpha1) * xi / x]
+        xi_powers = [xi ** (lam1 + p.alpha1 + p.beta + k) for k in range(N + 1)]
+        rates = [q ** (lam1 + p.alpha1 + p.beta + k) for k in range(N + 1)]
+        return (1.0 - q) * x ** (-p.alpha1), num, den, xi_powers, rates
+    if which == "g2":
+        num = [q ** (p.l1 + 0.5) * p.t1 / xi, q ** (-lam1 - p.alpha1 + 1.0) * x / xi]
+        den = [q ** (-lam1 + p.h1 - p.alpha1 + 1.5) * p.t1 / xi, q * x / xi]
+        xi_powers = [xi ** (-lam1 - p.alpha2 - N + k) for k in range(N + 1)]
+        rates = [q ** (lam1 + p.alpha2 + N - k) for k in range(N + 1)]
+        return (1.0 - q) * x ** lam1, num, den, xi_powers, rates
+    raise DomainError("which must be 'g1' or 'g2'")
+
+
 def family1_bilateral(
     setup: Family1Setup,
     which: BilateralName,
@@ -149,29 +178,29 @@ def family1_bilateral(
 ) -> complex:
     """Bilateral solution g1 or g2 at anchor xi and point x."""
     require_root(setup.accessory, E0)
-    _check_bilateral_hypotheses(setup)
-    if xi == 0 or x == 0:
-        raise DomainError("xi and x must be nonzero")
-    p = setup.params
-    q = p.q
-    lam1 = setup.lambda1
-    N = setup.N
-    coeffs = setup.coeff_values(E0)
-    xi = complex(xi)
-    x = complex(x)
-    if which == "g1":
-        num = [q ** (lam1 - p.h1 + p.alpha1 - 0.5) * xi / p.t1, xi / x]
-        den = [q ** (-p.l1 + 0.5) * xi / p.t1, q ** (lam1 + p.alpha1) * xi / x]
-        weights = [xi ** (lam1 + p.alpha1 + p.beta + k) * coeffs[k] for k in range(N + 1)]
-        rates = [q ** (lam1 + p.alpha1 + p.beta + k) for k in range(N + 1)]
-        return (1.0 - q) * x ** (-p.alpha1) * weighted_bilateral(num, den, weights, rates, q)
-    if which == "g2":
-        num = [q ** (p.l1 + 0.5) * p.t1 / xi, q ** (-lam1 - p.alpha1 + 1.0) * x / xi]
-        den = [q ** (-lam1 + p.h1 - p.alpha1 + 1.5) * p.t1 / xi, q * x / xi]
-        weights = [xi ** (-lam1 - p.alpha2 - N + k) * coeffs[k] for k in range(N + 1)]
-        rates = [q ** (lam1 + p.alpha2 + N - k) for k in range(N + 1)]
-        return (1.0 - q) * x ** lam1 * weighted_bilateral(num, den, weights, rates, q)
-    raise DomainError("which must be 'g1' or 'g2'")
+    parts = _bilateral_parts(setup, which, xi, x)
+    return bilateral_form(parts, setup.coeff_values(E0), setup.params.q)
+
+
+def family1_bilateral_multi(
+    setup: Family1Setup,
+    which: BilateralName,
+    E0s: Sequence[complex],
+    xi: complex,
+    x: complex,
+) -> list[complex | QHeunError]:
+    """family1_bilateral at each eigenvalue of E0s: its value or its error.
+
+    The products are stepped along one walk per side for all of E0s;
+    each value is bit-for-bit the single-root one (at_roots,
+    bilateral_form_multi).
+    """
+
+    def evaluate(live: list[complex]) -> list:
+        parts = _bilateral_parts(setup, which, xi, x)
+        return bilateral_form_multi(parts, [setup.coeff_values(E0) for E0 in live], setup.params.q)
+
+    return at_roots(setup.accessory, E0s, evaluate)
 
 
 def family1_domain(setup: Family1Setup, which: UnilateralName) -> tuple[float, float]:
@@ -202,7 +231,25 @@ def family1_unilateral(
     x: complex,
 ) -> complex:
     """Finite-sum solution g3..g6 at the point x, inside its domain."""
-    require_root(setup.accessory, E0)
+    return one_root(family1_unilateral_multi(setup, which, [E0], x))
+
+
+def family1_unilateral_multi(
+    setup: Family1Setup,
+    which: UnilateralName,
+    E0s: Sequence[complex],
+    x: complex,
+) -> list[complex | QHeunError]:
+    """family1_unilateral at each eigenvalue of E0s: its value or its error.
+
+    The terms c_k * scalar_k * ratio_k * series_k differ between the E0
+    only in c_k, so scalar, product ratio and series are formed once per
+    k and combined per E0 in the single-root order (at_roots).
+    """
+    return at_roots(setup.accessory, E0s, lambda live: _unilateral(setup, which, live, x))
+
+
+def _unilateral(setup: Family1Setup, which: UnilateralName, E0s: list[complex], x: complex) -> list[complex]:
     p = setup.params
     q = p.q
     lam1 = setup.lambda1
@@ -218,15 +265,15 @@ def family1_unilateral(
         warnings.warn(
             "evaluating a unilateral form outside the bilateral hypotheses",
             ConvergenceHypothesisWarning,
-            stacklevel=2,
+            stacklevel=5,  # the caller of family1_unilateral_multi
         )
-    coeffs = setup.coeff_values(E0)
+    coeffs = [setup.coeff_values(E0) for E0 in E0s]
     if which in ("g3", "g4"):
         z = q ** (-p.h1 + 0.5) * x / p.t1
     else:
         z = q ** (p.l1 + 0.5) * p.t1 / x
 
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j] * len(coeffs)
     for k in range(N + 1):
         if which == "g3":
             scalar = (q ** (-lam1 + p.h1 - p.alpha1 + 0.5) * p.t1) ** k
@@ -268,15 +315,17 @@ def family1_unilateral(
                 q,
                 z,
             )
-        total += scalar * coeffs[k] * ratio * series
+        totals = [total + scalar * c[k] * ratio * series for total, c in zip(totals, coeffs)]
 
     if which == "g3":
-        return x ** lam1 * total
-    if which == "g4":
-        return x ** lam2 * total
-    if which == "g5":
-        return x ** (-p.alpha1) * total
-    return x ** (-p.alpha2) * total
+        factor = x ** lam1
+    elif which == "g4":
+        factor = x ** lam2
+    elif which == "g5":
+        factor = x ** (-p.alpha1)
+    else:
+        factor = x ** (-p.alpha2)
+    return [factor * total for total in totals]
 
 
 def family1_special_anchor(setup: Family1Setup, which: UnilateralName, x: complex) -> complex:

@@ -13,21 +13,23 @@ and g2 solve explicit inhomogeneous equations as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
-from ._bilateral import weighted_bilateral
+from ._bilateral import bilateral_form, bilateral_form_multi
 from .accessory import (
     INTEGER_TOL,
     Poly,
     RecurrenceCoeffs,
     accessory_poly,
     apparent_singularity_check,
+    at_roots,
     coeff_gap,
     exponent_at_origin,
+    one_root,
     require_root,
     solve_accessory,
 )
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError, QHeunError
 from .qcore import phi_series, q_pochhammer_ratio, theta
 from .qheun_op import QHeunParams
 from .qtransform import Seed, seed_weight_exponent, source_system
@@ -199,15 +201,9 @@ def g2_inhomogeneity(setup: Family2Setup, xi: complex, x: complex) -> complex:
     )
 
 
-def family2_bilateral(
-    setup: Family2Setup,
-    which: BilateralName,
-    E0: complex,
-    xi: complex,
-    x: complex,
-) -> complex:
-    """Bilateral form g1 or g2 at anchor xi and point x."""
-    require_root(setup.accessory, E0)
+def _bilateral_parts(setup: Family2Setup, which: BilateralName, xi: complex, x: complex):
+    """Root-independent parts of g1/g2 at (xi, x): prefactor, products,
+    the powers of xi that times c_k give the weights, and the rates."""
     p = setup.params
     if not setup.lambda1 + p.alpha2 > 1.0:
         raise PreconditionError("bilateral forms need lambda1 + alpha2 > 1")
@@ -216,7 +212,6 @@ def family2_bilateral(
     q = p.q
     lam = setup.lambda1
     N = setup.N
-    coeffs = setup.coeff_values(E0)
     xi = complex(xi)
     x = complex(x)
     if which == "g1":
@@ -230,9 +225,9 @@ def family2_bilateral(
             q ** (-p.l2 + 0.5) * xi / p.t2,
             q ** (lam + p.alpha1) * xi / x,
         ]
-        weights = [xi ** (k + 1.0) * coeffs[k] for k in range(N + 1)]
+        xi_powers = [xi ** (k + 1.0) for k in range(N + 1)]
         rates = [q ** (k + 1.0) for k in range(N + 1)]
-        return (1.0 - q) * x ** (-p.alpha1) * weighted_bilateral(num, den, weights, rates, q)
+        return (1.0 - q) * x ** (-p.alpha1), num, den, xi_powers, rates
     if which == "g2":
         num = [
             q ** (p.l1 + 0.5) * p.t1 / xi,
@@ -244,10 +239,44 @@ def family2_bilateral(
             q ** (-lam + p.h2 - p.alpha1 + 1.5) * p.t2 / xi,
             q * x / xi,
         ]
-        weights = [xi ** (-lam - p.alpha2 - N + k) * coeffs[k] for k in range(N + 1)]
+        xi_powers = [xi ** (-lam - p.alpha2 - N + k) for k in range(N + 1)]
         rates = [q ** (lam + p.alpha2 + N - k) for k in range(N + 1)]
-        return (1.0 - q) * x ** lam * weighted_bilateral(num, den, weights, rates, q)
+        return (1.0 - q) * x ** lam, num, den, xi_powers, rates
     raise DomainError("which must be 'g1' or 'g2'")
+
+
+def family2_bilateral(
+    setup: Family2Setup,
+    which: BilateralName,
+    E0: complex,
+    xi: complex,
+    x: complex,
+) -> complex:
+    """Bilateral form g1 or g2 at anchor xi and point x."""
+    require_root(setup.accessory, E0)
+    parts = _bilateral_parts(setup, which, xi, x)
+    return bilateral_form(parts, setup.coeff_values(E0), setup.params.q)
+
+
+def family2_bilateral_multi(
+    setup: Family2Setup,
+    which: BilateralName,
+    E0s: Sequence[complex],
+    xi: complex,
+    x: complex,
+) -> list[complex | QHeunError]:
+    """family2_bilateral at each eigenvalue of E0s: its value or its error.
+
+    The products are stepped along one walk per side for all of E0s;
+    each value is bit-for-bit the single-root one (at_roots,
+    bilateral_form_multi).
+    """
+
+    def evaluate(live: list[complex]) -> list:
+        parts = _bilateral_parts(setup, which, xi, x)
+        return bilateral_form_multi(parts, [setup.coeff_values(E0) for E0 in live], setup.params.q)
+
+    return at_roots(setup.accessory, E0s, evaluate)
 
 
 def family2_homogeneous(
@@ -262,7 +291,24 @@ def family2_homogeneous(
     q^(lambda1 + alpha2 + N - k); lambda1 + alpha2 > 0 is required for
     convergence of every term.
     """
-    require_root(setup.accessory, E0)
+    return one_root(family2_homogeneous_multi(setup, which, [E0], x))
+
+
+def family2_homogeneous_multi(
+    setup: Family2Setup,
+    which: HomogeneousName,
+    E0s: Sequence[complex],
+    x: complex,
+) -> list[complex | QHeunError]:
+    """family2_homogeneous at each eigenvalue of E0s: its value or its error.
+
+    Scalar, series and prefactor are formed once and combined per E0 in
+    the single-root order (at_roots).
+    """
+    return at_roots(setup.accessory, E0s, lambda live: _homogeneous(setup, which, live, x))
+
+
+def _homogeneous(setup: Family2Setup, which: HomogeneousName, E0s: list[complex], x: complex) -> list[complex]:
     p = setup.params
     q = p.q
     lam = setup.lambda1
@@ -272,8 +318,8 @@ def family2_homogeneous(
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
-    coeffs = setup.coeff_values(E0)
-    total = 0.0 + 0.0j
+    coeffs = [setup.coeff_values(E0) for E0 in E0s]
+    totals = [0.0 + 0.0j] * len(coeffs)
     for k in range(N + 1):
         z = q ** (lam + p.alpha2 + N - k)
         if which == "g3":
@@ -321,7 +367,7 @@ def family2_homogeneous(
                 q,
                 z,
             )
-        total += scalar * coeffs[k] * series
+        totals = [total + scalar * c[k] * series for total, c in zip(totals, coeffs)]
 
     if which == "g3":
         pref = x ** lam * q_pochhammer_ratio(
@@ -344,7 +390,7 @@ def family2_homogeneous(
             [q ** (p.l1 + 0.5) * p.t1 / x, q ** (p.l2 + 0.5) * p.t2 / x],
             q,
         )
-    return pref * total
+    return [pref * total for total in totals]
 
 
 def family2_inhomogeneous_triple(
@@ -355,7 +401,22 @@ def family2_inhomogeneous_triple(
 ) -> complex:
     """Member of the g6..g8 triple; each solves the same inhomogeneous
     equation as g1, so pairwise differences are homogeneous solutions."""
-    require_root(setup.accessory, E0)
+    return one_root(family2_inhomogeneous_triple_multi(setup, which, [E0], x))
+
+
+def family2_inhomogeneous_triple_multi(
+    setup: Family2Setup,
+    which: TripleName,
+    E0s: Sequence[complex],
+    x: complex,
+) -> list[complex | QHeunError]:
+    """family2_inhomogeneous_triple at each eigenvalue of E0s: its value or
+    its error.  Scalar, series and prefactor are formed once and combined
+    per E0 in the single-root order (at_roots)."""
+    return at_roots(setup.accessory, E0s, lambda live: _triple(setup, which, live, x))
+
+
+def _triple(setup: Family2Setup, which: TripleName, E0s: list[complex], x: complex) -> list[complex]:
     p = setup.params
     q = p.q
     lam = setup.lambda1
@@ -363,7 +424,7 @@ def family2_inhomogeneous_triple(
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
-    coeffs = setup.coeff_values(E0)
+    coeffs = [setup.coeff_values(E0) for E0 in E0s]
     if which == "g6":
         l_a, l_b = p.l1, p.l2
         t_a, t_b = p.t1, p.t2
@@ -373,7 +434,7 @@ def family2_inhomogeneous_triple(
     elif which != "g8":
         raise DomainError("which must be one of g6..g8")
 
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j] * len(coeffs)
     for k in range(N + 1):
         z = q ** (k + 1.0)
         if which in ("g6", "g7"):
@@ -406,7 +467,7 @@ def family2_inhomogeneous_triple(
                 q,
                 z,
             )
-        total += scalar * coeffs[k] * series
+        totals = [total + scalar * c[k] * series for total, c in zip(totals, coeffs)]
 
     if which in ("g6", "g7"):
         pref = q_pochhammer_ratio(
@@ -436,7 +497,8 @@ def family2_inhomogeneous_triple(
             ],
             q,
         )
-    return (1.0 - q) * x ** (-p.alpha1) * pref * total
+    factor = (1.0 - q) * x ** (-p.alpha1) * pref
+    return [factor * total for total in totals]
 
 
 def family2_pole_spirals(setup: Family2Setup) -> list[complex]:

@@ -8,6 +8,13 @@ its residual check: a default |x| band, the q-spirals to avoid and the
 relative distance to keep from them.  The CLI and the acceptance
 criteria both read forms from here.
 
+A family form also has a multi-root evaluator, (setup, E0s, xi, x) ->
+one value or QHeunError per eigenvalue, which forms the pieces that do
+not depend on the eigenvalue (q-series, products, the bilateral walk)
+once for all of E0s; ``root_residuals`` checks every root through it in
+one pass over the grid, with each root's report bit-for-bit the one
+``residuals`` gives.
+
 Family functions are looked up by name when a form runs, never stored
 at import, so a patched module binding (a tracer's wrapper) is honoured.
 """
@@ -18,19 +25,29 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
-from .accessory import Poly, accessory_poly, poly_roots, polynomial_solution
-from .errors import PreconditionError
-from .family_one import family1_bilateral, family1_residual_band, family1_setup, family1_unilateral
+from .accessory import Poly, accessory_poly, one_root, poly_roots, polynomial_solution
+from .errors import PreconditionError, QHeunError
+from .family_one import (
+    family1_bilateral,
+    family1_bilateral_multi,
+    family1_residual_band,
+    family1_setup,
+    family1_unilateral,
+    family1_unilateral_multi,
+)
 from .family_two import (
     family2_bilateral,
+    family2_bilateral_multi,
     family2_homogeneous,
+    family2_homogeneous_multi,
     family2_inhomogeneous_triple,
+    family2_inhomogeneous_triple_multi,
     family2_pole_spirals,
     family2_setup,
     g1_inhomogeneity,
     g2_inhomogeneity,
 )
-from .qheun_op import QHeunParams, ResidualReport, grid_points, residual_report, singular_spirals
+from .qheun_op import QHeunParams, ResidualReport, grid_points, residual_report, residual_reports, singular_spirals
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,7 @@ class Form:
     min_rel_dist: float = 1e-6
     inhomogeneity: Callable | None = None  # (setup, xi, x) -> T(x)
     needs_xi: bool = False
+    multi: Callable | None = None  # (setup, E0s, xi, x) -> value or QHeunError per E0
 
     def grid(self, setup, xi, count: int, seed: int, rmin=None, rmax=None) -> list[complex]:
         """Seeded residual grid; rmin/rmax override the default band."""
@@ -67,11 +85,32 @@ class Form:
         spirals = self.spirals(setup, xi)
         return grid_points(setup.params.q, spirals, count, lo, hi, seed=seed, min_rel_dist=self.min_rel_dist)
 
+    def _inhomogeneity(self, setup, xi) -> Callable | None:
+        if self.inhomogeneity is None:
+            return None
+        return lambda x: self.inhomogeneity(setup, xi, x)
+
     def residuals(self, setup, E0: complex, xi, pts) -> ResidualReport:
-        inhom = None
-        if self.inhomogeneity is not None:
-            inhom = lambda x: self.inhomogeneity(setup, xi, x)
-        return residual_report(setup.params, E0, self.solution(setup, E0, xi), pts, inhomogeneity=inhom)
+        g = self.solution(setup, E0, xi)
+        return residual_report(setup.params, E0, g, pts, inhomogeneity=self._inhomogeneity(setup, xi))
+
+    def root_residuals(self, setup, E0s, xi, pts) -> list[ResidualReport | QHeunError]:
+        """residuals at each of E0s: its report, or the QHeunError it raises.
+
+        A form with a multi-root evaluator shares its stencil values and
+        T(x) across E0s in one pass over pts; any other checks each E0 in
+        turn.
+        """
+        if self.multi is None:
+            out = []
+            for E0 in E0s:
+                try:
+                    out.append(self.residuals(setup, E0, xi, pts))
+                except QHeunError as exc:
+                    out.append(exc)
+            return out
+        values = lambda y, live: self.multi(setup, [E0s[j] for j in live], xi, y)
+        return residual_reports(setup.params, E0s, values, pts, self._inhomogeneity(setup, xi))
 
 
 @dataclass(frozen=True)
@@ -101,6 +140,7 @@ def _bilateral1(name: str) -> Form:
     return Form(
         name, lambda st, E0, xi: lambda x: family1_bilateral(st, name, E0, xi, x),
         _band(0.6, 2.5), lambda st, xi: singular_spirals(st.params) + [xi], 1e-4, needs_xi=True,
+        multi=lambda st, E0s, xi, x: family1_bilateral_multi(st, name, E0s, xi, x),
     )
 
 
@@ -109,34 +149,55 @@ def _unilateral1(name: str) -> Form:
     return Form(
         name, lambda st, E0, xi: lambda x: family1_unilateral(st, name, E0, x),
         lambda st: family1_residual_band(st, name), _singular,
+        multi=lambda st, E0s, xi, x: family1_unilateral_multi(st, name, E0s, x),
     )
 
 
-def _bilateral2(name: str) -> Callable:
-    return lambda st, E0, xi: lambda x: family2_bilateral(st, name, E0, xi, x)
+def _bilateral2(name: str) -> tuple[Callable, Callable]:
+    return (
+        lambda st, E0, xi: lambda x: family2_bilateral(st, name, E0, xi, x),
+        lambda st, E0s, xi, x: family2_bilateral_multi(st, name, E0s, xi, x),
+    )
 
 
-def _homogeneous2(name: str) -> Callable:
-    return lambda st, E0, xi: lambda x: family2_homogeneous(st, name, E0, x)
+def _homogeneous2(name: str) -> tuple[Callable, Callable]:
+    return (
+        lambda st, E0, xi: lambda x: family2_homogeneous(st, name, E0, x),
+        lambda st, E0s, xi, x: family2_homogeneous_multi(st, name, E0s, x),
+    )
 
 
-def _triple2(a: str, b: str | None = None) -> Callable:
+def _triple2(a: str, b: str | None = None) -> tuple[Callable, Callable]:
     """Member a of the g6..g8 triple, or the difference a - b."""
     if b is None:
-        return lambda st, E0, xi: lambda x: family2_inhomogeneous_triple(st, a, E0, x)
-    return lambda st, E0, xi: lambda x: (
-        family2_inhomogeneous_triple(st, a, E0, x) - family2_inhomogeneous_triple(st, b, E0, x)
-    )
+        return (
+            lambda st, E0, xi: lambda x: family2_inhomogeneous_triple(st, a, E0, x),
+            lambda st, E0s, xi, x: family2_inhomogeneous_triple_multi(st, a, E0s, x),
+        )
+
+    def multi(st, E0s, xi, x) -> list:
+        # b runs only where a succeeded, as in the single-root difference.
+        first = family2_inhomogeneous_triple_multi(st, a, E0s, x)
+        live = [E0 for E0, v in zip(E0s, first) if not isinstance(v, QHeunError)]
+        second = iter(family2_inhomogeneous_triple_multi(st, b, live, x))
+        return [v if isinstance(v, QHeunError) else _difference(v, next(second)) for v in first]
+
+    return (lambda st, E0, xi: lambda x: one_root(multi(st, [E0], xi, x))), multi
+
+
+def _difference(u: complex, v):
+    return v if isinstance(v, QHeunError) else u - v
 
 
 def _g1_defect(st, xi, x) -> complex:
     return g1_inhomogeneity(st, x)
 
 
-def _form2(name: str, solution: Callable, inhomogeneity=None, needs_xi: bool = False) -> Form:
+def _form2(name: str, solution: tuple[Callable, Callable], inhomogeneity=None, needs_xi: bool = False) -> Form:
     """Family-2 forms share one band and spiral set; xi joins the spirals when given."""
     spirals = lambda st, xi: family2_pole_spirals(st) + ([xi] if xi is not None else [])
-    return Form(name, solution, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi)
+    single, multi = solution
+    return Form(name, single, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi, multi)
 
 
 def _polynomial(st, E0, xi) -> Callable:

@@ -108,14 +108,6 @@ def q_pochhammer(a: complex, q: float, n) -> complex:
     return 1.0 / denom
 
 
-def inv_q_pochhammer(q: float, k: int) -> complex:
-    """1 / (q; q)_k, extended by the convention that the value is 0 for k < 0."""
-    check_q(q)
-    if k < 0:
-        return 0.0 + 0.0j
-    return 1.0 / q_pochhammer(q, q, k)
-
-
 def q_pochhammer_ratio(num: Sequence[complex], den: Sequence[complex], q: float) -> complex:
     """prod_i (num_i; q)_inf / prod_j (den_j; q)_inf, formed level by level.
 
@@ -247,32 +239,61 @@ def phi_series(
     raise ConvergenceError("series did not reach the stopping rule within max_terms")
 
 
-def _one_sided_sum(term: Callable[[int], complex], start: int, step: int, ctl: SeriesControl) -> complex:
-    total = 0.0 + 0.0j
-    small_run = 0
-    growth_run = 0
-    prev = math.inf
-    n = start
-    for _ in range(ctl.max_terms):
-        t = complex(term(n))
-        total += t
+class TailSum:
+    """Running total and stop rule of one one-sided sum, fed term by term.
+
+    add(t, n) adds the term t of index n and returns True once
+    ctl.divergence_window consecutive terms have fallen below
+    ctl.rel_tol times the running total; it raises ConvergenceError
+    once terms fail to decrease for that many consecutive indices, or
+    once ctl.max_terms terms have not settled the sum.  Every one-sided
+    sum, alone or sharing a walk with others, stops by this rule.
+    """
+
+    __slots__ = ("rel_tol", "window", "budget", "total", "small_run", "growth_run", "prev")
+
+    def __init__(self, ctl: SeriesControl = DEFAULT_CONTROL) -> None:
+        self.rel_tol = ctl.rel_tol
+        self.window = ctl.divergence_window
+        self.budget = ctl.max_terms  # terms left
+        self.total = 0.0 + 0.0j
+        self.small_run = 0
+        self.growth_run = 0
+        self.prev = math.inf
+
+    def add(self, t: complex, n: int) -> bool:
+        self.total = total = self.total + t
         mag = abs(t)
-        if mag <= ctl.rel_tol * max(abs(total), _TINY):
-            small_run += 1
-            growth_run = 0
-            if small_run >= ctl.divergence_window:
-                return total
+        size = abs(total)
+        if size < _TINY:  # max(|total|, _TINY), a NaN total kept
+            size = _TINY
+        if mag <= self.rel_tol * size:
+            self.small_run = small_run = self.small_run + 1
+            self.growth_run = 0
+            if small_run >= self.window:
+                return True
         else:
-            small_run = 0
-            if mag >= prev:
-                growth_run += 1
-                if growth_run >= ctl.divergence_window:
+            self.small_run = 0
+            if mag >= self.prev:
+                self.growth_run = growth_run = self.growth_run + 1
+                if growth_run >= self.window:
                     raise ConvergenceError(f"terms fail to decay near n = {n}")
             else:
-                growth_run = 0
-        prev = mag
+                self.growth_run = 0
+        self.prev = mag
+        self.budget = budget = self.budget - 1
+        if not budget:
+            raise ConvergenceError("one-sided tail did not converge within max_terms")
+        return False
+
+
+def _one_sided_sum(term: Callable[[int], complex], start: int, step: int, ctl: SeriesControl) -> complex:
+    tail = TailSum(ctl)
+    add = tail.add
+    n = start
+    while not add(complex(term(n)), n):
         n += step
-    raise ConvergenceError("one-sided tail did not converge within max_terms")
+    return tail.total
 
 
 def bilateral_sum(term: Callable[[int], complex], ctl: SeriesControl = DEFAULT_CONTROL) -> complex:

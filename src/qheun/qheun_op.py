@@ -81,42 +81,37 @@ class ResidualReport:
     max_residual: float
 
 
-def qheun_terms(p: QHeunParams, g: Callable[[complex], complex], x: complex) -> tuple[complex, complex, complex, complex]:
-    """The three summands of the operator applied to g at x, and g(x).
+def stencil_weights(p: QHeunParams, x: complex) -> tuple[complex, complex, complex]:
+    """Factors w of the operator's three summands at x.
 
-    Term one shifts down (g(x/q)), term two shifts up (g(qx)), term
-    three is the multiplication part.  g is evaluated once at each
-    stencil point, in the order x/q, qx, x; g(x) is returned beside the
-    summands so that E g(x) costs no further evaluation.  Raises
-    DomainError at x = 0 and propagates evaluation errors of g.
+    Op g(x) = down + up + mid with down = w[0] g(x/q) (the downward
+    shift), up = w[1] g(qx) (the upward shift) and mid = w[2] g(x) (the
+    multiplication part).  Raises DomainError at x = 0.
     """
     if x == 0:
         raise DomainError("the operator is singular at x = 0")
     q = p.q
     x = complex(x)
-    down = (x - q ** (p.h1 + 0.5) * p.t1) * (x - q ** (p.h2 + 0.5) * p.t2) / x * g(x / q)
-    up = (
-        q ** (p.alpha1 + p.alpha2)
-        * (x - q ** (p.l1 - 0.5) * p.t1)
-        * (x - q ** (p.l2 - 0.5) * p.t2)
-        / x
-        * g(q * x)
-    )
+    down = (x - q ** (p.h1 + 0.5) * p.t1) * (x - q ** (p.h2 + 0.5) * p.t2) / x
+    up = q ** (p.alpha1 + p.alpha2) * (x - q ** (p.l1 - 0.5) * p.t1) * (x - q ** (p.l2 - 0.5) * p.t2) / x
     b0 = (
         q ** ((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2.0)
         * (q ** (p.beta / 2.0) + q ** (-p.beta / 2.0))
         * p.t1
         * p.t2
     )
-    gx = g(x)
-    mid = -((q ** p.alpha1 + q ** p.alpha2) * x + b0 / x) * gx
-    return down, up, mid, gx
+    mid = -((q ** p.alpha1 + q ** p.alpha2) * x + b0 / x)
+    return down, up, mid
 
 
 def apply_qheun(p: QHeunParams, g: Callable[[complex], complex], x: complex) -> complex:
-    """Apply the q-Heun operator to g at the point x."""
-    down, up, mid, _ = qheun_terms(p, g, x)
-    return down + up + mid
+    """Apply the q-Heun operator to g at the point x.
+
+    g is evaluated once at each stencil point, in the order x/q, qx, x.
+    """
+    w_down, w_up, w_mid = stencil_weights(p, x)
+    x = complex(x)
+    return w_down * g(x / p.q) + w_up * g(p.q * x) + w_mid * g(x)
 
 
 def hahn_coefficients(p: QHeunParams, E: complex) -> HahnCoefficients:
@@ -174,25 +169,75 @@ def residual_report(
     three operator terms, E g and T.  Evaluation errors of g are
     re-raised with the offending point attached as exc.point.
     """
-    points: list[complex] = []
-    residuals: list[float] = []
-    for x in xs:
+
+    def values(y: complex, live: list[int]) -> list:
         try:
-            down, up, mid, gx = qheun_terms(p, g, x)
-            eg = E * gx
-            extra = inhomogeneity(x) if inhomogeneity is not None else 0.0
+            return [g(y)]
         except QHeunError as exc:
-            exc.point = x
-            raise
-        defect = down + up + mid - eg - extra
-        scale = max(abs(down), abs(up), abs(mid), abs(eg), abs(extra), _TINY)
+            return [exc]
+
+    (report,) = residual_reports(p, [E], values, xs, inhomogeneity)
+    if isinstance(report, QHeunError):
+        raise report
+    return report
+
+
+def residual_reports(
+    p: QHeunParams,
+    Es: Sequence[complex],
+    g: Callable[[complex, list[int]], Sequence],
+    xs: Iterable[complex],
+    inhomogeneity: Callable[[complex], complex] | None = None,
+) -> list[ResidualReport | QHeunError]:
+    """residual_report at several eigenvalues Es in one pass over the points.
+
+    g(y, live) gives, for each index j in live, the value at y of the
+    solution that belongs to Es[j], or the QHeunError its evaluation
+    raised.  At each point x, g runs once per stencil point (x/q, qx, x,
+    in that order) for the eigenvalues not yet failed, and T(x) once
+    for all.  Entry j is the report residual_report gives for Es[j], or
+    the error it raises there, with exc.point set.
+    """
+    failed: dict[int, QHeunError] = {}
+    residuals: list[list[float]] = [[] for _ in Es]
+    points: list[complex] = []
+    for x in xs:
+        live = [j for j in range(len(Es)) if j not in failed]
+        if not live:
+            break
+        stencil: dict[int, list] = {j: [] for j in live}  # g at x/q, qx, x
+        try:
+            weights = stencil_weights(p, x)
+            y = complex(x)
+            for point in (y / p.q, p.q * y, y):
+                for j, v in zip(live, g(point, live)):
+                    if isinstance(v, QHeunError):
+                        failed[j] = v
+                    else:
+                        stencil[j].append(v)
+                live = [j for j in live if j not in failed]
+                if not live:
+                    break
+            extra = inhomogeneity(x) if inhomogeneity is not None and live else 0.0
+        except QHeunError as exc:
+            failed.update((j, exc) for j in live)
+            live = []
+        for j in stencil:
+            if j in failed:
+                failed[j].point = x
+        for j in live:
+            down, up, mid = (w * v for w, v in zip(weights, stencil[j]))
+            eg = Es[j] * stencil[j][2]
+            defect = down + up + mid - eg - extra
+            scale = max(abs(down), abs(up), abs(mid), abs(eg), abs(extra), _TINY)
+            residuals[j].append(abs(defect) / scale)
         points.append(complex(x))
-        residuals.append(abs(defect) / scale)
-    return ResidualReport(
-        points=tuple(points),
-        residuals=tuple(residuals),
-        max_residual=max(residuals, default=0.0),
-    )
+    return [
+        failed[j] if j in failed else ResidualReport(
+            points=tuple(points), residuals=tuple(rs), max_residual=max(rs, default=0.0)
+        )
+        for j, rs in enumerate(residuals)
+    ]
 
 
 def singular_spirals(p: QHeunParams) -> list[complex]:

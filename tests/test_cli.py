@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qheun import forms
-from qheun.accessory import exponent_at_origin, polynomial_solution
+from qheun import _bilateral, family_one, family_two, forms
+from qheun.accessory import backward_error, exponent_at_origin, polynomial_solution, require_root, root_certificate
 from qheun.cli import main
+from qheun.errors import NotARoot
+from qheun.family_one import family1_domain, family1_setup, family1_unilateral
 from qheun.family_two import family2_setup
+from qheun.qheun_op import QHeunParams
 from qheun.sampling import (
     random_admissible_params,
     random_family1_params,
@@ -40,6 +43,18 @@ def readme_config() -> dict:
     return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
 
 
+# A family1 N = 9 draw whose accessory coefficients reach ~1e31.
+HUGE_ROOTS_CONFIG = {
+    "h1": 12.017799152028836, "h2": -10.4941940978305,
+    "l1": 0.818981165881957, "l2": -0.49419409783049906,
+    "alpha1": 1.170594886183617, "alpha2": 0.6468525452056657,
+    "beta": 0.3155020644223961, "q": 0.37178951174942665,
+    "t1": [0.25823249082445926, 0.8794904978229996],
+    "t2": [0.698134189468116, -1.0065507909939253],
+    "family": "family1", "N": 9, "grid_count": 2, "solution": "g3",
+}
+
+
 class TestAccessory:
     def test_family2_single_root(self, tmp_path, runner, rng):
         p = random_family2_params(rng, 0)
@@ -60,17 +75,8 @@ class TestAccessory:
         # its roots (moduli 247 .. 1.27e4) must match mpmath's, and eval
         # and verify must report on them.
         mp = pytest.importorskip("mpmath")
-        cfg = {
-            "h1": 12.017799152028836, "h2": -10.4941940978305,
-            "l1": 0.818981165881957, "l2": -0.49419409783049906,
-            "alpha1": 1.170594886183617, "alpha2": 0.6468525452056657,
-            "beta": 0.3155020644223961, "q": 0.37178951174942665,
-            "t1": [0.25823249082445926, 0.8794904978229996],
-            "t2": [0.698134189468116, -1.0065507909939253],
-            "family": "family1", "N": 9, "grid_count": 2, "solution": "g3",
-        }
         path = tmp_path / "job.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(HUGE_ROOTS_CONFIG))
         res = runner.invoke(main, ["accessory", "--config", str(path)])
         assert res.exit_code == 0, res.output
         acc = json.loads(res.output)["accessory"]
@@ -85,6 +91,26 @@ class TestAccessory:
         assert [row["status"] for row in json.loads(res.output)["rows"]] == ["ok", "ok"]
         res = runner.invoke(main, ["verify", "--config", str(path)])
         assert len(json.loads(res.output)["results"]) == 10  # a report, whatever its verdict
+
+    def test_non_root_among_huge_roots_is_rejected(self):
+        # Between the roots 2822 and 4734 of the draw above, E = 5000 scores
+        # 5.8e-31 on the max-norm certificate, but its backward error is 0.49.
+        cfg = HUGE_ROOTS_CONFIG
+        p = QHeunParams(
+            **{k: cfg[k] for k in ("h1", "h2", "l1", "l2", "alpha1", "alpha2", "beta", "q")},
+            t1=complex(*cfg["t1"]), t2=complex(*cfg["t2"]),
+        )
+        st = family1_setup(p, 9)
+        assert root_certificate(st.accessory.coeffs, 5000.0) < 1e-30
+        assert backward_error(st.accessory.coeffs, 5000.0) > 0.4
+        with pytest.raises(NotARoot):
+            require_root(st.accessory, 5000.0)
+        x = 0.5 * family1_domain(st, "g3")[1]
+        with pytest.raises(NotARoot):
+            family1_unilateral(st, "g3", 5000.0, x)
+        for r in st.roots:
+            assert backward_error(st.accessory.coeffs, r) <= 1e-15
+            require_root(st.accessory, r)
 
     def test_generic_quadratic_roots(self, tmp_path, runner, rng):
         p = random_admissible_params(rng, 1)
@@ -325,6 +351,44 @@ class TestVerify:
         rep = json.loads(res.output)
         forms = {r["form"] for r in rep["results"]}
         assert {"g1", "g2"} <= forms
+
+
+class TestSharedWork:
+    """verify evaluates each form's root-independent pieces once per
+    stencil point for all N + 1 roots, not once per root."""
+
+    N = 4
+    POINTS = 2
+
+    def run_verify(self, tmp_path, runner, family, draw, solution):
+        p = draw(np.random.default_rng(4), self.N)
+        path = write_config(
+            tmp_path, p, family=family, N=self.N, grid_count=self.POINTS,
+            solution=solution, xi=[0.8 * abs(p.t1), 0.0],
+        )
+        rep = json.loads(runner.invoke(main, ["verify", "--config", path]).output)
+        assert [r["status"] for r in rep["results"]] == ["pass"] * (self.N + 1)
+
+    def counting(self, monkeypatch, module, name) -> list:
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    def test_family2_g3_series_once_per_term_and_point(self, tmp_path, runner, monkeypatch):
+        calls = self.counting(monkeypatch, family_two, "phi_series")
+        self.run_verify(tmp_path, runner, "family2", random_family2_params, "g3")
+        assert len(calls) == 3 * self.POINTS * (self.N + 1)  # 150 with one pass per root
+
+    def test_family1_g3_products_once_per_term_and_point(self, tmp_path, runner, monkeypatch):
+        calls = self.counting(monkeypatch, family_one, "q_pochhammer_ratio")
+        self.run_verify(tmp_path, runner, "family1", random_family1_params, "g3")
+        assert len(calls) == 3 * self.POINTS * (self.N + 1)
+
+    def test_family1_g1_one_walk_per_stencil_point(self, tmp_path, runner, monkeypatch):
+        walks = self.counting(monkeypatch, _bilateral, "SpiralTerms")
+        self.run_verify(tmp_path, runner, "family1", random_family1_params, "g1")
+        assert len(walks) == 3 * self.POINTS  # each walks both sides from its anchor
 
 
 class TestDeterminism:

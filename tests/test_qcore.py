@@ -12,7 +12,6 @@ from qheun.errors import ConvergenceError, DomainError, PoleError
 from qheun.qcore import (
     SeriesControl,
     bilateral_sum,
-    inv_q_pochhammer,
     jackson_integral,
     phi_series,
     q_pochhammer,
@@ -140,17 +139,6 @@ class TestQPochhammerRatio:
                 qp = [mp.qp(mp.mpc(a), mp.mpf(q)) for a in args]
                 want = qp[0] * qp[1] / (qp[2] * qp[3])
                 assert abs(got - want) <= 1e-13 * abs(want)
-
-
-class TestInvQPochhammer:
-    def test_negative_is_zero(self):
-        assert inv_q_pochhammer(0.5, -2) == 0
-
-    def test_zero_is_one(self):
-        assert inv_q_pochhammer(0.5, 0) == 1
-
-    def test_single_factor(self):
-        assert inv_q_pochhammer(0.5, 1) == pytest.approx(2.0)
 
 
 def theta_factors(t: complex, q: float) -> list[complex]:
