@@ -15,9 +15,9 @@ The same stepping gives the two-sided series of both solution families,
 
 i.e. (v; q)_inf / (u; q)_inf times the shifted-factorial coefficient
 (u; q)_n / (v; q)_n.  The products and the powers r_k**n do not depend
-on the weights w_k, so one walk serves several weight vectors
-(weighted_bilateral_multi): a form's N + 1 accessory roots differ only
-in their weights.
+on the weights w_k, so weighted_bilateral walks once for a list of
+weight vectors: a form's N + 1 accessory roots differ only in their
+weights, and a single root is the one-row case.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import QHeunError
-from .qcore import TailSum, bilateral_sum, q_pochhammer_ratio
+from .qcore import TailSum, q_pochhammer_ratio
 
 # A step factor (1 - y) closer to zero than this would divide out, or
 # multiply in, a zero or pole of the anchored value; the value at the
@@ -161,33 +161,21 @@ class SpiralTerms:
 def weighted_bilateral(
     num: Sequence[complex],
     den: Sequence[complex],
-    weights: Sequence[complex],
-    rates: Sequence[complex],
-    q: float,
-) -> complex:
-    """The two-sided sum of the module docstring, with u = num and v = den.
-
-    Its terms are SpiralTerms(den, num, weights, rates, q) along
-    s_n = q**n, so PoleError is raised where (num q**n; q)_inf vanishes,
-    the anchor n = 0 included.
-    """
-    return bilateral_sum(SpiralTerms(den, num, weights, rates, q))
-
-
-def weighted_bilateral_multi(
-    num: Sequence[complex],
-    den: Sequence[complex],
     weight_rows: Sequence[Sequence[complex]],
     rates: Sequence[complex],
     q: float,
 ) -> list[complex | QHeunError]:
-    """weighted_bilateral for several weight vectors, over one walk per side.
+    """The two-sided sum of the module docstring, with u = num and v = den,
+    for each weight vector of weight_rows: its value or its QHeunError.
 
-    The products and powers at each index are stepped once for all rows.
-    Each row forms its terms, partial sums and stop decisions exactly as
-    weighted_bilateral does for it alone, so each entry is bit-for-bit
-    that sum, or the QHeunError its own call raises: an error of a step
-    goes only to the rows whose walks reach that index.
+    The terms of one row are SpiralTerms(den, num, row, rates, q) along
+    s_n = q**n, summed as qcore.bilateral_sum sums them: the side n >= 0,
+    then the side n <= -1, each stopped by its own TailSum.  The
+    products and powers at each index are stepped once for all rows;
+    each row forms its terms, partial sums and stop decisions as it
+    would alone.  PoleError is raised where (num q**n; q)_inf vanishes,
+    the anchor n = 0 included; an error of a step goes only to the rows
+    whose walks reach that index.
     """
     try:
         terms = SpiralTerms(den, num, (), rates, q)
@@ -222,18 +210,11 @@ def weighted_bilateral_multi(
     return results
 
 
-def bilateral_form(parts: tuple, coeffs: Sequence[complex], q: float) -> complex:
-    """factor * weighted_bilateral(num, den, weights, rates, q) for the
-    parts (factor, num, den, xi_powers, rates) of a family's g1/g2, with
-    weights xi_powers[k] * coeffs[k]."""
-    factor, num, den, xi_powers, rates = parts
-    weights = [w * c for w, c in zip(xi_powers, coeffs)]
-    return factor * weighted_bilateral(num, den, weights, rates, q)
-
-
-def bilateral_form_multi(parts: tuple, coeff_rows: Sequence[Sequence[complex]], q: float) -> list[complex | QHeunError]:
-    """bilateral_form for each coefficient vector, over one shared walk."""
+def bilateral_form(parts: tuple, coeff_rows: Sequence[Sequence[complex]], q: float) -> list[complex | QHeunError]:
+    """factor * weighted_bilateral(num, den, rows, rates, q) for the parts
+    (factor, num, den, xi_powers, rates) of a family's g1/g2, one row
+    xi_powers[k] * coeffs[k] per coefficient vector of coeff_rows."""
     factor, num, den, xi_powers, rates = parts
     rows = [[w * c for w, c in zip(xi_powers, coeffs)] for coeffs in coeff_rows]
-    sums = weighted_bilateral_multi(num, den, rows, rates, q)
+    sums = weighted_bilateral(num, den, rows, rates, q)
     return [s if isinstance(s, QHeunError) else factor * s for s in sums]

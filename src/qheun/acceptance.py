@@ -22,8 +22,6 @@ from .accessory import (
     accessory_poly_expanded,
     apparent_singularity_check,
     coeff_gap,
-    poly_roots,
-    polynomial_solution,
 )
 from .errors import QHeunError
 from .family_one import family1_bilateral, family1_seed, family1_source_params
@@ -38,7 +36,7 @@ from .family_two import (
 )
 from .forms import FAMILIES
 from .qcore import SeriesControl, phi_series, q_pochhammer, q_pochhammer_ratio, theta
-from .qheun_op import QHeunParams, ResidualReport, default_grid, grid_points, residual_report, spiral_distance
+from .qheun_op import QHeunParams, ResidualReport, grid_points, spiral_distance
 from .qtransform import TransformSpec, boundary_limits, source_chi, transform
 from .sampling import (
     random_admissible_params,
@@ -79,19 +77,25 @@ def accessory_equivalence() -> tuple[bool, str]:
     return ok, f"max coeff diff {worst:.2e}, max monic defect {worst_monic:.2e}"
 
 
+def _report(rep: ResidualReport | QHeunError) -> ResidualReport:
+    """A root_residuals entry as a report; an error entry is raised."""
+    if isinstance(rep, QHeunError):
+        raise rep
+    return rep
+
+
 def polynomial_solutions() -> tuple[bool, str]:
     """Every accessory root yields a polynomial-type solution."""
     rng = np.random.default_rng(202)
+    family = FAMILIES["generic"]
+    form = family.form("poly")
     worst = 0.0
     for i in range(20):
         N = int(rng.integers(0, 5))
-        p = random_admissible_params(rng, N)
-        roots = poly_roots(accessory_poly(p, N))
-        grid = default_grid(p, count=20, seed=i)
-        for E0 in roots:
-            sol = polynomial_solution(p, E0, N)
-            rep = residual_report(p, E0, sol, grid)
-            worst = max(worst, rep.max_residual)
+        st = family.setup(random_admissible_params(rng, N), N)
+        pts = form.grid(st, None, 20, seed=i)
+        for rep in form.root_residuals(st, st.roots, None, pts):
+            worst = max(worst, _report(rep).max_residual)
     return worst < 1e-9, f"worst residual {worst:.2e}"
 
 
@@ -112,13 +116,6 @@ def family2_apparent() -> tuple[bool, str]:
             if not apparent_singularity_check(p, r, N):
                 checks = False
     return checks and worst < 1e-10, f"max coeff diff {worst:.2e}"
-
-
-def _report(rep: ResidualReport | QHeunError) -> ResidualReport:
-    """A root_residuals entry as a report; an error entry is raised."""
-    if isinstance(rep, QHeunError):
-        raise rep
-    return rep
 
 
 def family1_finite_sums() -> tuple[bool, str]:

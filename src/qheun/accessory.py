@@ -294,6 +294,11 @@ def solve_accessory(
     return poly, roots, coeffs
 
 
+def coeff_values(root_coeffs: dict[complex, tuple[complex, ...]], E0: complex) -> tuple[complex, ...]:
+    """c_0..c_N at the root nearest E0, from solve_accessory's root_coeffs."""
+    return root_coeffs[min(root_coeffs, key=lambda r: abs(r - E0))]
+
+
 def _scaled_horner(cs: Sequence[complex], r: complex) -> tuple[complex, float]:
     """p(r) / m**deg and sum |c_k| |r|**k / m**deg, with m = max(1, |r|).
 

@@ -14,12 +14,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from ._bilateral import bilateral_form, bilateral_form_multi
+from ._bilateral import bilateral_form
 from .accessory import (
     INTEGER_TOL,
     Poly,
     RecurrenceCoeffs,
     at_roots,
+    coeff_values,
     exponent_at_origin,
     one_root,
     require_root,
@@ -44,10 +45,6 @@ class Family1Setup:
     accessory: Poly
     roots: tuple[complex, ...]
     root_coeffs: dict[complex, tuple[complex, ...]]  # root -> c_0..c_N
-
-    def coeff_values(self, E0: complex) -> list[complex]:
-        """c_0..c_N at the root nearest E0, from the setup's eigen-solve."""
-        return list(self.root_coeffs[min(self.roots, key=lambda r: abs(r - E0))])
 
 
 def family1_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
@@ -119,7 +116,7 @@ def family1_seed(setup: Family1Setup, which: Literal["h1", "h2"], E0: complex) -
     require_root(setup.accessory, E0)
     src = family1_source_params(setup)
     q = src.q
-    coeffs = tuple(setup.coeff_values(E0))
+    coeffs = coeff_values(setup.root_coeffs, E0)
     t1 = src.t1
     if which == "h1":
         expo = exponent_at_origin(src)
@@ -177,9 +174,7 @@ def family1_bilateral(
     x: complex,
 ) -> complex:
     """Bilateral solution g1 or g2 at anchor xi and point x."""
-    require_root(setup.accessory, E0)
-    parts = _bilateral_parts(setup, which, xi, x)
-    return bilateral_form(parts, setup.coeff_values(E0), setup.params.q)
+    return one_root(family1_bilateral_multi(setup, which, [E0], xi, x))
 
 
 def family1_bilateral_multi(
@@ -192,13 +187,13 @@ def family1_bilateral_multi(
     """family1_bilateral at each eigenvalue of E0s: its value or its error.
 
     The products are stepped along one walk per side for all of E0s;
-    each value is bit-for-bit the single-root one (at_roots,
-    bilateral_form_multi).
+    each E0's sum forms its terms and stops as it would alone
+    (at_roots, bilateral_form).
     """
 
     def evaluate(live: list[complex]) -> list:
         parts = _bilateral_parts(setup, which, xi, x)
-        return bilateral_form_multi(parts, [setup.coeff_values(E0) for E0 in live], setup.params.q)
+        return bilateral_form(parts, [coeff_values(setup.root_coeffs, E0) for E0 in live], setup.params.q)
 
     return at_roots(setup.accessory, E0s, evaluate)
 
@@ -267,7 +262,7 @@ def _unilateral(setup: Family1Setup, which: UnilateralName, E0s: list[complex], 
             ConvergenceHypothesisWarning,
             stacklevel=5,  # the caller of family1_unilateral_multi
         )
-    coeffs = [setup.coeff_values(E0) for E0 in E0s]
+    coeffs = [coeff_values(setup.root_coeffs, E0) for E0 in E0s]
     if which in ("g3", "g4"):
         z = q ** (-p.h1 + 0.5) * x / p.t1
     else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from ._bilateral import bilateral_form, bilateral_form_multi
+from ._bilateral import bilateral_form
 from .accessory import (
     INTEGER_TOL,
     Poly,
@@ -24,6 +24,7 @@ from .accessory import (
     apparent_singularity_check,
     at_roots,
     coeff_gap,
+    coeff_values,
     exponent_at_origin,
     one_root,
     require_root,
@@ -51,10 +52,6 @@ class Family2Setup:
     d_poly: Poly
     roots: tuple[complex, ...]
     root_coeffs: dict[complex, tuple[complex, ...]]  # root -> c_0..c_N
-
-    def coeff_values(self, E0: complex) -> list[complex]:
-        """c_0..c_N at the root nearest E0, from the setup's eigen-solve."""
-        return list(self.root_coeffs[min(self.roots, key=lambda r: abs(r - E0))])
 
 
 def family2_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
@@ -142,7 +139,7 @@ def family2_seed(setup: Family2Setup, which: Literal["h1", "h2"], E0: complex) -
     require_root(setup.accessory, E0)
     src = family2_source_params(setup)
     q = src.q
-    coeffs = tuple(setup.coeff_values(E0))
+    coeffs = coeff_values(setup.root_coeffs, E0)
     if which == "h1":
         expo = seed_weight_exponent(src)
         num = (1.0 / (q ** (src.l1 - 0.5) * src.t1), 1.0 / (q ** (src.l2 - 0.5) * src.t2))
@@ -253,9 +250,7 @@ def family2_bilateral(
     x: complex,
 ) -> complex:
     """Bilateral form g1 or g2 at anchor xi and point x."""
-    require_root(setup.accessory, E0)
-    parts = _bilateral_parts(setup, which, xi, x)
-    return bilateral_form(parts, setup.coeff_values(E0), setup.params.q)
+    return one_root(family2_bilateral_multi(setup, which, [E0], xi, x))
 
 
 def family2_bilateral_multi(
@@ -268,13 +263,13 @@ def family2_bilateral_multi(
     """family2_bilateral at each eigenvalue of E0s: its value or its error.
 
     The products are stepped along one walk per side for all of E0s;
-    each value is bit-for-bit the single-root one (at_roots,
-    bilateral_form_multi).
+    each E0's sum forms its terms and stops as it would alone
+    (at_roots, bilateral_form).
     """
 
     def evaluate(live: list[complex]) -> list:
         parts = _bilateral_parts(setup, which, xi, x)
-        return bilateral_form_multi(parts, [setup.coeff_values(E0) for E0 in live], setup.params.q)
+        return bilateral_form(parts, [coeff_values(setup.root_coeffs, E0) for E0 in live], setup.params.q)
 
     return at_roots(setup.accessory, E0s, evaluate)
 
@@ -318,7 +313,7 @@ def _homogeneous(setup: Family2Setup, which: HomogeneousName, E0s: list[complex]
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
-    coeffs = [setup.coeff_values(E0) for E0 in E0s]
+    coeffs = [coeff_values(setup.root_coeffs, E0) for E0 in E0s]
     totals = [0.0 + 0.0j] * len(coeffs)
     for k in range(N + 1):
         z = q ** (lam + p.alpha2 + N - k)
@@ -424,7 +419,7 @@ def _triple(setup: Family2Setup, which: TripleName, E0s: list[complex], x: compl
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
-    coeffs = [setup.coeff_values(E0) for E0 in E0s]
+    coeffs = [coeff_values(setup.root_coeffs, E0) for E0 in E0s]
     if which == "g6":
         l_a, l_b = p.l1, p.l2
         t_a, t_b = p.t1, p.t2

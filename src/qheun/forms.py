@@ -2,18 +2,20 @@
 
 Each family pairs its setup (integer relation, accessory polynomial,
 roots) with its forms in report order.  A form gives its solution at
-an accessory root as a function of x, may carry the inhomogeneity T of
-Op g = E g + T, may need the bilateral anchor xi, and names the grid of
-its residual check: a default |x| band, the q-spirals to avoid and the
-relative distance to keep from them.  The CLI and the acceptance
-criteria both read forms from here.
+accessory roots, may carry the inhomogeneity T of Op g = E g + T, may
+need the bilateral anchor xi, and names the grid of its residual check:
+a default |x| band, the q-spirals to avoid and the relative distance to
+keep from them.  The CLI and the acceptance criteria both read forms
+from here.
 
-A family form also has a multi-root evaluator, (setup, E0s, xi, x) ->
-one value or QHeunError per eigenvalue, which forms the pieces that do
-not depend on the eigenvalue (q-series, products, the bilateral walk)
-once for all of E0s; ``root_residuals`` checks every root through it in
-one pass over the grid, with each root's report bit-for-bit the one
-``residuals`` gives.
+A form has one evaluator, (setup, E0s, xi) -> g, where g(y, live)
+gives the value at y of the solution at E0s[j], or its QHeunError, for
+each index j in live.  A family form forms the pieces that do not
+depend on the eigenvalue (q-series, products, the bilateral walk) once
+for all of live; the generic form builds each root's polynomial once
+per evaluator.  ``root_residuals`` checks every root through it in one
+pass over the grid; ``solution`` and ``residuals`` are its one-root
+case.
 
 Family functions are looked up by name when a form runs, never stored
 at import, so a patched module binding (a tracer's wrapper) is honoured.
@@ -22,32 +24,21 @@ at import, so a patched module binding (a tracer's wrapper) is honoured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 from .accessory import Poly, accessory_poly, one_root, poly_roots, polynomial_solution
 from .errors import PreconditionError, QHeunError
-from .family_one import (
-    family1_bilateral,
-    family1_bilateral_multi,
-    family1_residual_band,
-    family1_setup,
-    family1_unilateral,
-    family1_unilateral_multi,
-)
+from .family_one import family1_bilateral_multi, family1_residual_band, family1_setup, family1_unilateral_multi
 from .family_two import (
-    family2_bilateral,
     family2_bilateral_multi,
-    family2_homogeneous,
     family2_homogeneous_multi,
-    family2_inhomogeneous_triple,
     family2_inhomogeneous_triple_multi,
     family2_pole_spirals,
     family2_setup,
     g1_inhomogeneity,
     g2_inhomogeneity,
 )
-from .qheun_op import QHeunParams, ResidualReport, grid_points, residual_report, residual_reports, singular_spirals
+from .qheun_op import QHeunParams, ResidualReport, grid_points, residual_reports, singular_spirals
 
 
 @dataclass(frozen=True)
@@ -66,13 +57,12 @@ def generic_setup(p: QHeunParams, N: int) -> GenericSetup:
 @dataclass(frozen=True)
 class Form:
     name: str
-    solution: Callable  # (setup, E0, xi) -> g, the form as a function of x
+    evaluate: Callable  # (setup, E0s, xi) -> g(y, live), a value or QHeunError per E0s[j], j in live
     band: Callable  # setup -> default (rmin, rmax) of |x|
     spirals: Callable  # (setup, xi) -> bases of the q-spirals the grid avoids
     min_rel_dist: float = 1e-6
     inhomogeneity: Callable | None = None  # (setup, xi, x) -> T(x)
     needs_xi: bool = False
-    multi: Callable | None = None  # (setup, E0s, xi, x) -> value or QHeunError per E0
 
     def grid(self, setup, xi, count: int, seed: int, rmin=None, rmax=None) -> list[complex]:
         """Seeded residual grid; rmin/rmax override the default band."""
@@ -90,27 +80,22 @@ class Form:
             return None
         return lambda x: self.inhomogeneity(setup, xi, x)
 
+    def solution(self, setup, E0: complex, xi) -> Callable:
+        """The form at E0 as a function of x; it raises what its evaluation raises."""
+        g = self.evaluate(setup, [E0], xi)
+        return lambda x: one_root(g(x, [0]))
+
     def residuals(self, setup, E0: complex, xi, pts) -> ResidualReport:
-        g = self.solution(setup, E0, xi)
-        return residual_report(setup.params, E0, g, pts, inhomogeneity=self._inhomogeneity(setup, xi))
+        return one_root(self.root_residuals(setup, [E0], xi, pts))
 
     def root_residuals(self, setup, E0s, xi, pts) -> list[ResidualReport | QHeunError]:
         """residuals at each of E0s: its report, or the QHeunError it raises.
 
-        A form with a multi-root evaluator shares its stencil values and
-        T(x) across E0s in one pass over pts; any other checks each E0 in
-        turn.
+        The stencil values of all E0s come from one evaluator, and T(x)
+        once per point, in one pass over pts.
         """
-        if self.multi is None:
-            out = []
-            for E0 in E0s:
-                try:
-                    out.append(self.residuals(setup, E0, xi, pts))
-                except QHeunError as exc:
-                    out.append(exc)
-            return out
-        values = lambda y, live: self.multi(setup, [E0s[j] for j in live], xi, y)
-        return residual_reports(setup.params, E0s, values, pts, self._inhomogeneity(setup, xi))
+        g = self.evaluate(setup, E0s, xi)
+        return residual_reports(setup.params, E0s, g, pts, self._inhomogeneity(setup, xi))
 
 
 @dataclass(frozen=True)
@@ -136,53 +121,48 @@ def _singular(setup, xi) -> list[complex]:
     return singular_spirals(setup.params)
 
 
+def _shared(multi: Callable) -> Callable:
+    """The evaluator of a family form from multi(setup, E0s, xi, x) ->
+    one value or QHeunError per eigenvalue of E0s."""
+    return lambda st, E0s, xi: lambda y, live: multi(st, [E0s[j] for j in live], xi, y)
+
+
 def _bilateral1(name: str) -> Form:
     return Form(
-        name, lambda st, E0, xi: lambda x: family1_bilateral(st, name, E0, xi, x),
+        name, _shared(lambda st, E0s, xi, x: family1_bilateral_multi(st, name, E0s, xi, x)),
         _band(0.6, 2.5), lambda st, xi: singular_spirals(st.params) + [xi], 1e-4, needs_xi=True,
-        multi=lambda st, E0s, xi, x: family1_bilateral_multi(st, name, E0s, xi, x),
     )
 
 
 def _unilateral1(name: str) -> Form:
     """Finite sum g3..g6, checked inside its own convergence domain."""
     return Form(
-        name, lambda st, E0, xi: lambda x: family1_unilateral(st, name, E0, x),
+        name, _shared(lambda st, E0s, xi, x: family1_unilateral_multi(st, name, E0s, x)),
         lambda st: family1_residual_band(st, name), _singular,
-        multi=lambda st, E0s, xi, x: family1_unilateral_multi(st, name, E0s, x),
     )
 
 
-def _bilateral2(name: str) -> tuple[Callable, Callable]:
-    return (
-        lambda st, E0, xi: lambda x: family2_bilateral(st, name, E0, xi, x),
-        lambda st, E0s, xi, x: family2_bilateral_multi(st, name, E0s, xi, x),
-    )
+def _bilateral2(name: str) -> Callable:
+    return _shared(lambda st, E0s, xi, x: family2_bilateral_multi(st, name, E0s, xi, x))
 
 
-def _homogeneous2(name: str) -> tuple[Callable, Callable]:
-    return (
-        lambda st, E0, xi: lambda x: family2_homogeneous(st, name, E0, x),
-        lambda st, E0s, xi, x: family2_homogeneous_multi(st, name, E0s, x),
-    )
+def _homogeneous2(name: str) -> Callable:
+    return _shared(lambda st, E0s, xi, x: family2_homogeneous_multi(st, name, E0s, x))
 
 
-def _triple2(a: str, b: str | None = None) -> tuple[Callable, Callable]:
+def _triple2(a: str, b: str | None = None) -> Callable:
     """Member a of the g6..g8 triple, or the difference a - b."""
     if b is None:
-        return (
-            lambda st, E0, xi: lambda x: family2_inhomogeneous_triple(st, a, E0, x),
-            lambda st, E0s, xi, x: family2_inhomogeneous_triple_multi(st, a, E0s, x),
-        )
+        return _shared(lambda st, E0s, xi, x: family2_inhomogeneous_triple_multi(st, a, E0s, x))
 
     def multi(st, E0s, xi, x) -> list:
-        # b runs only where a succeeded, as in the single-root difference.
+        # b runs only where a succeeded.
         first = family2_inhomogeneous_triple_multi(st, a, E0s, x)
         live = [E0 for E0, v in zip(E0s, first) if not isinstance(v, QHeunError)]
         second = iter(family2_inhomogeneous_triple_multi(st, b, live, x))
         return [v if isinstance(v, QHeunError) else _difference(v, next(second)) for v in first]
 
-    return (lambda st, E0, xi: lambda x: one_root(multi(st, [E0], xi, x))), multi
+    return _shared(multi)
 
 
 def _difference(u: complex, v):
@@ -193,21 +173,33 @@ def _g1_defect(st, xi, x) -> complex:
     return g1_inhomogeneity(st, x)
 
 
-def _form2(name: str, solution: tuple[Callable, Callable], inhomogeneity=None, needs_xi: bool = False) -> Form:
+def _form2(name: str, evaluate: Callable, inhomogeneity=None, needs_xi: bool = False) -> Form:
     """Family-2 forms share one band and spiral set; xi joins the spirals when given."""
     spirals = lambda st, xi: family2_pole_spirals(st) + ([xi] if xi is not None else [])
-    single, multi = solution
-    return Form(name, single, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi, multi)
+    return Form(name, evaluate, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi)
 
 
-def _polynomial(st, E0, xi) -> Callable:
-    """The polynomial solution at E0, built once, at its first point.
+def _polynomial(st, E0s, xi) -> Callable:
+    """The polynomial solution at each of E0s, built once, at its first point.
 
-    A build that fails (E0 off the roots, say) raises at each point, as
-    any evaluation error does, and so carries the point it was asked at.
+    A build that fails (E0 off the roots, say) is not kept: it raises
+    at each point, as any evaluation error does, and so carries the
+    point it was asked at.
     """
-    build = cache(lambda: polynomial_solution(st.params, E0, st.N))
-    return lambda x: build()(x)
+    built: dict[int, Callable] = {}
+
+    def values(y: complex, live: list[int]) -> list:
+        out = []
+        for j in live:
+            try:
+                if j not in built:
+                    built[j] = polynomial_solution(st.params, E0s[j], st.N)
+                out.append(built[j](y))
+            except QHeunError as exc:
+                out.append(exc)
+        return out
+
+    return values
 
 
 FAMILIES: dict[str, Family] = {

@@ -10,6 +10,7 @@ from qheun.accessory import (
     accessory_poly,
     accessory_poly_expanded,
     apparent_singularity_check,
+    coeff_values,
     coefficient_polys,
     exponent_at_origin,
     poly_roots,
@@ -307,7 +308,7 @@ class TestRootCoefficients:
                 for root in st.roots:
                     j = min(range(n), key=lambda k: abs(values[k] - root))
                     want = [complex(vectors[i, j] / vectors[0, j]) for i in range(n)]
-                    got = st.coeff_values(root)
+                    got = coeff_values(st.root_coeffs, root)
                     scale = max(abs(w) for w in want)
                     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10 * scale
 
@@ -316,7 +317,7 @@ class TestRootCoefficients:
             st = family2_setup(random_family2_params(rng, N), N)
             polys, _ = run_poly_recursion(lambda n: st.recurrence[n - 1], N, abs(st.params.t1 * st.params.t2))
             for root in st.roots:
-                got = st.coeff_values(root)
+                got = coeff_values(st.root_coeffs, root)
                 want = [c(root) for c in polys]
                 scale = max(abs(w) for w in want)
                 assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-11 * scale

@@ -171,7 +171,7 @@ class TestCoefficientRatios:
         # Terms decay like r**n upward and like (0.17 / r)**|n| downward.
         num, den = [1.3 + 0.4j, 0.9 - 0.6j], [0.5j, 0.4 - 0.3j]
         weights, rates = [1.0, 0.5 - 0.25j], [0.6, 0.6 * q]
-        got = weighted_bilateral(num, den, weights, rates, q)
+        (got,) = weighted_bilateral(num, den, [weights], rates, q)
         want = self.direct_sum(num, den, weights, rates, q, range(-80, 80))
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -180,7 +180,7 @@ class TestCoefficientRatios:
         # one-sided, as at the special anchors of the bilateral forms.
         q = 0.5
         num, den = [0.3 + 0.2j], [q, 1.4 - 0.3j]
-        got = weighted_bilateral(num, den, [1.0], [0.4], q)
+        (got,) = weighted_bilateral(num, den, [[1.0]], [0.4], q)
         want = self.direct_sum(num, den, [1.0], [0.4], q, range(80))
         assert self.direct_sum(num, den, [1.0], [0.4], q, range(-10, 0)) == 0
         assert got == pytest.approx(want, rel=1e-13)
@@ -188,5 +188,5 @@ class TestCoefficientRatios:
     def test_terminating_numerator_poles_at_the_anchor(self):
         # (q^-3 q^n; q)_inf vanishes for n <= 3: its reciprocal poles at n = 0.
         q = 0.5
-        with pytest.raises(PoleError):
-            weighted_bilateral([q**-3], [0.25j], [1.0], [0.3], q)
+        (got,) = weighted_bilateral([q**-3], [0.25j], [[1.0]], [0.3], q)
+        assert isinstance(got, PoleError)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from qheun._bilateral import weighted_bilateral, weighted_bilateral_multi
+from qheun import forms
+from qheun._bilateral import SpiralTerms, weighted_bilateral
+from qheun.accessory import polynomial_solution
 from qheun.errors import ConvergenceError, NotARoot, PoleError, QHeunError
 from qheun.forms import FAMILIES
-from qheun.sampling import random_family1_params, random_family2_params
+from qheun.qcore import bilateral_sum
+from qheun.sampling import random_admissible_params, random_family1_params, random_family2_params
 
-DRAWS = {"family1": random_family1_params, "family2": random_family2_params}
+DRAWS = {"generic": random_admissible_params, "family1": random_family1_params, "family2": random_family2_params}
 
 
 def single(fn, *args):
@@ -36,21 +39,27 @@ def setup_and_anchor(family: str, N: int):
 
 
 @pytest.mark.parametrize("N", [4, 8])
-@pytest.mark.parametrize("family", ["family1", "family2"])
-def test_every_form_matches_single_root_calls(family, N):
+@pytest.mark.parametrize("family", ["generic", "family1", "family2"])
+def test_every_form_matches_single_root_calls(family, N, monkeypatch):
     st, xi = setup_and_anchor(family, N)
     # A point off every root shows the per-root NotARoot beside good values.
     E0s = list(st.roots) + [st.roots[0] + 0.1]
     for form in FAMILIES[family].forms:
         pts = form.grid(st, xi, 3, seed=N)
         for x in pts:
-            multi = form.multi(st, E0s, xi, x)
-            assert len(multi) == len(E0s)
-            for E0, value in zip(E0s, multi):
+            shared = form.evaluate(st, E0s, xi)(x, list(range(len(E0s))))
+            assert len(shared) == len(E0s)
+            for E0, value in zip(E0s, shared):
                 assert same(value, single(lambda: form.solution(st, E0, xi)(x))), (form.name, E0, x)
-            assert isinstance(multi[-1], NotARoot)
-        # The residual reports, T(x) of g1/g2/g6..g8 included.
-        reports = form.root_residuals(st, E0s, xi, pts)
+            assert isinstance(shared[-1], NotARoot)
+        # The residual reports, T(x) of g1/g2/g6..g8 included.  The poly
+        # form builds each root's polynomial once per pass, the failing
+        # off-root build included.
+        builds = []
+        with monkeypatch.context() as m:
+            m.setattr(forms, "polynomial_solution", lambda p, E0, N: builds.append(E0) or polynomial_solution(p, E0, N))
+            reports = form.root_residuals(st, E0s, xi, pts)
+        assert builds == (E0s if family == "generic" else [])
         for E0, rep in zip(E0s, reports):
             assert same(rep, single(form.residuals, st, E0, xi, pts)), (form.name, E0)
         assert all(not isinstance(rep, QHeunError) for rep in reports[:-1]), form.name
@@ -75,17 +84,24 @@ class TestSharedWalk:
     num, den = [1.3 + 0.4j, 0.9 - 0.6j], [0.5j, 0.4 - 0.3j]
     rates = [0.6, 0.6 * q, 1.7]
 
+    @staticmethod
+    def alone(num, den, row, rates, q):
+        """The row summed by itself, through the generic two-sided driver."""
+        return single(lambda: bilateral_sum(SpiralTerms(den, num, row, rates, q)))
+
     def test_one_row_diverges_and_the_others_finish(self):
         # The rate 1.7 grows upward, so only the row that weights it fails.
         rows = [[1.0, 0.5 - 0.25j, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 1e-3], [0.3j, 1.0, 0.0]]
-        got = weighted_bilateral_multi(self.num, self.den, rows, self.rates, self.q)
+        got = weighted_bilateral(self.num, self.den, rows, self.rates, self.q)
         for row, value in zip(rows, got):
-            assert same(value, single(weighted_bilateral, self.num, self.den, row, self.rates, self.q))
+            assert same(value, self.alone(self.num, self.den, row, self.rates, self.q))
         assert isinstance(got[2], ConvergenceError)
         assert all(isinstance(v, complex) for v in got[:2] + got[3:])
 
     def test_a_pole_at_the_anchor_reaches_every_row(self):
         # (q^-3 q^n; q)_inf vanishes for n <= 3: its reciprocal poles at n = 0.
-        got = weighted_bilateral_multi([self.q**-3], [0.25j], [[1.0], [2.0]], [0.3], self.q)
+        rows = [[1.0], [2.0]]
+        got = weighted_bilateral([self.q**-3], [0.25j], rows, [0.3], self.q)
         assert all(isinstance(v, PoleError) for v in got)
-        assert same(got[0], single(weighted_bilateral, [self.q**-3], [0.25j], [1.0], [0.3], self.q))
+        for row, value in zip(rows, got):
+            assert same(value, self.alone([self.q**-3], [0.25j], row, [0.3], self.q))

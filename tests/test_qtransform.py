@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from qheun.accessory import accessory_poly, poly_roots, polynomial_solution
+from qheun.accessory import accessory_poly, coeff_values, poly_roots, polynomial_solution
 from qheun.errors import NoLimit, PoleError, PreconditionError
 from qheun.family_one import (
     family1_bilateral,
@@ -224,7 +224,7 @@ class TestSteppedTransform:
         st = family2_setup(p, 2)
         E0 = st.roots[0]
         h1, h2 = family2_seed(st, "h1", E0), family2_seed(st, "h2", E0)
-        assert h1.coeffs == h2.coeffs == tuple(st.coeff_values(E0))
+        assert h1.coeffs == h2.coeffs == coeff_values(st.root_coeffs, E0)
         assert len(h1.num) == len(h1.den) == 2 and not h1.inv_num and not h1.inv_den
         assert len(h2.inv_num) == len(h2.inv_den) == 2 and not h2.num and not h2.den
         assert h2.exponent == pytest.approx(-family2_source_params(st).alpha2 - 2)
