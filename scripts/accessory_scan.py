@@ -9,6 +9,7 @@ import argparse
 import csv
 import sys
 
+from qheun.accessory import coeff_gap
 from qheun.family_two import family2_setup
 from qheun.qheun_op import QHeunParams
 
@@ -32,9 +33,7 @@ def main() -> None:
         )
         st = family2_setup(p, args.N)
         # Agreement gap between the two accessory routes, as a sanity column.
-        gap = max(
-            abs(a - b) for a, b in zip(st.accessory.coeffs, st.d_poly.coeffs)
-        ) / max(abs(c) for c in st.accessory.coeffs)
+        gap = coeff_gap(st.accessory, st.d_poly)
         for j, root in enumerate(st.roots):
             writer.writerow([f"{q:.4f}", j, f"{root.real:.12g}", f"{root.imag:.12g}", f"{gap:.3e}"])
 

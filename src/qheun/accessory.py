@@ -8,11 +8,12 @@ polynomial-type solutions (under the integer exponent condition) or an
 apparent singularity at the origin (when beta = N + 1).  The roots are
 companion-matrix eigenvalues; the coefficients c_0..c_N at each root are
 an eigenvector of the recurrence's tridiagonal matrix, solved once per setup.
+coeff_row checks an eigenvalue against the polynomial and returns the
+coefficients of its root: the one way a solution form takes a root.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -358,38 +359,19 @@ def require_root(poly: Poly, E0: complex) -> None:
         raise NotARoot(f"backward error {err:.3e} of E0 as an accessory root exceeds 1e-8")
 
 
-def at_roots(
-    poly: Poly, E0s: Sequence[complex], evaluate: Callable[[list[complex]], Sequence]
-) -> list:
-    """Per-eigenvalue results of a form evaluated at several E0 in one call.
+def coeff_row(setup, E0: complex) -> tuple[complex, ...]:
+    """c_0..c_N at the accessory root E0 of a family setup (its accessory
+    and root_coeffs, as solve_accessory returns them).
 
-    require_root runs per E0; evaluate(live) then receives the E0 that
-    pass, in order, and returns one result each.  Entry j is the NotARoot
-    of E0s[j], or its result from evaluate, or, if evaluate raises a
-    QHeunError (an error that does not depend on E0), that error.  So
-    each entry is what the single-root call at E0s[j] returns or raises.
+    Raises NotARoot where require_root does.  Every use of a root by a
+    family goes through here, once per root and call.
     """
-    out: list = []
-    live: list[complex] = []
-    for E0 in E0s:
-        try:
-            require_root(poly, E0)
-        except NotARoot as exc:
-            out.append(exc)
-        else:
-            out.append(None)
-            live.append(E0)
-    if live:
-        try:
-            values = iter(evaluate(live))
-        except QHeunError as exc:
-            values = itertools.repeat(exc)
-        out = [next(values) if v is None else v for v in out]
-    return out
+    require_root(setup.accessory, E0)
+    return coeff_values(setup.root_coeffs, E0)
 
 
 def one_root(results: Sequence) -> complex:
-    """The single entry of an at_roots result list: its value, or raise its error."""
+    """The single entry of a per-row result list: its value, or raise its error."""
     (value,) = results
     if isinstance(value, QHeunError):
         raise value
@@ -412,7 +394,6 @@ def series_coefficients(
     if M < 1:
         raise DomainError("M must be at least 1")
     scale = abs(p.t1 * p.t2)
-    coeffs: list[complex] = [1.0 + 0.0j, 0.0 + 0.0j]  # c_0, c_{-1} sentinel
     out = [1.0 + 0.0j]
     c_prev2 = 0.0 + 0.0j
     c_prev1 = 1.0 + 0.0j

@@ -19,11 +19,9 @@ from .accessory import (
     INTEGER_TOL,
     Poly,
     RecurrenceCoeffs,
-    at_roots,
-    coeff_values,
+    coeff_row,
     exponent_at_origin,
     one_root,
-    require_root,
     solve_accessory,
 )
 from .errors import ConvergenceError, ConvergenceHypothesisWarning, DomainError, PreconditionError, QHeunError
@@ -113,10 +111,9 @@ def family1_seed(setup: Family1Setup, which: Literal["h1", "h2"], E0: complex) -
     returned Seed is callable; transform and boundary_limits step its
     factors along the integration spiral.
     """
-    require_root(setup.accessory, E0)
+    coeffs = coeff_row(setup, E0)
     src = family1_source_params(setup)
     q = src.q
-    coeffs = coeff_values(setup.root_coeffs, E0)
     t1 = src.t1
     if which == "h1":
         expo = exponent_at_origin(src)
@@ -174,28 +171,23 @@ def family1_bilateral(
     x: complex,
 ) -> complex:
     """Bilateral solution g1 or g2 at anchor xi and point x."""
-    return one_root(family1_bilateral_multi(setup, which, [E0], xi, x))
+    return one_root(family1_bilateral_rows(setup, which, [coeff_row(setup, E0)], xi, x))
 
 
-def family1_bilateral_multi(
+def family1_bilateral_rows(
     setup: Family1Setup,
     which: BilateralName,
-    E0s: Sequence[complex],
+    rows: Sequence[Sequence[complex]],
     xi: complex,
     x: complex,
 ) -> list[complex | QHeunError]:
-    """family1_bilateral at each eigenvalue of E0s: its value or its error.
+    """g1 or g2 at (xi, x) for each coefficient row c_0..c_N of rows: its
+    value or its error.
 
-    The products are stepped along one walk per side for all of E0s;
-    each E0's sum forms its terms and stops as it would alone
-    (at_roots, bilateral_form).
+    The products are stepped along one walk per side for all rows; each
+    row's sum forms its terms and stops as it would alone (bilateral_form).
     """
-
-    def evaluate(live: list[complex]) -> list:
-        parts = _bilateral_parts(setup, which, xi, x)
-        return bilateral_form(parts, [coeff_values(setup.root_coeffs, E0) for E0 in live], setup.params.q)
-
-    return at_roots(setup.accessory, E0s, evaluate)
+    return bilateral_form(_bilateral_parts(setup, which, xi, x), rows, setup.params.q)
 
 
 def family1_domain(setup: Family1Setup, which: UnilateralName) -> tuple[float, float]:
@@ -226,25 +218,22 @@ def family1_unilateral(
     x: complex,
 ) -> complex:
     """Finite-sum solution g3..g6 at the point x, inside its domain."""
-    return one_root(family1_unilateral_multi(setup, which, [E0], x))
+    (value,) = family1_unilateral_rows(setup, which, [coeff_row(setup, E0)], x)
+    return value
 
 
-def family1_unilateral_multi(
+def family1_unilateral_rows(
     setup: Family1Setup,
     which: UnilateralName,
-    E0s: Sequence[complex],
+    rows: Sequence[Sequence[complex]],
     x: complex,
-) -> list[complex | QHeunError]:
-    """family1_unilateral at each eigenvalue of E0s: its value or its error.
+) -> list[complex]:
+    """g3..g6 at x for each coefficient row c_0..c_N of rows.
 
-    The terms c_k * scalar_k * ratio_k * series_k differ between the E0
+    The terms c_k * scalar_k * ratio_k * series_k differ between the rows
     only in c_k, so scalar, product ratio and series are formed once per
-    k and combined per E0 in the single-root order (at_roots).
+    k and combined per row in the single-row order.
     """
-    return at_roots(setup.accessory, E0s, lambda live: _unilateral(setup, which, live, x))
-
-
-def _unilateral(setup: Family1Setup, which: UnilateralName, E0s: list[complex], x: complex) -> list[complex]:
     p = setup.params
     q = p.q
     lam1 = setup.lambda1
@@ -260,15 +249,14 @@ def _unilateral(setup: Family1Setup, which: UnilateralName, E0s: list[complex], 
         warnings.warn(
             "evaluating a unilateral form outside the bilateral hypotheses",
             ConvergenceHypothesisWarning,
-            stacklevel=5,  # the caller of family1_unilateral_multi
+            stacklevel=3,  # the caller of family1_unilateral
         )
-    coeffs = [coeff_values(setup.root_coeffs, E0) for E0 in E0s]
     if which in ("g3", "g4"):
         z = q ** (-p.h1 + 0.5) * x / p.t1
     else:
         z = q ** (p.l1 + 0.5) * p.t1 / x
 
-    totals = [0.0 + 0.0j] * len(coeffs)
+    totals = [0.0 + 0.0j] * len(rows)
     for k in range(N + 1):
         if which == "g3":
             scalar = (q ** (-lam1 + p.h1 - p.alpha1 + 0.5) * p.t1) ** k
@@ -310,7 +298,7 @@ def _unilateral(setup: Family1Setup, which: UnilateralName, E0s: list[complex], 
                 q,
                 z,
             )
-        totals = [total + scalar * c[k] * ratio * series for total, c in zip(totals, coeffs)]
+        totals = [total + scalar * c[k] * ratio * series for total, c in zip(totals, rows)]
 
     if which == "g3":
         factor = x ** lam1

@@ -22,12 +22,10 @@ from .accessory import (
     RecurrenceCoeffs,
     accessory_poly,
     apparent_singularity_check,
-    at_roots,
     coeff_gap,
-    coeff_values,
+    coeff_row,
     exponent_at_origin,
     one_root,
-    require_root,
     solve_accessory,
 )
 from .errors import ConvergenceError, DomainError, PreconditionError, QHeunError
@@ -136,10 +134,9 @@ def family2_seed(setup: Family2Setup, which: Literal["h1", "h2"], E0: complex) -
     returned Seed is callable; transform and boundary_limits step its
     factors along the integration spiral.
     """
-    require_root(setup.accessory, E0)
+    coeffs = coeff_row(setup, E0)
     src = family2_source_params(setup)
     q = src.q
-    coeffs = coeff_values(setup.root_coeffs, E0)
     if which == "h1":
         expo = seed_weight_exponent(src)
         num = (1.0 / (q ** (src.l1 - 0.5) * src.t1), 1.0 / (q ** (src.l2 - 0.5) * src.t2))
@@ -250,28 +247,23 @@ def family2_bilateral(
     x: complex,
 ) -> complex:
     """Bilateral form g1 or g2 at anchor xi and point x."""
-    return one_root(family2_bilateral_multi(setup, which, [E0], xi, x))
+    return one_root(family2_bilateral_rows(setup, which, [coeff_row(setup, E0)], xi, x))
 
 
-def family2_bilateral_multi(
+def family2_bilateral_rows(
     setup: Family2Setup,
     which: BilateralName,
-    E0s: Sequence[complex],
+    rows: Sequence[Sequence[complex]],
     xi: complex,
     x: complex,
 ) -> list[complex | QHeunError]:
-    """family2_bilateral at each eigenvalue of E0s: its value or its error.
+    """g1 or g2 at (xi, x) for each coefficient row c_0..c_N of rows: its
+    value or its error.
 
-    The products are stepped along one walk per side for all of E0s;
-    each E0's sum forms its terms and stops as it would alone
-    (at_roots, bilateral_form).
+    The products are stepped along one walk per side for all rows; each
+    row's sum forms its terms and stops as it would alone (bilateral_form).
     """
-
-    def evaluate(live: list[complex]) -> list:
-        parts = _bilateral_parts(setup, which, xi, x)
-        return bilateral_form(parts, [coeff_values(setup.root_coeffs, E0) for E0 in live], setup.params.q)
-
-    return at_roots(setup.accessory, E0s, evaluate)
+    return bilateral_form(_bilateral_parts(setup, which, xi, x), rows, setup.params.q)
 
 
 def family2_homogeneous(
@@ -286,24 +278,21 @@ def family2_homogeneous(
     q^(lambda1 + alpha2 + N - k); lambda1 + alpha2 > 0 is required for
     convergence of every term.
     """
-    return one_root(family2_homogeneous_multi(setup, which, [E0], x))
+    (value,) = family2_homogeneous_rows(setup, which, [coeff_row(setup, E0)], x)
+    return value
 
 
-def family2_homogeneous_multi(
+def family2_homogeneous_rows(
     setup: Family2Setup,
     which: HomogeneousName,
-    E0s: Sequence[complex],
+    rows: Sequence[Sequence[complex]],
     x: complex,
-) -> list[complex | QHeunError]:
-    """family2_homogeneous at each eigenvalue of E0s: its value or its error.
+) -> list[complex]:
+    """g3, g4 or g5 at x for each coefficient row c_0..c_N of rows.
 
-    Scalar, series and prefactor are formed once and combined per E0 in
-    the single-root order (at_roots).
+    Scalar, series and prefactor are formed once and combined per row in
+    the single-row order.
     """
-    return at_roots(setup.accessory, E0s, lambda live: _homogeneous(setup, which, live, x))
-
-
-def _homogeneous(setup: Family2Setup, which: HomogeneousName, E0s: list[complex], x: complex) -> list[complex]:
     p = setup.params
     q = p.q
     lam = setup.lambda1
@@ -313,8 +302,7 @@ def _homogeneous(setup: Family2Setup, which: HomogeneousName, E0s: list[complex]
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
-    coeffs = [coeff_values(setup.root_coeffs, E0) for E0 in E0s]
-    totals = [0.0 + 0.0j] * len(coeffs)
+    totals = [0.0 + 0.0j] * len(rows)
     for k in range(N + 1):
         z = q ** (lam + p.alpha2 + N - k)
         if which == "g3":
@@ -362,7 +350,7 @@ def _homogeneous(setup: Family2Setup, which: HomogeneousName, E0s: list[complex]
                 q,
                 z,
             )
-        totals = [total + scalar * c[k] * series for total, c in zip(totals, coeffs)]
+        totals = [total + scalar * c[k] * series for total, c in zip(totals, rows)]
 
     if which == "g3":
         pref = x ** lam * q_pochhammer_ratio(
@@ -396,22 +384,21 @@ def family2_inhomogeneous_triple(
 ) -> complex:
     """Member of the g6..g8 triple; each solves the same inhomogeneous
     equation as g1, so pairwise differences are homogeneous solutions."""
-    return one_root(family2_inhomogeneous_triple_multi(setup, which, [E0], x))
+    (value,) = family2_triple_rows(setup, which, [coeff_row(setup, E0)], x)
+    return value
 
 
-def family2_inhomogeneous_triple_multi(
+def family2_triple_rows(
     setup: Family2Setup,
     which: TripleName,
-    E0s: Sequence[complex],
+    rows: Sequence[Sequence[complex]],
     x: complex,
-) -> list[complex | QHeunError]:
-    """family2_inhomogeneous_triple at each eigenvalue of E0s: its value or
-    its error.  Scalar, series and prefactor are formed once and combined
-    per E0 in the single-root order (at_roots)."""
-    return at_roots(setup.accessory, E0s, lambda live: _triple(setup, which, live, x))
+) -> list[complex]:
+    """g6, g7 or g8 at x for each coefficient row c_0..c_N of rows.
 
-
-def _triple(setup: Family2Setup, which: TripleName, E0s: list[complex], x: complex) -> list[complex]:
+    Scalar, series and prefactor are formed once and combined per row in
+    the single-row order.
+    """
     p = setup.params
     q = p.q
     lam = setup.lambda1
@@ -419,7 +406,6 @@ def _triple(setup: Family2Setup, which: TripleName, E0s: list[complex], x: compl
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
-    coeffs = [coeff_values(setup.root_coeffs, E0) for E0 in E0s]
     if which == "g6":
         l_a, l_b = p.l1, p.l2
         t_a, t_b = p.t1, p.t2
@@ -429,7 +415,7 @@ def _triple(setup: Family2Setup, which: TripleName, E0s: list[complex], x: compl
     elif which != "g8":
         raise DomainError("which must be one of g6..g8")
 
-    totals = [0.0 + 0.0j] * len(coeffs)
+    totals = [0.0 + 0.0j] * len(rows)
     for k in range(N + 1):
         z = q ** (k + 1.0)
         if which in ("g6", "g7"):
@@ -462,7 +448,7 @@ def _triple(setup: Family2Setup, which: TripleName, E0s: list[complex], x: compl
                 q,
                 z,
             )
-        totals = [total + scalar * c[k] * series for total, c in zip(totals, coeffs)]
+        totals = [total + scalar * c[k] * series for total, c in zip(totals, rows)]
 
     if which in ("g6", "g7"):
         pref = q_pochhammer_ratio(

@@ -8,14 +8,15 @@ a default |x| band, the q-spirals to avoid and the relative distance to
 keep from them.  The CLI and the acceptance criteria both read forms
 from here.
 
-A form has one evaluator, (setup, E0s, xi) -> g, where g(y, live)
-gives the value at y of the solution at E0s[j], or its QHeunError, for
-each index j in live.  A family form forms the pieces that do not
-depend on the eigenvalue (q-series, products, the bilateral walk) once
-for all of live; the generic form builds each root's polynomial once
-per evaluator.  ``root_residuals`` checks every root through it in one
-pass over the grid; ``solution`` and ``residuals`` are its one-root
-case.
+A family form at an accessory root E0 is a sum over the root's
+coefficients c_0..c_N of pieces that do not depend on E0 (q-series,
+products, the bilateral walk).  So a form is a kernel (setup, rows, xi,
+x) -> one value or QHeunError per row, and ``Form.evaluate`` resolves
+each E0 to its row once (``accessory.coeff_row``, NotARoot off the
+roots) and hands the kernel the rows still live at each point.  The
+generic form's row is the polynomial solution, built once per E0.
+``root_residuals`` checks every root through one evaluator in one pass
+over the grid; ``solution`` and ``residuals`` are its one-root case.
 
 Family functions are looked up by name when a form runs, never stored
 at import, so a patched module binding (a tracer's wrapper) is honoured.
@@ -23,18 +24,19 @@ at import, so a patched module binding (a tracer's wrapper) is honoured.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .accessory import Poly, accessory_poly, one_root, poly_roots, polynomial_solution
+from .accessory import Poly, accessory_poly, coeff_row, one_root, poly_roots, polynomial_solution
 from .errors import PreconditionError, QHeunError
-from .family_one import family1_bilateral_multi, family1_residual_band, family1_setup, family1_unilateral_multi
+from .family_one import family1_bilateral_rows, family1_residual_band, family1_setup, family1_unilateral_rows
 from .family_two import (
-    family2_bilateral_multi,
-    family2_homogeneous_multi,
-    family2_inhomogeneous_triple_multi,
+    family2_bilateral_rows,
+    family2_homogeneous_rows,
     family2_pole_spirals,
     family2_setup,
+    family2_triple_rows,
     g1_inhomogeneity,
     g2_inhomogeneity,
 )
@@ -57,12 +59,13 @@ def generic_setup(p: QHeunParams, N: int) -> GenericSetup:
 @dataclass(frozen=True)
 class Form:
     name: str
-    evaluate: Callable  # (setup, E0s, xi) -> g(y, live), a value or QHeunError per E0s[j], j in live
+    kernel: Callable  # (setup, rows, xi, x) -> a value or QHeunError per row
     band: Callable  # setup -> default (rmin, rmax) of |x|
     spirals: Callable  # (setup, xi) -> bases of the q-spirals the grid avoids
     min_rel_dist: float = 1e-6
     inhomogeneity: Callable | None = None  # (setup, xi, x) -> T(x)
     needs_xi: bool = False
+    resolve: Callable = coeff_row  # (setup, E0) -> the row the kernel takes for E0
 
     def grid(self, setup, xi, count: int, seed: int, rmin=None, rmax=None) -> list[complex]:
         """Seeded residual grid; rmin/rmax override the default band."""
@@ -79,6 +82,32 @@ class Form:
         if self.inhomogeneity is None:
             return None
         return lambda x: self.inhomogeneity(setup, xi, x)
+
+    def evaluate(self, setup, E0s, xi) -> Callable:
+        """g(y, live): the value at y of the form at E0s[j], or its
+        QHeunError, for each index j in live.
+
+        Each E0 is resolved once, here.  One that fails keeps its error,
+        which g returns at the first point it is asked at, so that the
+        error carries that point.  At each y the kernel runs once for
+        the rows still live; a QHeunError it raises goes to all of them.
+        """
+        rows = []
+        for E0 in E0s:
+            try:
+                rows.append(self.resolve(setup, E0))
+            except QHeunError as exc:
+                rows.append(exc)
+
+        def g(y: complex, live: list[int]) -> list:
+            good = [rows[j] for j in live if not isinstance(rows[j], QHeunError)]
+            try:
+                values = iter(self.kernel(setup, good, xi, y) if good else ())
+            except QHeunError as exc:
+                values = itertools.repeat(exc)
+            return [rows[j] if isinstance(rows[j], QHeunError) else next(values) for j in live]
+
+        return g
 
     def solution(self, setup, E0: complex, xi) -> Callable:
         """The form at E0 as a function of x; it raises what its evaluation raises."""
@@ -121,15 +150,9 @@ def _singular(setup, xi) -> list[complex]:
     return singular_spirals(setup.params)
 
 
-def _shared(multi: Callable) -> Callable:
-    """The evaluator of a family form from multi(setup, E0s, xi, x) ->
-    one value or QHeunError per eigenvalue of E0s."""
-    return lambda st, E0s, xi: lambda y, live: multi(st, [E0s[j] for j in live], xi, y)
-
-
 def _bilateral1(name: str) -> Form:
     return Form(
-        name, _shared(lambda st, E0s, xi, x: family1_bilateral_multi(st, name, E0s, xi, x)),
+        name, lambda st, rows, xi, x: family1_bilateral_rows(st, name, rows, xi, x),
         _band(0.6, 2.5), lambda st, xi: singular_spirals(st.params) + [xi], 1e-4, needs_xi=True,
     )
 
@@ -137,76 +160,54 @@ def _bilateral1(name: str) -> Form:
 def _unilateral1(name: str) -> Form:
     """Finite sum g3..g6, checked inside its own convergence domain."""
     return Form(
-        name, _shared(lambda st, E0s, xi, x: family1_unilateral_multi(st, name, E0s, x)),
+        name, lambda st, rows, xi, x: family1_unilateral_rows(st, name, rows, x),
         lambda st: family1_residual_band(st, name), _singular,
     )
 
 
 def _bilateral2(name: str) -> Callable:
-    return _shared(lambda st, E0s, xi, x: family2_bilateral_multi(st, name, E0s, xi, x))
+    return lambda st, rows, xi, x: family2_bilateral_rows(st, name, rows, xi, x)
 
 
 def _homogeneous2(name: str) -> Callable:
-    return _shared(lambda st, E0s, xi, x: family2_homogeneous_multi(st, name, E0s, x))
+    return lambda st, rows, xi, x: family2_homogeneous_rows(st, name, rows, x)
 
 
 def _triple2(a: str, b: str | None = None) -> Callable:
     """Member a of the g6..g8 triple, or the difference a - b."""
     if b is None:
-        return _shared(lambda st, E0s, xi, x: family2_inhomogeneous_triple_multi(st, a, E0s, x))
+        return lambda st, rows, xi, x: family2_triple_rows(st, a, rows, x)
 
-    def multi(st, E0s, xi, x) -> list:
-        # b runs only where a succeeded.
-        first = family2_inhomogeneous_triple_multi(st, a, E0s, x)
-        live = [E0 for E0, v in zip(E0s, first) if not isinstance(v, QHeunError)]
-        second = iter(family2_inhomogeneous_triple_multi(st, b, live, x))
-        return [v if isinstance(v, QHeunError) else _difference(v, next(second)) for v in first]
+    def kernel(st, rows, xi, x) -> list:
+        first = family2_triple_rows(st, a, rows, x)
+        return [u - v for u, v in zip(first, family2_triple_rows(st, b, rows, x))]
 
-    return _shared(multi)
-
-
-def _difference(u: complex, v):
-    return v if isinstance(v, QHeunError) else u - v
+    return kernel
 
 
 def _g1_defect(st, xi, x) -> complex:
     return g1_inhomogeneity(st, x)
 
 
-def _form2(name: str, evaluate: Callable, inhomogeneity=None, needs_xi: bool = False) -> Form:
+def _form2(name: str, kernel: Callable, inhomogeneity=None, needs_xi: bool = False) -> Form:
     """Family-2 forms share one band and spiral set; xi joins the spirals when given."""
     spirals = lambda st, xi: family2_pole_spirals(st) + ([xi] if xi is not None else [])
-    return Form(name, evaluate, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi)
+    return Form(name, kernel, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi)
 
 
-def _polynomial(st, E0s, xi) -> Callable:
-    """The polynomial solution at each of E0s, built once, at its first point.
-
-    A build that fails (E0 off the roots, say) is not kept: it raises
-    at each point, as any evaluation error does, and so carries the
-    point it was asked at.
-    """
-    built: dict[int, Callable] = {}
-
-    def values(y: complex, live: list[int]) -> list:
-        out = []
-        for j in live:
-            try:
-                if j not in built:
-                    built[j] = polynomial_solution(st.params, E0s[j], st.N)
-                out.append(built[j](y))
-            except QHeunError as exc:
-                out.append(exc)
-        return out
-
-    return values
+def _polynomial(st, solutions, xi, x) -> list:
+    # The roots share the exponent at the origin, so an error at x is every root's.
+    return [solution(x) for solution in solutions]
 
 
 FAMILIES: dict[str, Family] = {
     "generic": Family(
         lambda p, N: generic_setup(p, N),
         (
-            Form("poly", _polynomial, _band(0.1, 10.0), _singular),
+            Form(
+                "poly", _polynomial, _band(0.1, 10.0), _singular,
+                resolve=lambda st, E0: polynomial_solution(st.params, E0, st.N),
+            ),
         ),
     ),
     "family1": Family(

@@ -18,9 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, QHeunError
-from .qcore import check_q
-
-_TINY = 1e-300
+from .qcore import _TINY, check_q
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,17 @@ class ResidualReport:
     max_residual: float
 
 
+def _b0(p: QHeunParams) -> complex:
+    """Constant term b0 of the middle coefficient (b2 x^2 + b1 x + b0)."""
+    q = p.q
+    return (
+        q ** ((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2.0)
+        * (q ** (p.beta / 2.0) + q ** (-p.beta / 2.0))
+        * p.t1
+        * p.t2
+    )
+
+
 def stencil_weights(p: QHeunParams, x: complex) -> tuple[complex, complex, complex]:
     """Factors w of the operator's three summands at x.
 
@@ -94,13 +103,7 @@ def stencil_weights(p: QHeunParams, x: complex) -> tuple[complex, complex, compl
     x = complex(x)
     down = (x - q ** (p.h1 + 0.5) * p.t1) * (x - q ** (p.h2 + 0.5) * p.t2) / x
     up = q ** (p.alpha1 + p.alpha2) * (x - q ** (p.l1 - 0.5) * p.t1) * (x - q ** (p.l2 - 0.5) * p.t2) / x
-    b0 = (
-        q ** ((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2.0)
-        * (q ** (p.beta / 2.0) + q ** (-p.beta / 2.0))
-        * p.t1
-        * p.t2
-    )
-    mid = -((q ** p.alpha1 + q ** p.alpha2) * x + b0 / x)
+    mid = -((q ** p.alpha1 + q ** p.alpha2) * x + _b0(p) / x)
     return down, up, mid
 
 
@@ -126,19 +129,13 @@ def hahn_coefficients(p: QHeunParams, E: complex) -> HahnCoefficients:
     c2 = q ** (p.alpha1 + p.alpha2)
     c1 = -c2 * (q ** (p.l1 - 0.5) * p.t1 + q ** (p.l2 - 0.5) * p.t2)
     c0 = c2 * q ** (p.l1 + p.l2 - 1.0) * p.t1 * p.t2
-    b0 = (
-        q ** ((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2.0)
-        * (q ** (p.beta / 2.0) + q ** (-p.beta / 2.0))
-        * p.t1
-        * p.t2
-    )
     return HahnCoefficients(
         a2=1.0 + 0.0j,
         a1=a1,
         a0=a0,
         b2=q ** p.alpha1 + q ** p.alpha2,
         b1=complex(E),
-        b0=b0,
+        b0=_b0(p),
         c2=c2,
         c1=c1,
         c0=c0,

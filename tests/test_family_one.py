@@ -145,8 +145,10 @@ class TestUnilateral:
         st = family1_setup(weak, 0)
         E0 = st.roots[0]
         lo, hi = family1_residual_band(st, "g3")
-        with pytest.warns(ConvergenceHypothesisWarning):
+        with pytest.warns(ConvergenceHypothesisWarning) as record:
             family1_unilateral(st, "g3", E0, (lo * hi) ** 0.5)
+        # The warning points at the caller, not into qheun.
+        assert record[0].filename == __file__
 
     def test_roots_give_independent_solutions(self, rng):
         p = random_family1_params(rng, 1)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qheun import forms
+from qheun import accessory, forms
 from qheun._bilateral import SpiralTerms, weighted_bilateral
-from qheun.accessory import polynomial_solution
+from qheun.accessory import polynomial_solution, require_root
 from qheun.errors import ConvergenceError, NotARoot, PoleError, QHeunError
 from qheun.forms import FAMILIES
 from qheun.qcore import bilateral_sum
@@ -52,14 +52,17 @@ def test_every_form_matches_single_root_calls(family, N, monkeypatch):
             for E0, value in zip(E0s, shared):
                 assert same(value, single(lambda: form.solution(st, E0, xi)(x))), (form.name, E0, x)
             assert isinstance(shared[-1], NotARoot)
-        # The residual reports, T(x) of g1/g2/g6..g8 included.  The poly
-        # form builds each root's polynomial once per pass, the failing
-        # off-root build included.
-        builds = []
+        # The residual reports, T(x) of g1/g2/g6..g8 included.  Each E0
+        # is checked against the accessory polynomial once per pass, not
+        # once per stencil point, and the poly form builds each root's
+        # polynomial once, the failing off-root build included.
+        builds, checks = [], []
         with monkeypatch.context() as m:
             m.setattr(forms, "polynomial_solution", lambda p, E0, N: builds.append(E0) or polynomial_solution(p, E0, N))
+            m.setattr(accessory, "require_root", lambda poly, E0: checks.append(E0) or require_root(poly, E0))
             reports = form.root_residuals(st, E0s, xi, pts)
         assert builds == (E0s if family == "generic" else [])
+        assert checks == E0s, form.name
         for E0, rep in zip(E0s, reports):
             assert same(rep, single(form.residuals, st, E0, xi, pts)), (form.name, E0)
         assert all(not isinstance(rep, QHeunError) for rep in reports[:-1]), form.name

@@ -1,0 +1,38 @@
+"""The example scripts run end to end on small arguments."""
+
+import csv
+import io
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name: str, args: list[str], monkeypatch, capsys) -> str:
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_transform_demo_routes_agree(monkeypatch, capsys):
+    lines = run_script("transform_demo.py", ["--points", "3"], monkeypatch, capsys).splitlines()
+    assert lines[0].startswith("# N = 1, q = ")
+    assert lines[1].split() == ["x", "|series|", "|transform|", "rel", "diff", "residual"]
+    rows = [line.split() for line in lines[2:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert len(row) == 5
+        assert float(row[3]) <= 1e-10 and float(row[4]) <= 1e-10, row
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_accessory_scan_routes_agree(N, monkeypatch, capsys):
+    out = run_script("accessory_scan.py", ["--N", str(N), "--steps", "3"], monkeypatch, capsys)
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert header == ["q", "root_index", "E_re", "E_im", "coeff_gap"]
+    assert len(rows) == 3 * (N + 1)
+    assert [int(r[1]) for r in rows] == list(range(N + 1)) * 3
+    assert all(float(r[4]) <= 1e-10 for r in rows)
