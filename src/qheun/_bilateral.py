@@ -18,11 +18,19 @@ i.e. (v; q)_inf / (u; q)_inf times the shifted-factorial coefficient
 on the weights w_k, so weighted_bilateral walks once for a list of
 weight vectors: a form's N + 1 accessory roots differ only in their
 weights, and a single root is the one-row case.
+
+The step factors also bound the tail.  Once the moduli of the factors
+of a step are bounded by F, and F |r_k| < 1 (F / |r_k| downward), the
+terms beyond n are dominated by geometric series in those ratios, so
+SpiralTerms.tail_bound certifies the rest of a side in closed form, as
+qcore.phi_series does for its series; each side stops at its first
+negligible term whose bound is below rel_tol times the partial sum.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import zip_longest
 from operator import mul
 from typing import Sequence
@@ -38,6 +46,15 @@ RECOMPUTE_CUTOFF = 1e-3
 # renormalised, their scale moving into the product value, so that long
 # walks do not overflow one part while the term itself stays finite.
 RESCALE_AT = 1e150
+# Far out every step factor is 1 to rounding and the tail is a plain
+# geometric series, which the tail bound matches to about 1e-15.  The
+# stepped value it starts from carries up to ~|n| * 1e-15 of rounding, so
+# the bound is widened by this factor to stay above the exact tail.
+BOUND_MARGIN = 1.0 + 1e-9
+
+
+def _moduli(pairs: Sequence[tuple[complex, complex]]) -> list[tuple[float, float]]:
+    return [(abs(a), abs(b)) for a, b in pairs]
 
 
 def spiral_product(
@@ -102,6 +119,12 @@ class SpiralTerms:
         self.pairs_down = [(b, a) for a, b in self.pairs_up]
         self.inv_pairs_up = list(zip_longest(self.inv_num, self.inv_den, fillvalue=0j))
         self.inv_pairs_down = [(b, a) for a, b in self.inv_pairs_up]
+        # Per direction, the moduli (|a|, |b|) of the pairs whose argument
+        # shrinks along the walk, then of those whose argument grows.
+        self.bound_pairs = {
+            True: (_moduli(self.pairs_up), _moduli(self.inv_pairs_up)),
+            False: (_moduli(self.inv_pairs_down), _moduli(self.pairs_down)),
+        }
         s0 = complex(xi)
         # A state is [n, s_n, value * c, powers r_k**n / c, c].
         self.origin = (0, s0, self._direct(s0), [1.0 + 0.0j] * len(self.rates), 1.0)
@@ -157,6 +180,64 @@ class SpiralTerms:
         _, _, value, powers, _ = self._seek(n)
         return value * sum(map(mul, self.weights, powers))
 
+    def _gains(self, n: int, s: complex) -> list[float] | None:
+        """g_k with sum over m beyond n of |V(s_m) r_k**m| <= |V(s_n) r_k**n| g_k.
+
+        F bounds |V(s_(m+1)) / V(s_m)| at every step beyond n: a pair
+        (a, b) steps V by (1 - a u) / (1 - b u).  An argument u that
+        shrinks along the walk gives at most (1 + |a| u) / (1 - |b| u)
+        where |b| u < 1; the growing ones give at most
+        prod (1 + |a| u) / prod (|b| u - 1) over nonzero a and b, where
+        every |b| u > 1 and no fewer b than a are nonzero.  Each factor
+        is non-increasing as u moves on, so its value at the first step
+        bounds all later ones.  With rho_k = F |r_k|**(+-1) < 1 the
+        geometric tail gives g_k = rho_k / (1 - rho_k); g_k is inf where
+        rho_k >= 1, and None means no F exists.
+        """
+        upward = n >= 0
+        shrinking, growing = self.bound_pairs[upward]
+        # The first step's arguments, as _step forms them.
+        u = abs(s) if upward else 1.0 / abs(s)
+        F = 1.0
+        for a, b in shrinking:
+            d = 1.0 - b * u
+            if not d > 0.0:
+                return None
+            F *= (1.0 + a * u) / d
+        if growing:
+            if sum(1 for _, b in growing if b) < sum(1 for a, _ in growing if a):
+                return None
+            u = 1.0 / abs(s * self.q) if upward else abs(s / self.q)
+            for a, b in growing:
+                if b:
+                    d = b * u - 1.0
+                    if not d > 0.0:
+                        return None
+                    F /= d
+                F *= 1.0 + a * u
+        gains = []
+        for r in self.rates:
+            rho = F * abs(r) if upward else F / abs(r)
+            gains.append(rho / (1.0 - rho) if rho < 1.0 else math.inf)
+        return gains
+
+    def tail_bound(self, n: int, weights: Sequence[complex] | None = None) -> float:
+        """A bound on sum |term(m)| over every m beyond n, away from 0.
+
+        term uses weights in place of the walk's own when given.  The
+        bound is |V(s_n)| sum_k |w_k r_k**n| g_k with _gains' g_k, and
+        is inf (or NaN) where no bound is certified.
+        """
+        n, s, value, powers, _ = self._seek(n)
+        gains = self._gains(n, s)
+        if gains is None:
+            return math.inf
+        total = 0.0
+        for w, p, g in zip(self.weights if weights is None else weights, powers, gains):
+            if w:
+                total += abs(w) * abs(p) * g
+        return abs(value) * total * BOUND_MARGIN
+
 
 def weighted_bilateral(
     num: Sequence[complex],
@@ -170,7 +251,8 @@ def weighted_bilateral(
 
     The terms of one row are SpiralTerms(den, num, row, rates, q) along
     s_n = q**n, summed as qcore.bilateral_sum sums them: the side n >= 0,
-    then the side n <= -1, each stopped by its own TailSum.  The
+    then the side n <= -1, each stopped by its own TailSum with the
+    walk's tail_bound for that row.  The
     products and powers at each index are stepped once for all rows;
     each row forms its terms, partial sums and stop decisions as it
     would alone.  PoleError is raised where (num q**n; q)_inf vanishes,
@@ -185,19 +267,23 @@ def weighted_bilateral(
     # Per row: its error once it failed, else its plus side, then its sum.
     results: list = [None] * len(rows)
     for start, step in ((0, +1), (-1, -1)):
-        live = [(j, rows[j], TailSum()) for j, r in enumerate(results) if not isinstance(r, QHeunError)]
+        live = [
+            (j, rows[j], TailSum(), partial(terms.tail_bound, weights=rows[j]))
+            for j, r in enumerate(results)
+            if not isinstance(r, QHeunError)
+        ]
         n = start
         while live:
             try:
                 _, _, value, powers, _ = terms._seek(n)
             except QHeunError as exc:
-                for j, _, _ in live:
+                for j, *_ in live:
                     results[j] = exc
                 break
             ended = []
-            for j, row, tail in live:
+            for j, row, tail, bound in live:
                 try:
-                    if not tail.add(value * sum(map(mul, row, powers)), n):
+                    if not tail.add(value * sum(map(mul, row, powers)), n, bound):
                         continue
                 except QHeunError as exc:
                     results[j] = exc

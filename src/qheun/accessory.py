@@ -440,6 +440,15 @@ def polynomial_degree(p: QHeunParams) -> tuple[int, int] | None:
     return None
 
 
+def _require_polynomial_case(p: QHeunParams, N: int) -> None:
+    hit = polynomial_degree(p)
+    if hit is None or hit[0] != N:
+        raise PreconditionError(f"-lambda - alpha is not the integer {N}")
+    for n in range(1, N + 1):
+        if abs(p.beta - n) < INTEGER_TOL:
+            raise PreconditionError(f"beta = {n} degenerates the recurrence")
+
+
 def polynomial_solution(p: QHeunParams, E0: complex, N: int) -> SeriesSolution:
     """Degree-N polynomial-type solution at an accessory root E0.
 
@@ -447,13 +456,16 @@ def polynomial_solution(p: QHeunParams, E0: complex, N: int) -> SeriesSolution:
     beta away from {1..N}, and E0 to annihilate the accessory
     polynomial; raises PreconditionError / NotARoot accordingly.
     """
-    hit = polynomial_degree(p)
-    if hit is None or hit[0] != N:
-        raise PreconditionError(f"-lambda - alpha is not the integer {N}")
-    for n in range(1, N + 1):
-        if abs(p.beta - n) < INTEGER_TOL:
-            raise PreconditionError(f"beta = {n} degenerates the recurrence")
-    require_root(accessory_poly(p, N), E0)
+    _require_polynomial_case(p, N)
+    return polynomial_at_root(p, accessory_poly(p, N), E0, N)
+
+
+def polynomial_at_root(p: QHeunParams, accessory: Poly, E0: complex, N: int) -> SeriesSolution:
+    """polynomial_solution(p, E0, N), with E0 checked against accessory,
+    the caller's accessory_poly(p, N), instead of a fresh build; it
+    raises what polynomial_solution raises."""
+    _require_polynomial_case(p, N)
+    require_root(accessory, E0)
     if N == 0:
         coeffs: list[complex] = [1.0 + 0.0j]
     else:

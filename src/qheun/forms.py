@@ -14,7 +14,8 @@ products, the bilateral walk).  So a form is a kernel (setup, rows, xi,
 x) -> one value or QHeunError per row, and ``Form.evaluate`` resolves
 each E0 to its row once (``accessory.coeff_row``, NotARoot off the
 roots) and hands the kernel the rows still live at each point.  The
-generic form's row is the polynomial solution, built once per E0.
+generic form's row is the polynomial solution, built once per E0 and
+checked against the setup's accessory polynomial.
 ``root_residuals`` checks every root through one evaluator in one pass
 over the grid; ``solution`` and ``residuals`` are its one-root case.
 
@@ -28,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .accessory import Poly, accessory_poly, coeff_row, one_root, poly_roots, polynomial_solution
+from .accessory import Poly, accessory_poly, coeff_row, one_root, poly_roots, polynomial_at_root
 from .errors import PreconditionError, QHeunError
 from .family_one import family1_bilateral_rows, family1_residual_band, family1_setup, family1_unilateral_rows
 from .family_two import (
@@ -206,7 +207,7 @@ FAMILIES: dict[str, Family] = {
         (
             Form(
                 "poly", _polynomial, _band(0.1, 10.0), _singular,
-                resolve=lambda st, E0: polynomial_solution(st.params, E0, st.N),
+                resolve=lambda st, E0: polynomial_at_root(st.params, st.accessory, E0, st.N),
             ),
         ),
     ),

@@ -36,14 +36,14 @@ _TINY = 1e-300
 class SeriesControl:
     """Truncation policy for infinite sums.
 
-    ``phi_series`` stops once a bound on its whole remaining tail falls
-    below ``rel_tol`` times the partial sum.  A one-sided half of a
-    bilateral sum stops once ``divergence_window`` consecutive terms
-    fall below ``rel_tol`` times the running partial sum, and is
-    declared divergent if terms fail to decrease for that many
-    consecutive indices; ``divergence_window`` governs bilateral sums
-    only.  Every sum is declared divergent once ``max_terms`` is
-    exhausted.
+    ``phi_series``, and each one-sided half of a bilateral sum whose
+    terms can bound their tail (a spiral walk), stop once a bound on
+    the whole remaining tail falls below ``rel_tol`` times the partial
+    sum.  A half that cannot be bounded stops once ``divergence_window``
+    consecutive terms fall below ``rel_tol`` times the running partial
+    sum.  Every half is declared divergent if terms fail to decrease
+    for ``divergence_window`` consecutive indices, and every sum once
+    ``max_terms`` is exhausted.
     """
 
     rel_tol: float = 1e-15
@@ -242,12 +242,17 @@ def phi_series(
 class TailSum:
     """Running total and stop rule of one one-sided sum, fed term by term.
 
-    add(t, n) adds the term t of index n and returns True once
-    ctl.divergence_window consecutive terms have fallen below
-    ctl.rel_tol times the running total; it raises ConvergenceError
-    once terms fail to decrease for that many consecutive indices, or
-    once ctl.max_terms terms have not settled the sum.  Every one-sided
-    sum, alone or sharing a walk with others, stops by this rule.
+    add(t, n, bound) adds the term t of index n and returns True once
+    the sum is settled.  A term at most ctl.rel_tol times the running
+    total is negligible; at each negligible term bound(n), a bound on
+    the sum of |term| over every index beyond n, is asked for, and the
+    sum stops if it is strictly below ctl.rel_tol times the total (so
+    a zero or NaN total never certifies).  Without a bound, or where it
+    certifies nothing, the sum stops after ctl.divergence_window
+    consecutive negligible terms.  add raises ConvergenceError once
+    terms fail to decrease for that many consecutive indices, or once
+    ctl.max_terms terms have not settled the sum.  Every one-sided sum,
+    alone or sharing a walk with others, stops by this rule.
     """
 
     __slots__ = ("rel_tol", "window", "budget", "total", "small_run", "growth_run", "prev")
@@ -261,7 +266,7 @@ class TailSum:
         self.growth_run = 0
         self.prev = math.inf
 
-    def add(self, t: complex, n: int) -> bool:
+    def add(self, t: complex, n: int, bound: Callable[[int], float] | None = None) -> bool:
         self.total = total = self.total + t
         mag = abs(t)
         size = abs(total)
@@ -270,7 +275,8 @@ class TailSum:
         if mag <= self.rel_tol * size:
             self.small_run = small_run = self.small_run + 1
             self.growth_run = 0
-            if small_run >= self.window:
+            # Strictly below a nonzero total: an all-zero start never certifies.
+            if small_run >= self.window or (bound is not None and bound(n) < self.rel_tol * abs(total)):
                 return True
         else:
             self.small_run = 0
@@ -290,8 +296,9 @@ class TailSum:
 def _one_sided_sum(term: Callable[[int], complex], start: int, step: int, ctl: SeriesControl) -> complex:
     tail = TailSum(ctl)
     add = tail.add
+    bound = getattr(term, "tail_bound", None)
     n = start
-    while not add(complex(term(n)), n):
+    while not add(complex(term(n)), n, bound):
         n += step
     return tail.total
 
@@ -300,7 +307,9 @@ def bilateral_sum(term: Callable[[int], complex], ctl: SeriesControl = DEFAULT_C
     """Two-sided sum of term(n) over all integers n.
 
     Evaluated as two independent one-sided sums (n >= 0 and n <= -1),
-    each truncated by the rel_tol / divergence_window rule.  Raises
+    each stopped by TailSum's rule.  A term with a tail_bound(n) method
+    (a _bilateral.SpiralTerms walk) supplies the bound; any other
+    callable stops by the divergence_window rule.  Raises
     ConvergenceError if either tail fails to decay.
     """
     plus = _one_sided_sum(term, 0, +1, ctl)

@@ -9,7 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 from qheun import _bilateral, family_one, family_two, forms
-from qheun.accessory import backward_error, exponent_at_origin, polynomial_solution, require_root, root_certificate
+from qheun.accessory import (
+    backward_error, exponent_at_origin, polynomial_at_root, polynomial_solution, require_root, root_certificate,
+)
 from qheun.cli import main
 from qheun.errors import NotARoot
 from qheun.family_one import family1_domain, family1_setup, family1_unilateral
@@ -314,7 +316,7 @@ class TestVerify:
 
     def test_generic_builds_its_solution_once_per_root(self, tmp_path, runner, rng, monkeypatch):
         builds = []
-        monkeypatch.setattr(forms, "polynomial_solution", lambda *a: builds.append(a) or polynomial_solution(*a))
+        monkeypatch.setattr(forms, "polynomial_at_root", lambda *a: builds.append(a) or polynomial_at_root(*a))
         p = random_admissible_params(rng, 6)
         path = write_config(tmp_path, p, family="generic", N=6, grid_count=20)
         rep = json.loads(runner.invoke(main, ["verify", "--config", path]).output)

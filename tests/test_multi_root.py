@@ -5,7 +5,7 @@ import pytest
 
 from qheun import accessory, forms
 from qheun._bilateral import SpiralTerms, weighted_bilateral
-from qheun.accessory import polynomial_solution, require_root
+from qheun.accessory import accessory_poly, polynomial_at_root, require_root
 from qheun.errors import ConvergenceError, NotARoot, PoleError, QHeunError
 from qheun.forms import FAMILIES
 from qheun.qcore import bilateral_sum
@@ -58,7 +58,7 @@ def test_every_form_matches_single_root_calls(family, N, monkeypatch):
         # polynomial once, the failing off-root build included.
         builds, checks = [], []
         with monkeypatch.context() as m:
-            m.setattr(forms, "polynomial_solution", lambda p, E0, N: builds.append(E0) or polynomial_solution(p, E0, N))
+            m.setattr(forms, "polynomial_at_root", lambda p, c, E0, N: builds.append(E0) or polynomial_at_root(p, c, E0, N))
             m.setattr(accessory, "require_root", lambda poly, E0: checks.append(E0) or require_root(poly, E0))
             reports = form.root_residuals(st, E0s, xi, pts)
         assert builds == (E0s if family == "generic" else [])
@@ -66,6 +66,21 @@ def test_every_form_matches_single_root_calls(family, N, monkeypatch):
         for E0, rep in zip(E0s, reports):
             assert same(rep, single(form.residuals, st, E0, xi, pts)), (form.name, E0)
         assert all(not isinstance(rep, QHeunError) for rep in reports[:-1]), form.name
+
+
+def test_generic_pass_builds_the_accessory_polynomial_once(monkeypatch):
+    # The setup builds it, and every root of the pass is checked against
+    # that build, not against one of its own.
+    calls = []
+    counted = lambda p, N: calls.append(N) or accessory_poly(p, N)
+    monkeypatch.setattr(accessory, "accessory_poly", counted)
+    monkeypatch.setattr(forms, "accessory_poly", counted)
+    family = FAMILIES["generic"]
+    st = family.setup(random_admissible_params(np.random.default_rng(106), 6), 6)
+    form = family.form("poly")
+    reports = form.root_residuals(st, st.roots, None, form.grid(st, None, 4, seed=6))
+    assert len(st.roots) == 7 and calls == [6]
+    assert all(not isinstance(rep, QHeunError) for rep in reports)
 
 
 def test_errors_reach_only_the_roots_that_meet_them():

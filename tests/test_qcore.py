@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from qheun.errors import ConvergenceError, DomainError, PoleError
 from qheun.qcore import (
+    DEFAULT_CONTROL,
     SeriesControl,
+    TailSum,
     bilateral_sum,
     jackson_integral,
     phi_series,
@@ -378,6 +380,64 @@ class TestBilateralSum:
     def test_constant_terms_diverge(self):
         with pytest.raises(ConvergenceError):
             bilateral_sum(lambda n: 1.0)
+
+    def test_a_callable_without_a_tail_bound_stops_by_the_window(self):
+        # Each side ends 49 terms after its first negligible one.
+        q = 0.5
+        calls = []
+        bilateral_sum(lambda n: calls.append(n) or q ** abs(n))
+
+        def first_negligible(side):
+            total = 0.0
+            for n in side:
+                total += q ** abs(n)
+                if q ** abs(n) <= DEFAULT_CONTROL.rel_tol * total:
+                    return n
+
+        window = DEFAULT_CONTROL.divergence_window
+        plus, minus = first_negligible(range(200)), first_negligible(range(-1, -200, -1))
+        assert calls == list(range(plus + window)) + list(range(-1, minus - window, -1))
+
+
+class TestTailSum:
+    def test_bound_is_asked_once_a_term_is_negligible(self):
+        asked = []
+        bound = lambda n: asked.append(n) or 0.0
+        tail = TailSum()
+        assert not tail.add(1.0, 0, bound)
+        assert not tail.add(1e-3, 1, bound)
+        assert asked == []
+        assert tail.add(1e-16, 2, bound)
+        assert asked == [2]
+
+    def test_a_bound_not_below_rel_tol_leaves_the_window(self):
+        tail = TailSum()
+        tail.add(1.0, 0)
+        window = DEFAULT_CONTROL.divergence_window
+        for n in range(1, window):
+            assert not tail.add(0.0, n, lambda n: DEFAULT_CONTROL.rel_tol)
+        assert tail.add(0.0, window, lambda n: math.inf)
+
+    def test_an_all_zero_start_never_certifies(self):
+        # A zero bound is not below rel_tol times a zero total.
+        tail = TailSum()
+        window = DEFAULT_CONTROL.divergence_window
+        for n in range(window - 1):
+            assert not tail.add(0.0, n, lambda n: 0.0)
+        assert tail.add(0.0, window - 1, lambda n: 0.0)  # by the window
+
+    def test_nan_never_certifies(self):
+        # A NaN term makes the total NaN: no later term is negligible.
+        tail = TailSum()
+        for n, t in enumerate([math.nan, 0.0, 0.0]):
+            assert not tail.add(t, n, lambda n: 0.0)
+        # A NaN bound certifies nothing; the window ends the sum.
+        tail = TailSum()
+        tail.add(1.0, 0)
+        window = DEFAULT_CONTROL.divergence_window
+        for n in range(1, window):
+            assert not tail.add(1e-17, n, lambda n: math.nan)
+        assert tail.add(1e-17, window, lambda n: math.nan)
 
 
 class TestJacksonIntegral:
