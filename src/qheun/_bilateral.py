@@ -35,7 +35,7 @@ from itertools import zip_longest
 from operator import mul
 from typing import Sequence
 
-from .errors import QHeunError
+from .errors import ConvergenceError, QHeunError
 from .qcore import TailSum, q_pochhammer_ratio
 
 # A step factor (1 - y) closer to zero than this would divide out, or
@@ -148,7 +148,10 @@ class SpiralTerms:
             powers = [p / r for p, r in zip(powers, self.rates)]
         factors = [(1.0 - a * y, 1.0 - b * y) for a, b in pairs]
         if inv_pairs:
-            t = 1.0 / (s1 if upward else s)
+            s_inv = s1 if upward else s
+            if s_inv == 0:
+                raise ConvergenceError(f"spiral point s_{n1} underflows to 0, where its 1/s factors are undefined")
+            t = 1.0 / s_inv
             factors += [(1.0 - a * t, 1.0 - b * t) for a, b in inv_pairs]
         for f, g in factors:
             if abs(f) < RECOMPUTE_CUTOFF or abs(g) < RECOMPUTE_CUTOFF:
@@ -207,6 +210,8 @@ class SpiralTerms:
         if growing:
             if sum(1 for _, b in growing if b) < sum(1 for a, _ in growing if a):
                 return None
+            if upward and s * self.q == 0:
+                return None  # the next point underflows, where _step raises
             u = 1.0 / abs(s * self.q) if upward else abs(s / self.q)
             for a, b in growing:
                 if b:

@@ -5,7 +5,9 @@ accessory polynomial, the equation admits solutions given by bilateral
 series depending on a free anchor xi (g1, g2) and, at four special
 anchors, by finite sums of N + 1 Gauss-type q-hypergeometric terms
 (g3..g6).  The forms come in two convergence regimes: g3/g4 for small
-|x|, g5/g6 for large |x|.
+|x|, g5/g6 for large |x|.  Each finite sum is a FiniteSum table,
+evaluated by _finite_sum.finite_sum_rows; its scalar base is also the
+special anchor of the form.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from ._bilateral import bilateral_form
+from ._finite_sum import FiniteSum, QPower, finite_sum_rows
 from .accessory import (
     INTEGER_TOL,
     Poly,
@@ -25,7 +28,9 @@ from .accessory import (
     solve_accessory,
 )
 from .errors import ConvergenceError, ConvergenceHypothesisWarning, DomainError, PreconditionError, QHeunError
-from .qcore import phi_series, q_pochhammer_ratio
+# Unused here, but perfbench/test_perfbench.py::test_tracing_restores_every_wrapped_function
+# reads this module's binding of it.
+from .qcore import q_pochhammer_ratio  # noqa: F401
 from .qheun_op import QHeunParams
 from .qtransform import Seed, source_system
 
@@ -128,18 +133,17 @@ def family1_seed(setup: Family1Setup, which: Literal["h1", "h2"], E0: complex) -
     raise DomainError("which must be 'h1' or 'h2'")
 
 
-def _check_bilateral_hypotheses(setup: Family1Setup) -> None:
+def _bilateral_hypotheses_hold(setup: Family1Setup) -> bool:
+    """lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1, which the bilateral forms need."""
     p = setup.params
-    if not (setup.lambda2 + p.alpha1 > 1.0 and setup.lambda1 + p.alpha2 > 1.0):
-        raise PreconditionError(
-            "bilateral forms need lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1"
-        )
+    return setup.lambda2 + p.alpha1 > 1.0 and setup.lambda1 + p.alpha2 > 1.0
 
 
 def _bilateral_parts(setup: Family1Setup, which: BilateralName, xi: complex, x: complex):
     """Root-independent parts of g1/g2 at (xi, x): prefactor, products,
     the powers of xi that times c_k give the weights, and the rates."""
-    _check_bilateral_hypotheses(setup)
+    if not _bilateral_hypotheses_hold(setup):
+        raise PreconditionError("bilateral forms need lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1")
     if xi == 0 or x == 0:
         raise DomainError("xi and x must be nonzero")
     p = setup.params
@@ -218,8 +222,7 @@ def family1_unilateral(
     x: complex,
 ) -> complex:
     """Finite-sum solution g3..g6 at the point x, inside its domain."""
-    (value,) = family1_unilateral_rows(setup, which, [coeff_row(setup, E0)], x)
-    return value
+    return one_root(family1_unilateral_rows(setup, which, [coeff_row(setup, E0)], x))
 
 
 def family1_unilateral_rows(
@@ -228,104 +231,64 @@ def family1_unilateral_rows(
     rows: Sequence[Sequence[complex]],
     x: complex,
 ) -> list[complex]:
-    """g3..g6 at x for each coefficient row c_0..c_N of rows.
-
-    The terms c_k * scalar_k * ratio_k * series_k differ between the rows
-    only in c_k, so scalar, product ratio and series are formed once per
-    k and combined per row in the single-row order.
-    """
-    p = setup.params
-    q = p.q
-    lam1 = setup.lambda1
-    lam2 = setup.lambda2
-    N = setup.N
+    """g3..g6 at x for each coefficient row c_0..c_N of rows (finite_sum_rows)."""
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
     lo, hi = family1_domain(setup, which)
     if not (lo < abs(x) < hi):
         raise ConvergenceError(f"|x| = {abs(x)} outside the ({lo:.4g}, {hi:.4g}) domain of {which}")
-    if not (lam2 + p.alpha1 > 1.0 and lam1 + p.alpha2 > 1.0):
+    if not _bilateral_hypotheses_hold(setup):
         warnings.warn(
             "evaluating a unilateral form outside the bilateral hypotheses",
             ConvergenceHypothesisWarning,
             stacklevel=3,  # the caller of family1_unilateral
         )
-    if which in ("g3", "g4"):
-        z = q ** (-p.h1 + 0.5) * x / p.t1
-    else:
-        z = q ** (p.l1 + 0.5) * p.t1 / x
-
-    totals = [0.0 + 0.0j] * len(rows)
-    for k in range(N + 1):
-        if which == "g3":
-            scalar = (q ** (-lam1 + p.h1 - p.alpha1 + 0.5) * p.t1) ** k
-            ratio = q_pochhammer_ratio([q ** (-p.beta + 1.0 - k)], [q ** (lam1 + p.alpha2 + N - k)], q)
-            series = phi_series(
-                [q ** (lam1 + p.alpha1), q ** (lam1 + p.alpha2 + N - k)],
-                [q ** (-p.beta + 1.0 - k)],
-                q,
-                z,
-            )
-        elif which == "g4":
-            scalar = (q ** (-lam1 - p.alpha1 + 1.0) * x) ** k
-            ratio = q_pochhammer_ratio([q ** (p.beta + k + 1.0)], [q ** (lam2 + p.alpha1 + k)], q)
-            series = phi_series(
-                [q ** (lam2 + p.alpha2 + N), q ** (lam2 + p.alpha1 + k)],
-                [q ** (p.beta + k + 1.0)],
-                q,
-                z,
-            )
-        elif which == "g5":
-            scalar = (q ** (p.l1 + 0.5) * p.t1) ** k
-            ratio = q_pochhammer_ratio(
-                [q ** (p.alpha1 - p.alpha2 - N + k + 1.0)], [q ** (lam2 + p.alpha1 + k)], q
-            )
-            series = phi_series(
-                [q ** (lam1 + p.alpha1), q ** (lam2 + p.alpha1 + k)],
-                [q ** (p.alpha1 - p.alpha2 - N + k + 1.0)],
-                q,
-                z,
-            )
-        else:
-            scalar = x ** (k - N)
-            ratio = q_pochhammer_ratio(
-                [q ** (-p.alpha1 + p.alpha2 + 1.0 + N - k)], [q ** (lam1 + p.alpha2 + N - k)], q
-            )
-            series = phi_series(
-                [q ** (lam2 + p.alpha2 + N), q ** (lam1 + p.alpha2 + N - k)],
-                [q ** (-p.alpha1 + p.alpha2 + 1.0 + N - k)],
-                q,
-                z,
-            )
-        totals = [total + scalar * c[k] * ratio * series for total, c in zip(totals, rows)]
-
-    if which == "g3":
-        factor = x ** lam1
-    elif which == "g4":
-        factor = x ** lam2
-    elif which == "g5":
-        factor = x ** (-p.alpha1)
-    else:
-        factor = x ** (-p.alpha2)
-    return [factor * total for total in totals]
+    return finite_sum_rows(_unilateral_table(setup, which, x), rows)
 
 
-def family1_special_anchor(setup: Family1Setup, which: UnilateralName, x: complex) -> complex:
-    """Anchor value at which the matching bilateral form collapses to `which`.
+def _unilateral_table(setup: Family1Setup, which: UnilateralName, x: complex) -> FiniteSum:
+    """The FiniteSum of g3..g6 at the nonzero x.
 
-    g5 and g3 arise at fixed anchors; g4 and g6 arise at anchors
-    proportional to x.
+    Term k carries (b; q)_inf / (a; q)_inf times 2phi1(u, a; b; q, z),
+    where the upper parameter a and the lower parameter b move with k.
     """
     p = setup.params
     q = p.q
     lam1 = setup.lambda1
-    if which == "g5":
-        return q ** (p.l1 + 0.5) * p.t1
-    if which == "g4":
-        return q ** (-lam1 - p.alpha1 + 1.0) * complex(x)
+    lam2 = setup.lambda2
+    N = setup.N
+    shift = 0
     if which == "g3":
-        return q ** (-lam1 + p.h1 - p.alpha1 + 0.5) * p.t1
-    if which == "g6":
-        return complex(x)
-    raise DomainError("which must be one of g3..g6")
+        base, power = q ** (-lam1 + p.h1 - p.alpha1 + 0.5) * p.t1, lam1
+        u, a, b = q ** (lam1 + p.alpha1), QPower(lam1 + p.alpha2 + N, -1), QPower(-p.beta + 1.0, -1)
+    elif which == "g4":
+        base, power = q ** (-lam1 - p.alpha1 + 1.0) * x, lam2
+        u, a, b = q ** (lam2 + p.alpha2 + N), QPower(lam2 + p.alpha1, 1), QPower(p.beta, 1, 1.0)
+    elif which == "g5":
+        base, power = q ** (p.l1 + 0.5) * p.t1, -p.alpha1
+        u, a, b = q ** (lam1 + p.alpha1), QPower(lam2 + p.alpha1, 1), QPower(p.alpha1 - p.alpha2 - N, 1, 1.0)
+    elif which == "g6":
+        base, shift, power = x, -N, -p.alpha2
+        u, a = q ** (lam2 + p.alpha2 + N), QPower(lam1 + p.alpha2 + N, -1)
+        b = QPower(-p.alpha1 + p.alpha2 + 1.0 + N, -1)
+    else:
+        raise DomainError("which must be one of g3..g6")
+    if which in ("g3", "g4"):
+        z = q ** (-p.h1 + 0.5) * x / p.t1
+    else:
+        z = q ** (p.l1 + 0.5) * p.t1 / x
+    return FiniteSum(q, N, x, base, shift, (u, a), (b,), z, power, ratio=((b,), (a,)))
+
+
+def family1_special_anchor(setup: Family1Setup, which: UnilateralName, x: complex) -> complex:
+    """Anchor value at which the matching bilateral form collapses to `which`:
+    the scalar base of that form's FiniteSum at x.
+
+    g5 and g3 arise at fixed anchors; g4 and g6 arise at anchors
+    proportional to x.
+    """
+    x = complex(x)
+    if x == 0:
+        raise DomainError("x must be nonzero")
+    return _unilateral_table(setup, which, x).base

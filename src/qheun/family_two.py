@@ -6,8 +6,10 @@ the eigenvalue annihilates the family's accessory polynomial.  Under
 that condition the equation admits finite sums of N + 1 q-hypergeometric
 terms with two numerator rows (g3..g5, homogeneous) and a triple
 g6..g8 whose members each solve the same inhomogeneous equation, so
-that pairwise differences are again solutions.  The bilateral forms g1
-and g2 solve explicit inhomogeneous equations as well.
+that pairwise differences are again solutions.  Each finite sum is a
+FiniteSum table, evaluated by _finite_sum.finite_sum_rows.  The
+bilateral forms g1 and g2 solve explicit inhomogeneous equations as
+well.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from ._bilateral import bilateral_form
+from ._finite_sum import FiniteSum, QPower, finite_sum_rows
 from .accessory import (
     INTEGER_TOL,
     Poly,
@@ -29,7 +32,7 @@ from .accessory import (
     solve_accessory,
 )
 from .errors import ConvergenceError, DomainError, PreconditionError, QHeunError
-from .qcore import phi_series, q_pochhammer_ratio, theta
+from .qcore import theta
 from .qheun_op import QHeunParams
 from .qtransform import Seed, seed_weight_exponent, source_system
 
@@ -278,102 +281,7 @@ def family2_homogeneous(
     q^(lambda1 + alpha2 + N - k); lambda1 + alpha2 > 0 is required for
     convergence of every term.
     """
-    (value,) = family2_homogeneous_rows(setup, which, [coeff_row(setup, E0)], x)
-    return value
-
-
-def family2_homogeneous_rows(
-    setup: Family2Setup,
-    which: HomogeneousName,
-    rows: Sequence[Sequence[complex]],
-    x: complex,
-) -> list[complex]:
-    """g3, g4 or g5 at x for each coefficient row c_0..c_N of rows.
-
-    Scalar, series and prefactor are formed once and combined per row in
-    the single-row order.
-    """
-    p = setup.params
-    q = p.q
-    lam = setup.lambda1
-    N = setup.N
-    if not lam + p.alpha2 > 0.0:
-        raise ConvergenceError("series argument needs lambda1 + alpha2 > 0")
-    x = complex(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
-    totals = [0.0 + 0.0j] * len(rows)
-    for k in range(N + 1):
-        z = q ** (lam + p.alpha2 + N - k)
-        if which == "g3":
-            scalar = (q ** (-lam + p.h1 - p.alpha1 + 0.5) * p.t1) ** k
-            series = phi_series(
-                [
-                    q ** (lam - p.h1 + p.l1 + p.alpha1),
-                    q ** (lam - p.h1 + p.l2 + p.alpha1) * p.t2 / p.t1,
-                    q ** (-p.h1 + 0.5) * x / p.t1,
-                ],
-                [
-                    q ** (-p.h1 + p.h2 + 1.0) * p.t2 / p.t1,
-                    q ** (lam - p.h1 + p.alpha1 + 0.5) * x / p.t1,
-                ],
-                q,
-                z,
-            )
-        elif which == "g4":
-            scalar = (q ** (-lam + p.h2 - p.alpha1 + 0.5) * p.t2) ** k
-            series = phi_series(
-                [
-                    q ** (lam - p.h2 + p.l1 + p.alpha1) * p.t1 / p.t2,
-                    q ** (lam - p.h2 + p.l2 + p.alpha1),
-                    q ** (-p.h2 + 0.5) * x / p.t2,
-                ],
-                [
-                    q ** (p.h1 - p.h2 + 1.0) * p.t1 / p.t2,
-                    q ** (lam - p.h2 + p.alpha1 + 0.5) * x / p.t2,
-                ],
-                q,
-                z,
-            )
-        else:
-            scalar = x ** (k - N)
-            series = phi_series(
-                [
-                    q ** (p.l1 + 0.5) * p.t1 / x,
-                    q ** (p.l2 + 0.5) * p.t2 / x,
-                    q ** (-lam - p.alpha1 + 1.0),
-                ],
-                [
-                    q ** (-lam + p.h1 - p.alpha1 + 1.5) * p.t1 / x,
-                    q ** (-lam + p.h2 - p.alpha1 + 1.5) * p.t2 / x,
-                ],
-                q,
-                z,
-            )
-        totals = [total + scalar * c[k] * series for total, c in zip(totals, rows)]
-
-    if which == "g3":
-        pref = x ** lam * q_pochhammer_ratio(
-            [q ** (lam - p.h1 + p.alpha1 + 0.5) * x / p.t1],
-            [q ** (-p.h1 + 0.5) * x / p.t1],
-            q,
-        )
-    elif which == "g4":
-        pref = x ** lam * q_pochhammer_ratio(
-            [q ** (lam - p.h2 + p.alpha1 + 0.5) * x / p.t2],
-            [q ** (-p.h2 + 0.5) * x / p.t2],
-            q,
-        )
-    else:
-        pref = x ** (-p.alpha2) * q_pochhammer_ratio(
-            [
-                q ** (-lam + p.h1 - p.alpha1 + 1.5) * p.t1 / x,
-                q ** (-lam + p.h2 - p.alpha1 + 1.5) * p.t2 / x,
-            ],
-            [q ** (p.l1 + 0.5) * p.t1 / x, q ** (p.l2 + 0.5) * p.t2 / x],
-            q,
-        )
-    return [pref * total for total in totals]
+    return one_root(family2_finite_rows(setup, which, [coeff_row(setup, E0)], x))
 
 
 def family2_inhomogeneous_triple(
@@ -384,102 +292,64 @@ def family2_inhomogeneous_triple(
 ) -> complex:
     """Member of the g6..g8 triple; each solves the same inhomogeneous
     equation as g1, so pairwise differences are homogeneous solutions."""
-    (value,) = family2_triple_rows(setup, which, [coeff_row(setup, E0)], x)
-    return value
+    return one_root(family2_finite_rows(setup, which, [coeff_row(setup, E0)], x))
 
 
-def family2_triple_rows(
+def family2_finite_rows(
     setup: Family2Setup,
-    which: TripleName,
+    which: HomogeneousName | TripleName,
     rows: Sequence[Sequence[complex]],
     x: complex,
 ) -> list[complex]:
-    """g6, g7 or g8 at x for each coefficient row c_0..c_N of rows.
+    """g3..g8 at x for each coefficient row c_0..c_N of rows (finite_sum_rows).
 
-    Scalar, series and prefactor are formed once and combined per row in
-    the single-row order.
+    Each sums 3phi2(a1, a2, a3; b1, b2; q, z_k) series.  g3/g4 take
+    z_k = q**(lambda1 + alpha2 + N - k) and the prefactor
+    x**lambda1 (b2; q)_inf / (a3; q)_inf, g5 the same z_k and
+    x**(-alpha2) (b1, b2; q)_inf / (a1, a2; q)_inf; g6..g8 take
+    z_k = q**(k + 1) and (1 - q) x**(-alpha1) (q, b1, b2; q)_inf / (a1, a2, a3; q)_inf.
+    g3/g4 and g6/g7 are mirror images under the swap of the indices 1, 2.
     """
     p = setup.params
     q = p.q
     lam = setup.lambda1
     N = setup.N
+    if which in ("g3", "g4", "g5") and not lam + p.alpha2 > 0.0:
+        raise ConvergenceError("series argument needs lambda1 + alpha2 > 0")
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
-    if which == "g6":
-        l_a, l_b = p.l1, p.l2
-        t_a, t_b = p.t1, p.t2
-    elif which == "g7":
-        l_a, l_b = p.l2, p.l1
-        t_a, t_b = p.t2, p.t1
-    elif which != "g8":
-        raise DomainError("which must be one of g6..g8")
-
-    totals = [0.0 + 0.0j] * len(rows)
-    for k in range(N + 1):
-        z = q ** (k + 1.0)
-        if which in ("g6", "g7"):
-            scalar = (q ** (l_a + 0.5) * t_a) ** (k + 1)
-            series = phi_series(
-                [
-                    q ** (lam - p.h1 + l_a + p.alpha1) * (t_a / p.t1 if which == "g7" else 1.0),
-                    q ** (lam - p.h2 + l_a + p.alpha1) * (t_a / p.t2 if which == "g6" else 1.0),
-                    q ** (l_a + 0.5) * t_a / x,
-                ],
-                [
-                    q ** (l_a - l_b + 1.0) * t_a / t_b,
-                    q ** (lam + l_a + p.alpha1 + 0.5) * t_a / x,
-                ],
-                q,
-                z,
-            )
-        else:
-            scalar = (q ** (-lam - p.alpha1 + 1.0) * x) ** (k + 1)
-            series = phi_series(
-                [
-                    q ** (-lam - p.alpha1 + 1.0),
-                    q ** (-p.h1 + 0.5) * x / p.t1,
-                    q ** (-p.h2 + 0.5) * x / p.t2,
-                ],
-                [
-                    q ** (-lam - p.l1 - p.alpha1 + 1.5) * x / p.t1,
-                    q ** (-lam - p.l2 - p.alpha1 + 1.5) * x / p.t2,
-                ],
-                q,
-                z,
-            )
-        totals = [total + scalar * c[k] * series for total, c in zip(totals, rows)]
-
-    if which in ("g6", "g7"):
-        pref = q_pochhammer_ratio(
-            [
-                q,
-                q ** (l_a - l_b + 1.0) * t_a / t_b,
-                q ** (lam + l_a + p.alpha1 + 0.5) * t_a / x,
-            ],
-            [
-                q ** (lam - p.h1 + l_a + p.alpha1) * (t_a / p.t1 if which == "g7" else 1.0),
-                q ** (lam - p.h2 + l_a + p.alpha1) * (t_a / p.t2 if which == "g6" else 1.0),
-                q ** (l_a + 0.5) * t_a / x,
-            ],
-            q,
-        )
+    one, two = (p.h1, p.l1, p.t1), (p.h2, p.l2, p.t2)
+    (h, l, t), (h_o, l_o, t_o) = (one, two) if which in ("g3", "g6") else (two, one)
+    if which in ("g3", "g4"):
+        own, other = q ** (lam - h + l + p.alpha1), q ** (lam - h + l_o + p.alpha1) * t_o / t
+        upper = ((own, other) if which == "g3" else (other, own)) + (q ** (-h + 0.5) * x / t,)
+        lower = (q ** (-h + h_o + 1.0) * t_o / t, q ** (lam - h + p.alpha1 + 0.5) * x / t)
+        base, shift, power = q ** (-lam + h - p.alpha1 + 0.5) * t, 0, lam
+        prefactor_ratio = lower[1:], upper[2:]
+    elif which == "g5":
+        upper = tuple(q ** (l_i + 0.5) * t_i / x for _, l_i, t_i in (one, two)) + (q ** (-lam - p.alpha1 + 1.0),)
+        lower = tuple(q ** (-lam + h_i - p.alpha1 + 1.5) * t_i / x for h_i, _, t_i in (one, two))
+        base, shift, power = x, -N, -p.alpha2
+        prefactor_ratio = lower, upper[:2]
+    elif which in ("g6", "g7"):
+        own, other = q ** (lam - h + l + p.alpha1), q ** (lam - h_o + l + p.alpha1) * (t / t_o)
+        upper = ((own, other) if which == "g6" else (other, own)) + (q ** (l + 0.5) * t / x,)
+        lower = (q ** (l - l_o + 1.0) * t / t_o, q ** (lam + l + p.alpha1 + 0.5) * t / x)
+        base = q ** (l + 0.5) * t
+    elif which == "g8":
+        upper = (q ** (-lam - p.alpha1 + 1.0),) + tuple(q ** (-h_i + 0.5) * x / t_i for h_i, _, t_i in (one, two))
+        lower = tuple(q ** (-lam - l_i - p.alpha1 + 1.5) * x / t_i for _, l_i, t_i in (one, two))
+        base = q ** (-lam - p.alpha1 + 1.0) * x
     else:
-        pref = q_pochhammer_ratio(
-            [
-                q,
-                q ** (-lam - p.l1 - p.alpha1 + 1.5) * x / p.t1,
-                q ** (-lam - p.l2 - p.alpha1 + 1.5) * x / p.t2,
-            ],
-            [
-                q ** (-lam - p.alpha1 + 1.0),
-                q ** (-p.h1 + 0.5) * x / p.t1,
-                q ** (-p.h2 + 0.5) * x / p.t2,
-            ],
-            q,
-        )
-    factor = (1.0 - q) * x ** (-p.alpha1) * pref
-    return [factor * total for total in totals]
+        raise DomainError("which must be one of g3..g8")
+    if which in ("g3", "g4", "g5"):
+        z, constant = QPower(lam + p.alpha2 + N, -1), None
+    else:
+        z, constant, shift, power = QPower(0.0, 1, 1.0), 1.0 - q, 1, -p.alpha1
+        prefactor_ratio = (q, *lower), upper
+    spec = FiniteSum(q, N, x, base, shift, upper, lower, z, power, constant, prefactor_ratio)
+    return finite_sum_rows(spec, rows)
 
 
 def family2_pole_spirals(setup: Family2Setup) -> list[complex]:

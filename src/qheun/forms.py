@@ -34,10 +34,9 @@ from .errors import PreconditionError, QHeunError
 from .family_one import family1_bilateral_rows, family1_residual_band, family1_setup, family1_unilateral_rows
 from .family_two import (
     family2_bilateral_rows,
-    family2_homogeneous_rows,
+    family2_finite_rows,
     family2_pole_spirals,
     family2_setup,
-    family2_triple_rows,
     g1_inhomogeneity,
     g2_inhomogeneity,
 )
@@ -170,18 +169,14 @@ def _bilateral2(name: str) -> Callable:
     return lambda st, rows, xi, x: family2_bilateral_rows(st, name, rows, xi, x)
 
 
-def _homogeneous2(name: str) -> Callable:
-    return lambda st, rows, xi, x: family2_homogeneous_rows(st, name, rows, x)
-
-
-def _triple2(a: str, b: str | None = None) -> Callable:
-    """Member a of the g6..g8 triple, or the difference a - b."""
+def _finite2(a: str, b: str | None = None) -> Callable:
+    """Finite sum a of g3..g8, or the difference a - b."""
     if b is None:
-        return lambda st, rows, xi, x: family2_triple_rows(st, a, rows, x)
+        return lambda st, rows, xi, x: family2_finite_rows(st, a, rows, x)
 
     def kernel(st, rows, xi, x) -> list:
-        first = family2_triple_rows(st, a, rows, x)
-        return [u - v for u, v in zip(first, family2_triple_rows(st, b, rows, x))]
+        first = family2_finite_rows(st, a, rows, x)
+        return [u - v for u, v in zip(first, family2_finite_rows(st, b, rows, x))]
 
     return kernel
 
@@ -227,14 +222,14 @@ FAMILIES: dict[str, Family] = {
         (
             _form2("g1", _bilateral2("g1"), _g1_defect, needs_xi=True),
             _form2("g2", _bilateral2("g2"), lambda st, xi, x: g2_inhomogeneity(st, xi, x), needs_xi=True),
-            _form2("g3", _homogeneous2("g3")),
-            _form2("g4", _homogeneous2("g4")),
-            _form2("g5", _homogeneous2("g5")),
-            _form2("g6-g7", _triple2("g6", "g7")),
-            _form2("g7-g8", _triple2("g7", "g8")),
-            _form2("g6", _triple2("g6"), _g1_defect),
-            _form2("g7", _triple2("g7"), _g1_defect),
-            _form2("g8", _triple2("g8"), _g1_defect),
+            _form2("g3", _finite2("g3")),
+            _form2("g4", _finite2("g4")),
+            _form2("g5", _finite2("g5")),
+            _form2("g6-g7", _finite2("g6", "g7")),
+            _form2("g7-g8", _finite2("g7", "g8")),
+            _form2("g6", _finite2("g6"), _g1_defect),
+            _form2("g7", _finite2("g7"), _g1_defect),
+            _form2("g8", _finite2("g8"), _g1_defect),
         ),
     ),
 }

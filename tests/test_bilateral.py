@@ -1,16 +1,18 @@
 """The spiral-stepping primitive: stepped values against direct products,
 and where its walks stop."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qheun import _bilateral, qtransform
 from qheun._bilateral import SpiralTerms, weighted_bilateral
-from qheun.errors import PoleError
+from qheun.errors import ConvergenceError, PoleError
 from qheun.family_one import family1_seed, family1_source_params
 from qheun.family_two import family2_seed, family2_source_params
 from qheun.forms import FAMILIES
-from qheun.qcore import DEFAULT_CONTROL, TailSum, bilateral_sum, q_pochhammer, q_pochhammer_ratio
+from qheun.qcore import DEFAULT_CONTROL, TailSum, _one_sided_sum, bilateral_sum, q_pochhammer, q_pochhammer_ratio
 from qheun.qtransform import TransformSpec, transform
 from qheun.sampling import random_family1_params, random_family2_params
 
@@ -273,6 +275,16 @@ class TestTailBound:
             n += 1
         assert terms.point(n) == 0
         assert tail.total == pytest.approx(1 / (1 - 0.995), rel=1e-12)
+
+    def test_a_walk_with_inverse_factors_past_the_underflow_raises_typed(self):
+        # 1/s factors are undefined once s_n underflows to 0, past n = 1074.
+        def walk():
+            return SpiralTerms([], [], [1.0], [0.995], 0.5, 1.0, [0.2], [0.2 * (1 + 1e-9)])
+
+        with pytest.raises(ConvergenceError, match="underflows"):
+            _one_sided_sum(walk(), 0, 1, DEFAULT_CONTROL)
+        # At the last nonzero point the next one underflows: no bound is certified.
+        assert walk().tail_bound(1074) == math.inf
 
     @staticmethod
     def exact_side(mp, terms, start, step, stop):

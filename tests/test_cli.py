@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qheun import _bilateral, family_one, family_two, forms
+from qheun import _bilateral, _finite_sum, forms
 from qheun.accessory import (
     backward_error, exponent_at_origin, polynomial_at_root, polynomial_solution, require_root, root_certificate,
 )
@@ -378,12 +378,12 @@ class TestSharedWork:
         return calls
 
     def test_family2_g3_series_once_per_term_and_point(self, tmp_path, runner, monkeypatch):
-        calls = self.counting(monkeypatch, family_two, "phi_series")
+        calls = self.counting(monkeypatch, _finite_sum, "phi_series")
         self.run_verify(tmp_path, runner, "family2", random_family2_params, "g3")
         assert len(calls) == 3 * self.POINTS * (self.N + 1)  # 150 with one pass per root
 
     def test_family1_g3_products_once_per_term_and_point(self, tmp_path, runner, monkeypatch):
-        calls = self.counting(monkeypatch, family_one, "q_pochhammer_ratio")
+        calls = self.counting(monkeypatch, _finite_sum, "q_pochhammer_ratio")
         self.run_verify(tmp_path, runner, "family1", random_family1_params, "g3")
         assert len(calls) == 3 * self.POINTS * (self.N + 1)
 

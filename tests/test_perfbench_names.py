@@ -52,3 +52,26 @@ def test_workloads_lookups_are_found():
 )
 def test_name_resolves_in_qheun(module, function):
     assert callable(getattr(importlib.import_module(f"qheun.{module}"), function))
+
+
+def binding_reads() -> list[tuple[str, str]]:
+    """(module, name) of every ``before[("qheun.<module>", "<name>")]`` in
+    test_perfbench.py: a module binding its tracing test reads."""
+    tree = ast.parse((PERFBENCH / "test_perfbench.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "before":
+            key = node.slice
+            if isinstance(key, ast.Tuple) and all(isinstance(e, ast.Constant) for e in key.elts):
+                module, name = (e.value for e in key.elts)
+                found.append((module, name))
+    return found
+
+
+def test_binding_reads_are_found():
+    assert ("qheun.family_one", "q_pochhammer_ratio") in binding_reads()
+
+
+@pytest.mark.parametrize("module, name", binding_reads())
+def test_binding_read_exists(module, name):
+    assert hasattr(importlib.import_module(module), name)
