@@ -26,8 +26,6 @@ from .qheun_op import (
     HahnCoefficients,
     QHeunParams,
     ResidualReport,
-    apply_qheun,
-    default_grid,
     hahn_coefficients,
     residual_report,
 )
@@ -38,11 +36,9 @@ from .accessory import (
     accessory_poly,
     accessory_poly_expanded,
     apparent_singularity_check,
-    coefficient_polys,
     exponent_at_origin,
     poly_roots,
     polynomial_solution,
-    power_series_solution,
     recurrence_coeffs,
 )
 from .qtransform import (
@@ -51,7 +47,6 @@ from .qtransform import (
     TransformSpec,
     boundary_limits,
     boundary_terms,
-    gauge_transform,
     kernel_value,
     param_map,
     source_system,

@@ -17,22 +17,17 @@ from typing import Callable
 
 import numpy as np
 
-from .accessory import (
-    accessory_poly,
-    accessory_poly_expanded,
-    apparent_singularity_check,
-    coeff_gap,
-)
+from .accessory import accessory_poly, accessory_poly_expanded, coeff_gap
 from .errors import QHeunError
 from .family_one import family1_bilateral, family1_seed, family1_source_params
 from .family_two import (
+    apparent_equivalence,
     family2_bilateral,
     family2_homogeneous,
     family2_pole_spirals,
     family2_seed,
     family2_setup,
     family2_source_params,
-    polys_match,
 )
 from .forms import FAMILIES
 from .qcore import SeriesControl, phi_series, q_pochhammer, q_pochhammer_ratio, theta
@@ -105,16 +100,11 @@ def family2_apparent() -> tuple[bool, str]:
     rng = np.random.default_rng(303)
     worst = 0.0
     checks = True
-    for i in range(50):
+    for _ in range(50):
         N = int(rng.integers(0, 6))
-        p = random_family2_params(rng, N)
-        st = family2_setup(p, N)
+        st = family2_setup(random_family2_params(rng, N), N)
         worst = max(worst, coeff_gap(st.accessory, st.d_poly))
-        if not polys_match(st.accessory, st.d_poly):
-            checks = False
-        for r in st.roots:
-            if not apparent_singularity_check(p, r, N):
-                checks = False
+        checks = apparent_equivalence(st) and checks
     return checks and worst < 1e-10, f"max coeff diff {worst:.2e}"
 
 

@@ -182,12 +182,6 @@ def run_poly_recursion(
     return polys, closing.scaled(xs_product)
 
 
-def coefficient_polys(p: QHeunParams, N: int) -> list[Poly]:
-    """Eigenvalue polynomials c_0(E)..c_N(E) of the local series coefficients."""
-    polys, _ = run_poly_recursion(lambda n: recurrence_coeffs(p, n), N, abs(p.t1 * p.t2))
-    return polys
-
-
 def accessory_poly(p: QHeunParams, N: int) -> Poly:
     """Monic degree-(N+1) accessory polynomial, built from the recurrence."""
     _, c = run_poly_recursion(lambda n: recurrence_coeffs(p, n), N, abs(p.t1 * p.t2))
@@ -378,18 +372,12 @@ def one_root(results: Sequence) -> complex:
     return value
 
 
-def series_coefficients(
-    p: QHeunParams,
-    E: complex,
-    M: int,
-    free_coeff: complex | None = None,
-) -> list[complex]:
+def series_coefficients(p: QHeunParams, E: complex, M: int) -> list[complex]:
     """Numeric local-series coefficients c_0..c_M at a fixed eigenvalue.
 
-    When beta equals an integer n0 in {1..M} (within tolerance) the
-    leading recurrence factor vanishes at n0; the relation must then be
-    consistent and the undetermined coefficient is set to free_coeff.
-    With free_coeff None such a degenerate index raises instead.
+    Raises DegenerateRecurrence where the leading recurrence factor
+    vanishes at some index n in {1..M} (beta an integer there), which
+    leaves c_n undetermined.
     """
     if M < 1:
         raise DomainError("M must be at least 1")
@@ -399,34 +387,12 @@ def series_coefficients(
     c_prev1 = 1.0 + 0.0j
     for n in range(1, M + 1):
         rc = recurrence_coeffs(p, n)
-        rhs = c_prev1 * (complex(E) + rc.y) - c_prev2 * rc.z
         if abs(rc.x) < DEGENERATE_REL * scale:
-            consistency_scale = max(abs(c_prev1 * (complex(E) + rc.y)), abs(c_prev2 * rc.z), 1e-300)
-            if abs(rhs) / consistency_scale > 1e-9:
-                raise DegenerateRecurrence(
-                    f"recurrence inconsistent at n = {n}: no series with c_0 = 1 exists"
-                )
-            if free_coeff is None:
-                raise DegenerateRecurrence(
-                    f"coefficient c_{n} is undetermined; pass free_coeff to choose it"
-                )
-            c_n = complex(free_coeff)
-        else:
-            c_n = rhs / rc.x
+            raise DegenerateRecurrence(f"leading coefficient x_{n} vanishes: c_{n} is undetermined")
+        c_n = (c_prev1 * (complex(E) + rc.y) - c_prev2 * rc.z) / rc.x
         out.append(c_n)
         c_prev2, c_prev1 = c_prev1, c_n
     return out
-
-
-def power_series_solution(
-    p: QHeunParams,
-    E: complex,
-    M: int,
-    free_coeff: complex | None = None,
-) -> SeriesSolution:
-    """Truncated local series solution with c_0 = 1 and M + 1 coefficients."""
-    coeffs = series_coefficients(p, E, M, free_coeff=free_coeff)
-    return SeriesSolution(exponent=exponent_at_origin(p), coeffs=tuple(coeffs))
 
 
 def polynomial_degree(p: QHeunParams) -> tuple[int, int] | None:

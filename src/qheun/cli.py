@@ -27,8 +27,9 @@ SCHEMA = "qheun/1"
 PARAM_KEYS = ("h1", "h2", "l1", "l2", "alpha1", "alpha2", "beta")
 
 # Errors that end a command with exit 2 before any check runs
-# (json.JSONDecodeError is a ValueError).
-CONFIG_ERRORS = (QHeunError, OSError, ValueError)
+# (json.JSONDecodeError is a ValueError; an ArithmeticError is a setup
+# or grid that overflows or divides by zero at extreme parameters).
+CONFIG_ERRORS = (QHeunError, OSError, ValueError, ArithmeticError)
 
 
 @dataclass
@@ -56,6 +57,15 @@ def _as_complex(value) -> complex:
             raise PreconditionError("complex values must be [re, im] pairs")
         return complex(float(value[0]), float(value[1]))
     return complex(float(value), 0.0)
+
+
+def _integer(value) -> int:
+    """An integral JSON number; a bool, a string or a fraction is malformed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, not {type(value).__name__}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, not {value!r}")
+    return int(value)
 
 
 def _text(value) -> str:
@@ -105,17 +115,17 @@ def load_config(path: str, **overrides) -> JobConfig:
     return JobConfig(
         params=params,
         family=family,
-        N=read("N", int, 0),
+        N=read("N", _integer, 0),
         solution=raw.get("solution"),
-        grid_count=read("grid_count", int, 20),
+        grid_count=read("grid_count", _integer, 20),
         grid_rmin=read("grid_rmin", nullable(float)),
         grid_rmax=read("grid_rmax", nullable(float)),
-        seed=read("seed", int, 0),
+        seed=read("seed", _integer, 0),
         fmt=fmt,
         out=read("out", nullable(_text)),
         tol=read("tol", float, 1e-8),
         xi=read("xi", nullable(_as_complex)),
-        root_index=read("root_index", int, 0),
+        root_index=read("root_index", _integer, 0),
         e_offset=read("e_offset", float, 0.0),
         points=read("points", lambda values: [_as_complex(v) for v in values], []),
     )

@@ -279,16 +279,3 @@ def _unilateral_table(setup: Family1Setup, which: UnilateralName, x: complex) ->
     else:
         z = q ** (p.l1 + 0.5) * p.t1 / x
     return FiniteSum(q, N, x, base, shift, (u, a), (b,), z, power, ratio=((b,), (a,)))
-
-
-def family1_special_anchor(setup: Family1Setup, which: UnilateralName, x: complex) -> complex:
-    """Anchor value at which the matching bilateral form collapses to `which`:
-    the scalar base of that form's FiniteSum at x.
-
-    g5 and g3 arise at fixed anchors; g4 and g6 arise at anchors
-    proportional to x.
-    """
-    x = complex(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
-    return _unilateral_table(setup, which, x).base

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .accessory import Poly, accessory_poly, coeff_row, one_root, poly_roots, polynomial_at_root
-from .errors import PreconditionError, QHeunError
+from .errors import DomainError, PreconditionError, QHeunError
 from .family_one import family1_bilateral_rows, family1_residual_band, family1_setup, family1_unilateral_rows
 from .family_two import (
     family2_bilateral_rows,
@@ -54,6 +54,13 @@ class GenericSetup:
 def generic_setup(p: QHeunParams, N: int) -> GenericSetup:
     cpoly = accessory_poly(p, N)
     return GenericSetup(p, N, cpoly, tuple(poly_roots(cpoly)))
+
+
+def _out_of_range(exc: ArithmeticError, x: complex) -> DomainError:
+    """The typed error for a float overflow or a division by zero at x."""
+    err = DomainError(f"{type(exc).__name__} at x = {complex(x)!r}: {exc}")
+    err.__cause__ = exc
+    return err
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,14 @@ class Form:
     def _inhomogeneity(self, setup, xi) -> Callable | None:
         if self.inhomogeneity is None:
             return None
-        return lambda x: self.inhomogeneity(setup, xi, x)
+
+        def T(x: complex) -> complex:
+            try:
+                return self.inhomogeneity(setup, xi, x)
+            except ArithmeticError as exc:
+                raise _out_of_range(exc, x)
+
+        return T
 
     def evaluate(self, setup, E0s, xi) -> Callable:
         """g(y, live): the value at y of the form at E0s[j], or its
@@ -90,7 +104,9 @@ class Form:
         Each E0 is resolved once, here.  One that fails keeps its error,
         which g returns at the first point it is asked at, so that the
         error carries that point.  At each y the kernel runs once for
-        the rows still live; a QHeunError it raises goes to all of them.
+        the rows still live; a QHeunError it raises goes to all of them,
+        and so does a float overflow or division by zero, as a DomainError
+        that names y.
         """
         rows = []
         for E0 in E0s:
@@ -105,6 +121,8 @@ class Form:
                 values = iter(self.kernel(setup, good, xi, y) if good else ())
             except QHeunError as exc:
                 values = itertools.repeat(exc)
+            except ArithmeticError as exc:
+                values = itertools.repeat(_out_of_range(exc, y))
             return [rows[j] if isinstance(rows[j], QHeunError) else next(values) for j in live]
 
         return g

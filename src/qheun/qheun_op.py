@@ -107,16 +107,6 @@ def stencil_weights(p: QHeunParams, x: complex) -> tuple[complex, complex, compl
     return down, up, mid
 
 
-def apply_qheun(p: QHeunParams, g: Callable[[complex], complex], x: complex) -> complex:
-    """Apply the q-Heun operator to g at the point x.
-
-    g is evaluated once at each stencil point, in the order x/q, qx, x.
-    """
-    w_down, w_up, w_mid = stencil_weights(p, x)
-    x = complex(x)
-    return w_down * g(x / p.q) + w_up * g(p.q * x) + w_mid * g(x)
-
-
 def hahn_coefficients(p: QHeunParams, E: complex) -> HahnCoefficients:
     """Nine polynomial coefficients of the cleared eigen-equation.
 
@@ -297,9 +287,3 @@ def grid_points(
         else:
             raise DomainError("could not place a grid point off the singular spirals")
     return pts
-
-
-def default_grid(p: QHeunParams, count: int = 20, seed: int = 0) -> list[complex]:
-    """Verification grid: 20 log-spaced moduli around min(|t1|, |t2|)."""
-    m = min(abs(p.t1), abs(p.t2))
-    return grid_points(p.q, singular_spirals(p), count, 0.1 * m, 10.0 * m, seed=seed)

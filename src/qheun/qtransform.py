@@ -1,4 +1,4 @@
-"""q-integral transforms between q-Heun systems, and gauge transforms.
+"""q-integral transforms between q-Heun systems.
 
 A solution h of a source system maps to a solution g of a target
 system through a Jackson integral against one of two kernels.  The
@@ -17,7 +17,7 @@ from typing import Callable, Literal, Sequence
 from ._bilateral import SpiralTerms, spiral_product
 from .accessory import horner
 from .errors import DomainError, NoLimit, PreconditionError
-from .qcore import DEFAULT_CONTROL, SeriesControl, bilateral_sum, q_pochhammer_ratio, theta
+from .qcore import DEFAULT_CONTROL, SeriesControl, bilateral_sum, theta
 from .qheun_op import QHeunParams
 
 KernelName = Literal["P1", "P2"]
@@ -54,14 +54,10 @@ class TransformSpec:
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Target system, mapped eigenvalue and (optionally) boundary data."""
+    """Target system and mapped eigenvalue."""
 
     target: QHeunParams
     E_target: complex
-    C1: complex | None = None
-    C2: complex | None = None
-    k1: Callable[[complex], complex] | None = None
-    k2: Callable[[complex], complex] | None = None
 
 
 def source_chi(src: QHeunParams) -> float:
@@ -348,69 +344,3 @@ def boundary_terms(spec: TransformSpec, C1: complex, C2: complex, x: complex) ->
     )
     k2 = C2 * x ** (-a1 + chi + 1.0) * shared2
     return k1, k2
-
-
-def transform_result(
-    spec: TransformSpec,
-    h: Callable[[complex], complex],
-    E_source: complex,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> TransformResult:
-    """param_map plus numerically estimated boundary data for the seed."""
-    base = param_map(spec, E_source)
-    C1, C2 = boundary_limits(spec, h, ctl)
-
-    def k1(x: complex) -> complex:
-        return boundary_terms(spec, C1, C2, x)[0]
-
-    def k2(x: complex) -> complex:
-        return boundary_terms(spec, C1, C2, x)[1]
-
-    return TransformResult(target=base.target, E_target=base.E_target, C1=C1, C2=C2, k1=k1, k2=k2)
-
-
-def gauge_transform(
-    p: QHeunParams,
-    f: Callable[[complex], complex],
-    which: Literal["g1", "g2"] = "g1",
-    index: int = 1,
-) -> Callable[[complex], complex]:
-    """Prefactor map sending solutions of the index-swapped system to p.
-
-    f must solve the system with (h_i, l_i) interchanged for the chosen
-    index i; the returned function solves the system p with the same
-    eigenvalue.  The two variants differ by a quasi-constant factor.
-    """
-    if index not in (1, 2):
-        raise DomainError("index must be 1 or 2")
-    if which not in ("g1", "g2"):
-        raise DomainError("which must be 'g1' or 'g2'")
-    q = p.q
-    t = p.t1 if index == 1 else p.t2
-    h = p.h1 if index == 1 else p.h2
-    l = p.l1 if index == 1 else p.l2
-
-    if which == "g1":
-
-        def g(x: complex) -> complex:
-            x = complex(x)
-            pref = q_pochhammer_ratio([q ** (h + 0.5) * t / x], [q ** (l + 0.5) * t / x], q)
-            return pref * f(x)
-
-        return g
-
-    def g(x: complex) -> complex:
-        x = complex(x)
-        pref = q_pochhammer_ratio([x / (q ** (l - 0.5) * t)], [x / (q ** (h - 0.5) * t)], q)
-        return x ** (h - l) * pref * f(x)
-
-    return g
-
-
-def swapped_params(p: QHeunParams, index: int = 1) -> QHeunParams:
-    """The system solved by gauge-transform seeds: h_i and l_i interchanged."""
-    if index == 1:
-        return replace(p, h1=p.l1, l1=p.h1)
-    if index == 2:
-        return replace(p, h2=p.l2, l2=p.h2)
-    raise DomainError("index must be 1 or 2")

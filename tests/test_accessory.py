@@ -7,15 +7,14 @@ import pytest
 
 from qheun.accessory import (
     Poly,
+    SeriesSolution,
     accessory_poly,
     accessory_poly_expanded,
     apparent_singularity_check,
     coeff_values,
-    coefficient_polys,
     exponent_at_origin,
     poly_roots,
     polynomial_solution,
-    power_series_solution,
     recurrence_coeffs,
     root_certificate,
     run_poly_recursion,
@@ -24,12 +23,7 @@ from qheun.accessory import (
 from qheun.errors import DegenerateRecurrence, NoConvergence, NotARoot, PreconditionError
 from qheun.family_one import family1_setup
 from qheun.family_two import family2_setup
-from qheun.qheun_op import (
-    QHeunParams,
-    default_grid,
-    hahn_coefficients,
-    residual_report,
-)
+from qheun.qheun_op import QHeunParams, hahn_coefficients, residual_report
 from qheun.sampling import (
     random_admissible_params,
     random_family1_params,
@@ -117,6 +111,11 @@ class TestRecurrence:
                 assert abs(rc.x - x_n) < 1e-12 * max(abs(x_n), 1e-10)
                 assert abs(rc.y - y_n) < 1e-12 * max(abs(y_n), 1e-10)
                 assert abs(rc.z - z_n) < 1e-12 * max(abs(z_n), 1e-10)
+
+
+def coefficient_polys(p, N):
+    """Eigenvalue polynomials c_0(E)..c_N(E) of the local series coefficients."""
+    return run_poly_recursion(lambda n: recurrence_coeffs(p, n), N, abs(p.t1 * p.t2))[0]
 
 
 class TestCoefficientPolys:
@@ -327,10 +326,10 @@ class TestPowerSeries:
     def test_first_coefficient(self, rng):
         p = random_generic_params(rng)
         E = 0.4 - 0.7j
-        sol = power_series_solution(p, E, 4)
+        coeffs = series_coefficients(p, E, 4)
         r1 = recurrence_coeffs(p, 1)
-        assert sol.coeffs[0] == 1
-        assert sol.coeffs[1] == pytest.approx((E + r1.y) / r1.x)
+        assert coeffs[0] == 1
+        assert coeffs[1] == pytest.approx((E + r1.y) / r1.x)
 
     def test_root_kills_next_coefficient(self, rng):
         p = random_admissible_params(rng, 3)
@@ -342,31 +341,11 @@ class TestPowerSeries:
     def test_truncated_series_solves_near_origin(self, rng):
         p = random_generic_params(rng)
         E = 0.9 + 0.2j
-        sol = power_series_solution(p, E, 40)
+        sol = SeriesSolution(exponent_at_origin(p), tuple(series_coefficients(p, E, 40)))
         m = min(abs(p.t1), abs(p.t2))
         pts = [0.04 * m, 0.03 * m * 1j, 0.02 * m * (0.6 + 0.8j)]
         rep = residual_report(p, E, sol, pts)
         assert rep.max_residual < 1e-8
-
-    def test_free_coefficient_extension_still_solves(self, rng):
-        # With beta = N + 1 and E a root, the coefficient after the gap
-        # is free; any choice must satisfy the full recurrence.
-        p = random_family2_params(rng, 2)
-        E0 = poly_roots(accessory_poly(p, 2))[0]
-        h = hahn_coefficients(p, E0)
-        lam = exponent_at_origin(p)
-        q = p.q
-        for free in (0.0, 1.0):
-            coeffs = series_coefficients(p, E0, 8, free_coeff=free)
-            full = [0.0, 0.0] + coeffs  # c_{-2}, c_{-1} sentinels
-            for n in range(1, 9):
-                val = (
-                    full[n + 2] * (h.a0 * q ** (-(lam + n)) + h.c0 * q ** (lam + n) - h.b0)
-                    - full[n + 1] * (E0 + (-h.a1 * q ** (-(lam + n - 1)) - h.c1 * q ** (lam + n - 1)))
-                    + full[n] * (h.a2 * q ** (-(lam + n - 2)) + h.c2 * q ** (lam + n - 2) - h.b2)
-                )
-                scale = max(abs(full[n + 1] * E0), abs(full[n + 2]), 1.0)
-                assert abs(val) < 1e-9 * scale
 
     def test_degenerate_without_choice(self, rng):
         p = random_family2_params(rng, 2)
@@ -384,7 +363,7 @@ class TestPolynomialSolution:
         assert sol.exponent == pytest.approx(exponent_at_origin(p))
 
     @pytest.mark.parametrize("N", [1, 4])
-    def test_every_root_solves(self, rng, N):
+    def test_every_root_solves(self, rng, default_grid, N):
         p = random_admissible_params(rng, N)
         grid = default_grid(p, count=20, seed=2)
         for E0 in poly_roots(accessory_poly(p, N)):

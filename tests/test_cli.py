@@ -13,7 +13,7 @@ from qheun.accessory import (
     backward_error, exponent_at_origin, polynomial_at_root, polynomial_solution, require_root, root_certificate,
 )
 from qheun.cli import main
-from qheun.errors import NotARoot
+from qheun.errors import DomainError, NotARoot
 from qheun.family_one import family1_domain, family1_setup, family1_unilateral
 from qheun.family_two import family2_setup
 from qheun.qheun_op import QHeunParams
@@ -288,7 +288,12 @@ class TestVerify:
         assert len(calls) == 3
 
     @pytest.mark.parametrize(
-        "key, value", [("N", None), ("h1", [1, 2]), ("points", 3), ("out", [1])]
+        "key, value",
+        [
+            ("N", None), ("h1", [1, 2]), ("points", 3), ("out", [1]),
+            # Integer keys take neither a fraction, a bool nor a string.
+            ("N", 2.7), ("N", True), ("N", "3"), ("seed", 0.5), ("grid_count", "4"), ("root_index", False),
+        ],
     )
     def test_malformed_field_exits_2(self, tmp_path, runner, rng, key, value):
         p = random_family2_params(rng, 1)
@@ -298,6 +303,15 @@ class TestVerify:
         rep = json.loads(res.output)
         assert rep["schema"] == "qheun/1"
         assert rep["error"]["reason"].startswith(f"precondition: config key {key!r}")
+
+    def test_integral_float_key_is_an_integer(self, tmp_path, runner, rng):
+        p = random_family2_params(rng, 1)
+        path = write_config(tmp_path, p, family="family2", N=1.0, grid_count=3.0, solution="g3")
+        res = runner.invoke(main, ["verify", "--config", path])
+        assert res.exit_code == 0, res.output
+        rep = json.loads(res.output)
+        assert rep["N"] == 1 and isinstance(rep["N"], int)
+        assert len(rep["results"][0]["points"]) == 3
 
     def test_empty_grid_exits_2(self, tmp_path, runner, rng):
         p = random_family2_params(rng, 1)
@@ -353,6 +367,53 @@ class TestVerify:
         rep = json.loads(res.output)
         forms = {r["form"] for r in rep["results"]}
         assert {"g1", "g2"} <= forms
+
+
+class TestExtremeInputs:
+    """Valid but extreme points, anchors and bases end in typed reports:
+    a DomainError row or result, or exit 2 from the setup and grid phase."""
+
+    @pytest.fixture
+    def draws(self):
+        rng = np.random.default_rng(7)
+        drawn = [draw(rng, 2) for draw in (random_family1_params, random_family2_params, random_admissible_params)]
+        return dict(zip(("family1", "family2", "generic"), drawn))
+
+    @pytest.mark.parametrize(
+        "family, solution, x", [("generic", "poly", 1e300), ("family1", "g1", 1e-300), ("family2", "g5", 1e-300)]
+    )
+    def test_eval_overflow_is_a_domain_error_row(self, tmp_path, runner, draws, family, solution, x):
+        p = draws[family]
+        path = write_config(
+            tmp_path, p, family=family, N=2, solution=solution, xi=[0.8 * abs(p.t1), 0.0], points=[[x, 0.0]],
+        )
+        res = runner.invoke(main, ["eval", "--config", path])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["rows"] == [{"x": [x, 0.0], "value": None, "status": "DomainError"}]
+
+    def test_form_names_the_point(self, draws):
+        family = forms.FAMILIES["family2"]
+        st = family.setup(draws["family2"], 2)
+        g = family.form("g5").solution(st, st.roots[0], None)
+        with pytest.raises(DomainError, match=r"ZeroDivisionError at x = \(1e-300"):
+            g(1e-300)
+
+    @pytest.mark.parametrize("xi", [1e300, 1e-300])
+    def test_verify_extreme_anchor_fails_typed(self, tmp_path, runner, draws, xi):
+        path = write_config(tmp_path, draws["family2"], family="family2", N=2, grid_count=3, xi=[xi, 0.0])
+        res = runner.invoke(main, ["verify", "--config", path])
+        assert res.exit_code == 1, res.output
+        results = json.loads(res.output)["results"]
+        errors = [r for r in results if r["status"] == "error: DomainError"]
+        assert errors and all("OverflowError at x = " in r["error"]["message"] for r in errors)
+        assert all(r["status"] in ("pass", "fail") or r["status"].startswith("error: ") for r in results)
+
+    @pytest.mark.parametrize("q", [1e-80, 1e-100])
+    def test_verify_extreme_base_exits_2(self, tmp_path, runner, draws, q):
+        path = write_config(tmp_path, draws["generic"], family="generic", N=2, grid_count=3, q=q)
+        res = runner.invoke(main, ["verify", "--config", path])
+        assert res.exit_code == 2, res.output
+        assert json.loads(res.output)["error"]["reason"].startswith("OverflowError: ")
 
 
 class TestSharedWork:

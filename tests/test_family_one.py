@@ -13,13 +13,13 @@ from qheun.errors import (
     PreconditionError,
 )
 from qheun.family_one import (
+    _unilateral_table,
     family1_bilateral,
     family1_domain,
     family1_recurrence,
     family1_residual_band,
     family1_setup,
     family1_source_params,
-    family1_special_anchor,
     family1_unilateral,
 )
 from qheun.forms import FAMILIES
@@ -191,8 +191,9 @@ class TestBilateral:
         [("g1", "g5"), ("g1", "g4"), ("g2", "g3"), ("g2", "g6")],
     )
     def test_special_anchor_collapses(self, rng, bilateral, form):
-        # At its special anchor the two-sided series drops one tail and
-        # reproduces the finite form up to an x-independent constant.
+        # At its special anchor, the base of the finite form's table, the
+        # two-sided series drops one tail and reproduces the finite form
+        # up to an x-independent constant.
         N = 1
         p = random_family1_params(rng, N)
         st = family1_setup(p, N)
@@ -202,7 +203,7 @@ class TestBilateral:
         xs = [r * cmath.exp(1j * ph) for ph in (0.4, -0.9, 1.7, 0.1, -2.0)]
         ratios = []
         for x in xs:
-            anchor = family1_special_anchor(st, form, x)
+            anchor = _unilateral_table(st, form, x).base
             ratios.append(
                 family1_bilateral(st, bilateral, E0, anchor, x)
                 / family1_unilateral(st, form, E0, x)

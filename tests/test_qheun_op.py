@@ -6,15 +6,21 @@ from qheun.accessory import exponent_at_origin, recurrence_coeffs
 from qheun.errors import DomainError, PoleError
 from qheun.qheun_op import (
     QHeunParams,
-    apply_qheun,
-    default_grid,
     hahn_coefficients,
     hahn_combination,
     residual_report,
     singular_spirals,
     spiral_distance,
+    stencil_weights,
 )
 from qheun.sampling import random_admissible_params, random_generic_params
+
+
+def apply_qheun(p, g, x):
+    """Op g(x) from the operator's stencil weights."""
+    w_down, w_up, w_mid = stencil_weights(p, x)
+    x = complex(x)
+    return w_down * g(x / p.q) + w_up * g(p.q * x) + w_mid * g(x)
 
 
 def random_cubic(rng):
@@ -72,7 +78,7 @@ class TestHahnForm:
             assert h.c2 == pytest.approx(p.q ** (p.alpha1 + p.alpha2))
             assert h.a0 == pytest.approx(p.q ** (p.h1 + p.h2 + 1) * p.t1 * p.t2)
 
-    def test_matches_operator_on_random_cubics(self, rng):
+    def test_matches_operator_on_random_cubics(self, rng, default_grid):
         p = random_generic_params(rng)
         E = 0.8 - 0.6j
         h = hahn_coefficients(p, E)
@@ -84,26 +90,26 @@ class TestHahnForm:
 
 
 class TestResiduals:
-    def test_zero_function_scores_zero(self, rng):
+    def test_zero_function_scores_zero(self, rng, default_grid):
         p = random_generic_params(rng)
         rep = residual_report(p, 1.0, lambda x: 0.0, default_grid(p, count=5))
         assert rep.max_residual == 0
         assert all(r == 0 for r in rep.residuals)
 
-    def test_non_solution_scores_large(self, rng):
+    def test_non_solution_scores_large(self, rng, default_grid):
         p = random_admissible_params(rng, 0, which_alpha=1)
         lam = exponent_at_origin(p)
         E = -recurrence_coeffs(p, 1).y
         rep = residual_report(p, E, lambda x: x ** (lam + 1.0), default_grid(p))
         assert rep.max_residual > 1e-3
 
-    def test_max_is_max(self, rng):
+    def test_max_is_max(self, rng, default_grid):
         p = random_generic_params(rng)
         g = random_cubic(rng)
         rep = residual_report(p, 0.5, g, default_grid(p, count=7))
         assert rep.max_residual == max(rep.residuals)
 
-    def test_each_stencil_point_evaluated_once(self, rng):
+    def test_each_stencil_point_evaluated_once(self, rng, default_grid):
         p = random_generic_params(rng)
         g = random_cubic(rng)
         pts = default_grid(p, count=5)
@@ -112,7 +118,7 @@ class TestResiduals:
         # g(x/q), g(qx), g(x) per point, in that order; g(x) also gives E g(x).
         assert calls == [v for x in map(complex, pts) for v in (x / p.q, p.q * x, x)]
 
-    def test_error_at_the_lower_stencil_point_reports_its_grid_point(self, rng):
+    def test_error_at_the_lower_stencil_point_reports_its_grid_point(self, rng, default_grid):
         p = random_generic_params(rng)
         pts = default_grid(p, count=5)
         bad = complex(pts[2]) / p.q
@@ -128,20 +134,20 @@ class TestResiduals:
 
 
 class TestGrid:
-    def test_count_and_radii(self, rng):
+    def test_count_and_radii(self, rng, default_grid):
         p = random_generic_params(rng)
         pts = default_grid(p, count=20, seed=3)
         m = min(abs(p.t1), abs(p.t2))
         assert len(pts) == 20
         assert all(0.1 * m * 0.999 <= abs(x) <= 10 * m * 1.001 for x in pts)
 
-    def test_avoids_singular_spirals(self, rng):
+    def test_avoids_singular_spirals(self, rng, default_grid):
         for seed in range(10):
             p = random_generic_params(rng)
             pts = default_grid(p, count=20, seed=seed)
             bases = singular_spirals(p)
             assert all(spiral_distance(x, bases, p.q) > 1e-6 for x in pts)
 
-    def test_deterministic(self, rng):
+    def test_deterministic(self, rng, default_grid):
         p = random_generic_params(rng)
         assert default_grid(p, seed=9) == default_grid(p, seed=9)

@@ -21,22 +21,19 @@ from qheun.family_two import (
     family2_source_params,
     g2_inhomogeneity,
 )
-from qheun.qcore import SeriesControl, jackson_integral, theta
+from qheun.qcore import SeriesControl, jackson_integral, q_pochhammer_ratio, theta
 from qheun.qheun_op import QHeunParams, grid_points, residual_report, singular_spirals
 from qheun.qtransform import (
     Seed,
     TransformSpec,
     boundary_limits,
     boundary_terms,
-    gauge_transform,
     kernel_value,
     param_map,
     seed_weight_exponent,
     source_chi,
     source_system,
-    swapped_params,
     transform,
-    transform_result,
 )
 from qheun.sampling import (
     random_admissible_params,
@@ -354,16 +351,38 @@ class TestBoundaryData:
         xi = 0.8 * abs(p.t1)
         seed = family2_seed(st, "h1", E0)
         spec = TransformSpec(source=src, mu0=0.0, xi=xi, kernel="P1", alpha1=p.alpha1)
-        res = transform_result(spec, seed, E0, LIMIT_CTL)
-        assert res.C1 == pytest.approx(1.0, abs=1e-10)
+        res = param_map(spec, E0)
+        C1, C2 = boundary_limits(spec, seed, LIMIT_CTL)
+        assert C1 == pytest.approx(1.0, abs=1e-10)
         g = lambda x: family2_bilateral(st, "g1", E0, xi, x)
-        inhom = lambda x: (1 - p.q) * (res.k2(x) - res.k1(x))
+
+        def inhom(x):
+            k1, k2 = boundary_terms(spec, C1, C2, x)
+            return (1 - p.q) * (k2 - k1)
+
         pts = grid_points(
             p.q, family2_pole_spirals(st) + [xi], 5, 0.6 * abs(p.t1), 2.0 * abs(p.t1),
             seed=3, min_rel_dist=1e-3,
         )
         rep = residual_report(p, res.E_target, g, pts, inhomogeneity=inhom)
         assert rep.max_residual < 1e-8
+
+
+def swapped_params(p, index):
+    """The system solved by gauge seeds: h_i and l_i interchanged."""
+    if index == 1:
+        return replace(p, h1=p.l1, l1=p.h1)
+    return replace(p, h2=p.l2, l2=p.h2)
+
+
+def gauge_transform(p, f, which, index):
+    """Prefactor map from solutions f of swapped_params(p, index) to
+    solutions of p; the two variants differ by a quasi-constant factor."""
+    q = p.q
+    t, h, l = (p.t1, p.h1, p.l1) if index == 1 else (p.t2, p.h2, p.l2)
+    if which == "g1":
+        return lambda x: q_pochhammer_ratio([q ** (h + 0.5) * t / x], [q ** (l + 0.5) * t / x], q) * f(x)
+    return lambda x: x ** (h - l) * q_pochhammer_ratio([x / (q ** (l - 0.5) * t)], [x / (q ** (h - 0.5) * t)], q) * f(x)
 
 
 class TestGauge:
