@@ -13,8 +13,6 @@ from .errors import (
     QHeunError,
 )
 from .qcore import (
-    DEFAULT_CONTROL,
-    SeriesControl,
     bilateral_sum,
     jackson_integral,
     phi_series,

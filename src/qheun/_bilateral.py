@@ -24,7 +24,7 @@ of a step are bounded by F, and F |r_k| < 1 (F / |r_k| downward), the
 terms beyond n are dominated by geometric series in those ratios, so
 SpiralTerms.tail_bound certifies the rest of a side in closed form, as
 qcore.phi_series does for its series; each side stops at its first
-negligible term whose bound is below rel_tol times the partial sum.
+negligible term whose bound is below REL_TOL times the partial sum.
 """
 
 from __future__ import annotations

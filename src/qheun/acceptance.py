@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .accessory import accessory_poly, accessory_poly_expanded, coeff_gap
-from .errors import QHeunError
+from .accessory import accessory_poly, accessory_poly_expanded, coeff_gap, one_root
 from .family_one import family1_bilateral, family1_seed, family1_source_params
 from .family_two import (
     apparent_equivalence,
@@ -30,8 +29,8 @@ from .family_two import (
     family2_source_params,
 )
 from .forms import FAMILIES
-from .qcore import SeriesControl, phi_series, q_pochhammer, q_pochhammer_ratio, theta
-from .qheun_op import QHeunParams, ResidualReport, grid_points, spiral_distance
+from .qcore import phi_series, q_pochhammer, q_pochhammer_ratio, theta
+from .qheun_op import QHeunParams, grid_points, spiral_distance
 from .qtransform import TransformSpec, boundary_limits, source_chi, transform
 from .sampling import (
     random_admissible_params,
@@ -72,13 +71,6 @@ def accessory_equivalence() -> tuple[bool, str]:
     return ok, f"max coeff diff {worst:.2e}, max monic defect {worst_monic:.2e}"
 
 
-def _report(rep: ResidualReport | QHeunError) -> ResidualReport:
-    """A root_residuals entry as a report; an error entry is raised."""
-    if isinstance(rep, QHeunError):
-        raise rep
-    return rep
-
-
 def polynomial_solutions() -> tuple[bool, str]:
     """Every accessory root yields a polynomial-type solution."""
     rng = np.random.default_rng(202)
@@ -90,7 +82,7 @@ def polynomial_solutions() -> tuple[bool, str]:
         st = family.setup(random_admissible_params(rng, N), N)
         pts = form.grid(st, None, 20, seed=i)
         for rep in form.root_residuals(st, st.roots, None, pts):
-            worst = max(worst, _report(rep).max_residual)
+            worst = max(worst, one_root([rep]).max_residual)
     return worst < 1e-9, f"worst residual {worst:.2e}"
 
 
@@ -119,7 +111,7 @@ def family1_finite_sums() -> tuple[bool, str]:
             form = family.form(name)
             pts = form.grid(st, None, 10, seed=N + 17)
             for rep in form.root_residuals(st, st.roots, None, pts):
-                worst = max(worst, _report(rep).max_residual)
+                worst = max(worst, one_root([rep]).max_residual)
     return worst < 1e-8, f"worst residual {worst:.2e}"
 
 
@@ -138,7 +130,7 @@ def family2_solutions() -> tuple[bool, str]:
         pts = forms[0].grid(st, xi, 10, seed=N + 29)  # every family-2 form shares this grid
         for form in forms:
             for rep in form.root_residuals(st, st.roots, xi, pts):
-                res = _report(rep).max_residual
+                res = one_root([rep]).max_residual
                 if form.inhomogeneity is None:
                     worst_h = max(worst_h, res)
                 else:
@@ -235,7 +227,6 @@ def transform_consistency() -> tuple[bool, str]:
     """Numeric Jackson transforms match the explicit bilateral formulas;
     the boundary detector reproduces the known limits."""
     rng = np.random.default_rng(707)
-    lctl = SeriesControl(rel_tol=1e-12)
     worst = 0.0
     drawn = {}
     for family, draw, source_params, seed, bilateral in (
@@ -258,11 +249,11 @@ def transform_consistency() -> tuple[bool, str]:
     # beta' < 0 and alpha1' < alpha2' hold for family 1's source system,
     # so both limits of its P1 seed must vanish.
     _, spec, h = drawn["family1", "h1"]
-    c1, c2 = boundary_limits(spec, h, lctl)
+    c1, c2 = boundary_limits(spec, h)
     worst_c = max(abs(c1), abs(c2))
     # The family-2 P2 seed has the explicit theta-quotient inward limit.
     st2, spec, h = drawn["family2", "h2"]
-    c1, c2 = boundary_limits(spec, h, lctl)
+    c1, c2 = boundary_limits(spec, h)
     p2, xi2 = st2.params, spec.xi
     q = p2.q
     chi = source_chi(spec.source)

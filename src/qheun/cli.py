@@ -27,9 +27,9 @@ SCHEMA = "qheun/1"
 PARAM_KEYS = ("h1", "h2", "l1", "l2", "alpha1", "alpha2", "beta")
 
 # Errors that end a command with exit 2 before any check runs
-# (json.JSONDecodeError is a ValueError; an ArithmeticError is a setup
-# or grid that overflows or divides by zero at extreme parameters).
-CONFIG_ERRORS = (QHeunError, OSError, ValueError, ArithmeticError)
+# (json.JSONDecodeError is a ValueError; a setup or grid that overflows
+# or divides by zero at extreme parameters raises a DomainError).
+CONFIG_ERRORS = (QHeunError, OSError, ValueError)
 
 
 @dataclass

@@ -37,6 +37,9 @@ from .qtransform import Seed, source_system
 UnilateralName = Literal["g3", "g4", "g5", "g6"]
 BilateralName = Literal["g1", "g2"]
 
+# The residual band of a finite sum sits this factor inside its domain.
+BAND_SHRINK = 0.75
+
 
 @dataclass(frozen=True)
 class Family1Setup:
@@ -204,15 +207,15 @@ def family1_domain(setup: Family1Setup, which: UnilateralName) -> tuple[float, f
     raise DomainError("which must be one of g3..g6")
 
 
-def family1_residual_band(setup: Family1Setup, which: UnilateralName, shrink: float = 0.75) -> tuple[float, float]:
+def family1_residual_band(setup: Family1Setup, which: UnilateralName) -> tuple[float, float]:
     """|x| band on which x/q, x and qx all stay inside the form's domain."""
     lo, hi = family1_domain(setup, which)
     q = setup.params.q
     if hi == float("inf"):
         lo_safe = lo / q
-        return lo_safe / shrink, lo_safe / shrink ** 3
+        return lo_safe / BAND_SHRINK, lo_safe / BAND_SHRINK ** 3
     hi_safe = hi * q
-    return hi_safe * shrink ** 3, hi_safe * shrink
+    return hi_safe * BAND_SHRINK ** 3, hi_safe * BAND_SHRINK
 
 
 def family1_unilateral(

@@ -106,9 +106,9 @@ def family2_setup(p: QHeunParams, N: int) -> Family2Setup:
     )
 
 
-def polys_match(a: Poly, b: Poly, rel: float = POLY_MATCH_REL) -> bool:
-    """Coefficient-wise agreement relative to the larger coefficient scale."""
-    return coeff_gap(a, b) <= rel
+def polys_match(a: Poly, b: Poly) -> bool:
+    """Coefficient-wise agreement, to POLY_MATCH_REL, relative to the larger coefficient scale."""
+    return coeff_gap(a, b) <= POLY_MATCH_REL
 
 
 def apparent_equivalence(setup: Family2Setup) -> bool:

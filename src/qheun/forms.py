@@ -17,7 +17,10 @@ roots) and hands the kernel the rows still live at each point.  The
 generic form's row is the polynomial solution, built once per E0 and
 checked against the setup's accessory polynomial.
 ``root_residuals`` checks every root through one evaluator in one pass
-over the grid; ``solution`` and ``residuals`` are its one-root case.
+over the grid; ``solution`` is the one-root case of ``evaluate``.
+
+A float overflow or division by zero in a setup, a grid or an evaluation
+leaves the registry as a DomainError that names the original error.
 
 Family functions are looked up by name when a form runs, never stored
 at import, so a patched module binding (a tracer's wrapper) is honoured.
@@ -56,9 +59,9 @@ def generic_setup(p: QHeunParams, N: int) -> GenericSetup:
     return GenericSetup(p, N, cpoly, tuple(poly_roots(cpoly)))
 
 
-def _out_of_range(exc: ArithmeticError, x: complex) -> DomainError:
-    """The typed error for a float overflow or a division by zero at x."""
-    err = DomainError(f"{type(exc).__name__} at x = {complex(x)!r}: {exc}")
+def _out_of_range(exc: ArithmeticError, where: str) -> DomainError:
+    """The typed error for a float overflow or a division by zero, where it happened."""
+    err = DomainError(f"{type(exc).__name__} {where}: {exc}")
     err.__cause__ = exc
     return err
 
@@ -82,8 +85,11 @@ class Form:
         lo, hi = lo if rmin is None else rmin, hi if rmax is None else rmax
         if not (0 < lo <= hi):
             raise PreconditionError("grid radius range must be positive")
-        spirals = self.spirals(setup, xi)
-        return grid_points(setup.params.q, spirals, count, lo, hi, seed=seed, min_rel_dist=self.min_rel_dist)
+        try:
+            spirals = self.spirals(setup, xi)
+            return grid_points(setup.params.q, spirals, count, lo, hi, seed=seed, min_rel_dist=self.min_rel_dist)
+        except ArithmeticError as exc:
+            raise _out_of_range(exc, f"in the {self.name} grid at q = {setup.params.q!r}")
 
     def _inhomogeneity(self, setup, xi) -> Callable | None:
         if self.inhomogeneity is None:
@@ -93,7 +99,7 @@ class Form:
             try:
                 return self.inhomogeneity(setup, xi, x)
             except ArithmeticError as exc:
-                raise _out_of_range(exc, x)
+                raise _out_of_range(exc, f"at x = {complex(x)!r}")
 
         return T
 
@@ -122,7 +128,7 @@ class Form:
             except QHeunError as exc:
                 values = itertools.repeat(exc)
             except ArithmeticError as exc:
-                values = itertools.repeat(_out_of_range(exc, y))
+                values = itertools.repeat(_out_of_range(exc, f"at x = {complex(y)!r}"))
             return [rows[j] if isinstance(rows[j], QHeunError) else next(values) for j in live]
 
         return g
@@ -131,9 +137,6 @@ class Form:
         """The form at E0 as a function of x; it raises what its evaluation raises."""
         g = self.evaluate(setup, [E0], xi)
         return lambda x: one_root(g(x, [0]))
-
-    def residuals(self, setup, E0: complex, xi, pts) -> ResidualReport:
-        return one_root(self.root_residuals(setup, [E0], xi, pts))
 
     def root_residuals(self, setup, E0s, xi, pts) -> list[ResidualReport | QHeunError]:
         """residuals at each of E0s: its report, or the QHeunError it raises.
@@ -147,8 +150,15 @@ class Form:
 
 @dataclass(frozen=True)
 class Family:
-    setup: Callable  # (params, N) -> object with params, N, accessory, roots
+    build: Callable  # (params, N) -> object with params, N, accessory, roots
     forms: tuple[Form, ...]
+
+    def setup(self, p: QHeunParams, N: int):
+        """build(p, N); a float overflow or division by zero becomes a DomainError."""
+        try:
+            return self.build(p, N)
+        except ArithmeticError as exc:
+            raise _out_of_range(exc, f"in setup at q = {p.q!r}, N = {N}")
 
     def form(self, name: str) -> Form:
         return next(f for f in self.forms if f.name == name)

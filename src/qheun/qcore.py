@@ -1,4 +1,4 @@
-"""q-series primitives with explicit convergence control.
+"""q-series primitives with one fixed stop rule.
 
 Conventions fixed for the whole package:
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Callable, Sequence
 
@@ -29,37 +28,16 @@ PRODUCT_CUTOFF = 1e-17
 POLE_CUTOFF = 1e-12
 # A parameter a of phi_series terminates it where |1 - a q**m| is below this.
 TERMINATION_TOL = 16 * sys.float_info.epsilon
+# The one stop rule of every infinite sum (phi_series, TailSum): a tail
+# bound below REL_TOL times the partial sum ends it; DIVERGENCE_WINDOW terms
+# in a row below that settle a sum without a bound, or, failing to decrease,
+# diverge; MAX_TERMS terms (product levels, limit steps) end any of them.
+REL_TOL = 1e-15
+MAX_TERMS = 10000
+DIVERGENCE_WINDOW = 50
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for infinite sums.
-
-    ``phi_series``, and each one-sided half of a bilateral sum whose
-    terms can bound their tail (a spiral walk), stop once a bound on
-    the whole remaining tail falls below ``rel_tol`` times the partial
-    sum.  A half that cannot be bounded stops once ``divergence_window``
-    consecutive terms fall below ``rel_tol`` times the running partial
-    sum.  Every half is declared divergent if terms fail to decrease
-    for ``divergence_window`` consecutive indices, and every sum once
-    ``max_terms`` is exhausted.
-    """
-
-    rel_tol: float = 1e-15
-    max_terms: int = 10000
-    divergence_window: int = 50
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise DomainError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-        if self.divergence_window < 1:
-            raise DomainError("divergence_window must be at least 1")
-
-
-DEFAULT_CONTROL = SeriesControl()
 
 
 def check_q(q: float) -> float:
@@ -123,7 +101,7 @@ def q_pochhammer_ratio(num: Sequence[complex], den: Sequence[complex], q: float)
     # whose factor is exactly 1.
     pairs = list(zip_longest(map(complex, num), map(complex, den), fillvalue=0j))
     value = 1.0 + 0.0j
-    for k in range(DEFAULT_CONTROL.max_terms):
+    for k in range(MAX_TERMS):
         qk = q**k
         live = False
         for a, b in pairs:
@@ -170,7 +148,6 @@ def phi_series(
     lower: Sequence[complex],
     q: float,
     z: complex,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Unilateral basic hypergeometric sum with r upper and r-1 lower parameters.
 
@@ -184,11 +161,11 @@ def phi_series(
     rho = |z| prod(1 + |a_i| y) / ((1 - q y) prod(1 - |b_j| y)) in
     modulus, wherever every 1 - |b_j| y is positive (Gasper & Rahman,
     Basic Hypergeometric Series, sec. 1.2).  So once rho < 1 and
-    |t_{n+1}| / (1 - rho) <= ctl.rel_tol |partial sum|, the sum through
+    |t_{n+1}| / (1 - rho) <= REL_TOL |partial sum|, the sum through
     t_{n+1} is returned: the tail beyond it is smaller than that.
 
     Raises ConvergenceError for a non-terminating series with |z| >= 1
-    or one that has not stopped within ctl.max_terms terms, and
+    or one that has not stopped within MAX_TERMS terms, and
     PoleError when a lower-parameter factor vanishes before termination.
     """
     check_q(q)
@@ -209,7 +186,7 @@ def phi_series(
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
     qn = 1.0  # q**n
-    for n in range(ctl.max_terms):
+    for n in range(MAX_TERMS):
         total += term
         if stop is not None and n == stop:
             return total
@@ -227,7 +204,7 @@ def phi_series(
         if stop is None:
             # The tail bound is formed only once the term itself is negligible.
             mag = abs(term)
-            limit = ctl.rel_tol * max(abs(total + term), _TINY)
+            limit = REL_TOL * max(abs(total + term), _TINY)
             if mag <= limit and max_lo * qn < 1.0:
                 rho = (
                     abs(z)
@@ -243,24 +220,22 @@ class TailSum:
     """Running total and stop rule of one one-sided sum, fed term by term.
 
     add(t, n, bound) adds the term t of index n and returns True once
-    the sum is settled.  A term at most ctl.rel_tol times the running
+    the sum is settled.  A term at most REL_TOL times the running
     total is negligible; at each negligible term bound(n), a bound on
     the sum of |term| over every index beyond n, is asked for, and the
-    sum stops if it is strictly below ctl.rel_tol times the total (so
-    a zero or NaN total never certifies).  Without a bound, or where it
-    certifies nothing, the sum stops after ctl.divergence_window
+    sum stops if it is strictly below REL_TOL times the total (so a
+    zero or NaN total never certifies).  Without a bound, or where it
+    certifies nothing, the sum stops after DIVERGENCE_WINDOW
     consecutive negligible terms.  add raises ConvergenceError once
     terms fail to decrease for that many consecutive indices, or once
-    ctl.max_terms terms have not settled the sum.  Every one-sided sum,
+    MAX_TERMS terms have not settled the sum.  Every one-sided sum,
     alone or sharing a walk with others, stops by this rule.
     """
 
-    __slots__ = ("rel_tol", "window", "budget", "total", "small_run", "growth_run", "prev")
+    __slots__ = ("budget", "total", "small_run", "growth_run", "prev")
 
-    def __init__(self, ctl: SeriesControl = DEFAULT_CONTROL) -> None:
-        self.rel_tol = ctl.rel_tol
-        self.window = ctl.divergence_window
-        self.budget = ctl.max_terms  # terms left
+    def __init__(self) -> None:
+        self.budget = MAX_TERMS  # terms left
         self.total = 0.0 + 0.0j
         self.small_run = 0
         self.growth_run = 0
@@ -272,17 +247,17 @@ class TailSum:
         size = abs(total)
         if size < _TINY:  # max(|total|, _TINY), a NaN total kept
             size = _TINY
-        if mag <= self.rel_tol * size:
+        if mag <= REL_TOL * size:
             self.small_run = small_run = self.small_run + 1
             self.growth_run = 0
             # Strictly below a nonzero total: an all-zero start never certifies.
-            if small_run >= self.window or (bound is not None and bound(n) < self.rel_tol * abs(total)):
+            if small_run >= DIVERGENCE_WINDOW or (bound is not None and bound(n) < REL_TOL * abs(total)):
                 return True
         else:
             self.small_run = 0
             if mag >= self.prev:
                 self.growth_run = growth_run = self.growth_run + 1
-                if growth_run >= self.window:
+                if growth_run >= DIVERGENCE_WINDOW:
                     raise ConvergenceError(f"terms fail to decay near n = {n}")
             else:
                 self.growth_run = 0
@@ -293,8 +268,8 @@ class TailSum:
         return False
 
 
-def _one_sided_sum(term: Callable[[int], complex], start: int, step: int, ctl: SeriesControl) -> complex:
-    tail = TailSum(ctl)
+def _one_sided_sum(term: Callable[[int], complex], start: int, step: int) -> complex:
+    tail = TailSum()
     add = tail.add
     bound = getattr(term, "tail_bound", None)
     n = start
@@ -303,17 +278,17 @@ def _one_sided_sum(term: Callable[[int], complex], start: int, step: int, ctl: S
     return tail.total
 
 
-def bilateral_sum(term: Callable[[int], complex], ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def bilateral_sum(term: Callable[[int], complex]) -> complex:
     """Two-sided sum of term(n) over all integers n.
 
     Evaluated as two independent one-sided sums (n >= 0 and n <= -1),
     each stopped by TailSum's rule.  A term with a tail_bound(n) method
     (a _bilateral.SpiralTerms walk) supplies the bound; any other
-    callable stops by the divergence_window rule.  Raises
+    callable stops by the DIVERGENCE_WINDOW rule.  Raises
     ConvergenceError if either tail fails to decay.
     """
-    plus = _one_sided_sum(term, 0, +1, ctl)
-    minus = _one_sided_sum(term, -1, -1, ctl)
+    plus = _one_sided_sum(term, 0, +1)
+    minus = _one_sided_sum(term, -1, -1)
     return plus + minus
 
 
@@ -339,7 +314,6 @@ def jackson_integral(
     f: Callable[[complex], complex],
     xi: complex,
     q: float,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """q-integral of f along the spiral {q^n xi}: (1-q) sum_n q^n xi f(q^n xi)."""
     check_q(q)
@@ -351,4 +325,4 @@ def jackson_integral(
         s = spiral(n)
         return s * f(s)
 
-    return (1.0 - q) * bilateral_sum(term, ctl)
+    return (1.0 - q) * bilateral_sum(term)

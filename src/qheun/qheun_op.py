@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DomainError, QHeunError
 from .qcore import _TINY, check_q
 
+# Grid phases stay inside (-MAX_PHASE, MAX_PHASE), off the branch cut.
+MAX_PHASE = 0.9 * math.pi
+
 
 @dataclass(frozen=True)
 class QHeunParams:
@@ -246,7 +249,7 @@ def spiral_distance(x: complex, bases: Sequence[complex], q: float) -> float:
         return 0.0
     lnq = math.log(q)
     for b in bases:
-        k0 = math.log(ax / abs(b)) / lnq
+        k0 = (math.log(ax) - math.log(abs(b))) / lnq  # ax / |b| may leave the float range
         for k in range(math.floor(k0) - 1, math.floor(k0) + 3):
             s = b * q ** k
             best = min(best, abs(x - s) / abs(s))
@@ -261,13 +264,12 @@ def grid_points(
     rmax: float,
     seed: int = 0,
     min_rel_dist: float = 1e-6,
-    max_phase: float = 0.9 * math.pi,
 ) -> list[complex]:
     """Deterministic sample points with moduli log-spaced on [rmin, rmax].
 
     Phases are drawn uniformly and redrawn until the point keeps the
     requested relative distance from every listed q-spiral; phases stay
-    inside (-max_phase, max_phase) so that scaling by q never crosses
+    inside (-MAX_PHASE, MAX_PHASE) so that scaling by q never crosses
     the branch cut of principal powers.
     """
     if count < 1:
@@ -279,7 +281,7 @@ def grid_points(
     pts: list[complex] = []
     for r in radii:
         for _ in range(200):
-            phase = rng.uniform(-max_phase, max_phase)
+            phase = rng.uniform(-MAX_PHASE, MAX_PHASE)
             x = r * cmath.exp(1j * phase)
             if not spirals or spiral_distance(x, spirals, q) > min_rel_dist:
                 pts.append(x)

@@ -4,7 +4,9 @@ A solution h of a source system maps to a solution g of a target
 system through a Jackson integral against one of two kernels.  The
 target parameters follow a rigid affine map of the source exponents;
 the transformed function satisfies the target eigen-equation up to two
-boundary terms proportional to the spiral limits C1 and C2 of h.
+boundary terms proportional to the spiral limits C1 and C2 of h.  The
+integral stops by qcore's one rule and a limit walk settles at
+SETTLE_FLOOR; no call chooses either.
 """
 
 from __future__ import annotations
@@ -16,16 +18,19 @@ from typing import Callable, Literal, Sequence
 
 from ._bilateral import SpiralTerms, spiral_product
 from .accessory import horner
-from .errors import DomainError, NoLimit, PreconditionError
-from .qcore import DEFAULT_CONTROL, SeriesControl, bilateral_sum, theta
+from .errors import DomainError, NoLimit
+from .qcore import MAX_TERMS, bilateral_sum, theta
 from .qheun_op import QHeunParams
 
 KernelName = Literal["P1", "P2"]
 
-# Smallest relative step _spiral_limit accepts as settled: each step of a
-# limit walk multiplies in a few rounded factors, so successive values
-# drift by a few ulps even once the sequence has converged.
+# Relative step at which _spiral_limit accepts a walk as settled, the
+# smallest that is safe: each step of a limit walk multiplies in a few
+# rounded factors, so successive values drift by a few ulps even once the
+# sequence has converged.
 SETTLE_FLOOR = 16 * sys.float_info.epsilon
+# A limit walk whose magnitudes fall monotonically below this has limit 0.
+LIMIT_ZERO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -34,8 +39,8 @@ class TransformSpec:
 
     source holds the parameters of the system the seed solves; mu0 and
     the kernel choice select the transform; alpha1 is the free exponent
-    of the target system.  xi anchors the integration spiral; with
-    xi_proportional the anchor is xi * x per evaluation point.
+    of the target system.  xi anchors the integration spiral; an anchor
+    that moves with the point x is a spec per x.
     """
 
     source: QHeunParams
@@ -43,11 +48,10 @@ class TransformSpec:
     xi: complex
     kernel: KernelName = "P1"
     alpha1: float = 0.0
-    xi_proportional: bool = False
 
     def __post_init__(self) -> None:
         if self.xi == 0:
-            raise DomainError("xi (or its proportionality factor) must be nonzero")
+            raise DomainError("xi must be nonzero")
         if self.kernel not in ("P1", "P2"):
             raise DomainError("kernel must be 'P1' or 'P2'")
 
@@ -206,18 +210,16 @@ def transform(
     h: Callable[[complex], complex],
     E_source: complex,
     x: complex,
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> complex:
     """Jackson-integral image of the seed h, evaluated at x.
 
     Returns x^(-alpha1) times the q-integral over s of
-    s^(-weight) h(s) K(x, s) along the spiral anchored at xi
-    (or xi * x in proportional mode), i.e.
+    s^(-weight) h(s) K(x, s) along the spiral anchored at xi, i.e.
     (1 - q) sum_n s_n^(1-weight) h(s_n) K(x, s_n) with s_n = q^n xi.
     The kernel's products are computed once at s = xi and stepped along
     the spiral by one finite factor per term; a Seed record on the
     source's base q is stepped with them, while any other callable h is
-    evaluated at each s_n.
+    evaluated at each s_n.  Each side of the sum stops by qcore's rule.
     E_source is accepted for interface symmetry with param_map; the
     integral itself does not depend on it.
     """
@@ -226,35 +228,29 @@ def transform(
         raise DomainError("kernel arguments must be nonzero")
     src = spec.source
     x = complex(x)
-    xi = complex(spec.xi * x if spec.xi_proportional else spec.xi)
+    xi = complex(spec.xi)
     *factors, power = _kernel_factors(spec, x)
     # (x / s_n)**power == (x / xi)**power * q**(-n * power) along the spiral.
     term, _ = _spiral_terms(
         h, xi, src.q, 1.0 - seed_weight_exponent(src), factors,
         (x / xi) ** power, src.q ** (-power),
     )
-    return x ** (-spec.alpha1) * (1.0 - src.q) * bilateral_sum(term, ctl)
+    return x ** (-spec.alpha1) * (1.0 - src.q) * bilateral_sum(term)
 
 
-def _spiral_limit(
-    values: Callable[[int], complex],
-    point: Callable[[int], complex],
-    ctl: SeriesControl,
-    zero_abs: float = 1e-12,
-) -> complex:
+def _spiral_limit(values: Callable[[int], complex], point: Callable[[int], complex]) -> complex:
     """Limit of a sequence along the spiral index.
 
-    Declares convergence when three successive values agree to rel_tol,
-    but never to less than SETTLE_FLOOR; zero when magnitudes decay
-    monotonically below zero_abs; raises NoLimit otherwise, including
-    when a value overflows or is not finite (the message names the
-    index k and the point s = point(k)).
+    Declares convergence when three successive values agree to
+    SETTLE_FLOOR; zero when magnitudes decay monotonically below
+    LIMIT_ZERO; raises NoLimit otherwise, including when a value
+    overflows or is not finite (the message names the index k and the
+    point s = point(k)), or when MAX_TERMS values have done neither.
     """
-    settle = max(ctl.rel_tol, SETTLE_FLOOR)
     window: list[complex] = []
     decay_run = 0
     prev_mag = None
-    for k in range(ctl.max_terms):
+    for k in range(MAX_TERMS):
         try:
             v = complex(values(k))
         except OverflowError as exc:
@@ -262,7 +258,7 @@ def _spiral_limit(
         if not cmath.isfinite(v):
             raise NoLimit(f"spiral sequence is not finite at k = {k}, s = {point(k)!r}: {v!r}")
         mag = abs(v)
-        if prev_mag is not None and mag < zero_abs and mag <= prev_mag:
+        if prev_mag is not None and mag < LIMIT_ZERO and mag <= prev_mag:
             decay_run += 1
             if decay_run >= 3:
                 return 0.0 + 0.0j
@@ -275,16 +271,15 @@ def _spiral_limit(
         if len(window) == 3:
             scale = max(abs(w) for w in window)
             if scale > 0 and all(
-                abs(window[i + 1] - window[i]) <= settle * scale for i in range(2)
+                abs(window[i + 1] - window[i]) <= SETTLE_FLOOR * scale for i in range(2)
             ):
                 return window[-1]
-    raise NoLimit(f"spiral sequence neither settled nor decayed to zero by k = {ctl.max_terms - 1}")
+    raise NoLimit(f"spiral sequence neither settled nor decayed to zero by k = {MAX_TERMS - 1}")
 
 
 def boundary_limits(
     spec: TransformSpec,
     h: Callable[[complex], complex],
-    ctl: SeriesControl = DEFAULT_CONTROL,
 ) -> tuple[complex, complex]:
     """Numerical estimates of the two spiral limits (C1, C2) of the seed.
 
@@ -292,17 +287,14 @@ def boundary_limits(
     C2 follows h(s) * s^alpha1' as s = q^-k xi runs outward.  A Seed
     record on the source's base q is stepped along the spiral from xi as
     in transform; any other callable h is evaluated at each point.
-    Requires a fixed xi.
     """
-    if spec.xi_proportional:
-        raise PreconditionError("boundary limits need a fixed xi, not a proportional one")
     src = spec.source
     xi = complex(spec.xi)
     inward, inward_at = _spiral_terms(h, xi, src.q, -seed_weight_exponent(src))
     outward, outward_at = _spiral_terms(h, xi, src.q, src.alpha1)
     return (
-        _spiral_limit(inward, inward_at, ctl),
-        _spiral_limit(lambda k: outward(-k), lambda k: outward_at(-k), ctl),
+        _spiral_limit(inward, inward_at),
+        _spiral_limit(lambda k: outward(-k), lambda k: outward_at(-k)),
     )
 
 
@@ -319,7 +311,7 @@ def boundary_terms(spec: TransformSpec, C1: complex, C2: complex, x: complex) ->
     chi = source_chi(src)
     mu0 = spec.mu0
     a1 = spec.alpha1
-    xi = spec.xi * x if spec.xi_proportional else spec.xi
+    xi = spec.xi
     x = complex(x)
     shared1 = q ** (mu0 + a1 + src.h1 + src.h2 + chi) * (q ** src.beta - 1.0) * src.t1 * src.t2
     shared2 = q ** (mu0 + a1) * (q ** (src.alpha2 - src.alpha1) - 1.0)

@@ -12,7 +12,7 @@ from qheun.errors import ConvergenceError, PoleError
 from qheun.family_one import family1_seed, family1_source_params
 from qheun.family_two import family2_seed, family2_source_params
 from qheun.forms import FAMILIES
-from qheun.qcore import DEFAULT_CONTROL, TailSum, _one_sided_sum, bilateral_sum, q_pochhammer, q_pochhammer_ratio
+from qheun.qcore import DIVERGENCE_WINDOW, REL_TOL, TailSum, _one_sided_sum, bilateral_sum, q_pochhammer, q_pochhammer_ratio
 from qheun.qtransform import TransformSpec, transform
 from qheun.sampling import random_family1_params, random_family2_params
 
@@ -48,12 +48,12 @@ def recorded_walk(monkeypatch, *args):
 
 
 def first_negligible(terms, start, step):
-    """The first index of a side whose term is below rel_tol times the partial sum."""
+    """The first index of a side whose term is below REL_TOL times the partial sum."""
     total, n = 0j, start
     while True:
         t = terms(n)
         total += t
-        if abs(t) <= DEFAULT_CONTROL.rel_tol * abs(total):
+        if abs(t) <= REL_TOL * abs(total):
             return n
         n += step
 
@@ -240,8 +240,8 @@ class TestCoefficientRatios:
         assert self.direct_sum(num, den, [1.0], [0.4], q, range(-10, 0)) == 0
         assert got == pytest.approx(want, rel=1e-13)
         # The zero side certifies nothing and ends by the window.
-        assert bottom == -DEFAULT_CONTROL.divergence_window
-        assert top < DEFAULT_CONTROL.divergence_window
+        assert bottom == -DIVERGENCE_WINDOW
+        assert top < DIVERGENCE_WINDOW
 
     def test_terminating_numerator_poles_at_the_anchor(self, monkeypatch):
         # (q^-3 q^n; q)_inf vanishes for n <= 3: its reciprocal poles at n = 0.
@@ -254,7 +254,7 @@ class TestCoefficientRatios:
         want = self.direct_sum([0.25j], [q**-3], [1.0], [0.3], q, range(4, 80))
         assert self.direct_sum([0.25j], [q**-3], [1.0], [0.3], q, range(-10, 4)) == 0
         assert got == pytest.approx(want, rel=1e-13)
-        assert 4 < top < DEFAULT_CONTROL.divergence_window
+        assert 4 < top < DIVERGENCE_WINDOW
 
 
 class TestTailBound:
@@ -282,7 +282,7 @@ class TestTailBound:
             return SpiralTerms([], [], [1.0], [0.995], 0.5, 1.0, [0.2], [0.2 * (1 + 1e-9)])
 
         with pytest.raises(ConvergenceError, match="underflows"):
-            _one_sided_sum(walk(), 0, 1, DEFAULT_CONTROL)
+            _one_sided_sum(walk(), 0, 1)
         # At the last nonzero point the next one underflows: no bound is certified.
         assert walk().tail_bound(1074) == math.inf
 
@@ -336,19 +336,18 @@ class TestTailBound:
         return side, side_abs, beyond
 
     def check_sides(self, mp, terms):
-        rel_tol = DEFAULT_CONTROL.rel_tol
         for start, step in ((0, 1), (-1, -1)):
             # The side as bilateral_sum sums it.
             tail, n = TailSum(), start
             while not tail.add(terms(n), n, terms.tail_bound):
                 n += step
             bound = terms.tail_bound(n)
-            assert bound < rel_tol * abs(tail.total)  # it stopped by the certificate
+            assert bound < REL_TOL * abs(tail.total)  # it stopped by the certificate
             with mp.workdps(50):
                 side, side_abs, beyond = self.exact_side(mp, terms, start, step, n)
                 assert beyond <= bound
                 # The omitted tail, plus the rounding of the float terms.
-                assert abs(tail.total - side) <= rel_tol * abs(side) + 1e-14 * side_abs
+                assert abs(tail.total - side) <= REL_TOL * abs(side) + 1e-14 * side_abs
 
     @pytest.mark.parametrize("N", [4, 8])
     @pytest.mark.parametrize("family", ["family1", "family2"])
@@ -374,7 +373,7 @@ class TestTailBound:
         spec = TransformSpec(source=source_params(st), mu0=0.0, xi=0.9 * abs(p.t1), kernel=kernel, alpha1=p.alpha1)
         walks = []
         with monkeypatch.context() as m:
-            m.setattr(qtransform, "bilateral_sum", lambda t, ctl: walks.append(t) or bilateral_sum(t, ctl))
+            m.setattr(qtransform, "bilateral_sum", lambda t: walks.append(t) or bilateral_sum(t))
             transform(spec, seed(st, which, st.roots[0]), st.roots[0], 1.37 * abs(p.t1))
         (terms,) = walks
         assert isinstance(terms, SpiralTerms)

@@ -2,6 +2,8 @@
 
 import json
 import re
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -413,7 +415,23 @@ class TestExtremeInputs:
         path = write_config(tmp_path, draws["generic"], family="generic", N=2, grid_count=3, q=q)
         res = runner.invoke(main, ["verify", "--config", path])
         assert res.exit_code == 2, res.output
-        assert json.loads(res.output)["error"]["reason"].startswith("OverflowError: ")
+        assert json.loads(res.output)["error"]["reason"].startswith("DomainError: OverflowError")
+
+    @pytest.mark.parametrize("family, q", [("generic", 1e-80), ("family1", 1e-100), ("family2", 1e-200)])
+    def test_setup_overflow_is_a_domain_error(self, draws, family, q):
+        with pytest.raises(DomainError, match=rf"^OverflowError in setup at q = {q!r}, N = 2: "):
+            forms.FAMILIES[family].setup(replace(draws[family], q=q), 2)
+
+    def test_grid_out_of_float_range_is_typed(self, draws):
+        # At q = 1e-40 the g3 band and spirals span 1e-212 .. 1e116, and g5's
+        # grid steps a spiral past the float range.
+        family = forms.FAMILIES["family1"]
+        st = family.setup(replace(draws["family1"], q=1e-40), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert len(family.form("g3").grid(st, None, 3, seed=0)) == 3
+            with pytest.raises(DomainError, match=r"^OverflowError in the g5 grid at q = 1e-40: "):
+                family.form("g5").grid(st, None, 3, seed=0)
 
 
 class TestSharedWork:

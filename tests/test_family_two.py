@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from qheun.accessory import Poly, recurrence_coeffs
+from qheun.accessory import Poly, one_root, recurrence_coeffs
 from qheun.errors import PreconditionError
 from qheun.family_two import (
     apparent_equivalence,
@@ -88,7 +88,7 @@ class TestHomogeneousForms:
             st = family2_setup(random_family2_params(rng, N), N)
             pts = form_grid(st, seed=N)
             for E0 in st.roots:
-                assert FAMILY2.form(form).residuals(st, E0, None, pts).max_residual < 1e-8
+                assert one_root(FAMILY2.form(form).root_residuals(st, [E0], None, pts)).max_residual < 1e-8
 
     def test_degree_zero_matches_variant_solutions(self, rng):
         # At N = 0 the three forms are exactly the degree-two variant
@@ -156,7 +156,7 @@ class TestInhomogeneousTriple:
             E0 = st.roots[0]
             pts = form_grid(st, seed=N + 3)
             for form in ("g6", "g7", "g8"):
-                assert FAMILY2.form(form).residuals(st, E0, None, pts).max_residual < 1e-8
+                assert one_root(FAMILY2.form(form).root_residuals(st, [E0], None, pts)).max_residual < 1e-8
 
     def test_differences_are_homogeneous_solutions(self, rng):
         p = random_family2_params(rng, 1)
@@ -189,7 +189,7 @@ class TestBilateral:
             E0 = st.roots[-1]
             xi = 0.77 * abs(p.t1)
             pts = form_grid(st, seed=N, xi=xi)
-            assert FAMILY2.form("g1").residuals(st, E0, xi, pts).max_residual < 1e-8
+            assert one_root(FAMILY2.form("g1").root_residuals(st, [E0], xi, pts)).max_residual < 1e-8
 
     def test_g2_theta_inhomogeneous_identity(self, rng):
         p = random_family2_params(rng, 1)
@@ -197,7 +197,7 @@ class TestBilateral:
         E0 = st.roots[0]
         xi = 0.69 * abs(p.t2)
         pts = form_grid(st, seed=4, xi=xi)
-        assert FAMILY2.form("g2").residuals(st, E0, xi, pts).max_residual < 1e-8
+        assert one_root(FAMILY2.form("g2").root_residuals(st, [E0], xi, pts)).max_residual < 1e-8
 
     def test_g2_at_theta_zero_anchor_is_homogeneous(self, rng):
         # Anchoring on the lattice zero of the leading theta factor kills

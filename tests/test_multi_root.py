@@ -5,7 +5,7 @@ import pytest
 
 from qheun import accessory, forms
 from qheun._bilateral import SpiralTerms, weighted_bilateral
-from qheun.accessory import accessory_poly, polynomial_at_root, require_root
+from qheun.accessory import accessory_poly, one_root, polynomial_at_root, require_root
 from qheun.errors import ConvergenceError, NotARoot, PoleError, QHeunError
 from qheun.forms import FAMILIES
 from qheun.qcore import bilateral_sum
@@ -64,7 +64,7 @@ def test_every_form_matches_single_root_calls(family, N, monkeypatch):
         assert builds == (E0s if family == "generic" else [])
         assert checks == E0s, form.name
         for E0, rep in zip(E0s, reports):
-            assert same(rep, single(form.residuals, st, E0, xi, pts)), (form.name, E0)
+            assert same(rep, single(lambda: one_root(form.root_residuals(st, [E0], xi, pts)))), (form.name, E0)
         assert all(not isinstance(rep, QHeunError) for rep in reports[:-1]), form.name
 
 
@@ -93,7 +93,7 @@ def test_errors_reach_only_the_roots_that_meet_them():
     reports = form.root_residuals(st, st.roots, xi, pts)
     for E0, rep in zip(st.roots, reports):
         assert isinstance(rep, ConvergenceError) and rep.point == pts[1]
-        assert same(rep, single(form.residuals, st, E0, xi, pts))
+        assert same(rep, single(lambda: one_root(form.root_residuals(st, [E0], xi, pts))))
 
 
 class TestSharedWalk:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from qheun.errors import ConvergenceError, DomainError, PoleError
 from qheun.qcore import (
-    DEFAULT_CONTROL,
-    SeriesControl,
+    DIVERGENCE_WINDOW,
+    REL_TOL,
     TailSum,
     bilateral_sum,
     jackson_integral,
@@ -227,10 +227,8 @@ class TestPhiSeries:
             for n in range(m + 1)
         )
         assert got == pytest.approx(want, rel=1e-13)
-        # No tail beyond the m+1 terms: an absurdly loose truncation rule
-        # must not change the value.
-        loose = SeriesControl(rel_tol=0.9, divergence_window=1)
-        assert phi_series([q**-m, b], [c], q, z, loose) == got
+        # No tail beyond the m+1 terms is summed: with |z| > 1 a
+        # non-terminating series would raise instead.
 
     def test_nonterminating_with_large_argument(self):
         with pytest.raises(ConvergenceError):
@@ -354,9 +352,10 @@ class TestPhiSeriesOracle:
             phi_series([0.3, 0.7j], [0.2], 0.5, z)
 
     def test_growing_at_the_term_budget_diverges(self):
-        # Terms grow while |a| q**n > 1, far past 20 terms.
+        # Terms grow while |a| q**n > 1 until they overflow, so no later
+        # term certifies the tail within the term budget.
         with pytest.raises(ConvergenceError):
-            phi_series([1e6, 1e6], [0.5], 0.9, 0.5, SeriesControl(max_terms=20))
+            phi_series([1e6, 1e6], [0.5], 0.9, 0.5)
 
     def test_tail_not_certified_within_the_term_budget(self):
         # At |z| = 0.9995 the terms fall by at most that ratio, so no stop
@@ -391,10 +390,10 @@ class TestBilateralSum:
             total = 0.0
             for n in side:
                 total += q ** abs(n)
-                if q ** abs(n) <= DEFAULT_CONTROL.rel_tol * total:
+                if q ** abs(n) <= REL_TOL * total:
                     return n
 
-        window = DEFAULT_CONTROL.divergence_window
+        window = DIVERGENCE_WINDOW
         plus, minus = first_negligible(range(200)), first_negligible(range(-1, -200, -1))
         assert calls == list(range(plus + window)) + list(range(-1, minus - window, -1))
 
@@ -413,15 +412,15 @@ class TestTailSum:
     def test_a_bound_not_below_rel_tol_leaves_the_window(self):
         tail = TailSum()
         tail.add(1.0, 0)
-        window = DEFAULT_CONTROL.divergence_window
+        window = DIVERGENCE_WINDOW
         for n in range(1, window):
-            assert not tail.add(0.0, n, lambda n: DEFAULT_CONTROL.rel_tol)
+            assert not tail.add(0.0, n, lambda n: REL_TOL)
         assert tail.add(0.0, window, lambda n: math.inf)
 
     def test_an_all_zero_start_never_certifies(self):
         # A zero bound is not below rel_tol times a zero total.
         tail = TailSum()
-        window = DEFAULT_CONTROL.divergence_window
+        window = DIVERGENCE_WINDOW
         for n in range(window - 1):
             assert not tail.add(0.0, n, lambda n: 0.0)
         assert tail.add(0.0, window - 1, lambda n: 0.0)  # by the window
@@ -434,7 +433,7 @@ class TestTailSum:
         # A NaN bound certifies nothing; the window ends the sum.
         tail = TailSum()
         tail.add(1.0, 0)
-        window = DEFAULT_CONTROL.divergence_window
+        window = DIVERGENCE_WINDOW
         for n in range(1, window):
             assert not tail.add(1e-17, n, lambda n: math.nan)
         assert tail.add(1e-17, window, lambda n: math.nan)
@@ -465,13 +464,3 @@ class TestJacksonIntegral:
         lhs = jackson_integral(lambda s: 2.0 * f(s) + 3.0j * g(s), xi, q)
         rhs = 2.0 * jackson_integral(f, xi, q) + 3.0j * jackson_integral(g, xi, q)
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
-
-
-class TestSeriesControl:
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
-
-    def test_rejects_bad_budget(self):
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from qheun.accessory import accessory_poly, coeff_values, poly_roots, polynomial_solution
-from qheun.errors import NoLimit, PoleError, PreconditionError
+from qheun.errors import NoLimit, PoleError
 from qheun.family_one import (
     family1_bilateral,
     family1_seed,
@@ -21,7 +21,7 @@ from qheun.family_two import (
     family2_source_params,
     g2_inhomogeneity,
 )
-from qheun.qcore import SeriesControl, jackson_integral, q_pochhammer_ratio, theta
+from qheun.qcore import jackson_integral, q_pochhammer_ratio, theta
 from qheun.qheun_op import QHeunParams, grid_points, residual_report, singular_spirals
 from qheun.qtransform import (
     Seed,
@@ -41,8 +41,6 @@ from qheun.sampling import (
     random_family2_params,
     random_generic_params,
 )
-
-LIMIT_CTL = SeriesControl(rel_tol=1e-12)
 
 
 class TestParamMap:
@@ -154,25 +152,6 @@ class TestTransform:
             want = family2_bilateral(st, "g2", E0, xi, x)
             assert abs(got - want) < 1e-10 * abs(want)
 
-    def test_proportional_anchor(self, rng):
-        # xi = A x evaluates the anchor per point; spot-check against the
-        # fixed-anchor call at the same effective xi.
-        N = 0
-        p = random_family1_params(rng, N)
-        st = family1_setup(p, N)
-        E0 = st.roots[0]
-        src = family1_source_params(st)
-        seed = family1_seed(st, "h1", E0)
-        x = 1.4 * abs(p.t1)
-        a_factor = 0.55
-        prop = TransformSpec(
-            source=src, mu0=0.0, xi=a_factor, kernel="P1", alpha1=p.alpha1, xi_proportional=True
-        )
-        fixed = TransformSpec(
-            source=src, mu0=0.0, xi=a_factor * x, kernel="P1", alpha1=p.alpha1
-        )
-        assert transform(prop, seed, E0, x) == transform(fixed, seed, E0, x)
-
 
 FAMILIES = {
     "family1": (random_family1_params, family1_setup, family1_source_params, family1_seed),
@@ -183,9 +162,8 @@ FAMILIES = {
 def pointwise_transform(spec, h, x):
     """transform from its definition: the integrand evaluated point by point."""
     sigma = seed_weight_exponent(spec.source)
-    anchor = spec.xi * x if spec.xi_proportional else spec.xi
     integrand = lambda s: s ** (-sigma) * h(s) * kernel_value(spec, x, s)
-    return x ** (-spec.alpha1) * jackson_integral(integrand, anchor, spec.source.q)
+    return x ** (-spec.alpha1) * jackson_integral(integrand, spec.xi, spec.source.q)
 
 
 class TestSteppedTransform:
@@ -193,6 +171,7 @@ class TestSteppedTransform:
     @pytest.mark.parametrize("which, kernel", [("h1", "P1"), ("h2", "P2")])
     @pytest.mark.parametrize("proportional", [False, True])
     def test_matches_pointwise_integrand(self, rng, family, which, kernel, proportional):
+        # proportional: the anchor moves with the point, xi = 0.6 x.
         draw, setup, source, seed_of = FAMILIES[family]
         for N in (1, 2):
             p = draw(rng, N)
@@ -200,12 +179,9 @@ class TestSteppedTransform:
             E0 = st.roots[-1]
             seed = seed_of(st, which, E0)
             assert isinstance(seed, Seed)
-            xi = 0.6 if proportional else 0.9 * abs(p.t1)
-            spec = TransformSpec(
-                source=source(st), mu0=0.0, xi=xi, kernel=kernel, alpha1=p.alpha1,
-                xi_proportional=proportional,
-            )
             for x in (1.23 * abs(p.t1), 2.07 * abs(p.t1) * cmath.exp(0.3j)):
+                xi = 0.6 * x if proportional else 0.9 * abs(p.t1)
+                spec = TransformSpec(source=source(st), mu0=0.0, xi=xi, kernel=kernel, alpha1=p.alpha1)
                 want = pointwise_transform(spec, seed, x)
                 assert abs(transform(spec, seed, E0, x) - want) <= 1e-11 * abs(want)
                 # An opaque callable is evaluated per point, the kernel stepped.
@@ -236,7 +212,7 @@ class TestBoundaryData:
         assert src.beta < 0  # the sufficient condition for the inward limit
         assert src.alpha1 < src.alpha2  # and for the outward one
         spec = TransformSpec(source=src, mu0=0.0, xi=0.8 * abs(p.t1), alpha1=p.alpha1)
-        c1, c2 = boundary_limits(spec, family1_seed(st, "h1", E0), LIMIT_CTL)
+        c1, c2 = boundary_limits(spec, family1_seed(st, "h1", E0))
         assert c1 == 0
         assert c2 == 0
 
@@ -246,7 +222,7 @@ class TestBoundaryData:
         E0 = st.roots[0]
         src = family2_source_params(st)
         spec = TransformSpec(source=src, mu0=0.0, xi=0.8 * abs(p.t1), alpha1=p.alpha1)
-        c1, c2 = boundary_limits(spec, family2_seed(st, "h1", E0), LIMIT_CTL)
+        c1, c2 = boundary_limits(spec, family2_seed(st, "h1", E0))
         assert c1 == pytest.approx(1.0, abs=1e-10)
         assert c2 == 0
 
@@ -257,7 +233,7 @@ class TestBoundaryData:
         src = family2_source_params(st)
         xi = 0.8 * abs(p.t1)
         spec = TransformSpec(source=src, mu0=0.0, xi=xi, kernel="P2", alpha1=p.alpha1)
-        c1, c2 = boundary_limits(spec, family2_seed(st, "h2", E0), LIMIT_CTL)
+        c1, c2 = boundary_limits(spec, family2_seed(st, "h2", E0))
         q, chi = p.q, source_chi(src)
         want = xi ** (-p.h1 - p.h2 + p.l1 + p.l2 + 2 * chi) * (
             theta(q ** (p.h1 - chi + 0.5) * p.t1 / xi, q)
@@ -297,8 +273,8 @@ class TestBoundaryData:
         self.assert_g2_limits(p, 1, 0.8830787325222794)
 
     def test_family2_limit_settles_below_rounding_drift(self):
-        # At the default rel_tol of 1e-15 the inward walk of this draw's
-        # second root never settled: its values drift by ~1.5e-15 per step
+        # Asked to settle to REL_TOL = 1e-15, the inward walk of this draw's
+        # second root never did: its values drift by ~1.5e-15 per step
         # from rounding, and the walk ran on to s ~ 3e-309, where 1/s overflows.
         p = QHeunParams(
             h1=2.513061754284353, h2=3.8240164689288347,
@@ -314,15 +290,9 @@ class TestBoundaryData:
         src = random_generic_params(rng)
         spec = TransformSpec(source=src, mu0=0.0, xi=0.9, alpha1=0.3)
         with pytest.raises(NoLimit, match=r"overflows at k = \d+, s = "):
-            boundary_limits(spec, lambda s: complex(s) ** 400, LIMIT_CTL)
+            boundary_limits(spec, lambda s: complex(s) ** 400)
         with pytest.raises(NoLimit, match=r"not finite at k = \d+, s = "):
-            boundary_limits(spec, lambda s: complex("nan"), LIMIT_CTL)
-
-    def test_proportional_anchor_rejected(self, rng):
-        src = random_generic_params(rng)
-        spec = TransformSpec(source=src, mu0=0.0, xi=0.5, xi_proportional=True)
-        with pytest.raises(PreconditionError):
-            boundary_limits(spec, lambda s: s, LIMIT_CTL)
+            boundary_limits(spec, lambda s: complex("nan"))
 
     def test_zero_limits_give_zero_terms(self, rng):
         src = random_generic_params(rng)
@@ -352,7 +322,7 @@ class TestBoundaryData:
         seed = family2_seed(st, "h1", E0)
         spec = TransformSpec(source=src, mu0=0.0, xi=xi, kernel="P1", alpha1=p.alpha1)
         res = param_map(spec, E0)
-        C1, C2 = boundary_limits(spec, seed, LIMIT_CTL)
+        C1, C2 = boundary_limits(spec, seed)
         assert C1 == pytest.approx(1.0, abs=1e-10)
         g = lambda x: family2_bilateral(st, "g1", E0, xi, x)
 
