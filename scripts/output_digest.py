@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per section of qheun's answers on seeded draws.
+
+Two checkouts give the same answers on a seed exactly when they print
+the same lines, so a refactor that claims unchanged output can show it:
+
+    PYTHONPATH=<checkout>/src python scripts/output_digest.py --seed 1
+
+Sections, per family (family1, family2):
+
+* accessory: the JSON of in-process ``qheun accessory`` on the
+  ``qheun.sampling`` draw at each N of VERIFY_NS;
+* verify: the JSON and exit code of ``qheun verify`` over every form of
+  the same draws, with an anchor xi and a grid of GRID_COUNT points;
+* transform: ``qtransform.transform`` of both seeds h1 (kernel P1) and
+  h2 (P2) at the draws of TRANSFORM_NS, at POINTS points;
+* limits: ``qtransform.boundary_limits`` of the same seeds;
+* defects (family2 only): ``g1_inhomogeneity`` and ``g2_inhomogeneity``
+  at the transform points.
+
+Values are hashed by repr, which round-trips a float exactly, and an
+error by its class and message, so a changed bit or message changes
+the line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+from qheun import family_one, family_two
+from qheun import cli as qcli
+from qheun.qtransform import TransformSpec, boundary_limits, transform
+from qheun.sampling import random_family1_params, random_family2_params
+
+VERIFY_NS = (1, 2, 4, 6, 8)
+TRANSFORM_NS = (1, 2, 4)
+GRID_COUNT = 4
+POINTS = 2
+DRAWS = {"family1": random_family1_params, "family2": random_family2_params}
+MODULES = {"family1": family_one, "family2": family_two}
+SEEDS = {"h1": "P1", "h2": "P2"}
+
+
+def run_cli(argv: list[str]) -> str:
+    """stdout and exit code of one in-process ``qheun`` command."""
+    buf = io.StringIO()
+    try:
+        with redirect_stdout(buf):
+            qcli.main(argv, prog_name="qheun")
+        code = 0
+    except SystemExit as stop:
+        code = stop.code
+    return f"{buf.getvalue()}exit {code}\n"
+
+
+def attempt(fn, *args) -> str:
+    """repr of fn(*args), or the class and message of the error it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # every outcome is hashed, an untyped error included
+        return f"{type(exc).__name__}: {exc}"
+
+
+def config(p, **extra) -> dict:
+    cfg = {k: getattr(p, k) for k in qcli.PARAM_KEYS + ("q",)}
+    cfg.update(t1=[p.t1.real, p.t1.imag], t2=[p.t2.real, p.t2.imag], **extra)
+    return cfg
+
+
+def cli_sections(family: str, rng: np.random.Generator, workdir: Path, verify_ns) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {"accessory": [], "verify": []}
+    path = workdir / "job.json"
+    for N in verify_ns:
+        p = DRAWS[family](rng, N)
+        xi = 0.8 * abs(p.t1)
+        path.write_text(json.dumps(config(p, family=family, N=N, xi=[xi, 0.0], grid_count=GRID_COUNT)))
+        for command in out:
+            out[command].append(run_cli([command, "--config", str(path)]))
+    return out
+
+
+def transform_sections(family: str, rng: np.random.Generator, transform_ns) -> dict[str, list[str]]:
+    module = MODULES[family]
+    setup = getattr(module, f"{family}_setup")
+    source_params = getattr(module, f"{family}_source_params")
+    seed_of = getattr(module, f"{family}_seed")
+    out: dict[str, list[str]] = {"transform": [], "limits": []}
+    if family == "family2":
+        out["defects"] = []
+    for N in transform_ns:
+        p = DRAWS[family](rng, N)
+        st = setup(p, N)
+        E0 = st.roots[0]
+        xi = 0.8 * abs(p.t1)
+        xs = [xi * p.q ** -(0.53 + 0.61 * k) * complex(1.0, 0.1 * k) for k in range(POINTS)]
+        for which, kernel in SEEDS.items():
+            spec = TransformSpec(source=source_params(st), mu0=0.0, xi=xi, kernel=kernel, alpha1=p.alpha1)
+            h = seed_of(st, which, E0)
+            out["transform"] += [attempt(transform, spec, h, E0, x) for x in xs]
+            out["limits"].append(attempt(boundary_limits, spec, h))
+        if family == "family2":
+            out["defects"] += [attempt(family_two.g1_inhomogeneity, st, x) for x in xs]
+            out["defects"] += [attempt(family_two.g2_inhomogeneity, st, xi, x) for x in xs]
+    return out
+
+
+def digests(seed: int, verify_ns=VERIFY_NS, transform_ns=TRANSFORM_NS) -> list[str]:
+    """The `<section> <sha256>` lines for one seed."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, family in enumerate(DRAWS):
+            rng = np.random.default_rng([seed, index])
+            sections = cli_sections(family, rng, Path(tmp), verify_ns)
+            sections.update(transform_sections(family, rng, transform_ns))
+            for name, texts in sections.items():
+                digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+                lines.append(f"{family}.{name} {digest}")
+    return lines
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args()
+    for line in digests(args.seed):
+        print(line)
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,9 @@ i.e. (v; q)_inf / (u; q)_inf times the shifted-factorial coefficient
 (u; q)_n / (v; q)_n.  The products and the powers r_k**n do not depend
 on the weights w_k, so weighted_bilateral walks once for a list of
 weight vectors: a form's N + 1 accessory roots differ only in their
-weights, and a single root is the one-row case.
+weights, and a single root is the one-row case.  bilateral_table
+writes g1/g2 of both families once, over a family's list of singular
+pairs (h_i, l_i, t_i).
 
 The step factors also bound the tail.  Once the moduli of the factors
 of a step are bounded by F, and F |r_k| < 1 (F / |r_k| downward), the
@@ -35,7 +37,7 @@ from itertools import zip_longest
 from operator import mul
 from typing import Sequence
 
-from .errors import ConvergenceError, QHeunError
+from .errors import ConvergenceError, DomainError, QHeunError
 from .qcore import TailSum, q_pochhammer_ratio
 
 # A step factor (1 - y) closer to zero than this would divide out, or
@@ -301,11 +303,52 @@ def weighted_bilateral(
     return results
 
 
-def bilateral_form(parts: tuple, coeff_rows: Sequence[Sequence[complex]], q: float) -> list[complex | QHeunError]:
-    """factor * weighted_bilateral(num, den, rows, rates, q) for the parts
-    (factor, num, den, xi_powers, rates) of a family's g1/g2, one row
-    xi_powers[k] * coeffs[k] per coefficient vector of coeff_rows."""
-    factor, num, den, xi_powers, rates = parts
+def bilateral_table(setup, pairs: Sequence[tuple], g1_exponent: float, which: str, xi: complex, x: complex) -> tuple:
+    """(power, num, den, xi_powers, rates) of a family's g1 or g2 at the nonzero (xi, x).
+
+    The form is (1 - q) x**power times the sum of the module docstring
+    with u = num, v = den, r_k = rates[k] and w_k = xi_powers[k] c_k.
+    Both solution families share these formulas and differ only in the
+    singular pairs (h_i, l_i, t_i) of pairs (family 1 the t1 pair,
+    family 2 both) and in g1's weight exponent (family 1
+    lambda1 + alpha1 + beta, family 2 1); setup gives params, lambda1
+    and N.
+    """
+    p = setup.params
+    q = p.q
+    lam1 = setup.lambda1
+    N = setup.N
+    if which == "g1":
+        num = [q ** (lam1 - h + p.alpha1 - 0.5) * xi / t for h, _, t in pairs] + [xi / x]
+        den = [q ** (-l + 0.5) * xi / t for _, l, t in pairs] + [q ** (lam1 + p.alpha1) * xi / x]
+        xi_powers = [xi ** (g1_exponent + k) for k in range(N + 1)]
+        rates = [q ** (g1_exponent + k) for k in range(N + 1)]
+        return -p.alpha1, num, den, xi_powers, rates
+    if which == "g2":
+        num = [q ** (l + 0.5) * t / xi for _, l, t in pairs] + [q ** (-lam1 - p.alpha1 + 1.0) * x / xi]
+        den = [q ** (-lam1 + h - p.alpha1 + 1.5) * t / xi for h, _, t in pairs] + [q * x / xi]
+        xi_powers = [xi ** (-lam1 - p.alpha2 - N + k) for k in range(N + 1)]
+        rates = [q ** (lam1 + p.alpha2 + N - k) for k in range(N + 1)]
+        return lam1, num, den, xi_powers, rates
+    raise DomainError("which must be 'g1' or 'g2'")
+
+
+def bilateral_form(
+    setup, pairs: Sequence[tuple], g1_exponent: float, which: str, coeff_rows: Sequence[Sequence[complex]],
+    xi: complex, x: complex,
+) -> list[complex | QHeunError]:
+    """g1 or g2 of bilateral_table at (xi, x) for each coefficient vector
+    c_0..c_N of coeff_rows: its value or its error.  The products are
+    stepped along one walk per side for all vectors (weighted_bilateral,
+    one weight row xi_powers[k] * c_k per vector).
+    """
+    if xi == 0 or x == 0:
+        raise DomainError("xi and x must be nonzero")
+    xi = complex(xi)
+    x = complex(x)
+    q = setup.params.q
+    power, num, den, xi_powers, rates = bilateral_table(setup, pairs, g1_exponent, which, xi, x)
+    factor = (1.0 - q) * x ** power
     rows = [[w * c for w, c in zip(xi_powers, coeffs)] for coeffs in coeff_rows]
     sums = weighted_bilateral(num, den, rows, rates, q)
     return [s if isinstance(s, QHeunError) else factor * s for s in sums]

@@ -112,6 +112,9 @@ def load_config(path: str, **overrides) -> JobConfig:
     fmt = read("format", str, "json")
     if fmt not in ("json", "csv"):
         raise PreconditionError(f"unknown format {fmt!r}")
+    xi = read("xi", nullable(_as_complex))
+    if xi == 0:
+        raise PreconditionError("config key 'xi' must be nonzero")
     return JobConfig(
         params=params,
         family=family,
@@ -124,7 +127,7 @@ def load_config(path: str, **overrides) -> JobConfig:
         fmt=fmt,
         out=read("out", nullable(_text)),
         tol=read("tol", float, 1e-8),
-        xi=read("xi", nullable(_as_complex)),
+        xi=xi,
         root_index=read("root_index", _integer, 0),
         e_offset=read("e_offset", float, 0.0),
         points=read("points", lambda values: [_as_complex(v) for v in values], []),

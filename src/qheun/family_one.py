@@ -32,7 +32,7 @@ from .errors import ConvergenceError, ConvergenceHypothesisWarning, DomainError,
 # reads this module's binding of it.
 from .qcore import q_pochhammer_ratio  # noqa: F401
 from .qheun_op import QHeunParams
-from .qtransform import Seed, source_system
+from .qtransform import Seed, product_seed, source_system
 
 UnilateralName = Literal["g3", "g4", "g5", "g6"]
 BilateralName = Literal["g1", "g2"]
@@ -110,64 +110,20 @@ def family1_seed(setup: Family1Setup, which: Literal["h1", "h2"], E0: complex) -
 
     h1 pairs with kernel P1 to produce g1; h2 pairs with P2 to produce
     g2.  Both carry the polynomial-type factor with coefficients
-    evaluated at the accessory root E0:
-
-        h1(s) = s^e1 (s/a; q)_inf / (s/b; q)_inf * sum_k c_k s^k,
-        h2(s) = s^e2 (q^(h1+1/2) t1/s; q)_inf / (q^(l1+1/2) t1/s; q)_inf * sum_k c_k s^k,
-
-    with a = q^(l1-1/2) t1, b = q^(h1-1/2) t1 in source parameters.  The
-    returned Seed is callable; transform and boundary_limits step its
-    factors along the integration spiral.
+    evaluated at the accessory root E0: qtransform.product_seed over
+    the source system's t1 pair, with h1's exponent e1 the source's
+    exponent at the origin.  The returned Seed is callable; transform
+    and boundary_limits step its factors along the integration spiral.
     """
     coeffs = coeff_row(setup, E0)
     src = family1_source_params(setup)
-    q = src.q
-    t1 = src.t1
-    if which == "h1":
-        expo = exponent_at_origin(src)
-        a = q ** (src.l1 - 0.5) * t1
-        b = q ** (src.h1 - 0.5) * t1
-        return Seed(q, expo, coeffs, num=(1.0 / a,), den=(1.0 / b,))
-    if which == "h2":
-        return Seed(
-            q, -src.alpha2 - setup.N, coeffs,
-            inv_num=(q ** (src.h1 + 0.5) * t1,), inv_den=(q ** (src.l1 + 0.5) * t1,),
-        )
-    raise DomainError("which must be 'h1' or 'h2'")
+    return product_seed(src, src.pairs[:1], exponent_at_origin(src), setup.N, which, coeffs)
 
 
 def _bilateral_hypotheses_hold(setup: Family1Setup) -> bool:
     """lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1, which the bilateral forms need."""
     p = setup.params
     return setup.lambda2 + p.alpha1 > 1.0 and setup.lambda1 + p.alpha2 > 1.0
-
-
-def _bilateral_parts(setup: Family1Setup, which: BilateralName, xi: complex, x: complex):
-    """Root-independent parts of g1/g2 at (xi, x): prefactor, products,
-    the powers of xi that times c_k give the weights, and the rates."""
-    if not _bilateral_hypotheses_hold(setup):
-        raise PreconditionError("bilateral forms need lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1")
-    if xi == 0 or x == 0:
-        raise DomainError("xi and x must be nonzero")
-    p = setup.params
-    q = p.q
-    lam1 = setup.lambda1
-    N = setup.N
-    xi = complex(xi)
-    x = complex(x)
-    if which == "g1":
-        num = [q ** (lam1 - p.h1 + p.alpha1 - 0.5) * xi / p.t1, xi / x]
-        den = [q ** (-p.l1 + 0.5) * xi / p.t1, q ** (lam1 + p.alpha1) * xi / x]
-        xi_powers = [xi ** (lam1 + p.alpha1 + p.beta + k) for k in range(N + 1)]
-        rates = [q ** (lam1 + p.alpha1 + p.beta + k) for k in range(N + 1)]
-        return (1.0 - q) * x ** (-p.alpha1), num, den, xi_powers, rates
-    if which == "g2":
-        num = [q ** (p.l1 + 0.5) * p.t1 / xi, q ** (-lam1 - p.alpha1 + 1.0) * x / xi]
-        den = [q ** (-lam1 + p.h1 - p.alpha1 + 1.5) * p.t1 / xi, q * x / xi]
-        xi_powers = [xi ** (-lam1 - p.alpha2 - N + k) for k in range(N + 1)]
-        rates = [q ** (lam1 + p.alpha2 + N - k) for k in range(N + 1)]
-        return (1.0 - q) * x ** lam1, num, den, xi_powers, rates
-    raise DomainError("which must be 'g1' or 'g2'")
 
 
 def family1_bilateral(
@@ -189,12 +145,12 @@ def family1_bilateral_rows(
     x: complex,
 ) -> list[complex | QHeunError]:
     """g1 or g2 at (xi, x) for each coefficient row c_0..c_N of rows: its
-    value or its error.
-
-    The products are stepped along one walk per side for all rows; each
-    row's sum forms its terms and stops as it would alone (bilateral_form).
-    """
-    return bilateral_form(_bilateral_parts(setup, which, xi, x), rows, setup.params.q)
+    value or its error (bilateral_form over the t1 pair, with g1's weight
+    exponent lambda1 + alpha1 + beta)."""
+    if not _bilateral_hypotheses_hold(setup):
+        raise PreconditionError("bilateral forms need lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1")
+    p = setup.params
+    return bilateral_form(setup, p.pairs[:1], setup.lambda1 + p.alpha1 + p.beta, which, rows, xi, x)
 
 
 def family1_domain(setup: Family1Setup, which: UnilateralName) -> tuple[float, float]:

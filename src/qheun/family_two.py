@@ -14,10 +14,11 @@ well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from ._bilateral import bilateral_form
+from ._bilateral import bilateral_form, bilateral_table
 from ._finite_sum import FiniteSum, QPower, finite_sum_rows
 from .accessory import (
     INTEGER_TOL,
@@ -34,9 +35,11 @@ from .accessory import (
 from .errors import ConvergenceError, DomainError, PreconditionError, QHeunError
 from .qcore import theta
 from .qheun_op import QHeunParams
-from .qtransform import Seed, seed_weight_exponent, source_system
+from .qtransform import Seed, product_seed, seed_weight_exponent, source_system
 
 POLY_MATCH_REL = 1e-10
+# The exponent e of the weights xi**(e + k) of g1 in _bilateral.bilateral_table.
+G1_EXPONENT = 1.0
 
 HomogeneousName = Literal["g3", "g4", "g5"]
 TripleName = Literal["g6", "g7", "g8"]
@@ -129,29 +132,14 @@ def family2_source_params(setup: Family2Setup) -> QHeunParams:
 def family2_seed(setup: Family2Setup, which: Literal["h1", "h2"], E0: complex) -> Seed:
     """Seeds of the source system: h1 feeds kernel P1 (-> g1), h2 feeds P2 (-> g2).
 
-        h1(s) = s^e1 prod_i (s/a_i; q)_inf / (s/b_i; q)_inf * sum_k c_k s^k,
-        h2(s) = s^e2 prod_i (q^(h_i+1/2) t_i/s; q)_inf / (q^(l_i+1/2) t_i/s; q)_inf * sum_k c_k s^k,
-
-    with a_i = q^(l_i-1/2) t_i, b_i = q^(h_i-1/2) t_i in source
-    parameters and c_k the coefficients at the accessory root E0.  The
-    returned Seed is callable; transform and boundary_limits step its
-    factors along the integration spiral.
+    qtransform.product_seed over both of the source system's pairs, with
+    h1's exponent e1 its seed_weight_exponent and c_k the coefficients
+    at the accessory root E0.  The returned Seed is callable; transform
+    and boundary_limits step its factors along the integration spiral.
     """
     coeffs = coeff_row(setup, E0)
     src = family2_source_params(setup)
-    q = src.q
-    if which == "h1":
-        expo = seed_weight_exponent(src)
-        num = (1.0 / (q ** (src.l1 - 0.5) * src.t1), 1.0 / (q ** (src.l2 - 0.5) * src.t2))
-        den = (1.0 / (q ** (src.h1 - 0.5) * src.t1), 1.0 / (q ** (src.h2 - 0.5) * src.t2))
-        return Seed(q, expo, coeffs, num=num, den=den)
-    if which == "h2":
-        return Seed(
-            q, -src.alpha2 - setup.N, coeffs,
-            inv_num=(q ** (src.h1 + 0.5) * src.t1, q ** (src.h2 + 0.5) * src.t2),
-            inv_den=(q ** (src.l1 + 0.5) * src.t1, q ** (src.l2 + 0.5) * src.t2),
-        )
-    raise DomainError("which must be 'h1' or 'h2'")
+    return product_seed(src, src.pairs, seed_weight_exponent(src), setup.N, which, coeffs)
 
 
 def g1_inhomogeneity(setup: Family2Setup, x: complex) -> complex:
@@ -170,25 +158,22 @@ def g1_inhomogeneity(setup: Family2Setup, x: complex) -> complex:
 
 
 def g2_inhomogeneity(setup: Family2Setup, xi: complex, x: complex) -> complex:
-    """Additive defect of g2 at anchor xi: Op g2 = E0 g2 + this term."""
+    """Additive defect of g2 at anchor xi: Op g2 = E0 g2 + this term.
+
+    It is the theta quotient prod theta(v) / prod theta(u) over the
+    products u = num, v = den of g2's bilateral_table, times a scalar
+    prefactor.
+    """
     p = setup.params
     q = p.q
     lam = setup.lambda1
     xi = complex(xi)
     x = complex(x)
-    ratio = (
-        theta(q ** (-lam + p.h1 - p.alpha1 + 1.5) * p.t1 / xi, q)
-        * theta(q ** (-lam + p.h2 - p.alpha1 + 1.5) * p.t2 / xi, q)
-        * theta(q * x / xi, q)
-        / (
-            theta(q ** (p.l1 + 0.5) * p.t1 / xi, q)
-            * theta(q ** (p.l2 + 0.5) * p.t2 / xi, q)
-            * theta(q ** (-lam - p.alpha1 + 1.0) * x / xi, q)
-        )
-    )
+    power, num, den, _, _ = bilateral_table(setup, p.pairs, G1_EXPONENT, "g2", xi, x)
+    ratio = math.prod(theta(v, q) for v in den) / math.prod(theta(u, q) for u in num)
     return (
         -(1.0 - q)
-        * x ** lam
+        * x ** power
         * q ** (-lam + p.h1 + p.h2 + 1.0)
         * xi ** (-lam - p.alpha2 - setup.N - 1.0)
         * ratio
@@ -196,50 +181,6 @@ def g2_inhomogeneity(setup: Family2Setup, xi: complex, x: complex) -> complex:
         * p.t1
         * p.t2
     )
-
-
-def _bilateral_parts(setup: Family2Setup, which: BilateralName, xi: complex, x: complex):
-    """Root-independent parts of g1/g2 at (xi, x): prefactor, products,
-    the powers of xi that times c_k give the weights, and the rates."""
-    p = setup.params
-    if not setup.lambda1 + p.alpha2 > 1.0:
-        raise PreconditionError("bilateral forms need lambda1 + alpha2 > 1")
-    if xi == 0 or x == 0:
-        raise DomainError("xi and x must be nonzero")
-    q = p.q
-    lam = setup.lambda1
-    N = setup.N
-    xi = complex(xi)
-    x = complex(x)
-    if which == "g1":
-        num = [
-            q ** (lam - p.h1 + p.alpha1 - 0.5) * xi / p.t1,
-            q ** (lam - p.h2 + p.alpha1 - 0.5) * xi / p.t2,
-            xi / x,
-        ]
-        den = [
-            q ** (-p.l1 + 0.5) * xi / p.t1,
-            q ** (-p.l2 + 0.5) * xi / p.t2,
-            q ** (lam + p.alpha1) * xi / x,
-        ]
-        xi_powers = [xi ** (k + 1.0) for k in range(N + 1)]
-        rates = [q ** (k + 1.0) for k in range(N + 1)]
-        return (1.0 - q) * x ** (-p.alpha1), num, den, xi_powers, rates
-    if which == "g2":
-        num = [
-            q ** (p.l1 + 0.5) * p.t1 / xi,
-            q ** (p.l2 + 0.5) * p.t2 / xi,
-            q ** (-lam - p.alpha1 + 1.0) * x / xi,
-        ]
-        den = [
-            q ** (-lam + p.h1 - p.alpha1 + 1.5) * p.t1 / xi,
-            q ** (-lam + p.h2 - p.alpha1 + 1.5) * p.t2 / xi,
-            q * x / xi,
-        ]
-        xi_powers = [xi ** (-lam - p.alpha2 - N + k) for k in range(N + 1)]
-        rates = [q ** (lam + p.alpha2 + N - k) for k in range(N + 1)]
-        return (1.0 - q) * x ** lam, num, den, xi_powers, rates
-    raise DomainError("which must be 'g1' or 'g2'")
 
 
 def family2_bilateral(
@@ -261,12 +202,11 @@ def family2_bilateral_rows(
     x: complex,
 ) -> list[complex | QHeunError]:
     """g1 or g2 at (xi, x) for each coefficient row c_0..c_N of rows: its
-    value or its error.
-
-    The products are stepped along one walk per side for all rows; each
-    row's sum forms its terms and stops as it would alone (bilateral_form).
-    """
-    return bilateral_form(_bilateral_parts(setup, which, xi, x), rows, setup.params.q)
+    value or its error (bilateral_form over both pairs, with g1's weight
+    exponent G1_EXPONENT)."""
+    if not setup.lambda1 + setup.params.alpha2 > 1.0:
+        raise PreconditionError("bilateral forms need lambda1 + alpha2 > 1")
+    return bilateral_form(setup, setup.params.pairs, G1_EXPONENT, which, rows, xi, x)
 
 
 def family2_homogeneous(
@@ -319,7 +259,7 @@ def family2_finite_rows(
     x = complex(x)
     if x == 0:
         raise DomainError("x must be nonzero")
-    one, two = (p.h1, p.l1, p.t1), (p.h2, p.l2, p.t2)
+    one, two = p.pairs
     (h, l, t), (h_o, l_o, t_o) = (one, two) if which in ("g3", "g6") else (two, one)
     if which in ("g3", "g4"):
         own, other = q ** (lam - h + l + p.alpha1), q ** (lam - h + l_o + p.alpha1) * t_o / t
@@ -358,7 +298,7 @@ def family2_pole_spirals(setup: Family2Setup) -> list[complex]:
     q = p.q
     lam = setup.lambda1
     out = []
-    for (h, l, t) in ((p.h1, p.l1, p.t1), (p.h2, p.l2, p.t2)):
+    for (h, l, t) in p.pairs:
         out.extend(
             [
                 q ** (h + 0.5) * t,

@@ -50,6 +50,11 @@ class QHeunParams:
         if self.t1 == 0 or self.t2 == 0:
             raise DomainError("t1 and t2 must be nonzero")
 
+    @property
+    def pairs(self) -> tuple[tuple[float, float, complex], tuple[float, float, complex]]:
+        """The exponents and scale point (h_i, l_i, t_i) of each singular spiral, i = 1, 2."""
+        return (self.h1, self.l1, self.t1), (self.h2, self.l2, self.t2)
+
 
 @dataclass(frozen=True)
 class HahnCoefficients:
@@ -233,12 +238,7 @@ def residual_reports(
 def singular_spirals(p: QHeunParams) -> list[complex]:
     """Base points of the four singular q-spirals of the operator."""
     q = p.q
-    return [
-        q ** (p.h1 + 0.5) * p.t1,
-        q ** (p.h2 + 0.5) * p.t2,
-        q ** (p.l1 - 0.5) * p.t1,
-        q ** (p.l2 - 0.5) * p.t2,
-    ]
+    return [q ** (h + 0.5) * t for h, _, t in p.pairs] + [q ** (l - 0.5) * t for _, l, t in p.pairs]
 
 
 def spiral_distance(x: complex, bases: Sequence[complex], q: float) -> float:
@@ -252,7 +252,8 @@ def spiral_distance(x: complex, bases: Sequence[complex], q: float) -> float:
         k0 = (math.log(ax) - math.log(abs(b))) / lnq  # ax / |b| may leave the float range
         for k in range(math.floor(k0) - 1, math.floor(k0) + 3):
             s = b * q ** k
-            best = min(best, abs(x - s) / abs(s))
+            if s:  # a point that underflowed to 0 stands for no point of the spiral
+                best = min(best, abs(x - s) / abs(s))
     return best
 
 
@@ -277,7 +278,7 @@ def grid_points(
     if not (0 < rmin <= rmax):
         raise DomainError("need 0 < rmin <= rmax")
     rng = np.random.default_rng(seed)
-    radii = np.geomspace(rmin, rmax, count)
+    radii = np.geomspace(rmin, rmax, count).tolist()
     pts: list[complex] = []
     for r in radii:
         for _ in range(200):

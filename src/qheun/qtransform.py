@@ -149,6 +149,33 @@ class Seed:
         return s**self.exponent * ratio * horner(self.coeffs, s)
 
 
+def product_seed(
+    src: QHeunParams, pairs: Sequence[tuple], h1_exponent: float, N: int, which: Literal["h1", "h2"], coeffs
+) -> Seed:
+    """Seed h1 or h2 of a solution family: h1 feeds kernel P1 (-> g1), h2 feeds P2 (-> g2).
+
+        h1(s) = s^e1 prod_i (s/a_i; q)_inf / (s/b_i; q)_inf * sum_k c_k s^k,
+        h2(s) = s^(-alpha2-N) prod_i (q^(h_i+1/2) t_i/s; q)_inf / (q^(l_i+1/2) t_i/s; q)_inf * sum_k c_k s^k,
+
+    with a_i = q^(l_i-1/2) t_i, b_i = q^(h_i-1/2) t_i over the source
+    system's singular pairs (h_i, l_i, t_i) that pairs lists (family 1
+    the t1 pair, family 2 both), e1 = h1_exponent, alpha2 and q those of
+    src, and c_k = coeffs[k].
+    """
+    q = src.q
+    if which == "h1":
+        num = tuple(1.0 / (q ** (l - 0.5) * t) for _, l, t in pairs)
+        den = tuple(1.0 / (q ** (h - 0.5) * t) for h, _, t in pairs)
+        return Seed(q, h1_exponent, coeffs, num=num, den=den)
+    if which == "h2":
+        return Seed(
+            q, -src.alpha2 - N, coeffs,
+            inv_num=tuple(q ** (h + 0.5) * t for h, _, t in pairs),
+            inv_den=tuple(q ** (l + 0.5) * t for _, l, t in pairs),
+        )
+    raise DomainError("which must be 'h1' or 'h2'")
+
+
 def _kernel_factors(spec: TransformSpec, x: complex):
     """(num, den, inv_num, inv_den, power) of K(x, s) = (x/s)**power * V(s) in Seed's notation."""
     q = spec.source.q

@@ -2,7 +2,6 @@
 
 import json
 import re
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -422,16 +421,32 @@ class TestExtremeInputs:
         with pytest.raises(DomainError, match=rf"^OverflowError in setup at q = {q!r}, N = 2: "):
             forms.FAMILIES[family].setup(replace(draws[family], q=q), 2)
 
+    def run_zero_anchor(self, tmp_path, runner, command):
+        # A zero anchor is refused as the config is read, before a grid or
+        # a bilateral form would need it.
+        rng = np.random.default_rng(3)
+        for family, draw in (("family1", random_family1_params), ("family2", random_family2_params)):
+            p = draw(rng, 1)
+            for solution in (None, "g1"):
+                path = write_config(tmp_path, p, family=family, N=1, grid_count=3, xi=[0, 0], solution=solution)
+                res = runner.invoke(main, [command, "--config", path])
+                assert res.exit_code == 2, res.output
+                assert json.loads(res.output)["error"]["reason"] == "precondition: config key 'xi' must be nonzero"
+
+    def test_eval_zero_anchor_exits_2(self, tmp_path, runner):
+        self.run_zero_anchor(tmp_path, runner, "eval")
+
+    def test_verify_zero_anchor_exits_2(self, tmp_path, runner):
+        self.run_zero_anchor(tmp_path, runner, "verify")
+
     def test_grid_out_of_float_range_is_typed(self, draws):
         # At q = 1e-40 the g3 band and spirals span 1e-212 .. 1e116, and g5's
         # grid steps a spiral past the float range.
         family = forms.FAMILIES["family1"]
         st = family.setup(replace(draws["family1"], q=1e-40), 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert len(family.form("g3").grid(st, None, 3, seed=0)) == 3
-            with pytest.raises(DomainError, match=r"^OverflowError in the g5 grid at q = 1e-40: "):
-                family.form("g5").grid(st, None, 3, seed=0)
+        assert len(family.form("g3").grid(st, None, 3, seed=0)) == 3
+        with pytest.raises(DomainError, match=r"^OverflowError in the g5 grid at q = 1e-40: "):
+            family.form("g5").grid(st, None, 3, seed=0)
 
 
 class TestSharedWork:

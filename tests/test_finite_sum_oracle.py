@@ -1,10 +1,12 @@
-"""Every finite-sum form against an independent 40-digit transcription.
+"""Every family form against an independent 40-digit transcription.
 
 The written-out sums below use mpmath.qhyper and mpmath.qp only, none
-of qheun's series, products or tables.  Each form is evaluated at one
-in-band point of an N = 3 draw with the coefficient row of its first
-accessory root, and the error is bounded relative to the sum of the
-absolute outer terms, which a cancelling k-sum cannot make small.
+of qheun's series, products, tables or walks.  Each finite-sum form is
+evaluated at one in-band point of an N = 3 draw with the coefficient
+row of its first accessory root, the bilateral forms g1/g2 at
+BILATERAL_POINTS grid points with the anchor 0.8 |t1|, and the error is
+bounded relative to the sum of the absolute terms, which a cancelling
+sum cannot make small.
 """
 
 import numpy as np
@@ -135,3 +137,87 @@ def test_form_matches_the_written_out_sum(family, st, name):
     with mp.workdps(40):
         want, scale = oracle(family, st, name, row, x)
         assert abs(mp.mpc(got) - want) <= REL_TOL * scale
+
+
+# The worst measured ratio is 1.1e-15 (family2 g2), over 12 points.
+BILATERAL_TOL = 4e-15
+BILATERAL_POINTS = 3
+
+
+def bilateral_oracle(family, st, name, row, xi, x):
+    """(value, sum of |terms|) of g1/g2 at (xi, x): (1 - q) x**power times
+
+        sum_n  prod_j (v_j q^n; q)_inf / prod_i (u_i q^n; q)_inf * sum_k c_k xi**a_k q**(n b_k).
+
+    The products are formed with mpmath.qp at n = 0 and stepped by
+    (a q^n; q)_inf = (1 - a q^n) (a q^(n+1); q)_inf; each side stops once
+    5 consecutive terms fall below 1e-45 of its partial sum.
+    """
+    p = st.params
+    q = mp.mpf(p.q)
+    a1, a2, beta, lam = (mp.mpf(v) for v in (p.alpha1, p.alpha2, p.beta, st.lambda1))
+    xi, x = mp.mpc(xi), mp.mpc(x)
+    pairs = [(mp.mpf(p.h1), mp.mpf(p.l1), mp.mpc(p.t1)), (mp.mpf(p.h2), mp.mpf(p.l2), mp.mpc(p.t2))]
+    pairs = pairs[:1] if family == "family1" else pairs
+    ks = range(st.N + 1)
+    if name == "g1":
+        e = lam + a1 + beta if family == "family1" else mp.mpf(1)
+        u = [q ** (lam - h + a1 - 0.5) * xi / t for h, _, t in pairs] + [xi / x]
+        v = [q ** (0.5 - l) * xi / t for _, l, t in pairs] + [q ** (lam + a1) * xi / x]
+        a = b = [e + k for k in ks]
+        power = -a1
+    else:
+        u = [q ** (l + 0.5) * t / xi for _, l, t in pairs] + [q ** (1 - lam - a1) * x / xi]
+        v = [q ** (h - lam - a1 + 1.5) * t / xi for h, _, t in pairs] + [q * x / xi]
+        a = [k - lam - a2 - st.N for k in ks]
+        b = [lam + a2 + st.N - k for k in ks]
+        power = lam
+    pref = (1 - q) * x**power
+    weights = [pref * mp.mpc(c) * xi**ak for c, ak in zip(row, a)]
+    rates = [q**bk for bk in b]
+    start = mp.fprod(mp.qp(c, q) for c in v) / mp.fprod(mp.qp(c, q) for c in u)
+
+    def step(n, V, powers, d):
+        """n + d with V and the powers there, from their values at n."""
+        if d > 0:
+            qn = q**n
+            V *= mp.fprod(1 - c * qn for c in u) / mp.fprod(1 - c * qn for c in v)
+            return n + 1, V, [w * r for w, r in zip(powers, rates)]
+        qn = q ** (n - 1)
+        V *= mp.fprod(1 - c * qn for c in v) / mp.fprod(1 - c * qn for c in u)
+        return n - 1, V, [w / r for w, r in zip(powers, rates)]
+
+    value, scale, tiny = 0, 0, mp.mpf(10) ** -45
+    for d in (1, -1):
+        n, V, powers, partial, quiet = 0, start, weights, 0, 0
+        if d < 0:
+            n, V, powers = step(n, V, powers, d)
+        while quiet < 5:
+            parts = [V * w for w in powers]
+            term = mp.fsum(parts)
+            partial += term
+            scale += mp.fsum(abs(t) for t in parts)
+            quiet = quiet + 1 if abs(term) < tiny * abs(partial) else 0
+            n, V, powers = step(n, V, powers, d)
+            assert abs(n) < 20000, "oracle sum does not settle"
+        value += partial
+    return value, scale
+
+
+def bilateral_cases():
+    for family in FORMS:
+        st = FAMILIES[family].setup(DRAWS[family](np.random.default_rng(41), N), N)
+        for name in ("g1", "g2"):
+            yield pytest.param(family, st, name, id=f"{family}-{name}")
+
+
+@pytest.mark.parametrize("family, st, name", bilateral_cases())
+def test_bilateral_form_matches_the_written_out_sum(family, st, name):
+    form = FAMILIES[family].form(name)
+    row = st.root_coeffs[st.roots[0]]
+    xi = 0.8 * abs(st.params.t1)
+    for x in form.grid(st, xi, BILATERAL_POINTS, seed=5):
+        (got,) = form.kernel(st, [row], xi, x)
+        with mp.workdps(40):
+            want, scale = bilateral_oracle(family, st, name, row, xi, x)
+            assert abs(mp.mpc(got) - want) <= BILATERAL_TOL * scale

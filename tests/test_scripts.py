@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -36,3 +37,14 @@ def test_accessory_scan_routes_agree(N, monkeypatch, capsys):
     assert len(rows) == 3 * (N + 1)
     assert [int(r[1]) for r in rows] == list(range(N + 1)) * 3
     assert all(float(r[4]) <= 1e-10 for r in rows)
+
+
+def test_output_digest_is_stable_and_well_formed():
+    digests = runpy.run_path(str(SCRIPTS / "output_digest.py"))["digests"]
+    lines = digests(1, verify_ns=(1,), transform_ns=(1,))
+    assert digests(1, verify_ns=(1,), transform_ns=(1,)) == lines
+    sections = [line.split()[0] for line in lines]
+    common = ["accessory", "verify", "transform", "limits"]
+    assert sections == [f"family1.{s}" for s in common] + [f"family2.{s}" for s in common + ["defects"]]
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    assert len({line.split()[1] for line in lines}) == len(lines)
