@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Time two checkouts on the same verify-sweep jobs in one process.
+
+    python scripts/ab_timing.py PARENT CHANGE --seed 1 [--jobs 160]
+
+PARENT and CHANGE are source checkouts (their ``src/qheun`` is loaded
+under a name of its own, so both live in this process).  The jobs are
+the first JOBS ``qheun verify`` jobs of the verify-sweep stream of
+``perfbench/workloads.py`` for the seed (160, the default, is the
+stream's 30-second budget); that file is only read.  Each job runs
+through both checkouts' ``cli.main`` three times, the side that goes
+first alternating, and keeps each side's best time.  Timing both sides
+in one process, job by job, cancels the drift of a shared machine,
+which moves whole runs by up to a factor of two.
+
+Prints the change/parent ratios of the median, the 90th percentile
+and the total of the per-job best times, and the number of jobs whose
+stdout or exit code differs; exits 1 if any job differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import io
+import json
+import statistics
+import sys
+import tempfile
+import time
+from contextlib import redirect_stdout
+from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+REPEATS = 3
+
+
+def load_checkout(root: Path, name: str):
+    """The ``cli`` module of root's src/qheun, imported as the package ``name``."""
+    package = root / "src" / "qheun"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def verify_jobs(seed: int, count: int, package: str) -> list[tuple[dict, str]]:
+    """(config, form) of the first count verify-sweep jobs of seed.
+
+    workloads.py imports ``qheun``; the package loaded as ``package``
+    stands in for it while the file is read.
+    """
+    aliases = {key.replace(package, "qheun", 1): mod for key, mod in sys.modules.items() if key.split(".")[0] == package}
+    saved = {key: sys.modules.get(key) for key in aliases}
+    sys.modules.update(aliases)
+    try:
+        spec = importlib.util.spec_from_file_location("ab_workloads", WORKLOADS)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    finally:
+        for key, mod in saved.items():
+            if mod is None:
+                sys.modules.pop(key)
+            else:
+                sys.modules[key] = mod
+    jobs, config = [], None
+    with tempfile.TemporaryDirectory() as tmp:
+        for step in workloads.verify_sweep(seed, Path(tmp)):
+            if not step.job:
+                config = step.inputs
+                continue
+            jobs.append((config, step.label.split()[-1]))  # label "verify <family> N=<N> <form>"
+            if len(jobs) == count:
+                return jobs
+    return jobs
+
+
+def run_job(cli, argv: list[str]) -> tuple[float, str]:
+    """(seconds, stdout and exit code) of one in-process ``qheun`` command."""
+    buf = io.StringIO()
+    start = time.perf_counter()
+    try:
+        with redirect_stdout(buf):
+            cli.main(argv, prog_name="qheun")
+        code = 0
+    except SystemExit as stop:
+        code = stop.code
+    return time.perf_counter() - start, f"{buf.getvalue()}exit {code}\n"
+
+
+def compare(clis, jobs: list[tuple[dict, str]]) -> tuple[list[list[float]], int]:
+    """Per side, each job's best time; and the number of jobs whose output differs."""
+    best = [[], []]
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "verify.json"
+        for index, (config, form) in enumerate(jobs):
+            path.write_text(json.dumps(config))
+            argv = ["verify", "--config", str(path), "--solution", form]
+            times, outputs = [[], []], [set(), set()]
+            for repeat in range(REPEATS):
+                for side in ((0, 1) if (index + repeat) % 2 == 0 else (1, 0)):
+                    seconds, text = run_job(clis[side], argv)
+                    times[side].append(seconds)
+                    outputs[side].add(text)
+            differ += outputs[0] != outputs[1] or len(outputs[0]) != 1
+            for side in (0, 1):
+                best[side].append(min(times[side]))
+    return best, differ
+
+
+def summary(best: list[list[float]]) -> dict[str, float]:
+    """p50, p90 and total of each side's per-job best times, in ms."""
+    out = {}
+    for side, name in enumerate(("parent", "change")):
+        ms = [1000.0 * t for t in best[side]]
+        p50, p90 = (statistics.quantiles(ms, n=10)[i] for i in (4, 8)) if len(ms) > 1 else (ms[0], ms[0])
+        out.update({f"{name}_p50_ms": p50, f"{name}_p90_ms": p90, f"{name}_total_ms": sum(ms)})
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--jobs", type=int, default=160)
+    args = ap.parse_args(argv)
+    clis = [load_checkout(args.parent.resolve(), "qheun_parent"), load_checkout(args.change.resolve(), "qheun_change")]
+    jobs = verify_jobs(args.seed, args.jobs, "qheun_change")
+    best, differ = compare(clis, jobs)
+    stats = summary(best)
+    print(f"seed {args.seed}: {len(jobs)} verify-sweep jobs, best of {REPEATS}, change/parent")
+    for key in ("p50", "p90", "total"):
+        parent, change = stats[f"parent_{key}_ms"], stats[f"change_{key}_ms"]
+        print(f"{key:>5}  {parent:10.2f} ms -> {change:10.2f} ms  ratio {change / parent:.3f}")
+    print(f"jobs with different output: {differ}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,7 +35,7 @@ import math
 from functools import partial
 from itertools import zip_longest
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError, QHeunError
 from .qcore import TailSum, q_pochhammer_ratio
@@ -80,6 +80,26 @@ def spiral_product(
     )
 
 
+class PowerWalk:
+    """The rates r_k of a walk and the scaled powers r_k**n / c_n at each index n.
+
+    The powers and their rescale steps depend on the rates alone, so
+    every SpiralTerms built on one PowerWalk reads them from here: the
+    entry at an index is formed once, by the first walk that steps onto
+    it (SpiralTerms._step), with the operations a lone walk would use.
+    A walk reaches index n only from n -+ 1, so each side holds one
+    entry per index walked, at most MAX_TERMS.
+    """
+
+    __slots__ = ("rates", "sides")
+
+    def __init__(self, rates: Sequence[complex]) -> None:
+        self.rates = [complex(r) for r in rates]
+        # Per direction (down, up): (powers, c) at |n| = 1, 2, ...; c is the
+        # rescale factor applied at that step, or None.
+        self.sides: tuple[list, list] = ([], [])
+
+
 class SpiralTerms:
     """term(n) = V(s_n) * sum_k w_k r_k**n along s_n = q**n * xi.
 
@@ -93,7 +113,11 @@ class SpiralTerms:
 
     Only the states at n = 0 and at the two walk fronts are kept.  A
     state holds V(s_n) * c and r_k**n / c for a scale c that keeps the
-    powers near 1.
+    powers near 1.  rates may be a PowerWalk that other walks share
+    (the walks of one evaluator, whose rates do not depend on the
+    point): the powers are then read from it, or formed and added to it
+    by the first walk to reach an index.  Plain rates make a walk of its
+    own, which keeps no powers beyond its fronts.
     """
 
     def __init__(
@@ -101,7 +125,7 @@ class SpiralTerms:
         num: Sequence[complex],
         den: Sequence[complex],
         weights: Sequence[complex],
-        rates: Sequence[complex],
+        rates: Sequence[complex] | PowerWalk,
         q: float,
         xi: complex = 1.0,
         inv_num: Sequence[complex] = (),
@@ -112,7 +136,10 @@ class SpiralTerms:
         self.inv_num = [complex(u) for u in inv_num]
         self.inv_den = [complex(v) for v in inv_den]
         self.weights = [complex(w) for w in weights]
-        self.rates = [complex(r) for r in rates]
+        if isinstance(rates, PowerWalk):
+            self.rates, self.sides = rates.rates, rates.sides
+        else:  # a walk of its own: nothing to share, so nothing is kept
+            self.rates, self.sides = [complex(r) for r in rates], (None, None)
         self.q = q
         # Interleaved (multiplied, divided) coefficient pairs per direction,
         # so that large factors cancel before they overflow; a missing
@@ -132,22 +159,32 @@ class SpiralTerms:
         self.origin = (0, s0, self._direct(s0), [1.0 + 0.0j] * len(self.rates), 1.0)
         self.up = list(self.origin)
         self.down = list(self.origin)
+        self.gains_at: tuple = (None, None)  # (n, _gains at n) of the last tail_bound
 
     def _direct(self, s: complex) -> complex:
         return spiral_product(s, self.num, self.den, self.inv_num, self.inv_den, self.q)
 
     def _step(self, state: list, upward: bool) -> None:
         n, s, value, powers, scale = state
+        # The powers at the next index, from the shared walk where a walk
+        # has formed them; otherwise formed here and, once the step
+        # succeeds, added to it.
+        side = self.sides[upward]
+        known = side is not None and abs(n) < len(side)
         # Factor pairs (a, b) step V by (1 - a y) / (1 - b y), with y = s_n
         # or s_(n-1) for s-factors and 1/s_(n+1) or 1/s_n for 1/s-factors.
         if upward:
             n1, s1 = n + 1, s * self.q
             y, pairs, inv_pairs = s, self.pairs_up, self.inv_pairs_up
-            powers = [p * r for p, r in zip(powers, self.rates)]
+            if not known:
+                powers = [p * r for p, r in zip(powers, self.rates)]
         else:
             n1, s1 = n - 1, s / self.q
             y, pairs, inv_pairs = s1, self.pairs_down, self.inv_pairs_down
-            powers = [p / r for p, r in zip(powers, self.rates)]
+            if not known:
+                powers = [p / r for p, r in zip(powers, self.rates)]
+        if known:
+            powers, c = side[abs(n)]
         factors = [(1.0 - a * y, 1.0 - b * y) for a, b in pairs]
         if inv_pairs:
             s_inv = s1 if upward else s
@@ -160,11 +197,16 @@ class SpiralTerms:
                 value = self._direct(s1) * scale
                 break
             value = value * f / g
-        m = max(map(abs, powers), default=1.0)
-        if not 1.0 / RESCALE_AT < m < RESCALE_AT and 0.0 < m < math.inf:
-            # A power of two, so that rescaling rounds nothing.
-            c = 2.0 ** -math.frexp(m)[1]
-            powers = [p * c for p in powers]
+        if not known:
+            c = None
+            m = max(map(abs, powers), default=1.0)
+            if not 1.0 / RESCALE_AT < m < RESCALE_AT and 0.0 < m < math.inf:
+                # A power of two, so that rescaling rounds nothing.
+                c = 2.0 ** -math.frexp(m)[1]
+                powers = [p * c for p in powers]
+            if side is not None:
+                side.append((powers, c))
+        if c is not None:
             value /= c
             scale /= c
         state[:] = n1, s1, value, powers, scale
@@ -236,7 +278,9 @@ class SpiralTerms:
         is inf (or NaN) where no bound is certified.
         """
         n, s, value, powers, _ = self._seek(n)
-        gains = self._gains(n, s)
+        if self.gains_at[0] != n:  # the rows of weighted_bilateral ask at the same n in turn
+            self.gains_at = (n, self._gains(n, s))
+        gains = self.gains_at[1]
         if gains is None:
             return math.inf
         total = 0.0
@@ -250,7 +294,7 @@ def weighted_bilateral(
     num: Sequence[complex],
     den: Sequence[complex],
     weight_rows: Sequence[Sequence[complex]],
-    rates: Sequence[complex],
+    rates: Sequence[complex] | PowerWalk,
     q: float,
 ) -> list[complex | QHeunError]:
     """The two-sided sum of the module docstring, with u = num and v = den,
@@ -259,7 +303,8 @@ def weighted_bilateral(
     The terms of one row are SpiralTerms(den, num, row, rates, q) along
     s_n = q**n, summed as qcore.bilateral_sum sums them: the side n >= 0,
     then the side n <= -1, each stopped by its own TailSum with the
-    walk's tail_bound for that row.  The
+    walk's tail_bound for that row.  rates may be a PowerWalk shared
+    with other sums of the same rates.  The
     products and powers at each index are stepped once for all rows;
     each row forms its terms, partial sums and stop decisions as it
     would alone.  PoleError is raised where (num q**n; q)_inf vanishes,
@@ -333,22 +378,31 @@ def bilateral_table(setup, pairs: Sequence[tuple], g1_exponent: float, which: st
     raise DomainError("which must be 'g1' or 'g2'")
 
 
-def bilateral_form(
-    setup, pairs: Sequence[tuple], g1_exponent: float, which: str, coeff_rows: Sequence[Sequence[complex]],
-    xi: complex, x: complex,
-) -> list[complex | QHeunError]:
-    """g1 or g2 of bilateral_table at (xi, x) for each coefficient vector
-    c_0..c_N of coeff_rows: its value or its error.  The products are
-    stepped along one walk per side for all vectors (weighted_bilateral,
-    one weight row xi_powers[k] * c_k per vector).
+def bilateral_evaluator(
+    setup, pairs: Sequence[tuple], g1_exponent: float, which: str, xi: complex,
+) -> Callable[[Sequence[Sequence[complex]], complex], list[complex | QHeunError]]:
+    """at(coeff_rows, x): g1 or g2 of bilateral_table at (xi, x) for each
+    coefficient vector c_0..c_N of coeff_rows, its value or its error.
+
+    The products are stepped along one walk per side for all vectors
+    (weighted_bilateral, one weight row xi_powers[k] * c_k per vector).
+    The rates r_k depend on neither x nor the vector, so every walk of
+    this evaluator reads its powers r_k**n from one PowerWalk, formed
+    with the first point's table; everything else is formed per point.
     """
-    if xi == 0 or x == 0:
-        raise DomainError("xi and x must be nonzero")
-    xi = complex(xi)
-    x = complex(x)
-    q = setup.params.q
-    power, num, den, xi_powers, rates = bilateral_table(setup, pairs, g1_exponent, which, xi, x)
-    factor = (1.0 - q) * x ** power
-    rows = [[w * c for w, c in zip(xi_powers, coeffs)] for coeffs in coeff_rows]
-    sums = weighted_bilateral(num, den, rows, rates, q)
-    return [s if isinstance(s, QHeunError) else factor * s for s in sums]
+    walks: list[PowerWalk] = []  # the shared PowerWalk, once a table is formed
+
+    def at(coeff_rows: Sequence[Sequence[complex]], x: complex) -> list[complex | QHeunError]:
+        if xi == 0 or x == 0:
+            raise DomainError("xi and x must be nonzero")
+        x = complex(x)
+        q = setup.params.q
+        power, num, den, xi_powers, rates = bilateral_table(setup, pairs, g1_exponent, which, complex(xi), x)
+        if not walks:
+            walks.append(PowerWalk(rates))
+        factor = (1.0 - q) * x ** power
+        rows = [[w * c for w, c in zip(xi_powers, coeffs)] for coeffs in coeff_rows]
+        sums = weighted_bilateral(num, den, rows, walks[0], q)
+        return [s if isinstance(s, QHeunError) else factor * s for s in sums]
+
+    return at

@@ -288,7 +288,8 @@ def verify(config_path, **overrides) -> None:
                     points=[_pair(x) for x in rep.points],
                     residuals=list(rep.residuals),
                     max_residual=rep.max_residual,
-                    status="fail" if rep.max_residual >= cfg.tol else "pass",
+                    # A NaN residual meets no tolerance.
+                    status="pass" if rep.max_residual < cfg.tol else "fail",
                 )
             results.append(result)
     all_pass = all(r["status"] == "pass" for r in results)

@@ -7,17 +7,19 @@ anchors, by finite sums of N + 1 Gauss-type q-hypergeometric terms
 (g3..g6).  The forms come in two convergence regimes: g3/g4 for small
 |x|, g5/g6 for large |x|.  Each finite sum is a FiniteSum table,
 evaluated by _finite_sum.finite_sum_rows; its scalar base is also the
-special anchor of the form.
+special anchor of the form.  Only z, the base of g4/g6 and the
+prefactor move with x: an evaluator forms R_k and the series chain of
+each term once, at its first point.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
-from ._bilateral import bilateral_form
-from ._finite_sum import FiniteSum, QPower, finite_sum_rows
+from ._bilateral import bilateral_evaluator
+from ._finite_sum import FiniteSum, QPower, TermTable, finite_sum_rows
 from .accessory import (
     INTEGER_TOL,
     Poly,
@@ -27,7 +29,14 @@ from .accessory import (
     one_root,
     solve_accessory,
 )
-from .errors import ConvergenceError, ConvergenceHypothesisWarning, DomainError, PreconditionError, QHeunError
+from .errors import (
+    ConvergenceError,
+    ConvergenceHypothesisWarning,
+    DomainError,
+    PreconditionError,
+    QHeunError,
+    typed_at_point,
+)
 # Unused here, but perfbench/test_perfbench.py::test_tracing_restores_every_wrapped_function
 # reads this module's binding of it.
 from .qcore import q_pochhammer_ratio  # noqa: F401
@@ -134,23 +143,25 @@ def family1_bilateral(
     x: complex,
 ) -> complex:
     """Bilateral solution g1 or g2 at anchor xi and point x."""
-    return one_root(family1_bilateral_rows(setup, which, [coeff_row(setup, E0)], xi, x))
+    return one_root(family1_bilateral_evaluator(setup, which, xi)([coeff_row(setup, E0)], x))
 
 
-def family1_bilateral_rows(
-    setup: Family1Setup,
-    which: BilateralName,
-    rows: Sequence[Sequence[complex]],
-    xi: complex,
-    x: complex,
-) -> list[complex | QHeunError]:
-    """g1 or g2 at (xi, x) for each coefficient row c_0..c_N of rows: its
-    value or its error (bilateral_form over the t1 pair, with g1's weight
-    exponent lambda1 + alpha1 + beta)."""
-    if not _bilateral_hypotheses_hold(setup):
-        raise PreconditionError("bilateral forms need lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1")
+def family1_bilateral_evaluator(
+    setup: Family1Setup, which: BilateralName, xi: complex
+) -> Callable[[Sequence[Sequence[complex]], complex], list[complex | QHeunError]]:
+    """at(rows, x): g1 or g2 at (xi, x) for each coefficient row c_0..c_N
+    of rows, its value or its error (_bilateral.bilateral_evaluator over
+    the t1 pair, with g1's weight exponent lambda1 + alpha1 + beta)."""
     p = setup.params
-    return bilateral_form(setup, p.pairs[:1], setup.lambda1 + p.alpha1 + p.beta, which, rows, xi, x)
+    bilateral = bilateral_evaluator(setup, p.pairs[:1], setup.lambda1 + p.alpha1 + p.beta, which, xi)
+
+    @typed_at_point
+    def at(rows: Sequence[Sequence[complex]], x: complex) -> list[complex | QHeunError]:
+        if not _bilateral_hypotheses_hold(setup):
+            raise PreconditionError("bilateral forms need lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1")
+        return bilateral(rows, x)
+
+    return at
 
 
 def family1_domain(setup: Family1Setup, which: UnilateralName) -> tuple[float, float]:
@@ -181,29 +192,33 @@ def family1_unilateral(
     x: complex,
 ) -> complex:
     """Finite-sum solution g3..g6 at the point x, inside its domain."""
-    return one_root(family1_unilateral_rows(setup, which, [coeff_row(setup, E0)], x))
+    return one_root(family1_unilateral_evaluator(setup, which)([coeff_row(setup, E0)], x))
 
 
-def family1_unilateral_rows(
-    setup: Family1Setup,
-    which: UnilateralName,
-    rows: Sequence[Sequence[complex]],
-    x: complex,
-) -> list[complex]:
-    """g3..g6 at x for each coefficient row c_0..c_N of rows (finite_sum_rows)."""
-    x = complex(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
-    lo, hi = family1_domain(setup, which)
-    if not (lo < abs(x) < hi):
-        raise ConvergenceError(f"|x| = {abs(x)} outside the ({lo:.4g}, {hi:.4g}) domain of {which}")
-    if not _bilateral_hypotheses_hold(setup):
-        warnings.warn(
-            "evaluating a unilateral form outside the bilateral hypotheses",
-            ConvergenceHypothesisWarning,
-            stacklevel=3,  # the caller of family1_unilateral
-        )
-    return finite_sum_rows(_unilateral_table(setup, which, x), rows)
+def family1_unilateral_evaluator(
+    setup: Family1Setup, which: UnilateralName
+) -> Callable[[Sequence[Sequence[complex]], complex], list[complex]]:
+    """at(rows, x): g3..g6 at x for each coefficient row c_0..c_N of rows
+    (finite_sum_rows, with one TermTable for every point of at)."""
+    table = TermTable()
+
+    @typed_at_point
+    def at(rows: Sequence[Sequence[complex]], x: complex) -> list[complex]:
+        x = complex(x)
+        if x == 0:
+            raise DomainError("x must be nonzero")
+        lo, hi = family1_domain(setup, which)
+        if not (lo < abs(x) < hi):
+            raise ConvergenceError(f"|x| = {abs(x)} outside the ({lo:.4g}, {hi:.4g}) domain of {which}")
+        if not _bilateral_hypotheses_hold(setup):
+            warnings.warn(
+                "evaluating a unilateral form outside the bilateral hypotheses",
+                ConvergenceHypothesisWarning,
+                stacklevel=4,  # past typed_at_point, the caller of family1_unilateral
+            )
+        return finite_sum_rows(_unilateral_table(setup, which, x), rows, table)
+
+    return at
 
 
 def _unilateral_table(setup: Family1Setup, which: UnilateralName, x: complex) -> FiniteSum:

@@ -7,19 +7,20 @@ that condition the equation admits finite sums of N + 1 q-hypergeometric
 terms with two numerator rows (g3..g5, homogeneous) and a triple
 g6..g8 whose members each solve the same inhomogeneous equation, so
 that pairwise differences are again solutions.  Each finite sum is a
-FiniteSum table, evaluated by _finite_sum.finite_sum_rows.  The
-bilateral forms g1 and g2 solve explicit inhomogeneous equations as
-well.
+FiniteSum table, evaluated by _finite_sum.finite_sum_rows; its series
+parameters move with x and not with k, so the N + 1 series of a point
+share one chain and differ only in z_k.  The bilateral forms g1 and g2
+solve explicit inhomogeneous equations as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
-from ._bilateral import bilateral_form, bilateral_table
-from ._finite_sum import FiniteSum, QPower, finite_sum_rows
+from ._bilateral import bilateral_evaluator, bilateral_table
+from ._finite_sum import FiniteSum, QPower, TermTable, finite_sum_rows
 from .accessory import (
     INTEGER_TOL,
     Poly,
@@ -32,7 +33,7 @@ from .accessory import (
     one_root,
     solve_accessory,
 )
-from .errors import ConvergenceError, DomainError, PreconditionError, QHeunError
+from .errors import ConvergenceError, DomainError, PreconditionError, QHeunError, typed_at_point
 from .qcore import theta
 from .qheun_op import QHeunParams
 from .qtransform import Seed, product_seed, seed_weight_exponent, source_system
@@ -142,6 +143,7 @@ def family2_seed(setup: Family2Setup, which: Literal["h1", "h2"], E0: complex) -
     return product_seed(src, src.pairs, seed_weight_exponent(src), setup.N, which, coeffs)
 
 
+@typed_at_point
 def g1_inhomogeneity(setup: Family2Setup, x: complex) -> complex:
     """Additive defect of g1 (and of g6..g8): Op g = E0 g + this term."""
     p = setup.params
@@ -157,6 +159,7 @@ def g1_inhomogeneity(setup: Family2Setup, x: complex) -> complex:
     )
 
 
+@typed_at_point
 def g2_inhomogeneity(setup: Family2Setup, xi: complex, x: complex) -> complex:
     """Additive defect of g2 at anchor xi: Op g2 = E0 g2 + this term.
 
@@ -191,22 +194,24 @@ def family2_bilateral(
     x: complex,
 ) -> complex:
     """Bilateral form g1 or g2 at anchor xi and point x."""
-    return one_root(family2_bilateral_rows(setup, which, [coeff_row(setup, E0)], xi, x))
+    return one_root(family2_bilateral_evaluator(setup, which, xi)([coeff_row(setup, E0)], x))
 
 
-def family2_bilateral_rows(
-    setup: Family2Setup,
-    which: BilateralName,
-    rows: Sequence[Sequence[complex]],
-    xi: complex,
-    x: complex,
-) -> list[complex | QHeunError]:
-    """g1 or g2 at (xi, x) for each coefficient row c_0..c_N of rows: its
-    value or its error (bilateral_form over both pairs, with g1's weight
-    exponent G1_EXPONENT)."""
-    if not setup.lambda1 + setup.params.alpha2 > 1.0:
-        raise PreconditionError("bilateral forms need lambda1 + alpha2 > 1")
-    return bilateral_form(setup, setup.params.pairs, G1_EXPONENT, which, rows, xi, x)
+def family2_bilateral_evaluator(
+    setup: Family2Setup, which: BilateralName, xi: complex
+) -> Callable[[Sequence[Sequence[complex]], complex], list[complex | QHeunError]]:
+    """at(rows, x): g1 or g2 at (xi, x) for each coefficient row c_0..c_N
+    of rows, its value or its error (_bilateral.bilateral_evaluator over
+    both pairs, with g1's weight exponent G1_EXPONENT)."""
+    bilateral = bilateral_evaluator(setup, setup.params.pairs, G1_EXPONENT, which, xi)
+
+    @typed_at_point
+    def at(rows: Sequence[Sequence[complex]], x: complex) -> list[complex | QHeunError]:
+        if not setup.lambda1 + setup.params.alpha2 > 1.0:
+            raise PreconditionError("bilateral forms need lambda1 + alpha2 > 1")
+        return bilateral(rows, x)
+
+    return at
 
 
 def family2_homogeneous(
@@ -221,7 +226,7 @@ def family2_homogeneous(
     q^(lambda1 + alpha2 + N - k); lambda1 + alpha2 > 0 is required for
     convergence of every term.
     """
-    return one_root(family2_finite_rows(setup, which, [coeff_row(setup, E0)], x))
+    return one_root(family2_finite_evaluator(setup, which)([coeff_row(setup, E0)], x))
 
 
 def family2_inhomogeneous_triple(
@@ -232,16 +237,25 @@ def family2_inhomogeneous_triple(
 ) -> complex:
     """Member of the g6..g8 triple; each solves the same inhomogeneous
     equation as g1, so pairwise differences are homogeneous solutions."""
-    return one_root(family2_finite_rows(setup, which, [coeff_row(setup, E0)], x))
+    return one_root(family2_finite_evaluator(setup, which)([coeff_row(setup, E0)], x))
 
 
-def family2_finite_rows(
-    setup: Family2Setup,
-    which: HomogeneousName | TripleName,
-    rows: Sequence[Sequence[complex]],
-    x: complex,
-) -> list[complex]:
-    """g3..g8 at x for each coefficient row c_0..c_N of rows (finite_sum_rows).
+def family2_finite_evaluator(
+    setup: Family2Setup, which: HomogeneousName | TripleName
+) -> Callable[[Sequence[Sequence[complex]], complex], list[complex]]:
+    """at(rows, x): g3..g8 at x for each coefficient row c_0..c_N of rows
+    (finite_sum_rows, with one TermTable for every point of at)."""
+    table = TermTable()
+
+    @typed_at_point
+    def at(rows: Sequence[Sequence[complex]], x: complex) -> list[complex]:
+        return finite_sum_rows(_finite_table(setup, which, x), rows, table)
+
+    return at
+
+
+def _finite_table(setup: Family2Setup, which: HomogeneousName | TripleName, x: complex) -> FiniteSum:
+    """The FiniteSum of g3..g8 at x, after the form's checks.
 
     Each sums 3phi2(a1, a2, a3; b1, b2; q, z_k) series.  g3/g4 take
     z_k = q**(lambda1 + alpha2 + N - k) and the prefactor
@@ -288,8 +302,7 @@ def family2_finite_rows(
     else:
         z, constant, shift, power = QPower(0.0, 1, 1.0), 1.0 - q, 1, -p.alpha1
         prefactor_ratio = (q, *lower), upper
-    spec = FiniteSum(q, N, x, base, shift, upper, lower, z, power, constant, prefactor_ratio)
-    return finite_sum_rows(spec, rows)
+    return FiniteSum(q, N, x, base, shift, upper, lower, z, power, constant, prefactor_ratio)
 
 
 def family2_pole_spirals(setup: Family2Setup) -> list[complex]:

@@ -10,17 +10,24 @@ from here.
 
 A family form at an accessory root E0 is a sum over the root's
 coefficients c_0..c_N of pieces that do not depend on E0 (q-series,
-products, the bilateral walk).  So a form is a kernel (setup, rows, xi,
-x) -> one value or QHeunError per row, and ``Form.evaluate`` resolves
-each E0 to its row once (``accessory.coeff_row``, NotARoot off the
-roots) and hands the kernel the rows still live at each point.  The
-generic form's row is the polynomial solution, built once per E0 and
-checked against the setup's accessory polynomial.
-``root_residuals`` checks every root through one evaluator in one pass
-over the grid; ``solution`` is the one-root case of ``evaluate``.
+products, the bilateral walk).  So a form is an evaluator (setup, xi)
+-> at, with at(rows, x) -> one value or QHeunError per row, and
+``Form.evaluate`` resolves each E0 to its row once
+(``accessory.coeff_row``, NotARoot off the roots), makes one evaluator
+and hands it the rows still live at each point.  What an evaluator
+forms once, for every point it serves, is the work that depends on
+neither x nor the row: R_k and the series chains of family 1's finite
+sums, the per-k values of both families' finite sums and the powers of
+the bilateral walks.  The generic form's row is the polynomial
+solution, built once per E0 and checked against the setup's accessory
+polynomial.  ``root_residuals`` checks every root through one
+evaluator in one pass over the grid; ``solution`` is the one-root case
+of ``evaluate``.
 
 A float overflow or division by zero in a setup, a grid or an evaluation
-leaves the registry as a DomainError that names the original error.
+leaves the registry as a DomainError that names the original error:
+``errors.out_of_range`` types those of setups and grids here, and every
+point function (at, and T of the inhomogeneous forms) types its own.
 
 Family functions are looked up by name when a form runs, never stored
 at import, so a patched module binding (a tracer's wrapper) is honoured.
@@ -33,11 +40,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .accessory import Poly, accessory_poly, coeff_row, one_root, poly_roots, polynomial_at_root
-from .errors import DomainError, PreconditionError, QHeunError
-from .family_one import family1_bilateral_rows, family1_residual_band, family1_setup, family1_unilateral_rows
+from .errors import PreconditionError, QHeunError, out_of_range, typed_at_point
+from .family_one import (
+    family1_bilateral_evaluator,
+    family1_residual_band,
+    family1_setup,
+    family1_unilateral_evaluator,
+)
 from .family_two import (
-    family2_bilateral_rows,
-    family2_finite_rows,
+    family2_bilateral_evaluator,
+    family2_finite_evaluator,
     family2_pole_spirals,
     family2_setup,
     g1_inhomogeneity,
@@ -59,23 +71,16 @@ def generic_setup(p: QHeunParams, N: int) -> GenericSetup:
     return GenericSetup(p, N, cpoly, tuple(poly_roots(cpoly)))
 
 
-def _out_of_range(exc: ArithmeticError, where: str) -> DomainError:
-    """The typed error for a float overflow or a division by zero, where it happened."""
-    err = DomainError(f"{type(exc).__name__} {where}: {exc}")
-    err.__cause__ = exc
-    return err
-
-
 @dataclass(frozen=True)
 class Form:
     name: str
-    kernel: Callable  # (setup, rows, xi, x) -> a value or QHeunError per row
+    evaluator: Callable  # (setup, xi) -> at(rows, x): a value or QHeunError per row
     band: Callable  # setup -> default (rmin, rmax) of |x|
     spirals: Callable  # (setup, xi) -> bases of the q-spirals the grid avoids
     min_rel_dist: float = 1e-6
     inhomogeneity: Callable | None = None  # (setup, xi, x) -> T(x)
     needs_xi: bool = False
-    resolve: Callable = coeff_row  # (setup, E0) -> the row the kernel takes for E0
+    resolve: Callable = coeff_row  # (setup, E0) -> the row an evaluator takes for E0
 
     def grid(self, setup, xi, count: int, seed: int, rmin=None, rmax=None) -> list[complex]:
         """Seeded residual grid; rmin/rmax override the default band."""
@@ -89,19 +94,16 @@ class Form:
             spirals = self.spirals(setup, xi)
             return grid_points(setup.params.q, spirals, count, lo, hi, seed=seed, min_rel_dist=self.min_rel_dist)
         except ArithmeticError as exc:
-            raise _out_of_range(exc, f"in the {self.name} grid at q = {setup.params.q!r}")
+            raise out_of_range(exc, f"in the {self.name} grid at q = {setup.params.q!r}")
 
     def _inhomogeneity(self, setup, xi) -> Callable | None:
         if self.inhomogeneity is None:
             return None
+        return lambda x: self.inhomogeneity(setup, xi, x)
 
-        def T(x: complex) -> complex:
-            try:
-                return self.inhomogeneity(setup, xi, x)
-            except ArithmeticError as exc:
-                raise _out_of_range(exc, f"at x = {complex(x)!r}")
-
-        return T
+    def kernel(self, setup, rows, xi, x) -> list:
+        """The form at the one point x for each row, through an evaluator of its own."""
+        return self.evaluator(setup, xi)(rows, x)
 
     def evaluate(self, setup, E0s, xi) -> Callable:
         """g(y, live): the value at y of the form at E0s[j], or its
@@ -109,10 +111,10 @@ class Form:
 
         Each E0 is resolved once, here.  One that fails keeps its error,
         which g returns at the first point it is asked at, so that the
-        error carries that point.  At each y the kernel runs once for
-        the rows still live; a QHeunError it raises goes to all of them,
-        and so does a float overflow or division by zero, as a DomainError
-        that names y.
+        error carries that point.  One evaluator serves every y, and
+        what it forms once lives as long as g.  At each y it runs once
+        for the rows still live; a QHeunError it raises goes to all of
+        them.
         """
         rows = []
         for E0 in E0s:
@@ -120,15 +122,14 @@ class Form:
                 rows.append(self.resolve(setup, E0))
             except QHeunError as exc:
                 rows.append(exc)
+        at = self.evaluator(setup, xi)
 
         def g(y: complex, live: list[int]) -> list:
             good = [rows[j] for j in live if not isinstance(rows[j], QHeunError)]
             try:
-                values = iter(self.kernel(setup, good, xi, y) if good else ())
+                values = iter(at(good, y) if good else ())
             except QHeunError as exc:
                 values = itertools.repeat(exc)
-            except ArithmeticError as exc:
-                values = itertools.repeat(_out_of_range(exc, f"at x = {complex(y)!r}"))
             return [rows[j] if isinstance(rows[j], QHeunError) else next(values) for j in live]
 
         return g
@@ -158,7 +159,7 @@ class Family:
         try:
             return self.build(p, N)
         except ArithmeticError as exc:
-            raise _out_of_range(exc, f"in setup at q = {p.q!r}, N = {N}")
+            raise out_of_range(exc, f"in setup at q = {p.q!r}, N = {N}")
 
     def form(self, name: str) -> Form:
         return next(f for f in self.forms if f.name == name)
@@ -180,7 +181,7 @@ def _singular(setup, xi) -> list[complex]:
 
 def _bilateral1(name: str) -> Form:
     return Form(
-        name, lambda st, rows, xi, x: family1_bilateral_rows(st, name, rows, xi, x),
+        name, lambda st, xi: family1_bilateral_evaluator(st, name, xi),
         _band(0.6, 2.5), lambda st, xi: singular_spirals(st.params) + [xi], 1e-4, needs_xi=True,
     )
 
@@ -188,40 +189,40 @@ def _bilateral1(name: str) -> Form:
 def _unilateral1(name: str) -> Form:
     """Finite sum g3..g6, checked inside its own convergence domain."""
     return Form(
-        name, lambda st, rows, xi, x: family1_unilateral_rows(st, name, rows, x),
+        name, lambda st, xi: family1_unilateral_evaluator(st, name),
         lambda st: family1_residual_band(st, name), _singular,
     )
 
 
 def _bilateral2(name: str) -> Callable:
-    return lambda st, rows, xi, x: family2_bilateral_rows(st, name, rows, xi, x)
+    return lambda st, xi: family2_bilateral_evaluator(st, name, xi)
 
 
 def _finite2(a: str, b: str | None = None) -> Callable:
     """Finite sum a of g3..g8, or the difference a - b."""
     if b is None:
-        return lambda st, rows, xi, x: family2_finite_rows(st, a, rows, x)
+        return lambda st, xi: family2_finite_evaluator(st, a)
 
-    def kernel(st, rows, xi, x) -> list:
-        first = family2_finite_rows(st, a, rows, x)
-        return [u - v for u, v in zip(first, family2_finite_rows(st, b, rows, x))]
+    def evaluator(st, xi) -> Callable:
+        first, second = family2_finite_evaluator(st, a), family2_finite_evaluator(st, b)
+        return lambda rows, x: [u - v for u, v in zip(first(rows, x), second(rows, x))]
 
-    return kernel
+    return evaluator
 
 
 def _g1_defect(st, xi, x) -> complex:
     return g1_inhomogeneity(st, x)
 
 
-def _form2(name: str, kernel: Callable, inhomogeneity=None, needs_xi: bool = False) -> Form:
+def _form2(name: str, evaluator: Callable, inhomogeneity=None, needs_xi: bool = False) -> Form:
     """Family-2 forms share one band and spiral set; xi joins the spirals when given."""
     spirals = lambda st, xi: family2_pole_spirals(st) + ([xi] if xi is not None else [])
-    return Form(name, kernel, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi)
+    return Form(name, evaluator, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi)
 
 
-def _polynomial(st, solutions, xi, x) -> list:
+def _polynomial(st, xi) -> Callable:
     # The roots share the exponent at the origin, so an error at x is every root's.
-    return [solution(x) for solution in solutions]
+    return typed_at_point(lambda solutions, x: [solution(x) for solution in solutions])
 
 
 FAMILIES: dict[str, Family] = {

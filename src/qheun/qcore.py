@@ -10,7 +10,16 @@ Conventions fixed for the whole package:
   from 1 by less than ~1e-17, i.e. below double-precision resolution,
   with no tail correction.
 
-All functions are pure and safe to call concurrently.
+phi_series is one SeriesChain summed once.  A chain holds what a
+series does not owe to its argument z (the factors, denominators and
+pole checks of each term, and the tail-bound products), so a caller
+that sums one parameter set at many z, such as the N + 1 terms of a
+finite-sum form, forms that work once and keeps the chain for as long
+as it needs it.  Every value it gives is bit-for-bit the phi_series
+value.
+
+All functions are pure and safe to call concurrently; a SeriesChain
+fills itself in as it is summed and belongs to one caller.
 """
 
 from __future__ import annotations
@@ -36,8 +45,17 @@ REL_TOL = 1e-15
 MAX_TERMS = 10000
 DIVERGENCE_WINDOW = 50
 _TINY = 1e-300
-
-
+# Bound tests that skip an exact check where they settle it: a product
+# level whose largest |a q**k| lies more than LIVE_MARGIN (relative) from
+# PRODUCT_CUTOFF is live or dead by that bound alone, and a denominator
+# factor 1 - b q**k with |b q**k| <= POLE_FREE cannot vanish.  Bounds at
+# or above _HUGE, where abs() may overflow, are never trusted.
+LIVE_MARGIN = 1e-7
+POLE_FREE = 0.5
+_LIVE_LO = PRODUCT_CUTOFF * (1.0 - LIVE_MARGIN)
+_LIVE_HI = PRODUCT_CUTOFF * (1.0 + LIVE_MARGIN)
+_HUGE = 1e300
+_UNKNOWN = object()  # a SeriesChain field not formed yet
 
 
 def check_q(q: float) -> float:
@@ -86,6 +104,18 @@ def q_pochhammer(a: complex, q: float, n) -> complex:
     return 1.0 / denom
 
 
+def _top_modulus(values: Sequence[complex]) -> float:
+    """The largest |v| of values, formed without an overflow error; inf where one is NaN.
+
+    It feeds only the bound tests of q_pochhammer_ratio, which then fall
+    back to the exact tests.
+    """
+    moduli = [math.hypot(v.real, v.imag) for v in values]
+    if math.isnan(sum(moduli)):
+        return math.inf
+    return max(moduli, default=0.0)
+
+
 def q_pochhammer_ratio(num: Sequence[complex], den: Sequence[complex], q: float) -> complex:
     """prod_i (num_i; q)_inf / prod_j (den_j; q)_inf, formed level by level.
 
@@ -95,21 +125,40 @@ def q_pochhammer_ratio(num: Sequence[complex], den: Sequence[complex], q: float)
     interleaved within each level so that balanced numerator/denominator
     lists with large arguments cancel before they can overflow.  Raises
     PoleError when a denominator factor vanishes.
+
+    Two checks are decided by a bound M q**k, with M the largest
+    argument modulus, wherever the bound settles them.  A level is live
+    (some |a q**k| >= PRODUCT_CUTOFF) when M q**k exceeds the cutoff by
+    the relative LIVE_MARGIN, and dead when it falls short of it by as
+    much; in between, or where M q**k is huge or NaN, every factor is
+    tested exactly.  A denominator factor 1 - b q**k is tested for a pole
+    only where M_den q**k > POLE_FREE, since below that it cannot vanish.
     """
     check_q(q)
     # (numerator, denominator) argument pairs; a missing partner is 0,
     # whose factor is exactly 1.
     pairs = list(zip_longest(map(complex, num), map(complex, den), fillvalue=0j))
+    top_den = _top_modulus([b for _, b in pairs])
+    top = max(_top_modulus([a for a, _ in pairs]), top_den)
+    live_lo, live_hi, huge, pole_free = _LIVE_LO, _LIVE_HI, _HUGE, POLE_FREE
     value = 1.0 + 0.0j
     for k in range(MAX_TERMS):
         qk = q**k
-        live = False
+        m = top * qk
+        check = top_den * qk > pole_free
+        if live_hi < m < huge and not check:
+            # Live by the bound, and no factor can vanish.
+            for a, b in pairs:
+                value = value * (1.0 - a * qk) / (1.0 - b * qk)
+            continue
+        exact = not (m < live_lo or live_hi < m < huge)
+        live = not exact and m > live_hi
         for a, b in pairs:
             x, y = a * qk, b * qk
-            if abs(x) >= PRODUCT_CUTOFF or abs(y) >= PRODUCT_CUTOFF:
+            if exact and (abs(x) >= PRODUCT_CUTOFF or abs(y) >= PRODUCT_CUTOFF):
                 live = True
             f = 1.0 - y
-            if abs(f) < POLE_CUTOFF * (1.0 + abs(y)):
+            if check and abs(f) < POLE_CUTOFF * (1.0 + abs(y)):
                 raise PoleError(f"denominator factor (1 - {y!r}) vanishes")
             value = value * (1.0 - x) / f
         if not live:
@@ -167,53 +216,116 @@ def phi_series(
     Raises ConvergenceError for a non-terminating series with |z| >= 1
     or one that has not stopped within MAX_TERMS terms, and
     PoleError when a lower-parameter factor vanishes before termination.
+    This is the one-chain call: SeriesChain(upper, lower, q).sum(z).
     """
-    check_q(q)
-    ups = [complex(a) for a in upper]
-    los = [complex(b) for b in lower]
-    if len(ups) != len(los) + 1:
-        raise DomainError("need exactly one more upper than lower parameter")
-    z = complex(z)
-    if z == 0:
-        return 1.0 + 0.0j
-    stop = _termination_index(ups, q)
-    if stop is None and abs(z) >= 1.0:
-        raise ConvergenceError(f"non-terminating series with |z| = {abs(z)} >= 1")
-    abs_ups = [abs(a) for a in ups]
-    abs_los = [abs(b) for b in los]
-    max_lo = max(abs_los, default=0.0)
+    return SeriesChain(upper, lower, q).sum(z)
 
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    qn = 1.0  # q**n
-    for n in range(MAX_TERMS):
-        total += term
-        if stop is not None and n == stop:
-            return total
-        ratio = z
-        for a in ups:
-            ratio *= 1.0 - a * qn
-        den = 1.0 - q * qn
-        for b in los:
-            f = 1.0 - b * qn
-            if abs(f) < POLE_CUTOFF * (1.0 + abs(b * qn)):
-                raise PoleError(f"lower parameter {b!r} hits a pole at index {n}")
-            den *= f
-        term = term * ratio / den
-        qn *= q
-        if stop is None:
-            # The tail bound is formed only once the term itself is negligible.
-            mag = abs(term)
-            limit = REL_TOL * max(abs(total + term), _TINY)
-            if mag <= limit and max_lo * qn < 1.0:
-                rho = (
-                    abs(z)
-                    * math.prod(1.0 + a * qn for a in abs_ups)
-                    / ((1.0 - q * qn) * math.prod(1.0 - b * qn for b in abs_los))
-                )
-                if rho < 1.0 and mag <= limit * (1.0 - rho):
-                    return total + term
-    raise ConvergenceError("series did not reach the stopping rule within max_terms")
+
+class SeriesChain:
+    """The z-free part of phi_series(upper, lower, q, z), summed at any number of z.
+
+    Level n holds the upper factors (1 - a q**n), the denominator
+    (1 - q**(n+1)) prod (1 - b q**n), whose pole check it has passed,
+    and q**(n+1); the two products of the tail bound at that level join
+    it the first time a term there is negligible.  Levels are formed on
+    first use, so a chain holds as many as its longest sum needed, and a
+    level is kept only once it is formed: every sum that reaches a pole
+    raises a PoleError of its own.  The termination index and the
+    parameter moduli are likewise formed by the first sum that needs
+    them.  sum(z) runs the series loop and stop rule of phi_series on
+    these levels, with the same floating-point operations in the same
+    order, so its value does not depend on what the chain held before.
+    """
+
+    __slots__ = ("q", "ups", "los", "lo_moduli", "factors", "dens", "powers", "bounds", "stop", "moduli")
+
+    def __init__(self, upper: Sequence[complex], lower: Sequence[complex], q: float) -> None:
+        check_q(q)
+        self.ups = [complex(a) for a in upper]
+        self.los = [complex(b) for b in lower]
+        if len(self.ups) != len(self.los) + 1:
+            raise DomainError("need exactly one more upper than lower parameter")
+        self.q = q
+        # |b| per lower parameter, for the pole-check bound (no overflow error).
+        self.lo_moduli = [math.hypot(b.real, b.imag) for b in self.los]
+        self.factors: list[list[complex]] = []  # level n: the upper factors
+        self.dens: list[complex] = []  # level n: the denominator
+        self.powers = [1.0]  # q**n for n = 0 .. the number of levels
+        self.bounds: dict[int, tuple | None] = {}  # level n: tail-bound products, or None
+        self.stop = _UNKNOWN  # the termination index, or None
+        self.moduli = None  # (|a| per upper, |b| per lower, max |b|)
+
+    def _bound(self, n: int) -> tuple | None:
+        """(prod (1 + |a_i| y), (1 - q y) prod (1 - |b_j| y)) at y = q**(n+1), or
+        None where some 1 - |b_j| y may not be positive."""
+        try:
+            return self.bounds[n]
+        except KeyError:
+            pass
+        abs_ups, abs_los, max_lo = self.moduli
+        qn = self.powers[n + 1]
+        bound = None
+        if max_lo * qn < 1.0:
+            bound = (
+                math.prod(1.0 + a * qn for a in abs_ups),
+                (1.0 - self.q * qn) * math.prod(1.0 - b * qn for b in abs_los),
+            )
+        self.bounds[n] = bound
+        return bound
+
+    def sum(self, z: complex) -> complex:
+        """phi_series(upper, lower, q, z)."""
+        z = complex(z)
+        if z == 0:
+            return 1.0 + 0.0j
+        stop = self.stop
+        if stop is _UNKNOWN:
+            stop = self.stop = _termination_index(self.ups, self.q)
+        if stop is None and abs(z) >= 1.0:
+            raise ConvergenceError(f"non-terminating series with |z| = {abs(z)} >= 1")
+        if self.moduli is None:
+            abs_ups = [abs(a) for a in self.ups]
+            abs_los = [abs(b) for b in self.los]
+            self.moduli = (abs_ups, abs_los, max(abs_los, default=0.0))
+        q, ups, lower = self.q, self.ups, list(zip(self.los, self.lo_moduli))
+        all_factors, dens, powers = self.factors, self.dens, self.powers
+        formed = len(dens)
+        prod, rel_tol, tiny = math.prod, REL_TOL, _TINY
+        total = 0.0 + 0.0j
+        term = 1.0 + 0.0j
+        for n in range(MAX_TERMS):
+            total += term
+            if n == stop:
+                return total
+            if n < formed:
+                factors, den = all_factors[n], dens[n]
+            else:
+                qn = powers[n]
+                factors = [1.0 - a * qn for a in ups]
+                den = 1.0 - q * qn
+                for b, mb in lower:
+                    f = 1.0 - b * qn
+                    if mb * qn > POLE_FREE and abs(f) < POLE_CUTOFF * (1.0 + abs(b * qn)):
+                        raise PoleError(f"lower parameter {b!r} hits a pole at index {n}")
+                    den *= f
+                all_factors.append(factors)
+                dens.append(den)
+                powers.append(qn * q)
+                formed += 1
+            # z times the factors in order: the ratio of term n + 1 to term n.
+            term = term * prod(factors, start=z) / den
+            if stop is None:
+                # The tail bound is formed only once the term itself is negligible.
+                mag = abs(term)
+                size = abs(total + term)
+                limit = rel_tol * (tiny if tiny > size else size)  # max(size, _TINY), a NaN kept
+                if mag <= limit:
+                    bound = self._bound(n)
+                    if bound is not None:
+                        rho = abs(z) * bound[0] / bound[1]
+                        if rho < 1.0 and mag <= limit * (1.0 - rho):
+                            return total + term
+        raise ConvergenceError("series did not reach the stopping rule within max_terms")
 
 
 class TailSum:

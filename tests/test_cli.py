@@ -15,8 +15,8 @@ from qheun.accessory import (
 )
 from qheun.cli import main
 from qheun.errors import DomainError, NotARoot
-from qheun.family_one import family1_domain, family1_setup, family1_unilateral
-from qheun.family_two import family2_setup
+from qheun.family_one import family1_bilateral, family1_domain, family1_setup, family1_unilateral
+from qheun.family_two import family2_bilateral, family2_setup, g1_inhomogeneity, g2_inhomogeneity
 from qheun.qheun_op import QHeunParams
 from qheun.sampling import (
     random_admissible_params,
@@ -439,6 +439,43 @@ class TestExtremeInputs:
     def test_verify_zero_anchor_exits_2(self, tmp_path, runner):
         self.run_zero_anchor(tmp_path, runner, "verify")
 
+    def test_verify_nan_residual_fails(self, tmp_path, runner):
+        # g2's defect is nan at x = 1e-30 on this draw (its thetas overflow
+        # to inf / inf); a NaN residual meets no tolerance.
+        p = random_family2_params(np.random.default_rng(11), 1)
+        path = write_config(
+            tmp_path, p, family="family2", N=1, solution="g2", xi=[0.8 * abs(p.t1), 0.0], points=[[1e-30, 0.0]],
+        )
+        res = runner.invoke(main, ["verify", "--config", path])
+        assert res.exit_code == 1, res.output
+        results = json.loads(res.output)["results"]
+        assert [r["status"] for r in results] == ["fail", "fail"]
+        assert all(r["max_residual"] != r["max_residual"] for r in results)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda s1, s2, xi1, xi2: g2_inhomogeneity(s2, 0, 1.0), r"^ZeroDivisionError at x = \(1\+0j\): "),
+            (lambda s1, s2, xi1, xi2: g1_inhomogeneity(s2, 0), r"^ZeroDivisionError at x = 0j: "),
+            (lambda s1, s2, xi1, xi2: g2_inhomogeneity(s2, 1e-300, 1.0), r"^OverflowError at x = \(1\+0j\): "),
+            (
+                lambda s1, s2, xi1, xi2: family1_bilateral(s1, "g2", s1.roots[0], xi1, 1e300),
+                r"^OverflowError at x = \(1e\+300\+0j\): ",
+            ),
+            (
+                lambda s1, s2, xi1, xi2: family2_bilateral(s2, "g2", s2.roots[0], xi2, 1e300),
+                r"^OverflowError at x = \(1e\+300\+0j\): ",
+            ),
+        ],
+        ids=["g2-zero-anchor", "g1-zero-point", "g2-tiny-anchor", "family1-g2-huge-point", "family2-g2-huge-point"],
+    )
+    def test_library_overflow_is_a_domain_error(self, call, message):
+        rng = np.random.default_rng(11)
+        p1, p2 = random_family1_params(rng, 1), random_family2_params(rng, 1)
+        s1, s2 = family1_setup(p1, 1), family2_setup(p2, 1)
+        with pytest.raises(DomainError, match=message):
+            call(s1, s2, 0.8 * abs(p1.t1), 0.8 * abs(p2.t1))
+
     def test_grid_out_of_float_range_is_typed(self, draws):
         # At q = 1e-40 the g3 band and spirals span 1e-212 .. 1e116, and g5's
         # grid steps a spiral past the float range.
@@ -451,7 +488,8 @@ class TestExtremeInputs:
 
 class TestSharedWork:
     """verify evaluates each form's root-independent pieces once per
-    stencil point for all N + 1 roots, not once per root."""
+    stencil point for all N + 1 roots, not once per root, and its
+    point-independent pieces once per verify."""
 
     N = 4
     POINTS = 2
@@ -471,15 +509,19 @@ class TestSharedWork:
         monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
         return calls
 
-    def test_family2_g3_series_once_per_term_and_point(self, tmp_path, runner, monkeypatch):
-        calls = self.counting(monkeypatch, _finite_sum, "phi_series")
+    def test_family2_g3_one_series_chain_per_stencil_point(self, tmp_path, runner, monkeypatch):
+        # The N + 1 series of a point differ only in z_k.
+        chains = self.counting(monkeypatch, _finite_sum, "SeriesChain")
         self.run_verify(tmp_path, runner, "family2", random_family2_params, "g3")
-        assert len(calls) == 3 * self.POINTS * (self.N + 1)  # 150 with one pass per root
+        assert len(chains) == 3 * self.POINTS  # 3 * POINTS * (N + 1) with one series per term
 
-    def test_family1_g3_products_once_per_term_and_point(self, tmp_path, runner, monkeypatch):
-        calls = self.counting(monkeypatch, _finite_sum, "q_pochhammer_ratio")
+    def test_family1_g3_products_once_per_term(self, tmp_path, runner, monkeypatch):
+        # R_k and the series chain of each term do not depend on x.
+        products = self.counting(monkeypatch, _finite_sum, "q_pochhammer_ratio")
+        chains = self.counting(monkeypatch, _finite_sum, "SeriesChain")
         self.run_verify(tmp_path, runner, "family1", random_family1_params, "g3")
-        assert len(calls) == 3 * self.POINTS * (self.N + 1)
+        assert len(products) == self.N + 1  # 3 * POINTS * (N + 1) when formed per point
+        assert len(chains) == self.N + 1
 
     def test_family1_g1_one_walk_per_stencil_point(self, tmp_path, runner, monkeypatch):
         walks = self.counting(monkeypatch, _bilateral, "SpiralTerms")

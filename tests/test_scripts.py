@@ -48,3 +48,14 @@ def test_output_digest_is_stable_and_well_formed():
     assert sections == [f"family1.{s}" for s in common] + [f"family2.{s}" for s in common + ["defects"]]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     assert len({line.split()[1] for line in lines}) == len(lines)
+
+
+def test_ab_timing_runs_both_sides_on_the_same_jobs(monkeypatch, capsys):
+    root = str(SCRIPTS.parent)
+    with pytest.raises(SystemExit) as stop:
+        run_script("ab_timing.py", [root, root, "--seed", "1", "--jobs", "4"], monkeypatch, capsys)
+    lines = capsys.readouterr().out.splitlines()
+    assert stop.value.code == 0
+    assert lines[0] == "seed 1: 4 verify-sweep jobs, best of 3, change/parent"
+    assert [line.split()[0] for line in lines[1:4]] == ["p50", "p90", "total"]
+    assert lines[4] == "jobs with different output: 0"
