@@ -84,9 +84,10 @@ class PowerWalk:
     """The rates r_k of a walk and the scaled powers r_k**n / c_n at each index n.
 
     The powers and their rescale steps depend on the rates alone, so
-    every SpiralTerms built on one PowerWalk reads them from here: the
-    entry at an index is formed once, by the first walk that steps onto
-    it (SpiralTerms._step), with the operations a lone walk would use.
+    every SpiralTerms walks on a PowerWalk (one of its own, or one
+    shared by walks of the same rates) and reads them from here: the
+    entry at an index is formed once, by the first walk that steps
+    towards it, with the operations of a step from the previous entry.
     A walk reaches index n only from n -+ 1, so each side holds one
     entry per index walked, at most MAX_TERMS.
     """
@@ -98,6 +99,24 @@ class PowerWalk:
         # Per direction (down, up): (powers, c) at |n| = 1, 2, ...; c is the
         # rescale factor applied at that step, or None.
         self.sides: tuple[list, list] = ([], [])
+
+    def step(self, i: int, powers: list[complex], upward: bool) -> tuple[list[complex], float | None]:
+        """(powers, c) at |n| = i + 1 on the side of upward, formed from the
+        powers at |n| = i by the first walk that asks."""
+        side = self.sides[upward]
+        if i == len(side):
+            if upward:
+                powers = [p * r for p, r in zip(powers, self.rates)]
+            else:
+                powers = [p / r for p, r in zip(powers, self.rates)]
+            c = None
+            m = max(map(abs, powers), default=1.0)
+            if not 1.0 / RESCALE_AT < m < RESCALE_AT and 0.0 < m < math.inf:
+                # A power of two, so that rescaling rounds nothing.
+                c = 2.0 ** -math.frexp(m)[1]
+                powers = [p * c for p in powers]
+            side.append((powers, c))
+        return side[i]
 
 
 class SpiralTerms:
@@ -113,11 +132,9 @@ class SpiralTerms:
 
     Only the states at n = 0 and at the two walk fronts are kept.  A
     state holds V(s_n) * c and r_k**n / c for a scale c that keeps the
-    powers near 1.  rates may be a PowerWalk that other walks share
-    (the walks of one evaluator, whose rates do not depend on the
-    point): the powers are then read from it, or formed and added to it
-    by the first walk to reach an index.  Plain rates make a walk of its
-    own, which keeps no powers beyond its fronts.
+    powers near 1.  The powers come from a PowerWalk: rates itself where
+    other walks share it (the walks of one evaluator, whose rates do not
+    depend on the point), else one made here from the plain rates.
     """
 
     def __init__(
@@ -136,10 +153,8 @@ class SpiralTerms:
         self.inv_num = [complex(u) for u in inv_num]
         self.inv_den = [complex(v) for v in inv_den]
         self.weights = [complex(w) for w in weights]
-        if isinstance(rates, PowerWalk):
-            self.rates, self.sides = rates.rates, rates.sides
-        else:  # a walk of its own: nothing to share, so nothing is kept
-            self.rates, self.sides = [complex(r) for r in rates], (None, None)
+        self.walk = rates if isinstance(rates, PowerWalk) else PowerWalk(rates)
+        self.rates = self.walk.rates
         self.q = q
         # Interleaved (multiplied, divided) coefficient pairs per direction,
         # so that large factors cancel before they overflow; a missing
@@ -148,6 +163,9 @@ class SpiralTerms:
         self.pairs_down = [(b, a) for a, b in self.pairs_up]
         self.inv_pairs_up = list(zip_longest(self.inv_num, self.inv_den, fillvalue=0j))
         self.inv_pairs_down = [(b, a) for a, b in self.inv_pairs_up]
+        # Per direction, every pair in stepping order, flagged True for a 1/s-factor.
+        self.steps_up = [(a, b, False) for a, b in self.pairs_up] + [(a, b, True) for a, b in self.inv_pairs_up]
+        self.steps_down = [(a, b, False) for a, b in self.pairs_down] + [(a, b, True) for a, b in self.inv_pairs_down]
         # Per direction, the moduli (|a|, |b|) of the pairs whose argument
         # shrinks along the walk, then of those whose argument grows.
         self.bound_pairs = {
@@ -159,53 +177,35 @@ class SpiralTerms:
         self.origin = (0, s0, self._direct(s0), [1.0 + 0.0j] * len(self.rates), 1.0)
         self.up = list(self.origin)
         self.down = list(self.origin)
-        self.gains_at: tuple = (None, None)  # (n, _gains at n) of the last tail_bound
 
     def _direct(self, s: complex) -> complex:
         return spiral_product(s, self.num, self.den, self.inv_num, self.inv_den, self.q)
 
     def _step(self, state: list, upward: bool) -> None:
         n, s, value, powers, scale = state
-        # The powers at the next index, from the shared walk where a walk
-        # has formed them; otherwise formed here and, once the step
-        # succeeds, added to it.
-        side = self.sides[upward]
-        known = side is not None and abs(n) < len(side)
-        # Factor pairs (a, b) step V by (1 - a y) / (1 - b y), with y = s_n
-        # or s_(n-1) for s-factors and 1/s_(n+1) or 1/s_n for 1/s-factors.
+        # Factor pairs (a, b) step V by (1 - a u) / (1 - b u), with u = y,
+        # that is s_n or s_(n-1), for s-factors and u = t, 1/s_(n+1) or
+        # 1/s_n, for 1/s-factors.
         if upward:
             n1, s1 = n + 1, s * self.q
-            y, pairs, inv_pairs = s, self.pairs_up, self.inv_pairs_up
-            if not known:
-                powers = [p * r for p, r in zip(powers, self.rates)]
+            y, steps = s, self.steps_up
         else:
             n1, s1 = n - 1, s / self.q
-            y, pairs, inv_pairs = s1, self.pairs_down, self.inv_pairs_down
-            if not known:
-                powers = [p / r for p, r in zip(powers, self.rates)]
-        if known:
-            powers, c = side[abs(n)]
-        factors = [(1.0 - a * y, 1.0 - b * y) for a, b in pairs]
-        if inv_pairs:
+            y, steps = s1, self.steps_down
+        powers, c = self.walk.step(abs(n), powers, upward)
+        t = None
+        if self.inv_pairs_up:
             s_inv = s1 if upward else s
             if s_inv == 0:
                 raise ConvergenceError(f"spiral point s_{n1} underflows to 0, where its 1/s factors are undefined")
             t = 1.0 / s_inv
-            factors += [(1.0 - a * t, 1.0 - b * t) for a, b in inv_pairs]
-        for f, g in factors:
+        for a, b, inverse in steps:
+            u = t if inverse else y
+            f, g = 1.0 - a * u, 1.0 - b * u
             if abs(f) < RECOMPUTE_CUTOFF or abs(g) < RECOMPUTE_CUTOFF:
                 value = self._direct(s1) * scale
                 break
             value = value * f / g
-        if not known:
-            c = None
-            m = max(map(abs, powers), default=1.0)
-            if not 1.0 / RESCALE_AT < m < RESCALE_AT and 0.0 < m < math.inf:
-                # A power of two, so that rescaling rounds nothing.
-                c = 2.0 ** -math.frexp(m)[1]
-                powers = [p * c for p in powers]
-            if side is not None:
-                side.append((powers, c))
         if c is not None:
             value /= c
             scale /= c
@@ -278,9 +278,7 @@ class SpiralTerms:
         is inf (or NaN) where no bound is certified.
         """
         n, s, value, powers, _ = self._seek(n)
-        if self.gains_at[0] != n:  # the rows of weighted_bilateral ask at the same n in turn
-            self.gains_at = (n, self._gains(n, s))
-        gains = self.gains_at[1]
+        gains = self._gains(n, s)
         if gains is None:
             return math.inf
         total = 0.0

@@ -101,10 +101,6 @@ class Form:
             return None
         return lambda x: self.inhomogeneity(setup, xi, x)
 
-    def kernel(self, setup, rows, xi, x) -> list:
-        """The form at the one point x for each row, through an evaluator of its own."""
-        return self.evaluator(setup, xi)(rows, x)
-
     def evaluate(self, setup, E0s, xi) -> Callable:
         """g(y, live): the value at y of the form at E0s[j], or its
         QHeunError, for each index j in live.

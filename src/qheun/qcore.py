@@ -45,16 +45,9 @@ REL_TOL = 1e-15
 MAX_TERMS = 10000
 DIVERGENCE_WINDOW = 50
 _TINY = 1e-300
-# Bound tests that skip an exact check where they settle it: a product
-# level whose largest |a q**k| lies more than LIVE_MARGIN (relative) from
-# PRODUCT_CUTOFF is live or dead by that bound alone, and a denominator
-# factor 1 - b q**k with |b q**k| <= POLE_FREE cannot vanish.  Bounds at
-# or above _HUGE, where abs() may overflow, are never trusted.
-LIVE_MARGIN = 1e-7
+# A denominator factor 1 - b q**k with |b| q**k <= POLE_FREE cannot
+# vanish, so its pole check is skipped there.
 POLE_FREE = 0.5
-_LIVE_LO = PRODUCT_CUTOFF * (1.0 - LIVE_MARGIN)
-_LIVE_HI = PRODUCT_CUTOFF * (1.0 + LIVE_MARGIN)
-_HUGE = 1e300
 _UNKNOWN = object()  # a SeriesChain field not formed yet
 
 
@@ -107,8 +100,7 @@ def q_pochhammer(a: complex, q: float, n) -> complex:
 def _top_modulus(values: Sequence[complex]) -> float:
     """The largest |v| of values, formed without an overflow error; inf where one is NaN.
 
-    It feeds only the bound tests of q_pochhammer_ratio, which then fall
-    back to the exact tests.
+    It feeds only the pole-check bound, which then keeps every check.
     """
     moduli = [math.hypot(v.real, v.imag) for v in values]
     if math.isnan(sum(moduli)):
@@ -124,38 +116,23 @@ def q_pochhammer_ratio(num: Sequence[complex], den: Sequence[complex], q: float)
     not accumulate over the levels.  Multiplications and divisions are
     interleaved within each level so that balanced numerator/denominator
     lists with large arguments cancel before they can overflow.  Raises
-    PoleError when a denominator factor vanishes.
-
-    Two checks are decided by a bound M q**k, with M the largest
-    argument modulus, wherever the bound settles them.  A level is live
-    (some |a q**k| >= PRODUCT_CUTOFF) when M q**k exceeds the cutoff by
-    the relative LIVE_MARGIN, and dead when it falls short of it by as
-    much; in between, or where M q**k is huge or NaN, every factor is
-    tested exactly.  A denominator factor 1 - b q**k is tested for a pole
-    only where M_den q**k > POLE_FREE, since below that it cannot vanish.
+    PoleError when a denominator factor vanishes; a level is tested for
+    poles only where M q**k > POLE_FREE, with M the largest denominator
+    argument modulus, since below that no factor can vanish.
     """
     check_q(q)
     # (numerator, denominator) argument pairs; a missing partner is 0,
     # whose factor is exactly 1.
     pairs = list(zip_longest(map(complex, num), map(complex, den), fillvalue=0j))
     top_den = _top_modulus([b for _, b in pairs])
-    top = max(_top_modulus([a for a, _ in pairs]), top_den)
-    live_lo, live_hi, huge, pole_free = _LIVE_LO, _LIVE_HI, _HUGE, POLE_FREE
     value = 1.0 + 0.0j
     for k in range(MAX_TERMS):
         qk = q**k
-        m = top * qk
-        check = top_den * qk > pole_free
-        if live_hi < m < huge and not check:
-            # Live by the bound, and no factor can vanish.
-            for a, b in pairs:
-                value = value * (1.0 - a * qk) / (1.0 - b * qk)
-            continue
-        exact = not (m < live_lo or live_hi < m < huge)
-        live = not exact and m > live_hi
+        check = top_den * qk > POLE_FREE
+        live = False
         for a, b in pairs:
             x, y = a * qk, b * qk
-            if exact and (abs(x) >= PRODUCT_CUTOFF or abs(y) >= PRODUCT_CUTOFF):
+            if abs(x) >= PRODUCT_CUTOFF or abs(y) >= PRODUCT_CUTOFF:
                 live = True
             f = 1.0 - y
             if check and abs(f) < POLE_CUTOFF * (1.0 + abs(y)):

@@ -199,6 +199,21 @@ class TestSpiralTerms:
         first = [terms(n) for n in range(20)]
         assert [terms(n) for n in (3, 11, 19)] == [first[3], first[11], first[19]]
 
+    def test_walks_sharing_a_power_walk_match_lone_walks(self):
+        # Rates whose powers leave [1e-150, 1e150] within the walk, so
+        # the shared entries carry rescale steps too.
+        q, xi = 0.6, 0.9 - 0.2j
+        weights, rates = [1.0, 0.5j], [1e-20, 1e20]
+        walk = _bilateral.PowerWalk(rates)
+        factors = ([0.4j], [0.3], [0.05], [0.07])
+        shared = [SpiralTerms(*factors[:2], weights, walk, q, x, *factors[2:]) for x in (xi, 2 * xi)]
+        lone = [SpiralTerms(*factors[:2], weights, rates, q, x, *factors[2:]) for x in (xi, 2 * xi)]
+        order = [7, -7, 3, 12, -12, 0, 5]
+        for n in order:
+            assert [t(n) for t in shared] == [t(n) for t in reversed(lone)][::-1]
+        # One entry per index walked on each side, however many walks.
+        assert [len(side) for side in walk.sides] == [12, 12]
+
 
 class TestCoefficientRatios:
     """Stepped from xi = 1, V(q**n) is V(1) times (u; q)_n / (v; q)_n."""
