@@ -12,11 +12,18 @@ Sections, per family (family1, family2):
   ``qheun.sampling`` draw at each N of VERIFY_NS;
 * verify: the JSON and exit code of ``qheun verify`` over every form of
   the same draws, with an anchor xi and a grid of GRID_COUNT points;
+* eval: ``qheun eval`` of every form of the same draws at root 0;
 * transform: ``qtransform.transform`` of both seeds h1 (kernel P1) and
   h2 (P2) at the draws of TRANSFORM_NS, at POINTS points;
 * limits: ``qtransform.boundary_limits`` of the same seeds;
 * defects (family2 only): ``g1_inhomogeneity`` and ``g2_inhomogeneity``
   at the transform points.
+
+Then the generic family, on ``random_admissible_params`` draws at each
+N of GENERIC_NS: accessory, verify and eval as above, each of verify
+and eval also with ``e_offset`` E_OFFSET and at EXPLICIT_POINTS (x = 0
+among them).  Last, acceptance: each criterion of
+``acceptance.run_all`` with its pass flag and detail, not its timing.
 
 Values are hashed by repr, which round-trips a float exactly, and an
 error by its class and message, so a changed bit or message changes
@@ -35,12 +42,16 @@ from pathlib import Path
 
 import numpy as np
 
-from qheun import family_one, family_two
+from qheun import acceptance, family_one, family_two
 from qheun import cli as qcli
+from qheun.forms import FAMILIES
 from qheun.qtransform import TransformSpec, boundary_limits, transform
-from qheun.sampling import random_family1_params, random_family2_params
+from qheun.sampling import random_admissible_params, random_family1_params, random_family2_params
 
 VERIFY_NS = (1, 2, 4, 6, 8)
+GENERIC_NS = (0, 1, 2, 4)
+E_OFFSET = 1e-12
+EXPLICIT_POINTS = [[0.0, 0.0], [0.5, 0.0], [1.2, 0.3]]
 TRANSFORM_NS = (1, 2, 4)
 GRID_COUNT = 4
 POINTS = 2
@@ -76,15 +87,34 @@ def config(p, **extra) -> dict:
 
 
 def cli_sections(family: str, rng: np.random.Generator, workdir: Path, verify_ns) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {"accessory": [], "verify": []}
+    out: dict[str, list[str]] = {"accessory": [], "verify": [], "eval": []}
     path = workdir / "job.json"
     for N in verify_ns:
         p = DRAWS[family](rng, N)
         xi = 0.8 * abs(p.t1)
         path.write_text(json.dumps(config(p, family=family, N=N, xi=[xi, 0.0], grid_count=GRID_COUNT)))
-        for command in out:
+        for command in ("accessory", "verify"):
             out[command].append(run_cli([command, "--config", str(path)]))
+        for form in FAMILIES[family].forms:
+            out["eval"].append(run_cli(["eval", "--config", str(path), "--solution", form.name]))
     return out
+
+
+def generic_sections(rng: np.random.Generator, workdir: Path, generic_ns) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {"accessory": [], "verify": [], "eval": []}
+    path = workdir / "job.json"
+    for N in generic_ns:
+        p = random_admissible_params(rng, N)
+        variants = ({}, {"e_offset": E_OFFSET}, {"points": EXPLICIT_POINTS})
+        for index, extra in enumerate(variants):
+            path.write_text(json.dumps(config(p, family="generic", N=N, grid_count=GRID_COUNT, **extra)))
+            for command in out if index == 0 else ("verify", "eval"):
+                out[command].append(run_cli([command, "--config", str(path)]))
+    return out
+
+
+def acceptance_section() -> list[str]:
+    return [f"{r.index} {r.name} {r.passed} {r.detail}" for r in acceptance.run_all()]
 
 
 def transform_sections(family: str, rng: np.random.Generator, transform_ns) -> dict[str, list[str]]:
@@ -112,7 +142,12 @@ def transform_sections(family: str, rng: np.random.Generator, transform_ns) -> d
     return out
 
 
-def digests(seed: int, verify_ns=VERIFY_NS, transform_ns=TRANSFORM_NS) -> list[str]:
+def digest_line(name: str, texts: list[str]) -> str:
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    return f"{name} {digest}"
+
+
+def digests(seed: int, verify_ns=VERIFY_NS, transform_ns=TRANSFORM_NS, generic_ns=GENERIC_NS) -> list[str]:
     """The `<section> <sha256>` lines for one seed."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,9 +155,11 @@ def digests(seed: int, verify_ns=VERIFY_NS, transform_ns=TRANSFORM_NS) -> list[s
             rng = np.random.default_rng([seed, index])
             sections = cli_sections(family, rng, Path(tmp), verify_ns)
             sections.update(transform_sections(family, rng, transform_ns))
-            for name, texts in sections.items():
-                digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
-                lines.append(f"{family}.{name} {digest}")
+            lines += [digest_line(f"{family}.{name}", texts) for name, texts in sections.items()]
+        rng = np.random.default_rng([seed, len(DRAWS)])
+        for name, texts in generic_sections(rng, Path(tmp), generic_ns).items():
+            lines.append(digest_line(f"generic.{name}", texts))
+    lines.append(digest_line("acceptance", acceptance_section()))
     return lines
 
 

@@ -28,6 +28,7 @@ from .qheun_op import (
     residual_report,
 )
 from .accessory import (
+    FamilySetup,
     Poly,
     RecurrenceCoeffs,
     SeriesSolution,
@@ -50,7 +51,7 @@ from .qtransform import (
     source_system,
     transform,
 )
-from .family_one import Family1Setup, family1_bilateral, family1_setup, family1_unilateral
+from .family_one import family1_bilateral, family1_setup, family1_unilateral
 from .family_two import (
     Family2Setup,
     apparent_equivalence,

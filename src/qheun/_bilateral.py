@@ -37,7 +37,7 @@ from itertools import zip_longest
 from operator import mul
 from typing import Callable, Sequence
 
-from .errors import ConvergenceError, DomainError, QHeunError
+from .errors import ConvergenceError, DomainError, PreconditionError, QHeunError, typed_at_point
 from .qcore import TailSum, q_pochhammer_ratio
 
 # A step factor (1 - y) closer to zero than this would divide out, or
@@ -377,7 +377,7 @@ def bilateral_table(setup, pairs: Sequence[tuple], g1_exponent: float, which: st
 
 
 def bilateral_evaluator(
-    setup, pairs: Sequence[tuple], g1_exponent: float, which: str, xi: complex,
+    setup, pairs: Sequence[tuple], g1_exponent: float, which: str, xi: complex, hypothesis: str | None,
 ) -> Callable[[Sequence[Sequence[complex]], complex], list[complex | QHeunError]]:
     """at(coeff_rows, x): g1 or g2 of bilateral_table at (xi, x) for each
     coefficient vector c_0..c_N of coeff_rows, its value or its error.
@@ -387,10 +387,15 @@ def bilateral_evaluator(
     The rates r_k depend on neither x nor the vector, so every walk of
     this evaluator reads its powers r_k**n from one PowerWalk, formed
     with the first point's table; everything else is formed per point.
+    hypothesis, the message of the family's failed bilateral hypothesis
+    or None, is raised as a PreconditionError at every point.
     """
     walks: list[PowerWalk] = []  # the shared PowerWalk, once a table is formed
 
+    @typed_at_point
     def at(coeff_rows: Sequence[Sequence[complex]], x: complex) -> list[complex | QHeunError]:
+        if hypothesis is not None:
+            raise PreconditionError(hypothesis)
         if xi == 0 or x == 0:
             raise DomainError("xi and x must be nonzero")
         x = complex(x)

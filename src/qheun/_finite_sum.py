@@ -19,15 +19,17 @@ the series parameters move with x instead (family 2), the N + 1 series
 of a point share one chain and differ only in z_k.
 
 finite_sum_rows is the finite-sum counterpart of
-_bilateral.bilateral_evaluator: the pieces of term k do not depend on
+_bilateral.weighted_bilateral: the pieces of term k do not depend on
 the coefficient row c_0..c_N, so they are formed once per k and
-combined per row in the single-row order.
+combined per row in the single-row order.  finite_evaluator is the one
+evaluator of every finite-sum form, as _bilateral.bilateral_evaluator is of g1/g2.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
+from .errors import typed_at_point
 from .qcore import SeriesChain, q_pochhammer_ratio
 
 
@@ -143,3 +145,13 @@ def finite_sum_rows(spec: FiniteSum, rows: Sequence[Sequence[complex]], table: T
     if spec.prefactor_ratio is not None:
         pref = pref * q_pochhammer_ratio(*spec.prefactor_ratio, q)
     return [pref * total for total in totals]
+
+
+def finite_evaluator(
+    table_at: Callable[[complex], FiniteSum]
+) -> Callable[[Sequence[Sequence[complex]], complex], list[complex]]:
+    """at(rows, x): finite_sum_rows of table_at(x), the form's table at x
+    after its checks, for each coefficient row c_0..c_N of rows, with one
+    TermTable for every point of at."""
+    table = TermTable()
+    return typed_at_point(lambda rows, x: finite_sum_rows(table_at(x), rows, table))

@@ -8,8 +8,9 @@ polynomial-type solutions (under the integer exponent condition) or an
 apparent singularity at the origin (when beta = N + 1).  The roots are
 companion-matrix eigenvalues; the coefficients c_0..c_N at each root are
 an eigenvector of the recurrence's tridiagonal matrix, solved once per setup.
-coeff_row checks an eigenvalue against the polynomial and returns the
-coefficients of its root: the one way a solution form takes a root.
+Both families keep them in a FamilySetup, built by family_setup.  coeff_row checks an eigenvalue against the
+polynomial and returns the coefficients of its root: the one way a
+solution form takes a root.
 """
 
 from __future__ import annotations
@@ -289,6 +290,31 @@ def solve_accessory(
     return poly, roots, coeffs
 
 
+@dataclass(frozen=True)
+class FamilySetup:
+    """A family's recurrence triples at (params, N), their accessory polynomial and roots."""
+
+    params: QHeunParams
+    N: int
+    lambda1: float
+    recurrence: tuple[RecurrenceCoeffs, ...]  # indices 1..N+1
+    accessory: Poly
+    roots: tuple[complex, ...]
+    root_coeffs: dict[complex, tuple[complex, ...]]  # root -> c_0..c_N
+
+    @property
+    def lambda2(self) -> float:
+        """The other exponent at the origin, lambda1 + beta."""
+        return self.lambda1 + self.params.beta
+
+
+def family_setup(p: QHeunParams, N: int, triple: Callable[[QHeunParams, int, int], RecurrenceCoeffs]) -> FamilySetup:
+    """The FamilySetup of the triples triple(p, N, n), n = 1..N+1, once the family's relation holds."""
+    recurrence = tuple(triple(p, N, n) for n in range(1, N + 2))
+    cpoly, roots, root_coeffs = solve_accessory(recurrence, abs(p.t1 * p.t2))
+    return FamilySetup(p, N, exponent_at_origin(p), recurrence, cpoly, roots, root_coeffs)
+
+
 def coeff_values(root_coeffs: dict[complex, tuple[complex, ...]], E0: complex) -> tuple[complex, ...]:
     """c_0..c_N at the root nearest E0, from solve_accessory's root_coeffs."""
     return root_coeffs[min(root_coeffs, key=lambda r: abs(r - E0))]
@@ -353,7 +379,7 @@ def require_root(poly: Poly, E0: complex) -> None:
         raise NotARoot(f"backward error {err:.3e} of E0 as an accessory root exceeds 1e-8")
 
 
-def coeff_row(setup, E0: complex) -> tuple[complex, ...]:
+def coeff_row(setup: FamilySetup, E0: complex) -> tuple[complex, ...]:
     """c_0..c_N at the accessory root E0 of a family setup (its accessory
     and root_coeffs, as solve_accessory returns them).
 
@@ -373,14 +399,15 @@ def one_root(results: Sequence) -> complex:
 
 
 def series_coefficients(p: QHeunParams, E: complex, M: int) -> list[complex]:
-    """Numeric local-series coefficients c_0..c_M at a fixed eigenvalue.
+    """Numeric local-series coefficients c_0..c_M at a fixed eigenvalue
+    (M = 0 gives c_0 = 1 alone).
 
     Raises DegenerateRecurrence where the leading recurrence factor
     vanishes at some index n in {1..M} (beta an integer there), which
     leaves c_n undetermined.
     """
-    if M < 1:
-        raise DomainError("M must be at least 1")
+    if M < 0:
+        raise DomainError("M must be non-negative")
     scale = abs(p.t1 * p.t2)
     out = [1.0 + 0.0j]
     c_prev2 = 0.0 + 0.0j
@@ -432,10 +459,7 @@ def polynomial_at_root(p: QHeunParams, accessory: Poly, E0: complex, N: int) -> 
     raises what polynomial_solution raises."""
     _require_polynomial_case(p, N)
     require_root(accessory, E0)
-    if N == 0:
-        coeffs: list[complex] = [1.0 + 0.0j]
-    else:
-        coeffs = series_coefficients(p, E0, N)
+    coeffs = series_coefficients(p, E0, N)
     return SeriesSolution(exponent=exponent_at_origin(p), coeffs=tuple(coeffs))
 
 
@@ -449,13 +473,7 @@ def apparent_singularity_check(p: QHeunParams, E: complex, N: int) -> bool:
     """
     if abs(p.beta - (N + 1)) > INTEGER_TOL:
         raise PreconditionError("beta != N+1")
-    if N == 0:
-        c_prev1: complex = 1.0 + 0.0j
-        c_prev2: complex = 0.0 + 0.0j
-    else:
-        coeffs = series_coefficients(p, E, N)
-        c_prev1 = coeffs[N]
-        c_prev2 = coeffs[N - 1]
+    c_prev2, c_prev1 = ([0j] + series_coefficients(p, E, N))[-2:]  # c_{N-1}, c_N; c_{-1} = 0
     tail = recurrence_coeffs(p, N + 1)
     left = -c_prev1 * (complex(E) + tail.y) + c_prev2 * tail.z
     # Scale measured before the cancellation, so exact roots score ~eps.

@@ -8,9 +8,11 @@ and failed, 2 configuration or precondition error.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import click
@@ -112,10 +114,7 @@ def load_config(path: str, **overrides) -> JobConfig:
     fmt = read("format", str, "json")
     if fmt not in ("json", "csv"):
         raise PreconditionError(f"unknown format {fmt!r}")
-    xi = read("xi", nullable(_as_complex))
-    if xi == 0:
-        raise PreconditionError("config key 'xi' must be nonzero")
-    return JobConfig(
+    cfg = JobConfig(
         params=params,
         family=family,
         N=read("N", _integer, 0),
@@ -127,11 +126,20 @@ def load_config(path: str, **overrides) -> JobConfig:
         fmt=fmt,
         out=read("out", nullable(_text)),
         tol=read("tol", float, 1e-8),
-        xi=xi,
+        xi=read("xi", nullable(_as_complex)),
         root_index=read("root_index", _integer, 0),
         e_offset=read("e_offset", float, 0.0),
         points=read("points", lambda values: [_as_complex(v) for v in values], []),
     )
+    for key, ok, rule in (
+        ("xi", cfg.xi != 0, "must be nonzero"),
+        ("xi", cfg.xi is None or cmath.isfinite(cfg.xi), "must be finite"),
+        ("tol", 0.0 < cfg.tol < math.inf, "must be positive and finite"),
+        ("seed", cfg.seed >= 0, "must be non-negative"),
+    ):
+        if not ok:
+            raise PreconditionError(f"config key {key!r} {rule}")
+    return cfg
 
 
 def _emit(cfg: JobConfig, command: str, csv_rows: list[dict], **fields) -> None:

@@ -24,7 +24,8 @@ class PoleError(QHeunError):
 
 
 class ConvergenceError(QHeunError):
-    """A series or product failed to converge under the active controls."""
+    """A series or product does not converge at the requested point, or
+    did not meet its stopping rule within its fixed term limit."""
 
 
 class DegenerateRecurrence(QHeunError):
@@ -44,7 +45,8 @@ class NoLimit(QHeunError):
 
 
 class NoConvergence(QHeunError):
-    """An iterative solver exhausted its budget."""
+    """An accessory root failed its certificate, or no root of the
+    polynomial could be certified (its monic coefficients not finite)."""
 
 
 class ConvergenceHypothesisWarning(UserWarning):

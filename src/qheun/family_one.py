@@ -6,28 +6,28 @@ series depending on a free anchor xi (g1, g2) and, at four special
 anchors, by finite sums of N + 1 Gauss-type q-hypergeometric terms
 (g3..g6).  The forms come in two convergence regimes: g3/g4 for small
 |x|, g5/g6 for large |x|.  Each finite sum is a FiniteSum table,
-evaluated by _finite_sum.finite_sum_rows; its scalar base is also the
+evaluated by _finite_sum.finite_evaluator; its scalar base is also the
 special anchor of the form.  Only z, the base of g4/g6 and the
 prefactor move with x: an evaluator forms R_k and the series chain of
-each term once, at its first point.
+each term once, at its first point.  The module keeps the formulas; the
+setup is accessory.family_setup over family1_recurrence.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 from ._bilateral import bilateral_evaluator
-from ._finite_sum import FiniteSum, QPower, TermTable, finite_sum_rows
+from ._finite_sum import FiniteSum, QPower, finite_evaluator
 from .accessory import (
     INTEGER_TOL,
-    Poly,
+    FamilySetup,
     RecurrenceCoeffs,
     coeff_row,
     exponent_at_origin,
+    family_setup,
     one_root,
-    solve_accessory,
 )
 from .errors import (
     ConvergenceError,
@@ -35,7 +35,6 @@ from .errors import (
     DomainError,
     PreconditionError,
     QHeunError,
-    typed_at_point,
 )
 # Unused here, but perfbench/test_perfbench.py::test_tracing_restores_every_wrapped_function
 # reads this module's binding of it.
@@ -48,18 +47,7 @@ BilateralName = Literal["g1", "g2"]
 
 # The residual band of a finite sum sits this factor inside its domain.
 BAND_SHRINK = 0.75
-
-
-@dataclass(frozen=True)
-class Family1Setup:
-    params: QHeunParams
-    N: int
-    lambda1: float
-    lambda2: float
-    recurrence: tuple[RecurrenceCoeffs, ...]  # indices 1..N+1
-    accessory: Poly
-    roots: tuple[complex, ...]
-    root_coeffs: dict[complex, tuple[complex, ...]]  # root -> c_0..c_N
+BILATERAL_HYPOTHESES = "bilateral forms need lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1"
 
 
 def family1_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
@@ -87,34 +75,22 @@ def family1_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(n=n, x=x, y=y, z=z)
 
 
-def family1_setup(p: QHeunParams, N: int) -> Family1Setup:
+def family1_setup(p: QHeunParams, N: int) -> FamilySetup:
     """Validate the integer relation and assemble recurrence, polynomial, roots
     and the coefficients at each root."""
     if N < 0:
         raise DomainError("N must be non-negative")
     if abs(p.h2 - (p.l2 - 1.0 - N)) > INTEGER_TOL:
         raise PreconditionError("h2 != l2 - 1 - N")
-    lam1 = exponent_at_origin(p)
-    recurrence = tuple(family1_recurrence(p, N, n) for n in range(1, N + 2))
-    cpoly, roots, root_coeffs = solve_accessory(recurrence, abs(p.t1 * p.t2))
-    return Family1Setup(
-        params=p,
-        N=N,
-        lambda1=lam1,
-        lambda2=lam1 + p.beta,
-        recurrence=recurrence,
-        accessory=cpoly,
-        roots=roots,
-        root_coeffs=root_coeffs,
-    )
+    return family_setup(p, N, family1_recurrence)
 
 
-def family1_source_params(setup: Family1Setup) -> QHeunParams:
+def family1_source_params(setup: FamilySetup) -> QHeunParams:
     """Parameters of the system the transform seeds solve (mu0 = 0)."""
     return source_system(setup.params, mu0=0.0)
 
 
-def family1_seed(setup: Family1Setup, which: Literal["h1", "h2"], E0: complex) -> Seed:
+def family1_seed(setup: FamilySetup, which: Literal["h1", "h2"], E0: complex) -> Seed:
     """Seed solutions of the source system feeding the q-integral transform.
 
     h1 pairs with kernel P1 to produce g1; h2 pairs with P2 to produce
@@ -129,14 +105,14 @@ def family1_seed(setup: Family1Setup, which: Literal["h1", "h2"], E0: complex) -
     return product_seed(src, src.pairs[:1], exponent_at_origin(src), setup.N, which, coeffs)
 
 
-def _bilateral_hypotheses_hold(setup: Family1Setup) -> bool:
+def _bilateral_hypotheses_hold(setup: FamilySetup) -> bool:
     """lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1, which the bilateral forms need."""
     p = setup.params
     return setup.lambda2 + p.alpha1 > 1.0 and setup.lambda1 + p.alpha2 > 1.0
 
 
 def family1_bilateral(
-    setup: Family1Setup,
+    setup: FamilySetup,
     which: BilateralName,
     E0: complex,
     xi: complex,
@@ -147,24 +123,17 @@ def family1_bilateral(
 
 
 def family1_bilateral_evaluator(
-    setup: Family1Setup, which: BilateralName, xi: complex
+    setup: FamilySetup, which: BilateralName, xi: complex
 ) -> Callable[[Sequence[Sequence[complex]], complex], list[complex | QHeunError]]:
     """at(rows, x): g1 or g2 at (xi, x) for each coefficient row c_0..c_N
     of rows, its value or its error (_bilateral.bilateral_evaluator over
     the t1 pair, with g1's weight exponent lambda1 + alpha1 + beta)."""
     p = setup.params
-    bilateral = bilateral_evaluator(setup, p.pairs[:1], setup.lambda1 + p.alpha1 + p.beta, which, xi)
-
-    @typed_at_point
-    def at(rows: Sequence[Sequence[complex]], x: complex) -> list[complex | QHeunError]:
-        if not _bilateral_hypotheses_hold(setup):
-            raise PreconditionError("bilateral forms need lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1")
-        return bilateral(rows, x)
-
-    return at
+    hypothesis = None if _bilateral_hypotheses_hold(setup) else BILATERAL_HYPOTHESES
+    return bilateral_evaluator(setup, p.pairs[:1], setup.lambda1 + p.alpha1 + p.beta, which, xi, hypothesis)
 
 
-def family1_domain(setup: Family1Setup, which: UnilateralName) -> tuple[float, float]:
+def family1_domain(setup: FamilySetup, which: UnilateralName) -> tuple[float, float]:
     """|x| interval (lo, hi) on which the chosen unilateral form converges."""
     p = setup.params
     if which in ("g3", "g4"):
@@ -174,7 +143,7 @@ def family1_domain(setup: Family1Setup, which: UnilateralName) -> tuple[float, f
     raise DomainError("which must be one of g3..g6")
 
 
-def family1_residual_band(setup: Family1Setup, which: UnilateralName) -> tuple[float, float]:
+def family1_residual_band(setup: FamilySetup, which: UnilateralName) -> tuple[float, float]:
     """|x| band on which x/q, x and qx all stay inside the form's domain."""
     lo, hi = family1_domain(setup, which)
     q = setup.params.q
@@ -186,7 +155,7 @@ def family1_residual_band(setup: Family1Setup, which: UnilateralName) -> tuple[f
 
 
 def family1_unilateral(
-    setup: Family1Setup,
+    setup: FamilySetup,
     which: UnilateralName,
     E0: complex,
     x: complex,
@@ -196,37 +165,31 @@ def family1_unilateral(
 
 
 def family1_unilateral_evaluator(
-    setup: Family1Setup, which: UnilateralName
+    setup: FamilySetup, which: UnilateralName
 ) -> Callable[[Sequence[Sequence[complex]], complex], list[complex]]:
     """at(rows, x): g3..g6 at x for each coefficient row c_0..c_N of rows
-    (finite_sum_rows, with one TermTable for every point of at)."""
-    table = TermTable()
-
-    @typed_at_point
-    def at(rows: Sequence[Sequence[complex]], x: complex) -> list[complex]:
-        x = complex(x)
-        if x == 0:
-            raise DomainError("x must be nonzero")
-        lo, hi = family1_domain(setup, which)
-        if not (lo < abs(x) < hi):
-            raise ConvergenceError(f"|x| = {abs(x)} outside the ({lo:.4g}, {hi:.4g}) domain of {which}")
-        if not _bilateral_hypotheses_hold(setup):
-            warnings.warn(
-                "evaluating a unilateral form outside the bilateral hypotheses",
-                ConvergenceHypothesisWarning,
-                stacklevel=4,  # past typed_at_point, the caller of family1_unilateral
-            )
-        return finite_sum_rows(_unilateral_table(setup, which, x), rows, table)
-
-    return at
+    (_finite_sum.finite_evaluator of _unilateral_table)."""
+    return finite_evaluator(lambda x: _unilateral_table(setup, which, x))
 
 
-def _unilateral_table(setup: Family1Setup, which: UnilateralName, x: complex) -> FiniteSum:
-    """The FiniteSum of g3..g6 at the nonzero x.
+def _unilateral_table(setup: FamilySetup, which: UnilateralName, x: complex) -> FiniteSum:
+    """The FiniteSum of g3..g6 at the nonzero x inside the form's domain.
 
     Term k carries (b; q)_inf / (a; q)_inf times 2phi1(u, a; b; q, z),
     where the upper parameter a and the lower parameter b move with k.
     """
+    x = complex(x)
+    if x == 0:
+        raise DomainError("x must be nonzero")
+    lo, hi = family1_domain(setup, which)
+    if not (lo < abs(x) < hi):
+        raise ConvergenceError(f"|x| = {abs(x)} outside the ({lo:.4g}, {hi:.4g}) domain of {which}")
+    if not _bilateral_hypotheses_hold(setup):
+        warnings.warn(
+            "evaluating a unilateral form outside the bilateral hypotheses",
+            ConvergenceHypothesisWarning,
+            stacklevel=6,  # past two lambdas and typed_at_point, the caller of family1_unilateral
+        )
     p = setup.params
     q = p.q
     lam1 = setup.lambda1

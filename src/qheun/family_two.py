@@ -7,10 +7,11 @@ that condition the equation admits finite sums of N + 1 q-hypergeometric
 terms with two numerator rows (g3..g5, homogeneous) and a triple
 g6..g8 whose members each solve the same inhomogeneous equation, so
 that pairwise differences are again solutions.  Each finite sum is a
-FiniteSum table, evaluated by _finite_sum.finite_sum_rows; its series
+FiniteSum table, evaluated by _finite_sum.finite_evaluator; its series
 parameters move with x and not with k, so the N + 1 series of a point
 share one chain and differ only in z_k.  The bilateral forms g1 and g2
-solve explicit inhomogeneous equations as well.
+solve explicit inhomogeneous equations as well.  The module keeps the
+formulas; the setup is accessory.family_setup over family2_recurrence.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 from ._bilateral import bilateral_evaluator, bilateral_table
-from ._finite_sum import FiniteSum, QPower, TermTable, finite_sum_rows
+from ._finite_sum import FiniteSum, QPower, finite_evaluator
 from .accessory import (
     INTEGER_TOL,
+    FamilySetup,
     Poly,
     RecurrenceCoeffs,
     accessory_poly,
@@ -30,8 +32,8 @@ from .accessory import (
     coeff_gap,
     coeff_row,
     exponent_at_origin,
+    family_setup,
     one_root,
-    solve_accessory,
 )
 from .errors import ConvergenceError, DomainError, PreconditionError, QHeunError, typed_at_point
 from .qcore import theta
@@ -41,6 +43,7 @@ from .qtransform import Seed, product_seed, seed_weight_exponent, source_system
 POLY_MATCH_REL = 1e-10
 # The exponent e of the weights xi**(e + k) of g1 in _bilateral.bilateral_table.
 G1_EXPONENT = 1.0
+BILATERAL_HYPOTHESIS = "bilateral forms need lambda1 + alpha2 > 1"
 
 HomogeneousName = Literal["g3", "g4", "g5"]
 TripleName = Literal["g6", "g7", "g8"]
@@ -48,15 +51,8 @@ BilateralName = Literal["g1", "g2"]
 
 
 @dataclass(frozen=True)
-class Family2Setup:
-    params: QHeunParams
-    N: int
-    lambda1: float
-    recurrence: tuple[RecurrenceCoeffs, ...]  # indices 1..N+1
-    accessory: Poly
-    d_poly: Poly
-    roots: tuple[complex, ...]
-    root_coeffs: dict[complex, tuple[complex, ...]]  # root -> c_0..c_N
+class Family2Setup(FamilySetup):
+    d_poly: Poly  # independent route: the generic origin recurrence run on p itself
 
 
 def family2_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
@@ -95,19 +91,7 @@ def family2_setup(p: QHeunParams, N: int) -> Family2Setup:
     for m in range(N):
         if abs(shift - m) < INTEGER_TOL:
             raise PreconditionError("-lambda1 - alpha1 lies in {0..N-1}")
-    recurrence = tuple(family2_recurrence(p, N, n) for n in range(1, N + 2))
-    cpoly, roots, root_coeffs = solve_accessory(recurrence, abs(p.t1 * p.t2))
-    return Family2Setup(
-        params=p,
-        N=N,
-        lambda1=lam,
-        recurrence=recurrence,
-        accessory=cpoly,
-        # Independent route: the generic origin recurrence run on p itself.
-        d_poly=accessory_poly(p, N),
-        roots=roots,
-        root_coeffs=root_coeffs,
-    )
+    return Family2Setup(**vars(family_setup(p, N, family2_recurrence)), d_poly=accessory_poly(p, N))
 
 
 def polys_match(a: Poly, b: Poly) -> bool:
@@ -203,15 +187,8 @@ def family2_bilateral_evaluator(
     """at(rows, x): g1 or g2 at (xi, x) for each coefficient row c_0..c_N
     of rows, its value or its error (_bilateral.bilateral_evaluator over
     both pairs, with g1's weight exponent G1_EXPONENT)."""
-    bilateral = bilateral_evaluator(setup, setup.params.pairs, G1_EXPONENT, which, xi)
-
-    @typed_at_point
-    def at(rows: Sequence[Sequence[complex]], x: complex) -> list[complex | QHeunError]:
-        if not setup.lambda1 + setup.params.alpha2 > 1.0:
-            raise PreconditionError("bilateral forms need lambda1 + alpha2 > 1")
-        return bilateral(rows, x)
-
-    return at
+    hypothesis = None if setup.lambda1 + setup.params.alpha2 > 1.0 else BILATERAL_HYPOTHESIS
+    return bilateral_evaluator(setup, setup.params.pairs, G1_EXPONENT, which, xi, hypothesis)
 
 
 def family2_homogeneous(
@@ -244,14 +221,8 @@ def family2_finite_evaluator(
     setup: Family2Setup, which: HomogeneousName | TripleName
 ) -> Callable[[Sequence[Sequence[complex]], complex], list[complex]]:
     """at(rows, x): g3..g8 at x for each coefficient row c_0..c_N of rows
-    (finite_sum_rows, with one TermTable for every point of at)."""
-    table = TermTable()
-
-    @typed_at_point
-    def at(rows: Sequence[Sequence[complex]], x: complex) -> list[complex]:
-        return finite_sum_rows(_finite_table(setup, which, x), rows, table)
-
-    return at
+    (_finite_sum.finite_evaluator of _finite_table)."""
+    return finite_evaluator(lambda x: _finite_table(setup, which, x))
 
 
 def _finite_table(setup: Family2Setup, which: HomogeneousName | TripleName, x: complex) -> FiniteSum:

@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -254,6 +255,32 @@ class TestVerify:
             assert len(r["error"]["point"]) == 2
 
     @pytest.mark.parametrize(
+        "family, draw, message",
+        [
+            ("family1", random_family1_params, "bilateral forms need lambda2 + alpha1 > 1 and lambda1 + alpha2 > 1"),
+            ("family2", random_family2_params, "bilateral forms need lambda1 + alpha2 > 1"),
+        ],
+        ids=["family1", "family2"],
+    )
+    def test_bilateral_hypothesis_error_at_every_root(self, tmp_path, runner, family, draw, message):
+        # Lowering alpha2 by 3 breaks lambda1 + alpha2 > 1 and keeps the
+        # family's relation, so the setup succeeds and every root of g1
+        # fails at the first grid point.
+        p = draw(np.random.default_rng(3), 1)
+        p = replace(p, alpha2=p.alpha2 - 3.0)
+        xi = 0.8 * abs(p.t1)
+        path = write_config(tmp_path, p, family=family, N=1, grid_count=3, xi=[xi, 0.0])
+        res = runner.invoke(main, ["verify", "--config", path, "--solution", "g1"])
+        assert res.exit_code == 1, res.output
+        family_forms = forms.FAMILIES[family]
+        first = family_forms.form("g1").grid(family_forms.setup(p, 1), complex(xi), 3, 0)[0]
+        results = json.loads(res.output)["results"]
+        assert [r["root_index"] for r in results] == [0, 1]
+        for r in results:
+            assert r["status"] == "error: PreconditionError"
+            assert r["error"] == {"message": message, "point": [first.real, first.imag]}
+
+    @pytest.mark.parametrize(
         "family, draw, order",
         [
             ("family1", random_family1_params, ["g1", "g2", "g3", "g4", "g5", "g6"]),
@@ -438,6 +465,34 @@ class TestExtremeInputs:
 
     def test_verify_zero_anchor_exits_2(self, tmp_path, runner):
         self.run_zero_anchor(tmp_path, runner, "verify")
+
+    def run_bad_key(self, tmp_path, runner, key, value, **extra):
+        # The family1 N = 1 draw of the zero-anchor checks, with one
+        # malformed value, is refused as the config is read.
+        p = random_family1_params(np.random.default_rng(3), 1)
+        config = {"family": "family1", "N": 1, "grid_count": 3, "xi": [0.8 * abs(p.t1), 0.0], **extra, key: value}
+        path = write_config(tmp_path, p, **config)
+        res = runner.invoke(main, ["verify", "--config", path])
+        assert res.exit_code == 2, res.output
+        assert json.loads(res.output)["error"]["reason"].startswith(f"precondition: config key {key!r} ")
+
+    @pytest.mark.parametrize(
+        "value, extra",
+        [
+            ([math.nan, 0.0], {}),
+            ([math.nan, 0.0], {"points": [[0.5, 0.0]], "solution": "g1"}),
+            ([math.inf, 0.0], {}),
+        ],
+    )
+    def test_verify_non_finite_anchor_exits_2(self, tmp_path, runner, value, extra):
+        self.run_bad_key(tmp_path, runner, "xi", value, **extra)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_verify_non_positive_tolerance_exits_2(self, tmp_path, runner, tol):
+        self.run_bad_key(tmp_path, runner, "tol", tol)
+
+    def test_verify_negative_seed_exits_2(self, tmp_path, runner):
+        self.run_bad_key(tmp_path, runner, "seed", -1)
 
     def test_verify_nan_residual_fails(self, tmp_path, runner):
         # g2's defect is nan at x = 1e-30 on this draw (its thetas overflow

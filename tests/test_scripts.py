@@ -41,11 +41,18 @@ def test_accessory_scan_routes_agree(N, monkeypatch, capsys):
 
 def test_output_digest_is_stable_and_well_formed():
     digests = runpy.run_path(str(SCRIPTS / "output_digest.py"))["digests"]
-    lines = digests(1, verify_ns=(1,), transform_ns=(1,))
-    assert digests(1, verify_ns=(1,), transform_ns=(1,)) == lines
+    small = dict(verify_ns=(1,), transform_ns=(1,), generic_ns=(0,))
+    lines = digests(1, **small)
+    assert digests(1, **small) == lines
     sections = [line.split()[0] for line in lines]
-    common = ["accessory", "verify", "transform", "limits"]
-    assert sections == [f"family1.{s}" for s in common] + [f"family2.{s}" for s in common + ["defects"]]
+    cli = ["accessory", "verify", "eval"]
+    common = cli + ["transform", "limits"]
+    assert sections == (
+        [f"family1.{s}" for s in common]
+        + [f"family2.{s}" for s in common + ["defects"]]
+        + [f"generic.{s}" for s in cli]
+        + ["acceptance"]
+    )
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     assert len({line.split()[1] for line in lines}) == len(lines)
 
