@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time two checkouts on the same verify-sweep jobs in one process.
+"""Time two checkouts on the same verify-sweep and accessory-scan jobs in one process.
 
     python scripts/ab_timing.py PARENT CHANGE --seed 1 [--jobs 160]
 
@@ -7,15 +7,17 @@ PARENT and CHANGE are source checkouts (their ``src/qheun`` is loaded
 under a name of its own, so both live in this process).  The jobs are
 the first JOBS ``qheun verify`` jobs of the verify-sweep stream of
 ``perfbench/workloads.py`` for the seed (160, the default, is the
-stream's 30-second budget); that file is only read.  Each job runs
+stream's 30-second budget), then the first ACCESSORY_JOBS ``qheun
+accessory`` jobs of its accessory-scan stream (four rounds of its 39
+family and N pairs); that file is only read.  Each job runs
 through both checkouts' ``cli.main`` three times, the side that goes
 first alternating, and keeps each side's best time.  Timing both sides
 in one process, job by job, cancels the drift of a shared machine,
 which moves whole runs by up to a factor of two.
 
-Prints the change/parent ratios of the median, the 90th percentile
-and the total of the per-job best times, and the number of jobs whose
-stdout or exit code differs; exits 1 if any job differs.
+Prints, per stream, the change/parent ratios of the median, the 90th
+percentile and the total of the per-job best times, and the number of
+jobs whose stdout or exit code differs; exits 1 if any job differs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 REPEATS = 3
+ACCESSORY_JOBS = 156
 
 
 def load_checkout(root: Path, name: str):
@@ -46,12 +49,9 @@ def load_checkout(root: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def verify_jobs(seed: int, count: int, package: str) -> list[tuple[dict, str]]:
-    """(config, form) of the first count verify-sweep jobs of seed.
-
-    workloads.py imports ``qheun``; the package loaded as ``package``
-    stands in for it while the file is read.
-    """
+def load_workloads(package: str):
+    """perfbench/workloads.py, loaded with the package ``package`` standing
+    in for the ``qheun`` it imports."""
     aliases = {key.replace(package, "qheun", 1): mod for key, mod in sys.modules.items() if key.split(".")[0] == package}
     saved = {key: sys.modules.get(key) for key in aliases}
     sys.modules.update(aliases)
@@ -65,13 +65,21 @@ def verify_jobs(seed: int, count: int, package: str) -> list[tuple[dict, str]]:
                 sys.modules.pop(key)
             else:
                 sys.modules[key] = mod
+    return workloads
+
+
+def stream_jobs(workloads, stream: str, seed: int, count: int) -> list[tuple[dict, list[str]]]:
+    """(config, command) of the first count jobs of a stream of seed, the
+    command being the ``qheun`` arguments without ``--config``."""
     jobs, config = [], None
     with tempfile.TemporaryDirectory() as tmp:
-        for step in workloads.verify_sweep(seed, Path(tmp)):
+        for step in workloads.WORKLOADS[stream](seed, Path(tmp)):
             if not step.job:
                 config = step.inputs
                 continue
-            jobs.append((config, step.label.split()[-1]))  # label "verify <family> N=<N> <form>"
+            # label "verify <family> N=<N> <form>" or "accessory <family> N=<N>"
+            command, *_, form = step.label.split()
+            jobs.append((config, [command, "--solution", form] if command == "verify" else [command]))
             if len(jobs) == count:
                 return jobs
     return jobs
@@ -90,15 +98,15 @@ def run_job(cli, argv: list[str]) -> tuple[float, str]:
     return time.perf_counter() - start, f"{buf.getvalue()}exit {code}\n"
 
 
-def compare(clis, jobs: list[tuple[dict, str]]) -> tuple[list[list[float]], int]:
+def compare(clis, jobs: list[tuple[dict, list[str]]]) -> tuple[list[list[float]], int]:
     """Per side, each job's best time; and the number of jobs whose output differs."""
     best = [[], []]
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "verify.json"
-        for index, (config, form) in enumerate(jobs):
+        path = Path(tmp) / "job.json"
+        for index, (config, command) in enumerate(jobs):
             path.write_text(json.dumps(config))
-            argv = ["verify", "--config", str(path), "--solution", form]
+            argv = [*command, "--config", str(path)]
             times, outputs = [[], []], [set(), set()]
             for repeat in range(REPEATS):
                 for side in ((0, 1) if (index + repeat) % 2 == 0 else (1, 0)):
@@ -129,14 +137,18 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--jobs", type=int, default=160)
     args = ap.parse_args(argv)
     clis = [load_checkout(args.parent.resolve(), "qheun_parent"), load_checkout(args.change.resolve(), "qheun_change")]
-    jobs = verify_jobs(args.seed, args.jobs, "qheun_change")
-    best, differ = compare(clis, jobs)
-    stats = summary(best)
-    print(f"seed {args.seed}: {len(jobs)} verify-sweep jobs, best of {REPEATS}, change/parent")
-    for key in ("p50", "p90", "total"):
-        parent, change = stats[f"parent_{key}_ms"], stats[f"change_{key}_ms"]
-        print(f"{key:>5}  {parent:10.2f} ms -> {change:10.2f} ms  ratio {change / parent:.3f}")
-    print(f"jobs with different output: {differ}")
+    workloads = load_workloads("qheun_change")
+    differ = 0
+    for stream, count in (("verify-sweep", args.jobs), ("accessory-scan", ACCESSORY_JOBS)):
+        jobs = stream_jobs(workloads, stream, args.seed, count)
+        best, stream_differ = compare(clis, jobs)
+        stats = summary(best)
+        print(f"seed {args.seed}: {len(jobs)} {stream} jobs, best of {REPEATS}, change/parent")
+        for key in ("p50", "p90", "total"):
+            parent, change = stats[f"parent_{key}_ms"], stats[f"change_{key}_ms"]
+            print(f"{key:>5}  {parent:10.2f} ms -> {change:10.2f} ms  ratio {change / parent:.3f}")
+        print(f"jobs with different output: {stream_differ}")
+        differ += stream_differ
     return 1 if differ else 0
 
 

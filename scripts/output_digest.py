@@ -13,6 +13,8 @@ Sections, per family (family1, family2):
 * verify: the JSON and exit code of ``qheun verify`` over every form of
   the same draws, with an anchor xi and a grid of GRID_COUNT points;
 * eval: ``qheun eval`` of every form of the same draws at root 0;
+* rows: the ``root_coeffs`` of the same draws' setups, the coefficients
+  c_0..c_N at each accessory root;
 * transform: ``qtransform.transform`` of both seeds h1 (kernel P1) and
   h2 (P2) at the draws of TRANSFORM_NS, at POINTS points;
 * limits: ``qtransform.boundary_limits`` of the same seeds;
@@ -87,7 +89,7 @@ def config(p, **extra) -> dict:
 
 
 def cli_sections(family: str, rng: np.random.Generator, workdir: Path, verify_ns) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {"accessory": [], "verify": [], "eval": []}
+    out: dict[str, list[str]] = {"accessory": [], "verify": [], "eval": [], "rows": []}
     path = workdir / "job.json"
     for N in verify_ns:
         p = DRAWS[family](rng, N)
@@ -97,6 +99,7 @@ def cli_sections(family: str, rng: np.random.Generator, workdir: Path, verify_ns
             out[command].append(run_cli([command, "--config", str(path)]))
         for form in FAMILIES[family].forms:
             out["eval"].append(run_cli(["eval", "--config", str(path), "--solution", form.name]))
+        out["rows"].append(attempt(lambda: FAMILIES[family].setup(p, N).root_coeffs))
     return out
 
 

@@ -7,8 +7,8 @@ in the eigenvalue; its roots are exactly the eigenvalues admitting
 polynomial-type solutions (under the integer exponent condition) or an
 apparent singularity at the origin (when beta = N + 1).  The roots are
 companion-matrix eigenvalues; the coefficients c_0..c_N at each root are
-an eigenvector of the recurrence's tridiagonal matrix, solved once per setup.
-Both families keep them in a FamilySetup, built by family_setup.  coeff_row checks an eigenvalue against the
+an eigenvector of the recurrence's tridiagonal matrix, solved when a setup's root_coeffs is first read.
+All three families keep them in a FamilySetup, built by family_setup.  coeff_row checks an eigenvalue against the
 polynomial and returns the coefficients of its root: the one way a
 solution form takes a root.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,7 +105,6 @@ POLY_ZERO = Poly((0.0 + 0.0j,))
 class RecurrenceCoeffs:
     """Triple (x_n, y_n, z_n) driving a three-term coefficient recurrence."""
 
-    n: int
     x: complex
     y: complex
     z: complex
@@ -150,7 +150,7 @@ def recurrence_coeffs(p: QHeunParams, n: int) -> RecurrenceCoeffs:
         * (1.0 - q ** (n - 2.0 + lam + p.alpha1))
         * (1.0 - q ** (n - 2.0 + lam + p.alpha2))
     )
-    return RecurrenceCoeffs(n=n, x=x, y=y, z=z)
+    return RecurrenceCoeffs(x=x, y=y, z=z)
 
 
 def run_poly_recursion(
@@ -255,10 +255,10 @@ def poly_roots(poly: Poly) -> list[complex]:
     return roots
 
 
-def solve_accessory(
-    recurrence: Sequence[RecurrenceCoeffs], scale: float
-) -> tuple[Poly, tuple[complex, ...], dict[complex, tuple[complex, ...]]]:
-    """Accessory polynomial, its roots and the coefficients c_0..c_N of each root.
+def accessory_rows(
+    recurrence: Sequence[RecurrenceCoeffs], roots: Sequence[complex]
+) -> dict[complex, tuple[complex, ...]]:
+    """The coefficients c_0..c_N at each of roots, the certified roots of the accessory polynomial.
 
     recurrence holds the triples of indices 1..N+1, each evaluated once.
     Closed by c_{N+1} = 0, the recurrence says E c = M c for the
@@ -270,8 +270,6 @@ def solve_accessory(
     which grows toward it stably; a graded vector's tiny c_0 would
     otherwise set the scale of all of them from rounding noise.
     """
-    _, poly = run_poly_recursion(lambda n: recurrence[n - 1], len(recurrence) - 1, scale)
-    roots = tuple(poly_roots(poly))
     matrix = (
         np.diag([-rc.y for rc in recurrence])
         + np.diag([rc.z for rc in recurrence[1:]], -1)
@@ -287,7 +285,7 @@ def solve_accessory(
         for rc in recurrence[:peak]:
             c.append(((E + rc.y) * c[-1] - rc.z * c[-2]) / rc.x)
         coeffs[r] = tuple(c[1:] + [v * c[-1] / column[peak] for v in column[peak + 1:]])
-    return poly, roots, coeffs
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -300,23 +298,27 @@ class FamilySetup:
     recurrence: tuple[RecurrenceCoeffs, ...]  # indices 1..N+1
     accessory: Poly
     roots: tuple[complex, ...]
-    root_coeffs: dict[complex, tuple[complex, ...]]  # root -> c_0..c_N
 
     @property
     def lambda2(self) -> float:
         """The other exponent at the origin, lambda1 + beta."""
         return self.lambda1 + self.params.beta
 
+    @cached_property
+    def root_coeffs(self) -> dict[complex, tuple[complex, ...]]:
+        """root -> c_0..c_N, formed by accessory_rows the first time something reads them."""
+        return accessory_rows(self.recurrence, self.roots)
+
 
 def family_setup(p: QHeunParams, N: int, triple: Callable[[QHeunParams, int, int], RecurrenceCoeffs]) -> FamilySetup:
-    """The FamilySetup of the triples triple(p, N, n), n = 1..N+1, once the family's relation holds."""
+    """The FamilySetup of the triples triple(p, N, n), n = 1..N+1; the caller checks its family's relation."""
     recurrence = tuple(triple(p, N, n) for n in range(1, N + 2))
-    cpoly, roots, root_coeffs = solve_accessory(recurrence, abs(p.t1 * p.t2))
-    return FamilySetup(p, N, exponent_at_origin(p), recurrence, cpoly, roots, root_coeffs)
+    _, cpoly = run_poly_recursion(lambda n: recurrence[n - 1], N, abs(p.t1 * p.t2))
+    return FamilySetup(p, N, exponent_at_origin(p), recurrence, cpoly, tuple(poly_roots(cpoly)))
 
 
 def coeff_values(root_coeffs: dict[complex, tuple[complex, ...]], E0: complex) -> tuple[complex, ...]:
-    """c_0..c_N at the root nearest E0, from solve_accessory's root_coeffs."""
+    """c_0..c_N at the root nearest E0, from a FamilySetup's root_coeffs."""
     return root_coeffs[min(root_coeffs, key=lambda r: abs(r - E0))]
 
 
@@ -381,7 +383,7 @@ def require_root(poly: Poly, E0: complex) -> None:
 
 def coeff_row(setup: FamilySetup, E0: complex) -> tuple[complex, ...]:
     """c_0..c_N at the accessory root E0 of a family setup (its accessory
-    and root_coeffs, as solve_accessory returns them).
+    and root_coeffs, as family_setup and accessory_rows form them).
 
     Raises NotARoot where require_root does.  Every use of a root by a
     family goes through here, once per root and call.

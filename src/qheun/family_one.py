@@ -72,7 +72,7 @@ def family1_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
         * (1.0 - q ** (N - n + 1.0 + p.alpha2 + lam))
         * (1.0 - q ** (N - n + 2.0))
     )
-    return RecurrenceCoeffs(n=n, x=x, y=y, z=z)
+    return RecurrenceCoeffs(x=x, y=y, z=z)
 
 
 def family1_setup(p: QHeunParams, N: int) -> FamilySetup:

@@ -77,7 +77,7 @@ def family2_recurrence(p: QHeunParams, N: int, n: int) -> RecurrenceCoeffs:
         * (1.0 - q ** (N - n + 1.0 + lam + p.alpha2))
         * (1.0 - q ** (N - n + 2.0))
     )
-    return RecurrenceCoeffs(n=n, x=x, y=y, z=z)
+    return RecurrenceCoeffs(x=x, y=y, z=z)
 
 
 def family2_setup(p: QHeunParams, N: int) -> Family2Setup:

@@ -1,7 +1,7 @@
 """Registry of the special solution forms: the one place a form is defined.
 
-Each family pairs its setup (integer relation, accessory polynomial,
-roots) with its forms in report order.  A form gives its solution at
+Each family pairs its setup, an accessory.FamilySetup (integer relation,
+accessory polynomial, roots), with its forms in report order.  A form gives its solution at
 accessory roots, may carry the inhomogeneity T of Op g = E g + T, may
 need the bilateral anchor xi, and names the grid of its residual check:
 a default |x| band, the q-spirals to avoid and the relative distance to
@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .accessory import Poly, accessory_poly, coeff_row, one_root, poly_roots, polynomial_at_root
+from .accessory import coeff_row, family_setup, one_root, polynomial_at_root, recurrence_coeffs
 from .errors import PreconditionError, QHeunError, out_of_range, typed_at_point
 from .family_one import (
     family1_bilateral_evaluator,
@@ -56,19 +56,6 @@ from .family_two import (
     g2_inhomogeneity,
 )
 from .qheun_op import QHeunParams, ResidualReport, grid_points, residual_reports, singular_spirals
-
-
-@dataclass(frozen=True)
-class GenericSetup:
-    params: QHeunParams
-    N: int
-    accessory: Poly
-    roots: tuple[complex, ...]
-
-
-def generic_setup(p: QHeunParams, N: int) -> GenericSetup:
-    cpoly = accessory_poly(p, N)
-    return GenericSetup(p, N, cpoly, tuple(poly_roots(cpoly)))
 
 
 @dataclass(frozen=True)
@@ -147,7 +134,7 @@ class Form:
 
 @dataclass(frozen=True)
 class Family:
-    build: Callable  # (params, N) -> object with params, N, accessory, roots
+    build: Callable  # (params, N) -> an accessory.FamilySetup
     forms: tuple[Form, ...]
 
     def setup(self, p: QHeunParams, N: int):
@@ -223,7 +210,7 @@ def _polynomial(st, xi) -> Callable:
 
 FAMILIES: dict[str, Family] = {
     "generic": Family(
-        lambda p, N: generic_setup(p, N),
+        lambda p, N: family_setup(p, N, lambda p, N, n: recurrence_coeffs(p, n)),
         (
             Form(
                 "poly", _polynomial, _band(0.1, 10.0), _singular,

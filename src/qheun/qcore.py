@@ -24,6 +24,7 @@ fills itself in as it is summed and belongs to one caller.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from itertools import zip_longest
@@ -191,8 +192,9 @@ def phi_series(
     t_{n+1} is returned: the tail beyond it is smaller than that.
 
     Raises ConvergenceError for a non-terminating series with |z| >= 1
-    or one that has not stopped within MAX_TERMS terms, and
-    PoleError when a lower-parameter factor vanishes before termination.
+    or one that has not stopped within MAX_TERMS terms,
+    PoleError when a lower-parameter factor vanishes before termination,
+    and DomainError for a parameter that is not finite.
     This is the one-chain call: SeriesChain(upper, lower, q).sum(z).
     """
     return SeriesChain(upper, lower, q).sum(z)
@@ -222,6 +224,9 @@ class SeriesChain:
         self.los = [complex(b) for b in lower]
         if len(self.ups) != len(self.los) + 1:
             raise DomainError("need exactly one more upper than lower parameter")
+        for a in self.ups + self.los:
+            if not cmath.isfinite(a):
+                raise DomainError(f"series parameter {a!r} is not finite")
         self.q = q
         # |b| per lower parameter, for the pole-check bound (no overflow error).
         self.lo_moduli = [math.hypot(b.real, b.imag) for b in self.los]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qheun import _bilateral, _finite_sum, forms
+from qheun import _bilateral, _finite_sum, accessory, forms
 from qheun.accessory import (
     backward_error, exponent_at_origin, polynomial_at_root, polynomial_solution, require_root, root_certificate,
 )
@@ -377,7 +377,7 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "--config", path])
         assert res.exit_code == 1
         rep = json.loads(res.output)
-        grid = forms.FAMILIES["generic"].form("poly").grid(forms.generic_setup(p, 2), None, 4, 0)
+        grid = forms.FAMILIES["generic"].form("poly").grid(forms.FAMILIES["generic"].setup(p, 2), None, 4, 0)
         for r in rep["results"]:
             assert r["status"] == "error: NotARoot"
             assert r["error"]["point"] == [grid[0].real, grid[0].imag]
@@ -494,6 +494,40 @@ class TestExtremeInputs:
     def test_verify_negative_seed_exits_2(self, tmp_path, runner):
         self.run_bad_key(tmp_path, runner, "seed", -1)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("h1", math.nan),
+            ("q", math.nan),
+            ("t1", [math.inf, 0.0]),
+            ("t2", [0.0, math.nan]),
+            ("grid_rmin", math.nan),
+            ("grid_rmax", math.inf),
+            ("e_offset", math.nan),
+            ("e_offset", -math.inf),
+            ("points", [[0.5, 0.0], [math.nan, 0.0]]),
+        ],
+    )
+    def test_verify_non_finite_number_exits_2(self, tmp_path, runner, key, value):
+        self.run_bad_key(tmp_path, runner, key, value)
+
+    @pytest.mark.parametrize("solution", ["g3", "g5", "g6"])
+    def test_verify_non_finite_series_parameter_is_a_domain_error(self, tmp_path, runner, solution):
+        # At x = 1e308 (1 + i) the series parameters of the family2 finite
+        # sums are not finite; every root reports a DomainError at that point.
+        x = [1e308, 1e308]
+        p = random_family2_params(np.random.default_rng(3), 1)
+        path = write_config(
+            tmp_path, p, family="family2", N=1, solution=solution, xi=[0.8 * abs(p.t1), 0.0], points=[x],
+        )
+        res = runner.invoke(main, ["verify", "--config", path])
+        assert res.exit_code == 1, res.output
+        results = json.loads(res.output)["results"]
+        assert [r["status"] for r in results] == ["error: DomainError"] * 2
+        for r in results:
+            assert re.fullmatch(r"series parameter .* is not finite", r["error"]["message"])
+            assert r["error"]["point"] == x
+
     def test_verify_nan_residual_fails(self, tmp_path, runner):
         # g2's defect is nan at x = 1e-30 on this draw (its thetas overflow
         # to inf / inf); a NaN residual meets no tolerance.
@@ -582,6 +616,27 @@ class TestSharedWork:
         walks = self.counting(monkeypatch, _bilateral, "SpiralTerms")
         self.run_verify(tmp_path, runner, "family1", random_family1_params, "g1")
         assert len(walks) == 3 * self.POINTS  # each walks both sides from its anchor
+
+    def counting_row_solves(self, monkeypatch) -> tuple[list, list]:
+        """The calls of np.linalg.eig and of accessory.accessory_rows."""
+        return self.counting(monkeypatch, np.linalg, "eig"), self.counting(monkeypatch, accessory, "accessory_rows")
+
+    @pytest.mark.parametrize("family, draw", [("family1", random_family1_params), ("family2", random_family2_params)])
+    def test_accessory_forms_no_rows(self, tmp_path, runner, monkeypatch, family, draw):
+        # The report reads the polynomial and its roots, never the rows.
+        eigs, rows = self.counting_row_solves(monkeypatch)
+        path = write_config(tmp_path, draw(np.random.default_rng(4), self.N), family=family, N=self.N)
+        res = runner.invoke(main, ["accessory", "--config", path])
+        assert res.exit_code == 0
+        assert len(json.loads(res.output)["accessory"]["roots"]) == self.N + 1
+        assert eigs == [] and rows == []
+
+    @pytest.mark.parametrize("family, draw", [("family1", random_family1_params), ("family2", random_family2_params)])
+    def test_verify_forms_the_rows_once_per_setup(self, tmp_path, runner, monkeypatch, family, draw):
+        # Every root reads its row from the one solve of the setup.
+        eigs, rows = self.counting_row_solves(monkeypatch)
+        self.run_verify(tmp_path, runner, family, draw, "g3")
+        assert len(eigs) == len(rows) == 1
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import pytest
 
 from qheun import accessory, forms
 from qheun._bilateral import SpiralTerms, weighted_bilateral
-from qheun.accessory import accessory_poly, one_root, polynomial_at_root, require_root
+from qheun.accessory import one_root, polynomial_at_root, require_root
 from qheun.errors import ConvergenceError, NotARoot, PoleError, QHeunError
 from qheun.forms import FAMILIES
 from qheun.qcore import bilateral_sum
@@ -71,15 +71,16 @@ def test_every_form_matches_single_root_calls(family, N, monkeypatch):
 def test_generic_pass_builds_the_accessory_polynomial_once(monkeypatch):
     # The setup builds it, and every root of the pass is checked against
     # that build, not against one of its own.
-    calls = []
-    counted = lambda p, N: calls.append(N) or accessory_poly(p, N)
-    monkeypatch.setattr(accessory, "accessory_poly", counted)
-    monkeypatch.setattr(forms, "accessory_poly", counted)
+    builds, checked = [], []
+    run = accessory.run_poly_recursion
+    monkeypatch.setattr(accessory, "run_poly_recursion", lambda *a: builds.append(run(*a)) or builds[-1])
+    monkeypatch.setattr(forms, "polynomial_at_root", lambda p, c, E0, N: checked.append(c) or polynomial_at_root(p, c, E0, N))
     family = FAMILIES["generic"]
     st = family.setup(random_admissible_params(np.random.default_rng(106), 6), 6)
     form = family.form("poly")
     reports = form.root_residuals(st, st.roots, None, form.grid(st, None, 4, seed=6))
-    assert len(st.roots) == 7 and calls == [6]
+    assert len(st.roots) == 7 and len(builds) == 1
+    assert len(checked) == 7 and all(c is builds[0][1] for c in checked)
     assert all(not isinstance(rep, QHeunError) for rep in reports)
 
 

@@ -239,6 +239,15 @@ class TestPhiSeries:
         with pytest.raises(PoleError):
             phi_series([0.3, 0.7], [q**-2], q, 0.5)
 
+    @pytest.mark.parametrize(
+        "upper, lower",
+        [([math.nan], []), ([math.inf], []), ([0.3, complex(0.7, math.nan)], [0.2]), ([0.3, 0.7], [-math.inf])],
+    )
+    def test_non_finite_parameter_is_a_domain_error(self, upper, lower):
+        # Its termination index would round a NaN or an infinity.
+        with pytest.raises(DomainError, match=r"^series parameter .* is not finite$"):
+            phi_series(upper, lower, 0.5, 0.3)
+
     @settings(max_examples=50, deadline=None)
     @given(
         a=complexes(),

@@ -46,7 +46,7 @@ def test_output_digest_is_stable_and_well_formed():
     assert digests(1, **small) == lines
     sections = [line.split()[0] for line in lines]
     cli = ["accessory", "verify", "eval"]
-    common = cli + ["transform", "limits"]
+    common = cli + ["rows", "transform", "limits"]
     assert sections == (
         [f"family1.{s}" for s in common]
         + [f"family2.{s}" for s in common + ["defects"]]
@@ -66,3 +66,6 @@ def test_ab_timing_runs_both_sides_on_the_same_jobs(monkeypatch, capsys):
     assert lines[0] == "seed 1: 4 verify-sweep jobs, best of 3, change/parent"
     assert [line.split()[0] for line in lines[1:4]] == ["p50", "p90", "total"]
     assert lines[4] == "jobs with different output: 0"
+    assert lines[5] == "seed 1: 156 accessory-scan jobs, best of 3, change/parent"
+    assert [line.split()[0] for line in lines[6:9]] == ["p50", "p90", "total"]
+    assert lines[9:] == ["jobs with different output: 0"]
