@@ -18,6 +18,9 @@ which moves whole runs by up to a factor of two.
 Prints, per stream, the change/parent ratios of the median, the 90th
 percentile and the total of the per-job best times, and the number of
 jobs whose stdout or exit code differs; exits 1 if any job differs.
+For verify-sweep it also prints those three ratios for the jobs of the
+bilateral forms g1/g2 and for the other jobs, to show where a change
+of one kind of sum lands.
 """
 
 from __future__ import annotations
@@ -119,6 +122,9 @@ def compare(clis, jobs: list[tuple[dict, list[str]]]) -> tuple[list[list[float]]
     return best, differ
 
 
+BILATERAL = ("g1", "g2")
+
+
 def summary(best: list[list[float]]) -> dict[str, float]:
     """p50, p90 and total of each side's per-job best times, in ms."""
     out = {}
@@ -147,6 +153,15 @@ def main(argv: list[str] | None = None) -> int:
         for key in ("p50", "p90", "total"):
             parent, change = stats[f"parent_{key}_ms"], stats[f"change_{key}_ms"]
             print(f"{key:>5}  {parent:10.2f} ms -> {change:10.2f} ms  ratio {change / parent:.3f}")
+        if stream == "verify-sweep":
+            for name, bilateral in (("g1/g2", True), ("other", False)):
+                picked = [i for i, (_, command) in enumerate(jobs) if (command[2] in BILATERAL) == bilateral]
+                if picked:
+                    stats = summary([[side[i] for i in picked] for side in best])
+                    ratios = "  ".join(
+                        f"{key} {stats[f'change_{key}_ms'] / stats[f'parent_{key}_ms']:.3f}" for key in ("p50", "p90", "total")
+                    )
+                    print(f"{name:>5}  {len(picked)} jobs, ratios  {ratios}")
         print(f"jobs with different output: {stream_differ}")
         differ += stream_differ
     return 1 if differ else 0

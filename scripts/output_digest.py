@@ -19,7 +19,12 @@ Sections, per family (family1, family2):
   h2 (P2) at the draws of TRANSFORM_NS, at POINTS points;
 * limits: ``qtransform.boundary_limits`` of the same seeds;
 * defects (family2 only): ``g1_inhomogeneity`` and ``g2_inhomogeneity``
-  at the transform points.
+  at the transform points;
+* replay: ``qheun verify`` of g1 and of g2 on a draw at REPLAY_N, at the
+  explicit points 1.1 |t1| e^{0.7i}, xi q**2 and 1.3 |t1| e^{-0.5i},
+  where every root of g1 meets a pole in the stencil of the second
+  point, so the line pins the order in which a report reads its
+  stencil.
 
 Then the generic family, on ``random_admissible_params`` draws at each
 N of GENERIC_NS: accessory, verify and eval as above, each of verify
@@ -35,6 +40,7 @@ the line.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import io
 import json
@@ -55,6 +61,7 @@ GENERIC_NS = (0, 1, 2, 4)
 E_OFFSET = 1e-12
 EXPLICIT_POINTS = [[0.0, 0.0], [0.5, 0.0], [1.2, 0.3]]
 TRANSFORM_NS = (1, 2, 4)
+REPLAY_N = 2
 GRID_COUNT = 4
 POINTS = 2
 DRAWS = {"family1": random_family1_params, "family2": random_family2_params}
@@ -145,6 +152,15 @@ def transform_sections(family: str, rng: np.random.Generator, transform_ns) -> d
     return out
 
 
+def replay_section(family: str, rng: np.random.Generator, workdir: Path) -> list[str]:
+    p = DRAWS[family](rng, REPLAY_N)
+    r, xi = abs(p.t1), 0.8 * abs(p.t1)
+    points = [1.1 * r * cmath.exp(0.7j), complex(xi * p.q**2), 1.3 * r * cmath.exp(-0.5j)]
+    path = workdir / "job.json"
+    path.write_text(json.dumps(config(p, family=family, N=REPLAY_N, xi=[xi, 0.0], points=[[x.real, x.imag] for x in points])))
+    return [run_cli(["verify", "--config", str(path), "--solution", form]) for form in ("g1", "g2")]
+
+
 def digest_line(name: str, texts: list[str]) -> str:
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     return f"{name} {digest}"
@@ -158,6 +174,7 @@ def digests(seed: int, verify_ns=VERIFY_NS, transform_ns=TRANSFORM_NS, generic_n
             rng = np.random.default_rng([seed, index])
             sections = cli_sections(family, rng, Path(tmp), verify_ns)
             sections.update(transform_sections(family, rng, transform_ns))
+            sections["replay"] = replay_section(family, rng, Path(tmp))
             lines += [digest_line(f"{family}.{name}", texts) for name, texts in sections.items()]
         rng = np.random.default_rng([seed, len(DRAWS)])
         for name, texts in generic_sections(rng, Path(tmp), generic_ns).items():

@@ -17,9 +17,12 @@ i.e. (v; q)_inf / (u; q)_inf times the shifted-factorial coefficient
 (u; q)_n / (v; q)_n.  The products and the powers r_k**n do not depend
 on the weights w_k, so weighted_bilateral walks once for a list of
 weight vectors: a form's N + 1 accessory roots differ only in their
-weights, and a single root is the one-row case.  bilateral_table
-writes g1/g2 of both families once, over a family's list of singular
-pairs (h_i, l_i, t_i).
+weights, and a single root is the one-row case.  A row's weighted sum
+sum_k w_k r_k**n depends on u and v no more than the powers do, so the
+PowerWalk shared by the walks of one evaluator keeps it per row and
+index: the walk of the evaluator's first point forms it, and the walks
+of its other points read it.  bilateral_table writes g1/g2 of both
+families once, over a family's list of singular pairs (h_i, l_i, t_i).
 
 The step factors also bound the tail.  Once the moduli of the factors
 of a step are bounded by F, and F |r_k| < 1 (F / |r_k| downward), the
@@ -90,15 +93,21 @@ class PowerWalk:
     towards it, with the operations of a step from the previous entry.
     A walk reaches index n only from n -+ 1, so each side holds one
     entry per index walked, at most MAX_TERMS.
+
+    The weighted sums sum_k w_k r_k**n / c_n of a weight row are shared
+    the same way: dots(row) is the memo of one row object, per side, and
+    every walk given that object reads and extends it.
     """
 
-    __slots__ = ("rates", "sides")
+    __slots__ = ("rates", "sides", "memos")
 
     def __init__(self, rates: Sequence[complex]) -> None:
         self.rates = [complex(r) for r in rates]
         # Per direction (down, up): (powers, c) at |n| = 1, 2, ...; c is the
         # rescale factor applied at that step, or None.
         self.sides: tuple[list, list] = ([], [])
+        # id(row) -> (row, its memo per side); holding the row keeps its id unique.
+        self.memos: dict[int, tuple] = {}
 
     def step(self, i: int, powers: list[complex], upward: bool) -> tuple[list[complex], float | None]:
         """(powers, c) at |n| = i + 1 on the side of upward, formed from the
@@ -117,6 +126,20 @@ class PowerWalk:
                 powers = [p * c for p in powers]
             side.append((powers, c))
         return side[i]
+
+    def dots(self, row: Sequence[complex]) -> tuple[list[complex], list[complex]]:
+        """The memo (down, up) of the object row: entry i of a side is
+        sum_k row[k] r_k**n / c_n at n = -1 - i downward and n = i upward.
+
+        A side is extended in index order by the walks that pass row.
+        The memo is keyed on the object, not on its values, so a caller
+        shares it by passing the same row again and never reads a sum
+        formed from other weights.
+        """
+        entry = self.memos.get(id(row))
+        if entry is None:
+            entry = self.memos[id(row)] = (row, ([], []))
+        return entry[1]
 
 
 class SpiralTerms:
@@ -302,8 +325,10 @@ def weighted_bilateral(
     s_n = q**n, summed as qcore.bilateral_sum sums them: the side n >= 0,
     then the side n <= -1, each stopped by its own TailSum with the
     walk's tail_bound for that row.  rates may be a PowerWalk shared
-    with other sums of the same rates.  The
-    products and powers at each index are stepped once for all rows;
+    with other sums of the same rates; a row's weighted sums
+    sum_k w_k r_k**n / c_n are then read from its PowerWalk.dots memo,
+    where sums of other (num, den) given the same row object left them.
+    The products and powers at each index are stepped once for all rows;
     each row forms its terms, partial sums and stop decisions as it
     would alone.  PoleError is raised where (num q**n; q)_inf vanishes,
     the anchor n = 0 included; an error of a step goes only to the rows
@@ -314,15 +339,23 @@ def weighted_bilateral(
     except QHeunError as exc:
         return [exc] * len(weight_rows)
     rows = [[complex(w) for w in row] for row in weight_rows]
+    # Per row its memo; a row object given twice takes a memo of its own
+    # the second time, so that one row extends each memo.
+    memos: list = []
+    for row in weight_rows:
+        memo = terms.walk.dots(row)
+        memos.append(([], []) if any(m is memo for m in memos) else memo)
     # Per row: its error once it failed, else its plus side, then its sum.
     results: list = [None] * len(rows)
     for start, step in ((0, +1), (-1, -1)):
-        live = [
-            (j, rows[j], TailSum(), partial(terms.tail_bound, weights=rows[j]))
-            for j, r in enumerate(results)
-            if not isinstance(r, QHeunError)
-        ]
-        n = start
+        # Per live row: its index, weights, memo of this side, the sums
+        # that memo holds now, TailSum and tail bound.
+        live = []
+        for j, r in enumerate(results):
+            if not isinstance(r, QHeunError):
+                memo = memos[j][step > 0]
+                live.append((j, rows[j], memo, len(memo), TailSum(), partial(terms.tail_bound, weights=rows[j])))
+        n, i = start, 0  # the index walked, the i-th of its side
         while live:
             try:
                 _, _, value, powers, _ = terms._seek(n)
@@ -331,9 +364,14 @@ def weighted_bilateral(
                     results[j] = exc
                 break
             ended = []
-            for j, row, tail, bound in live:
+            for j, row, memo, known, tail, bound in live:
+                if i < known:
+                    dot = memo[i]
+                else:
+                    dot = sum(map(mul, row, powers))
+                    memo.append(dot)
                 try:
-                    if not tail.add(value * sum(map(mul, row, powers)), n, bound):
+                    if not tail.add(value * dot, n, bound):
                         continue
                 except QHeunError as exc:
                     results[j] = exc
@@ -343,6 +381,7 @@ def weighted_bilateral(
             if ended:
                 live = [entry for entry in live if entry[0] not in ended]
             n += step
+            i += 1
     return results
 
 
@@ -386,11 +425,15 @@ def bilateral_evaluator(
     (weighted_bilateral, one weight row xi_powers[k] * c_k per vector).
     The rates r_k depend on neither x nor the vector, so every walk of
     this evaluator reads its powers r_k**n from one PowerWalk, formed
-    with the first point's table; everything else is formed per point.
+    with the first point's table.  A vector's weight row does not
+    depend on x, so it is formed at the first point that asks for it,
+    and the walks of later points read its weighted sums from the
+    PowerWalk's memo.  Everything else is formed per point.
     hypothesis, the message of the family's failed bilateral hypothesis
     or None, is raised as a PreconditionError at every point.
     """
     walks: list[PowerWalk] = []  # the shared PowerWalk, once a table is formed
+    weight_rows: dict[int, tuple] = {}  # id(coeffs) -> (coeffs, its weight row)
 
     @typed_at_point
     def at(coeff_rows: Sequence[Sequence[complex]], x: complex) -> list[complex | QHeunError]:
@@ -404,7 +447,12 @@ def bilateral_evaluator(
         if not walks:
             walks.append(PowerWalk(rates))
         factor = (1.0 - q) * x ** power
-        rows = [[w * c for w, c in zip(xi_powers, coeffs)] for coeffs in coeff_rows]
+        rows = []
+        for coeffs in coeff_rows:
+            entry = weight_rows.get(id(coeffs))
+            if entry is None:
+                entry = weight_rows[id(coeffs)] = (coeffs, [w * c for w, c in zip(xi_powers, coeffs)])
+            rows.append(entry[1])
         sums = weighted_bilateral(num, den, rows, walks[0], q)
         return [s if isinstance(s, QHeunError) else factor * s for s in sums]
 

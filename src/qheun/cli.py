@@ -67,7 +67,7 @@ def _real(value) -> float:
 def _as_complex(value) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
-            raise PreconditionError("complex values must be [re, im] pairs")
+            raise ValueError("complex values must be [re, im] pairs")
         return complex(_real(value[0]), _real(value[1]))
     return complex(_real(value), 0.0)
 

@@ -18,7 +18,8 @@ and hands it the rows still live at each point.  What an evaluator
 forms once, for every point it serves, is the work that depends on
 neither x nor the row: R_k and the series chains of family 1's finite
 sums, the per-k values of both families' finite sums and the powers of
-the bilateral walks.  The generic form's row is the polynomial
+the bilateral walks; and, once per row, what depends on the row but not
+on x: a bilateral walk's weight row and its weighted power sums.  The generic form's row is the polynomial
 solution, built once per E0 and checked against the setup's accessory
 polynomial.  ``root_residuals`` checks every root through one
 evaluator in one pass over the grid; ``solution`` is the one-root case

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import cmath
 import json
 import math
 import re
@@ -321,6 +322,8 @@ class TestVerify:
             ("N", None), ("h1", [1, 2]), ("points", 3), ("out", [1]),
             # Integer keys take neither a fraction, a bool nor a string.
             ("N", 2.7), ("N", True), ("N", "3"), ("seed", 0.5), ("grid_count", "4"), ("root_index", False),
+            # A complex value is a number or an [re, im] pair, and the error names the key.
+            ("t1", [1, 2, 3]), ("xi", [1]), ("points", [[0.5, 0, 1]]),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, runner, rng, key, value):
@@ -383,6 +386,28 @@ class TestVerify:
             assert r["error"]["point"] == [grid[0].real, grid[0].imag]
         rep = json.loads(runner.invoke(main, ["eval", "--config", path]).output)
         assert [r["status"] for r in rep["rows"]] == ["NotARoot"] * 4
+
+    @pytest.mark.parametrize("family, draw", [("family1", random_family1_params), ("family2", random_family2_params)])
+    def test_bilateral_stencil_replays_the_point_order(self, tmp_path, runner, family, draw):
+        # g1's stencil is evaluated in one batch; its report still reads
+        # point by point: every root passes the first point and meets the
+        # anchor's pole in the stencil of the second, which the error names.
+        p = draw(np.random.default_rng(3), 2)
+        r, xi = abs(p.t1), 0.8 * abs(p.t1)
+        points = [1.1 * r * cmath.exp(0.7j), xi * p.q**2, 1.3 * r * cmath.exp(-0.5j)]
+        path = write_config(
+            tmp_path, p, family=family, N=2, xi=[xi, 0.0], points=[[x.real, x.imag] for x in map(complex, points)],
+        )
+        res = runner.invoke(main, ["verify", "--config", path, "--solution", "g1"])
+        assert res.exit_code == 1, res.output
+        results = json.loads(res.output)["results"]
+        assert [r["root_index"] for r in results] == [0, 1, 2]
+        for r in results:
+            assert r["status"] == "error: PoleError"
+            assert r["error"] == {"message": "denominator factor (1 - (1+0j)) vanishes", "point": [xi * p.q**2, 0.0]}
+        res = runner.invoke(main, ["verify", "--config", path, "--solution", "g2"])
+        assert res.exit_code == 0, res.output
+        assert [r["status"] for r in json.loads(res.output)["results"]] == ["pass"] * 3
 
     def test_bilateral_forms_with_anchor(self, tmp_path, runner, rng):
         p = random_family2_params(rng, 0)
@@ -616,6 +641,26 @@ class TestSharedWork:
         walks = self.counting(monkeypatch, _bilateral, "SpiralTerms")
         self.run_verify(tmp_path, runner, "family1", random_family1_params, "g1")
         assert len(walks) == 3 * self.POINTS  # each walks both sides from its anchor
+
+    @pytest.mark.parametrize("family, draw", [("family1", random_family1_params), ("family2", random_family2_params)])
+    def test_g1_forms_each_weighted_sum_once_per_index(self, tmp_path, runner, monkeypatch, family, draw):
+        # A root's sum_k w_k r_k**n is the same at every stencil point: the
+        # walks of all 3 * POINTS points share one memo per root, and each
+        # of its entries is formed once.
+        products = self.counting(monkeypatch, _bilateral, "mul")
+        memos = []
+        dots = _bilateral.PowerWalk.dots
+
+        def recorded(walk, row):
+            memos.append(dots(walk, row))
+            return memos[-1]
+
+        monkeypatch.setattr(_bilateral.PowerWalk, "dots", recorded)
+        self.run_verify(tmp_path, runner, family, draw, "g1")
+        assert len(memos) == 3 * self.POINTS * (self.N + 1)  # one per point and root
+        shared = {id(memo): memo for memo in memos}.values()
+        assert len(shared) == self.N + 1
+        assert len(products) == (self.N + 1) * sum(len(side) for memo in shared for side in memo)
 
     def counting_row_solves(self, monkeypatch) -> tuple[list, list]:
         """The calls of np.linalg.eig and of accessory.accessory_rows."""

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from qheun import accessory, forms
-from qheun._bilateral import SpiralTerms, weighted_bilateral
+from qheun import _bilateral, accessory, forms
+from qheun._bilateral import PowerWalk, SpiralTerms, weighted_bilateral
 from qheun.accessory import one_root, polynomial_at_root, require_root
 from qheun.errors import ConvergenceError, NotARoot, PoleError, QHeunError
 from qheun.forms import FAMILIES
@@ -116,6 +116,26 @@ class TestSharedWalk:
             assert same(value, self.alone(self.num, self.den, row, self.rates, self.q))
         assert isinstance(got[2], ConvergenceError)
         assert all(isinstance(v, complex) for v in got[:2] + got[3:])
+
+    def test_sums_sharing_a_walk_share_each_rows_weighted_sums(self, monkeypatch):
+        # The second table reads the first's sum_k w_k r_k**n at every index
+        # the first reached and forms only those beyond; each value is the
+        # one its row gives alone.
+        rows = [[1.0, 0.5 - 0.25j, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 1e-3]]
+        tables = [(self.num, self.den), ([0.3j, 1.1], [0.2, 0.5 + 0.5j])]
+        walk = PowerWalk(self.rates)
+        products = []
+        formed = []  # the sums formed by each table
+        for num, den in tables:
+            with monkeypatch.context() as m:
+                m.setattr(_bilateral, "mul", lambda a, b: products.append(a) or a * b)
+                got = weighted_bilateral(num, den, rows, walk, self.q)
+            for row, value in zip(rows, got, strict=True):
+                assert same(value, self.alone(num, den, row, self.rates, self.q))
+            assert isinstance(got[2], ConvergenceError)
+            formed.append(sum(len(side) for row in rows for side in walk.dots(row)) - sum(formed))
+            assert len(products) == len(self.rates) * sum(formed)  # each sum formed once
+        assert formed[1] < formed[0] / 10
 
     def test_a_pole_at_the_anchor_reaches_every_row(self):
         # (q^-3 q^n; q)_inf vanishes for n <= 3: its reciprocal poles at n = 0.

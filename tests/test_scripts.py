@@ -48,8 +48,8 @@ def test_output_digest_is_stable_and_well_formed():
     cli = ["accessory", "verify", "eval"]
     common = cli + ["rows", "transform", "limits"]
     assert sections == (
-        [f"family1.{s}" for s in common]
-        + [f"family2.{s}" for s in common + ["defects"]]
+        [f"family1.{s}" for s in common + ["replay"]]
+        + [f"family2.{s}" for s in common + ["defects", "replay"]]
         + [f"generic.{s}" for s in cli]
         + ["acceptance"]
     )
@@ -60,12 +60,15 @@ def test_output_digest_is_stable_and_well_formed():
 def test_ab_timing_runs_both_sides_on_the_same_jobs(monkeypatch, capsys):
     root = str(SCRIPTS.parent)
     with pytest.raises(SystemExit) as stop:
-        run_script("ab_timing.py", [root, root, "--seed", "1", "--jobs", "4"], monkeypatch, capsys)
+        run_script("ab_timing.py", [root, root, "--seed", "1", "--jobs", "17"], monkeypatch, capsys)
     lines = capsys.readouterr().out.splitlines()
     assert stop.value.code == 0
-    assert lines[0] == "seed 1: 4 verify-sweep jobs, best of 3, change/parent"
+    assert lines[0] == "seed 1: 17 verify-sweep jobs, best of 3, change/parent"
     assert [line.split()[0] for line in lines[1:4]] == ["p50", "p90", "total"]
-    assert lines[4] == "jobs with different output: 0"
-    assert lines[5] == "seed 1: 156 accessory-scan jobs, best of 3, change/parent"
-    assert [line.split()[0] for line in lines[6:9]] == ["p50", "p90", "total"]
-    assert lines[9:] == ["jobs with different output: 0"]
+    # The first 17 jobs of seed 1 hold two of g1/g2, both family1 g2.
+    assert [line.split()[:4] for line in lines[4:6]] == [["g1/g2", "2", "jobs,", "ratios"], ["other", "15", "jobs,", "ratios"]]
+    assert [line.split()[4::2] for line in lines[4:6]] == [["p50", "p90", "total"]] * 2
+    assert lines[6] == "jobs with different output: 0"
+    assert lines[7] == "seed 1: 156 accessory-scan jobs, best of 3, change/parent"
+    assert [line.split()[0] for line in lines[8:11]] == ["p50", "p90", "total"]
+    assert lines[11:] == ["jobs with different output: 0"]

@@ -3,9 +3,10 @@
 An evaluator (one Form.evaluate call) forms the point-independent work
 of its form once: R_k and the series chains of family 1's finite sums,
 the per-k values of both families' finite sums and the power walk of
-the bilateral forms.  Its values may therefore not depend on which
-points it served before, and an error met in that work is raised
-afresh at every point, carrying its own point.
+the bilateral forms, with each root's weighted sums of its powers.
+Its values may therefore not depend on which points it served before,
+and an error met in that work is raised afresh at every point,
+carrying its own point.
 """
 
 from dataclasses import replace
@@ -49,6 +50,34 @@ def test_point_order_does_not_change_a_value(family, name):
     one_at_a_time = [values(form.evaluate(st, roots, xi), x, roots) for x in pts]
     assert in_order == in_reverse == one_at_a_time
     assert not any(": " in v for vs in in_order for v in vs)  # every value formed
+
+
+def family_forms():
+    for family in DRAWS:
+        for form in FAMILIES[family].forms:
+            yield pytest.param(family, form.name, id=f"{family}-{form.name}")
+
+
+@pytest.mark.filterwarnings("ignore", category=ConvergenceHypothesisWarning)
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("family, name", family_forms())
+def test_one_evaluator_serves_a_stencil_as_fresh_ones_would(family, name, n):
+    # The stencil of a 4-point grid, then x = 0, where every form fails,
+    # and points where some forms' products or powers leave the float range.
+    st = FAMILIES[family].setup(DRAWS[family](np.random.default_rng(21), n), n)
+    xi = 0.8 * abs(st.params.t1) + 0j
+    form = FAMILIES[family].form(name)
+    # The first root once more, whose row is the same object, and no root.
+    roots = list(st.roots) + [st.roots[0], st.roots[0] + 0.1]
+    q = st.params.q
+    pts = [y for x in form.grid(st, xi, 4, seed=3) for y in (x / q, q * x, x)] + [0j, 1e-300 + 0j, 1e300 + 0j]
+    g = form.evaluate(st, roots, xi)
+    shared = [values(g, x, roots) for x in pts]
+    fresh = [values(form.evaluate(st, roots, xi), x, roots) for x in pts]
+    assert shared == fresh
+    assert all(": " not in v for vs in shared[:12] for v in vs[:-1])  # every root's value formed
+    assert all(vs[-1].startswith("NotARoot: ") for vs in shared)
+    assert all(v.startswith(("DomainError: ", "NotARoot: ")) for v in shared[12])
 
 
 @pytest.mark.filterwarnings("ignore", category=ConvergenceHypothesisWarning)
