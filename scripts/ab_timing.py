@@ -1,26 +1,35 @@
 #!/usr/bin/env python3
-"""Time two checkouts on the same verify-sweep and accessory-scan jobs in one process.
+"""Time two checkouts on the same jobs of three perfbench streams in one process.
 
     python scripts/ab_timing.py PARENT CHANGE --seed 1 [--jobs 160]
 
 PARENT and CHANGE are source checkouts (their ``src/qheun`` is loaded
-under a name of its own, so both live in this process).  The jobs are
-the first JOBS ``qheun verify`` jobs of the verify-sweep stream of
-``perfbench/workloads.py`` for the seed (160, the default, is the
-stream's 30-second budget), then the first ACCESSORY_JOBS ``qheun
-accessory`` jobs of its accessory-scan stream (four rounds of its 39
-family and N pairs); that file is only read.  Each job runs
-through both checkouts' ``cli.main`` three times, the side that goes
-first alternating, and keeps each side's best time.  Timing both sides
-in one process, job by job, cancels the drift of a shared machine,
-which moves whole runs by up to a factor of two.
+under a name of its own, so both live in this process), and
+``perfbench/workloads.py`` is loaded once for each of them; that file is
+only read.  The jobs are, per stream of the seed:
+
+* verify-sweep: the first JOBS ``qheun verify`` jobs (160, the default,
+  is the stream's 30-second budget);
+* jackson-transform: the first JACKSON_STEPS job steps (the stream's
+  30-second budget), each a boundary-limit or a transform point check.
+  Each checkout runs its own copy of the stream; a draw's prepare step
+  runs on both sides, untimed, before its jobs.  A step is timed whole,
+  with its checks, since they evaluate the explicit bilateral forms;
+* accessory-scan: the first ACCESSORY_JOBS ``qheun accessory`` jobs
+  (four rounds of its 39 family and N pairs).
+
+Each job runs on both checkouts three times, the side that goes first
+alternating, and keeps each side's best time.  Timing both sides in one
+process, job by job, cancels the drift of a shared machine, which moves
+whole runs by up to a factor of two.
 
 Prints, per stream, the change/parent ratios of the median, the 90th
 percentile and the total of the per-job best times, and the number of
-jobs whose stdout or exit code differs; exits 1 if any job differs.
-For verify-sweep it also prints those three ratios for the jobs of the
-bilateral forms g1/g2 and for the other jobs, to show where a change
-of one kind of sum lands.
+jobs whose result differs (stdout and exit code of a command; attempted
+checks, failures and values of a jackson-transform step); exits 1 if
+any job differs.  For verify-sweep it also prints those three ratios
+for the jobs of the bilateral forms g1/g2 and for the other jobs, to
+show where a change of one kind of sum lands.
 """
 
 from __future__ import annotations
@@ -35,10 +44,12 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stdout
+from functools import partial
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 REPEATS = 3
+JACKSON_STEPS = 288
 ACCESSORY_JOBS = 156
 
 
@@ -59,7 +70,7 @@ def load_workloads(package: str):
     saved = {key: sys.modules.get(key) for key in aliases}
     sys.modules.update(aliases)
     try:
-        spec = importlib.util.spec_from_file_location("ab_workloads", WORKLOADS)
+        spec = importlib.util.spec_from_file_location(f"ab_workloads_{package}", WORKLOADS)
         workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
     finally:
@@ -88,8 +99,10 @@ def stream_jobs(workloads, stream: str, seed: int, count: int) -> list[tuple[dic
     return jobs
 
 
-def run_job(cli, argv: list[str]) -> tuple[float, str]:
-    """(seconds, stdout and exit code) of one in-process ``qheun`` command."""
+def run_job(cli, path: Path, config: dict, argv: list[str]) -> tuple[float, str]:
+    """(seconds, stdout and exit code) of one in-process ``qheun`` command
+    on config, written to path first."""
+    path.write_text(json.dumps(config))
     buf = io.StringIO()
     start = time.perf_counter()
     try:
@@ -101,24 +114,54 @@ def run_job(cli, argv: list[str]) -> tuple[float, str]:
     return time.perf_counter() - start, f"{buf.getvalue()}exit {code}\n"
 
 
-def compare(clis, jobs: list[tuple[dict, list[str]]]) -> tuple[list[list[float]], int]:
-    """Per side, each job's best time; and the number of jobs whose output differs."""
+def cli_runs(clis, jobs: list[tuple[dict, list[str]]], path: Path) -> list[list]:
+    """Per job, its run on each side."""
+    return [
+        [partial(run_job, cli, path, config, [*command, "--config", str(path)]) for cli in clis]
+        for config, command in jobs
+    ]
+
+
+def run_step(step, env) -> tuple[float, str]:
+    """(seconds, the checks' result) of one jackson-transform job step."""
+    start = time.perf_counter()
+    out = step.run(env)
+    seconds = time.perf_counter() - start
+    return seconds, repr((out.attempted, sorted(out.failures.items()), out.values))
+
+
+def step_runs(workloads, seed: int, count: int, workdir: Path) -> list[list]:
+    """Per job step of the first count of each side's jackson-transform
+    stream, its run on each side; the prepare steps before it have run."""
+    envs = [w.Env(time.perf_counter) for w in workloads]
+    streams = [w.WORKLOADS["jackson-transform"](seed, workdir) for w in workloads]
+    runs = []
+    for steps in zip(*streams):
+        if len(runs) == count:
+            break
+        assert steps[0].label == steps[1].label, steps
+        if steps[0].job:
+            runs.append([partial(run_step, step, env) for step, env in zip(steps, envs)])
+        else:
+            for step, env in zip(steps, envs):
+                step.run(env)
+    return runs
+
+
+def compare(runs: list[list]) -> tuple[list[list[float]], int]:
+    """Per side, each job's best time; and the number of jobs whose result differs."""
     best = [[], []]
     differ = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "job.json"
-        for index, (config, command) in enumerate(jobs):
-            path.write_text(json.dumps(config))
-            argv = [*command, "--config", str(path)]
-            times, outputs = [[], []], [set(), set()]
-            for repeat in range(REPEATS):
-                for side in ((0, 1) if (index + repeat) % 2 == 0 else (1, 0)):
-                    seconds, text = run_job(clis[side], argv)
-                    times[side].append(seconds)
-                    outputs[side].add(text)
-            differ += outputs[0] != outputs[1] or len(outputs[0]) != 1
-            for side in (0, 1):
-                best[side].append(min(times[side]))
+    for index, sides in enumerate(runs):
+        times, results = [[], []], [set(), set()]
+        for repeat in range(REPEATS):
+            for side in ((0, 1) if (index + repeat) % 2 == 0 else (1, 0)):
+                seconds, result = sides[side]()
+                times[side].append(seconds)
+                results[side].add(result)
+        differ += results[0] != results[1] or len(results[0]) != 1
+        for side in (0, 1):
+            best[side].append(min(times[side]))
     return best, differ
 
 
@@ -135,6 +178,18 @@ def summary(best: list[list[float]]) -> dict[str, float]:
     return out
 
 
+def print_bilateral_split(jobs: list[tuple[dict, list[str]]], best: list[list[float]]) -> None:
+    """The ratios of summary for the jobs of g1/g2 and for the other jobs."""
+    for name, bilateral in (("g1/g2", True), ("other", False)):
+        picked = [i for i, (_, command) in enumerate(jobs) if (command[2] in BILATERAL) == bilateral]
+        if picked:
+            stats = summary([[side[i] for i in picked] for side in best])
+            ratios = "  ".join(
+                f"{key} {stats[f'change_{key}_ms'] / stats[f'parent_{key}_ms']:.3f}" for key in ("p50", "p90", "total")
+            )
+            print(f"{name:>5}  {len(picked)} jobs, ratios  {ratios}")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path)
@@ -143,27 +198,26 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--jobs", type=int, default=160)
     args = ap.parse_args(argv)
     clis = [load_checkout(args.parent.resolve(), "qheun_parent"), load_checkout(args.change.resolve(), "qheun_change")]
-    workloads = load_workloads("qheun_change")
+    workloads = [load_workloads("qheun_parent"), load_workloads("qheun_change")]
     differ = 0
-    for stream, count in (("verify-sweep", args.jobs), ("accessory-scan", ACCESSORY_JOBS)):
-        jobs = stream_jobs(workloads, stream, args.seed, count)
-        best, stream_differ = compare(clis, jobs)
-        stats = summary(best)
-        print(f"seed {args.seed}: {len(jobs)} {stream} jobs, best of {REPEATS}, change/parent")
-        for key in ("p50", "p90", "total"):
-            parent, change = stats[f"parent_{key}_ms"], stats[f"change_{key}_ms"]
-            print(f"{key:>5}  {parent:10.2f} ms -> {change:10.2f} ms  ratio {change / parent:.3f}")
-        if stream == "verify-sweep":
-            for name, bilateral in (("g1/g2", True), ("other", False)):
-                picked = [i for i, (_, command) in enumerate(jobs) if (command[2] in BILATERAL) == bilateral]
-                if picked:
-                    stats = summary([[side[i] for i in picked] for side in best])
-                    ratios = "  ".join(
-                        f"{key} {stats[f'change_{key}_ms'] / stats[f'parent_{key}_ms']:.3f}" for key in ("p50", "p90", "total")
-                    )
-                    print(f"{name:>5}  {len(picked)} jobs, ratios  {ratios}")
-        print(f"jobs with different output: {stream_differ}")
-        differ += stream_differ
+    with tempfile.TemporaryDirectory() as tmp:
+        streams = (("verify-sweep", args.jobs), ("jackson-transform", JACKSON_STEPS), ("accessory-scan", ACCESSORY_JOBS))
+        for stream, count in streams:
+            if stream == "jackson-transform":
+                runs, unit = step_runs(workloads, args.seed, count, Path(tmp)), "steps"
+            else:
+                jobs = stream_jobs(workloads[1], stream, args.seed, count)
+                runs, unit = cli_runs(clis, jobs, Path(tmp) / "job.json"), "jobs"
+            best, stream_differ = compare(runs)
+            stats = summary(best)
+            print(f"seed {args.seed}: {len(runs)} {stream} {unit}, best of {REPEATS}, change/parent")
+            for key in ("p50", "p90", "total"):
+                parent, change = stats[f"parent_{key}_ms"], stats[f"change_{key}_ms"]
+                print(f"{key:>5}  {parent:10.2f} ms -> {change:10.2f} ms  ratio {change / parent:.3f}")
+            if stream == "verify-sweep":
+                print_bilateral_split(jobs, best)
+            print(f"{unit} with different output: {stream_differ}")
+            differ += stream_differ
     return 1 if differ else 0
 
 

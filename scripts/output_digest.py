@@ -24,7 +24,12 @@ Sections, per family (family1, family2):
   explicit points 1.1 |t1| e^{0.7i}, xi q**2 and 1.3 |t1| e^{-0.5i},
   where every root of g1 meets a pole in the stencil of the second
   point, so the line pins the order in which a report reads its
-  stencil.
+  stencil;
+* evaluate: ``Form.evaluate`` of every form on a draw at each N of
+  EVALUATE_NS, from a generator of the section's own, over the roots,
+  the first root once more and the first root + 0.1 (no root), at the
+  stencil x/q, qx, x of a grid of EVALUATE_POINTS points, with the E0s
+  asked for shrinking from all of them to the last one.
 
 Then the generic family, on ``random_admissible_params`` draws at each
 N of GENERIC_NS: accessory, verify and eval as above, each of verify
@@ -62,6 +67,8 @@ E_OFFSET = 1e-12
 EXPLICIT_POINTS = [[0.0, 0.0], [0.5, 0.0], [1.2, 0.3]]
 TRANSFORM_NS = (1, 2, 4)
 REPLAY_N = 2
+EVALUATE_NS = (1, 4)
+EVALUATE_POINTS = 2
 GRID_COUNT = 4
 POINTS = 2
 DRAWS = {"family1": random_family1_params, "family2": random_family2_params}
@@ -161,12 +168,31 @@ def replay_section(family: str, rng: np.random.Generator, workdir: Path) -> list
     return [run_cli(["verify", "--config", str(path), "--solution", form]) for form in ("g1", "g2")]
 
 
+def evaluate_section(family: str, rng: np.random.Generator, evaluate_ns) -> list[str]:
+    out = []
+    for N in evaluate_ns:
+        p = DRAWS[family](rng, N)
+        st = FAMILIES[family].setup(p, N)
+        xi = 0.8 * abs(p.t1) + 0j
+        E0s = list(st.roots) + [st.roots[0], st.roots[0] + 0.1]
+        for form in FAMILIES[family].forms:
+            pts = [y for x in form.grid(st, xi, EVALUATE_POINTS, seed=N) for y in (x / p.q, p.q * x, x)]
+            g = form.evaluate(st, E0s, xi)
+            for i, x in enumerate(pts):
+                live = list(range(i * (len(E0s) - 1) // (len(pts) - 1), len(E0s)))
+                values = [f"{type(v).__name__}: {v}" if isinstance(v, Exception) else repr(v) for v in g(x, live)]
+                out.append(f"{form.name} {x!r} {live} {values}")
+    return out
+
+
 def digest_line(name: str, texts: list[str]) -> str:
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     return f"{name} {digest}"
 
 
-def digests(seed: int, verify_ns=VERIFY_NS, transform_ns=TRANSFORM_NS, generic_ns=GENERIC_NS) -> list[str]:
+def digests(
+    seed: int, verify_ns=VERIFY_NS, transform_ns=TRANSFORM_NS, generic_ns=GENERIC_NS, evaluate_ns=EVALUATE_NS
+) -> list[str]:
     """The `<section> <sha256>` lines for one seed."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -175,6 +201,7 @@ def digests(seed: int, verify_ns=VERIFY_NS, transform_ns=TRANSFORM_NS, generic_n
             sections = cli_sections(family, rng, Path(tmp), verify_ns)
             sections.update(transform_sections(family, rng, transform_ns))
             sections["replay"] = replay_section(family, rng, Path(tmp))
+            sections["evaluate"] = evaluate_section(family, np.random.default_rng([seed, index, 1]), evaluate_ns)
             lines += [digest_line(f"{family}.{name}", texts) for name, texts in sections.items()]
         rng = np.random.default_rng([seed, len(DRAWS)])
         for name, texts in generic_sections(rng, Path(tmp), generic_ns).items():

@@ -19,9 +19,10 @@ on the weights w_k, so weighted_bilateral walks once for a list of
 weight vectors: a form's N + 1 accessory roots differ only in their
 weights, and a single root is the one-row case.  A row's weighted sum
 sum_k w_k r_k**n depends on u and v no more than the powers do, so the
-PowerWalk shared by the walks of one evaluator keeps it per row and
-index: the walk of the evaluator's first point forms it, and the walks
-of its other points read it.  bilateral_table writes g1/g2 of both
+PowerWalk shared by the walks of one evaluator holds its weight rows
+and keeps each row's sums per index, by the row's position: the walk
+that first reaches an index forms them, and the walks of the other
+points read them.  bilateral_table writes g1/g2 of both
 families once, over a family's list of singular pairs (h_i, l_i, t_i).
 
 The step factors also bound the tail.  Once the moduli of the factors
@@ -84,7 +85,8 @@ def spiral_product(
 
 
 class PowerWalk:
-    """The rates r_k of a walk and the scaled powers r_k**n / c_n at each index n.
+    """The rates r_k of a walk, the scaled powers r_k**n / c_n at each index n
+    and the weighted sums sum_k w_k r_k**n / c_n of its weight rows.
 
     The powers and their rescale steps depend on the rates alone, so
     every SpiralTerms walks on a PowerWalk (one of its own, or one
@@ -94,20 +96,20 @@ class PowerWalk:
     A walk reaches index n only from n -+ 1, so each side holds one
     entry per index walked, at most MAX_TERMS.
 
-    The weighted sums sum_k w_k r_k**n / c_n of a weight row are shared
-    the same way: dots(row) is the memo of one row object, per side, and
-    every walk given that object reads and extends it.
+    memos[j] holds the weighted sums of rows[j] the same way, per side
+    (down, up): entry i of a side is the sum at n = -1 - i downward and
+    n = i upward, extended in index order by weighted_bilateral.
     """
 
-    __slots__ = ("rates", "sides", "memos")
+    __slots__ = ("rates", "sides", "rows", "memos")
 
-    def __init__(self, rates: Sequence[complex]) -> None:
+    def __init__(self, rates: Sequence[complex], rows: Sequence[Sequence[complex]]) -> None:
         self.rates = [complex(r) for r in rates]
         # Per direction (down, up): (powers, c) at |n| = 1, 2, ...; c is the
         # rescale factor applied at that step, or None.
         self.sides: tuple[list, list] = ([], [])
-        # id(row) -> (row, its memo per side); holding the row keeps its id unique.
-        self.memos: dict[int, tuple] = {}
+        self.rows = [[complex(w) for w in row] for row in rows]
+        self.memos: list[tuple[list, list]] = [([], []) for _ in self.rows]
 
     def step(self, i: int, powers: list[complex], upward: bool) -> tuple[list[complex], float | None]:
         """(powers, c) at |n| = i + 1 on the side of upward, formed from the
@@ -126,20 +128,6 @@ class PowerWalk:
                 powers = [p * c for p in powers]
             side.append((powers, c))
         return side[i]
-
-    def dots(self, row: Sequence[complex]) -> tuple[list[complex], list[complex]]:
-        """The memo (down, up) of the object row: entry i of a side is
-        sum_k row[k] r_k**n / c_n at n = -1 - i downward and n = i upward.
-
-        A side is extended in index order by the walks that pass row.
-        The memo is keyed on the object, not on its values, so a caller
-        shares it by passing the same row again and never reads a sum
-        formed from other weights.
-        """
-        entry = self.memos.get(id(row))
-        if entry is None:
-            entry = self.memos[id(row)] = (row, ([], []))
-        return entry[1]
 
 
 class SpiralTerms:
@@ -176,7 +164,7 @@ class SpiralTerms:
         self.inv_num = [complex(u) for u in inv_num]
         self.inv_den = [complex(v) for v in inv_den]
         self.weights = [complex(w) for w in weights]
-        self.walk = rates if isinstance(rates, PowerWalk) else PowerWalk(rates)
+        self.walk = rates if isinstance(rates, PowerWalk) else PowerWalk(rates, ())
         self.rates = self.walk.rates
         self.q = q
         # Interleaved (multiplied, divided) coefficient pairs per direction,
@@ -314,57 +302,49 @@ class SpiralTerms:
 def weighted_bilateral(
     num: Sequence[complex],
     den: Sequence[complex],
-    weight_rows: Sequence[Sequence[complex]],
-    rates: Sequence[complex] | PowerWalk,
+    walk: PowerWalk,
+    live: Sequence[int],
     q: float,
 ) -> list[complex | QHeunError]:
     """The two-sided sum of the module docstring, with u = num and v = den,
-    for each weight vector of weight_rows: its value or its QHeunError.
+    for each weight row walk.rows[j], j in live: its value or its QHeunError.
 
-    The terms of one row are SpiralTerms(den, num, row, rates, q) along
-    s_n = q**n, summed as qcore.bilateral_sum sums them: the side n >= 0,
-    then the side n <= -1, each stopped by its own TailSum with the
-    walk's tail_bound for that row.  rates may be a PowerWalk shared
-    with other sums of the same rates; a row's weighted sums
-    sum_k w_k r_k**n / c_n are then read from its PowerWalk.dots memo,
-    where sums of other (num, den) given the same row object left them.
-    The products and powers at each index are stepped once for all rows;
+    The terms of row j are SpiralTerms(den, num, walk.rows[j], walk, q)
+    along s_n = q**n, summed as qcore.bilateral_sum sums them: the side
+    n >= 0, then the side n <= -1, each stopped by its own TailSum with
+    the walk's tail_bound for that row.  Its weighted sums
+    sum_k w_k r_k**n / c_n are read from walk.memos[j], where sums of
+    other (num, den) on the walk left them, and extended there.  The
+    products and powers at each index are stepped once for all rows;
     each row forms its terms, partial sums and stop decisions as it
     would alone.  PoleError is raised where (num q**n; q)_inf vanishes,
     the anchor n = 0 included; an error of a step goes only to the rows
     whose walks reach that index.
     """
     try:
-        terms = SpiralTerms(den, num, (), rates, q)
+        terms = SpiralTerms(den, num, (), walk, q)
     except QHeunError as exc:
-        return [exc] * len(weight_rows)
-    rows = [[complex(w) for w in row] for row in weight_rows]
-    # Per row its memo; a row object given twice takes a memo of its own
-    # the second time, so that one row extends each memo.
-    memos: list = []
-    for row in weight_rows:
-        memo = terms.walk.dots(row)
-        memos.append(([], []) if any(m is memo for m in memos) else memo)
-    # Per row: its error once it failed, else its plus side, then its sum.
-    results: list = [None] * len(rows)
+        return [exc] * len(live)
+    # Per place in live: its error once it failed, else its plus side, then its sum.
+    results: list = [None] * len(live)
     for start, step in ((0, +1), (-1, -1)):
-        # Per live row: its index, weights, memo of this side, the sums
-        # that memo holds now, TailSum and tail bound.
-        live = []
-        for j, r in enumerate(results):
-            if not isinstance(r, QHeunError):
-                memo = memos[j][step > 0]
-                live.append((j, rows[j], memo, len(memo), TailSum(), partial(terms.tail_bound, weights=rows[j])))
+        # Per row still summing: its place in live, weights, memo of this
+        # side, the sums that memo holds now, TailSum and tail bound.
+        summing = []
+        for place, j in enumerate(live):
+            if not isinstance(results[place], QHeunError):
+                row, memo = walk.rows[j], walk.memos[j][step > 0]
+                summing.append((place, row, memo, len(memo), TailSum(), partial(terms.tail_bound, weights=row)))
         n, i = start, 0  # the index walked, the i-th of its side
-        while live:
+        while summing:
             try:
                 _, _, value, powers, _ = terms._seek(n)
             except QHeunError as exc:
-                for j, *_ in live:
-                    results[j] = exc
+                for place, *_ in summing:
+                    results[place] = exc
                 break
             ended = []
-            for j, row, memo, known, tail, bound in live:
+            for place, row, memo, known, tail, bound in summing:
                 if i < known:
                     dot = memo[i]
                 else:
@@ -374,12 +354,12 @@ def weighted_bilateral(
                     if not tail.add(value * dot, n, bound):
                         continue
                 except QHeunError as exc:
-                    results[j] = exc
+                    results[place] = exc
                 else:
-                    results[j] = tail.total if step > 0 else results[j] + tail.total
-                ended.append(j)
+                    results[place] = tail.total if step > 0 else results[place] + tail.total
+                ended.append(place)
             if ended:
-                live = [entry for entry in live if entry[0] not in ended]
+                summing = [entry for entry in summing if entry[0] not in ended]
             n += step
             i += 1
     return results
@@ -417,26 +397,24 @@ def bilateral_table(setup, pairs: Sequence[tuple], g1_exponent: float, which: st
 
 def bilateral_evaluator(
     setup, pairs: Sequence[tuple], g1_exponent: float, which: str, xi: complex, hypothesis: str | None,
-) -> Callable[[Sequence[Sequence[complex]], complex], list[complex | QHeunError]]:
-    """at(coeff_rows, x): g1 or g2 of bilateral_table at (xi, x) for each
-    coefficient vector c_0..c_N of coeff_rows, its value or its error.
+    rows: Sequence[Sequence[complex]],
+) -> Callable[[Sequence[int], complex], list[complex | QHeunError]]:
+    """at(live, x): g1 or g2 of bilateral_table at (xi, x) for each coefficient
+    row c_0..c_N of rows at a position in live, its value or its error.
 
-    The products are stepped along one walk per side for all vectors
-    (weighted_bilateral, one weight row xi_powers[k] * c_k per vector).
-    The rates r_k depend on neither x nor the vector, so every walk of
-    this evaluator reads its powers r_k**n from one PowerWalk, formed
-    with the first point's table.  A vector's weight row does not
-    depend on x, so it is formed at the first point that asks for it,
-    and the walks of later points read its weighted sums from the
-    PowerWalk's memo.  Everything else is formed per point.
-    hypothesis, the message of the family's failed bilateral hypothesis
-    or None, is raised as a PreconditionError at every point.
+    The products are stepped along one walk per side for all rows
+    (weighted_bilateral, with the weight rows xi_powers[k] * c_k).  The
+    rates r_k and the weight rows depend on neither x nor live, so the
+    first point to form its table forms one PowerWalk of them for every
+    point; everything else is formed per point.  hypothesis, the message
+    of the family's failed bilateral hypothesis or None, is raised as a
+    PreconditionError at every point.
     """
-    walks: list[PowerWalk] = []  # the shared PowerWalk, once a table is formed
-    weight_rows: dict[int, tuple] = {}  # id(coeffs) -> (coeffs, its weight row)
+    walk = None
 
     @typed_at_point
-    def at(coeff_rows: Sequence[Sequence[complex]], x: complex) -> list[complex | QHeunError]:
+    def at(live: Sequence[int], x: complex) -> list[complex | QHeunError]:
+        nonlocal walk
         if hypothesis is not None:
             raise PreconditionError(hypothesis)
         if xi == 0 or x == 0:
@@ -444,16 +422,10 @@ def bilateral_evaluator(
         x = complex(x)
         q = setup.params.q
         power, num, den, xi_powers, rates = bilateral_table(setup, pairs, g1_exponent, which, complex(xi), x)
-        if not walks:
-            walks.append(PowerWalk(rates))
+        if walk is None:
+            walk = PowerWalk(rates, [[w * c for w, c in zip(xi_powers, coeffs)] for coeffs in rows])
         factor = (1.0 - q) * x ** power
-        rows = []
-        for coeffs in coeff_rows:
-            entry = weight_rows.get(id(coeffs))
-            if entry is None:
-                entry = weight_rows[id(coeffs)] = (coeffs, [w * c for w, c in zip(xi_powers, coeffs)])
-            rows.append(entry[1])
-        sums = weighted_bilateral(num, den, rows, walks[0], q)
+        sums = weighted_bilateral(num, den, walk, live, q)
         return [s if isinstance(s, QHeunError) else factor * s for s in sums]
 
     return at

@@ -21,8 +21,9 @@ of a point share one chain and differ only in z_k.
 finite_sum_rows is the finite-sum counterpart of
 _bilateral.weighted_bilateral: the pieces of term k do not depend on
 the coefficient row c_0..c_N, so they are formed once per k and
-combined per row in the single-row order.  finite_evaluator is the one
-evaluator of every finite-sum form, as _bilateral.bilateral_evaluator is of g1/g2.
+combined per row in the single-row order.  finite_evaluator, made with
+the rows it sums and given their live positions at each point, is the
+one evaluator of every finite-sum form, as _bilateral.bilateral_evaluator is of g1/g2.
 """
 
 from __future__ import annotations
@@ -148,10 +149,10 @@ def finite_sum_rows(spec: FiniteSum, rows: Sequence[Sequence[complex]], table: T
 
 
 def finite_evaluator(
-    table_at: Callable[[complex], FiniteSum]
-) -> Callable[[Sequence[Sequence[complex]], complex], list[complex]]:
-    """at(rows, x): finite_sum_rows of table_at(x), the form's table at x
-    after its checks, for each coefficient row c_0..c_N of rows, with one
-    TermTable for every point of at."""
+    table_at: Callable[[complex], FiniteSum], rows: Sequence[Sequence[complex]]
+) -> Callable[[Sequence[int], complex], list[complex]]:
+    """at(live, x): finite_sum_rows of table_at(x), the form's table at x after its
+    checks, for the coefficient rows c_0..c_N of rows at the positions in live,
+    with one TermTable for every point of at."""
     table = TermTable()
-    return typed_at_point(lambda rows, x: finite_sum_rows(table_at(x), rows, table))
+    return typed_at_point(lambda live, x: finite_sum_rows(table_at(x), [rows[j] for j in live], table))

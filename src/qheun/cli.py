@@ -94,6 +94,8 @@ def _pair(z: complex) -> list[float]:
 def load_config(path: str, **overrides) -> JobConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise PreconditionError("config must be a JSON object")
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value

@@ -119,18 +119,18 @@ def family1_bilateral(
     x: complex,
 ) -> complex:
     """Bilateral solution g1 or g2 at anchor xi and point x."""
-    return one_root(family1_bilateral_evaluator(setup, which, xi)([coeff_row(setup, E0)], x))
+    return one_root(family1_bilateral_evaluator(setup, which, xi, [coeff_row(setup, E0)])([0], x))
 
 
 def family1_bilateral_evaluator(
-    setup: FamilySetup, which: BilateralName, xi: complex
-) -> Callable[[Sequence[Sequence[complex]], complex], list[complex | QHeunError]]:
-    """at(rows, x): g1 or g2 at (xi, x) for each coefficient row c_0..c_N
-    of rows, its value or its error (_bilateral.bilateral_evaluator over
-    the t1 pair, with g1's weight exponent lambda1 + alpha1 + beta)."""
+    setup: FamilySetup, which: BilateralName, xi: complex, rows: Sequence[Sequence[complex]]
+) -> Callable[[Sequence[int], complex], list[complex | QHeunError]]:
+    """at(live, x): g1 or g2 at (xi, x) for each row of rows at a position in
+    live, its value or its error (_bilateral.bilateral_evaluator over the
+    t1 pair, with g1's weight exponent lambda1 + alpha1 + beta)."""
     p = setup.params
     hypothesis = None if _bilateral_hypotheses_hold(setup) else BILATERAL_HYPOTHESES
-    return bilateral_evaluator(setup, p.pairs[:1], setup.lambda1 + p.alpha1 + p.beta, which, xi, hypothesis)
+    return bilateral_evaluator(setup, p.pairs[:1], setup.lambda1 + p.alpha1 + p.beta, which, xi, hypothesis, rows)
 
 
 def family1_domain(setup: FamilySetup, which: UnilateralName) -> tuple[float, float]:
@@ -161,15 +161,15 @@ def family1_unilateral(
     x: complex,
 ) -> complex:
     """Finite-sum solution g3..g6 at the point x, inside its domain."""
-    return one_root(family1_unilateral_evaluator(setup, which)([coeff_row(setup, E0)], x))
+    return one_root(family1_unilateral_evaluator(setup, which, [coeff_row(setup, E0)])([0], x))
 
 
 def family1_unilateral_evaluator(
-    setup: FamilySetup, which: UnilateralName
-) -> Callable[[Sequence[Sequence[complex]], complex], list[complex]]:
-    """at(rows, x): g3..g6 at x for each coefficient row c_0..c_N of rows
-    (_finite_sum.finite_evaluator of _unilateral_table)."""
-    return finite_evaluator(lambda x: _unilateral_table(setup, which, x))
+    setup: FamilySetup, which: UnilateralName, rows: Sequence[Sequence[complex]]
+) -> Callable[[Sequence[int], complex], list[complex]]:
+    """at(live, x): g3..g6 at x for each coefficient row c_0..c_N of rows at a
+    position in live (_finite_sum.finite_evaluator of _unilateral_table)."""
+    return finite_evaluator(lambda x: _unilateral_table(setup, which, x), rows)
 
 
 def _unilateral_table(setup: FamilySetup, which: UnilateralName, x: complex) -> FiniteSum:

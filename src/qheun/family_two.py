@@ -178,17 +178,17 @@ def family2_bilateral(
     x: complex,
 ) -> complex:
     """Bilateral form g1 or g2 at anchor xi and point x."""
-    return one_root(family2_bilateral_evaluator(setup, which, xi)([coeff_row(setup, E0)], x))
+    return one_root(family2_bilateral_evaluator(setup, which, xi, [coeff_row(setup, E0)])([0], x))
 
 
 def family2_bilateral_evaluator(
-    setup: Family2Setup, which: BilateralName, xi: complex
-) -> Callable[[Sequence[Sequence[complex]], complex], list[complex | QHeunError]]:
-    """at(rows, x): g1 or g2 at (xi, x) for each coefficient row c_0..c_N
-    of rows, its value or its error (_bilateral.bilateral_evaluator over
-    both pairs, with g1's weight exponent G1_EXPONENT)."""
+    setup: Family2Setup, which: BilateralName, xi: complex, rows: Sequence[Sequence[complex]]
+) -> Callable[[Sequence[int], complex], list[complex | QHeunError]]:
+    """at(live, x): g1 or g2 at (xi, x) for each row of rows at a position in
+    live, its value or its error (_bilateral.bilateral_evaluator over both
+    pairs, with g1's weight exponent G1_EXPONENT)."""
     hypothesis = None if setup.lambda1 + setup.params.alpha2 > 1.0 else BILATERAL_HYPOTHESIS
-    return bilateral_evaluator(setup, setup.params.pairs, G1_EXPONENT, which, xi, hypothesis)
+    return bilateral_evaluator(setup, setup.params.pairs, G1_EXPONENT, which, xi, hypothesis, rows)
 
 
 def family2_homogeneous(
@@ -203,7 +203,7 @@ def family2_homogeneous(
     q^(lambda1 + alpha2 + N - k); lambda1 + alpha2 > 0 is required for
     convergence of every term.
     """
-    return one_root(family2_finite_evaluator(setup, which)([coeff_row(setup, E0)], x))
+    return one_root(family2_finite_evaluator(setup, which, [coeff_row(setup, E0)])([0], x))
 
 
 def family2_inhomogeneous_triple(
@@ -214,15 +214,15 @@ def family2_inhomogeneous_triple(
 ) -> complex:
     """Member of the g6..g8 triple; each solves the same inhomogeneous
     equation as g1, so pairwise differences are homogeneous solutions."""
-    return one_root(family2_finite_evaluator(setup, which)([coeff_row(setup, E0)], x))
+    return one_root(family2_finite_evaluator(setup, which, [coeff_row(setup, E0)])([0], x))
 
 
 def family2_finite_evaluator(
-    setup: Family2Setup, which: HomogeneousName | TripleName
-) -> Callable[[Sequence[Sequence[complex]], complex], list[complex]]:
-    """at(rows, x): g3..g8 at x for each coefficient row c_0..c_N of rows
-    (_finite_sum.finite_evaluator of _finite_table)."""
-    return finite_evaluator(lambda x: _finite_table(setup, which, x))
+    setup: Family2Setup, which: HomogeneousName | TripleName, rows: Sequence[Sequence[complex]]
+) -> Callable[[Sequence[int], complex], list[complex]]:
+    """at(live, x): g3..g8 at x for each coefficient row c_0..c_N of rows at a
+    position in live (_finite_sum.finite_evaluator of _finite_table)."""
+    return finite_evaluator(lambda x: _finite_table(setup, which, x), rows)
 
 
 def _finite_table(setup: Family2Setup, which: HomogeneousName | TripleName, x: complex) -> FiniteSum:

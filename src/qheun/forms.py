@@ -10,18 +10,19 @@ from here.
 
 A family form at an accessory root E0 is a sum over the root's
 coefficients c_0..c_N of pieces that do not depend on E0 (q-series,
-products, the bilateral walk).  So a form is an evaluator (setup, xi)
--> at, with at(rows, x) -> one value or QHeunError per row, and
-``Form.evaluate`` resolves each E0 to its row once
+products, the bilateral walk).  So a form is an evaluator (setup, xi,
+rows) -> at, with at(live, x) -> one value or QHeunError per position
+in live.  ``Form.evaluate`` resolves each E0 to its row once
 (``accessory.coeff_row``, NotARoot off the roots), makes one evaluator
-and hands it the rows still live at each point.  What an evaluator
-forms once, for every point it serves, is the work that depends on
-neither x nor the row: R_k and the series chains of family 1's finite
-sums, the per-k values of both families' finite sums and the powers of
-the bilateral walks; and, once per row, what depends on the row but not
-on x: a bilateral walk's weight row and its weighted power sums.  The generic form's row is the polynomial
-solution, built once per E0 and checked against the setup's accessory
-polynomial.  ``root_residuals`` checks every root through one
+of the rows that resolved and hands it the positions of those still
+live at each point.  What an evaluator forms once, for every point it
+serves, is the work that depends on neither x nor the row: R_k and the
+series chains of family 1's finite sums, the per-k values of both
+families' finite sums and the powers of the bilateral walks; and, per
+row position, a bilateral walk's weight row and weighted power sums.
+The generic form's row is the polynomial solution, built once per E0
+and checked against the setup's accessory polynomial.
+``root_residuals`` checks every root through one
 evaluator in one pass over the grid; ``solution`` is the one-root case
 of ``evaluate``.
 
@@ -62,7 +63,7 @@ from .qheun_op import QHeunParams, ResidualReport, grid_points, residual_reports
 @dataclass(frozen=True)
 class Form:
     name: str
-    evaluator: Callable  # (setup, xi) -> at(rows, x): a value or QHeunError per row
+    evaluator: Callable  # (setup, xi, rows) -> at(live, x): a value or QHeunError per position in live
     band: Callable  # setup -> default (rmin, rmax) of |x|
     spirals: Callable  # (setup, xi) -> bases of the q-spirals the grid avoids
     min_rel_dist: float = 1e-6
@@ -95,26 +96,27 @@ class Form:
 
         Each E0 is resolved once, here.  One that fails keeps its error,
         which g returns at the first point it is asked at, so that the
-        error carries that point.  One evaluator serves every y, and
-        what it forms once lives as long as g.  At each y it runs once
-        for the rows still live; a QHeunError it raises goes to all of
-        them.
+        error carries that point.  One evaluator, made with the rows
+        that resolved, serves every y, and what it forms once lives as
+        long as g.  At each y it runs once, for the positions of the
+        rows still live; a QHeunError it raises goes to all of them.
         """
-        rows = []
+        rows, positions = [], []  # positions: per E0, its row's position in rows or its error
         for E0 in E0s:
             try:
                 rows.append(self.resolve(setup, E0))
+                positions.append(len(rows) - 1)
             except QHeunError as exc:
-                rows.append(exc)
-        at = self.evaluator(setup, xi)
+                positions.append(exc)
+        at = self.evaluator(setup, xi, rows)
 
         def g(y: complex, live: list[int]) -> list:
-            good = [rows[j] for j in live if not isinstance(rows[j], QHeunError)]
+            good = [positions[j] for j in live if not isinstance(positions[j], QHeunError)]
             try:
                 values = iter(at(good, y) if good else ())
             except QHeunError as exc:
                 values = itertools.repeat(exc)
-            return [rows[j] if isinstance(rows[j], QHeunError) else next(values) for j in live]
+            return [positions[j] if isinstance(positions[j], QHeunError) else next(values) for j in live]
 
         return g
 
@@ -165,7 +167,7 @@ def _singular(setup, xi) -> list[complex]:
 
 def _bilateral1(name: str) -> Form:
     return Form(
-        name, lambda st, xi: family1_bilateral_evaluator(st, name, xi),
+        name, lambda st, xi, rows: family1_bilateral_evaluator(st, name, xi, rows),
         _band(0.6, 2.5), lambda st, xi: singular_spirals(st.params) + [xi], 1e-4, needs_xi=True,
     )
 
@@ -173,23 +175,23 @@ def _bilateral1(name: str) -> Form:
 def _unilateral1(name: str) -> Form:
     """Finite sum g3..g6, checked inside its own convergence domain."""
     return Form(
-        name, lambda st, xi: family1_unilateral_evaluator(st, name),
+        name, lambda st, xi, rows: family1_unilateral_evaluator(st, name, rows),
         lambda st: family1_residual_band(st, name), _singular,
     )
 
 
 def _bilateral2(name: str) -> Callable:
-    return lambda st, xi: family2_bilateral_evaluator(st, name, xi)
+    return lambda st, xi, rows: family2_bilateral_evaluator(st, name, xi, rows)
 
 
 def _finite2(a: str, b: str | None = None) -> Callable:
     """Finite sum a of g3..g8, or the difference a - b."""
     if b is None:
-        return lambda st, xi: family2_finite_evaluator(st, a)
+        return lambda st, xi, rows: family2_finite_evaluator(st, a, rows)
 
-    def evaluator(st, xi) -> Callable:
-        first, second = family2_finite_evaluator(st, a), family2_finite_evaluator(st, b)
-        return lambda rows, x: [u - v for u, v in zip(first(rows, x), second(rows, x))]
+    def evaluator(st, xi, rows) -> Callable:
+        first, second = family2_finite_evaluator(st, a, rows), family2_finite_evaluator(st, b, rows)
+        return lambda live, x: [u - v for u, v in zip(first(live, x), second(live, x))]
 
     return evaluator
 
@@ -204,9 +206,9 @@ def _form2(name: str, evaluator: Callable, inhomogeneity=None, needs_xi: bool = 
     return Form(name, evaluator, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi)
 
 
-def _polynomial(st, xi) -> Callable:
+def _polynomial(st, xi, solutions) -> Callable:
     # The roots share the exponent at the origin, so an error at x is every root's.
-    return typed_at_point(lambda solutions, x: [solution(x) for solution in solutions])
+    return typed_at_point(lambda live, x: [solutions[j](x) for j in live])
 
 
 FAMILIES: dict[str, Family] = {

@@ -18,7 +18,7 @@ from typing import Callable, Literal, Sequence
 
 from ._bilateral import SpiralTerms, spiral_product
 from .accessory import horner
-from .errors import DomainError, NoLimit
+from .errors import DomainError, NoLimit, out_of_range, typed_at_point
 from .qcore import MAX_TERMS, bilateral_sum, theta
 from .qheun_op import QHeunParams
 
@@ -196,8 +196,11 @@ def kernel_value(spec: TransformSpec, x: complex, s: complex) -> complex:
     if x == 0 or s == 0:
         raise DomainError("kernel arguments must be nonzero")
     x, s = complex(x), complex(s)
-    *factors, power = _kernel_factors(spec, x)
-    return (x / s) ** power * spiral_product(s, *factors, spec.source.q)
+    try:
+        *factors, power = _kernel_factors(spec, x)
+        return (x / s) ** power * spiral_product(s, *factors, spec.source.q)
+    except ArithmeticError as exc:
+        raise out_of_range(exc, f"at x = {x!r}, s = {s!r}")
 
 
 def _spiral_terms(
@@ -232,6 +235,7 @@ def _spiral_terms(
     return (lambda n: terms(n) * h(terms.point(n))), terms.point
 
 
+@typed_at_point
 def transform(
     spec: TransformSpec,
     h: Callable[[complex], complex],
@@ -317,14 +321,18 @@ def boundary_limits(
     """
     src = spec.source
     xi = complex(spec.xi)
-    inward, inward_at = _spiral_terms(h, xi, src.q, -seed_weight_exponent(src))
-    outward, outward_at = _spiral_terms(h, xi, src.q, src.alpha1)
-    return (
-        _spiral_limit(inward, inward_at),
-        _spiral_limit(lambda k: outward(-k), lambda k: outward_at(-k)),
-    )
+    try:
+        inward, inward_at = _spiral_terms(h, xi, src.q, -seed_weight_exponent(src))
+        outward, outward_at = _spiral_terms(h, xi, src.q, src.alpha1)
+        return (
+            _spiral_limit(inward, inward_at),
+            _spiral_limit(lambda k: outward(-k), lambda k: outward_at(-k)),
+        )
+    except ArithmeticError as exc:
+        raise out_of_range(exc, f"at xi = {xi!r}")
 
 
+@typed_at_point
 def boundary_terms(spec: TransformSpec, C1: complex, C2: complex, x: complex) -> tuple[complex, complex]:
     """Boundary contributions (k1(x), k2(x)) for the chosen kernel.
 

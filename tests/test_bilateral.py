@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qheun import _bilateral, qtransform
-from qheun._bilateral import SpiralTerms, weighted_bilateral
+from qheun._bilateral import PowerWalk, SpiralTerms, weighted_bilateral
 from qheun.errors import ConvergenceError, PoleError
 from qheun.family_one import family1_seed, family1_source_params
 from qheun.family_two import family2_seed, family2_source_params
@@ -30,9 +30,14 @@ def stepped(num, den, inv_num, inv_den, q, xi):
     return SpiralTerms(num, den, [1.0], [1.0], q, xi, inv_num, inv_den)
 
 
+def one_row(num, den, row, rates, q):
+    """weighted_bilateral of the one weight row row, on a walk of its own."""
+    return weighted_bilateral(num, den, PowerWalk(rates, [row]), [0], q)
+
+
 def recorded_walk(monkeypatch, *args):
-    """weighted_bilateral(*args), and the last index its walk reached on
-    the side n >= 0 and on the side n <= -1."""
+    """one_row(*args), and the last index its walk reached on the side
+    n >= 0 and on the side n <= -1."""
     walks = []
 
     class Recorded(SpiralTerms):
@@ -42,7 +47,7 @@ def recorded_walk(monkeypatch, *args):
 
     with monkeypatch.context() as m:
         m.setattr(_bilateral, "SpiralTerms", Recorded)
-        got = weighted_bilateral(*args)
+        got = one_row(*args)
     (walk,) = walks
     return got, walk.up[0], walk.down[0]
 
@@ -63,7 +68,7 @@ DRAWS = {"family1": random_family1_params, "family2": random_family2_params}
 
 def family_walk(monkeypatch, family, N, name):
     """(num, den, rows, rates, q) of the walk form name makes at the first
-    root of a seeded draw: its weighted_bilateral arguments."""
+    root of a seeded draw, from its weighted_bilateral arguments."""
     st = FAMILIES[family].setup(DRAWS[family](np.random.default_rng(100 + N), N), N)
     xi = 0.8 * abs(st.params.t1) + 0j
     form = FAMILIES[family].form(name)
@@ -71,8 +76,8 @@ def family_walk(monkeypatch, family, N, name):
     with monkeypatch.context() as m:
         m.setattr(_bilateral, "weighted_bilateral", lambda *a: calls.append(a) or weighted_bilateral(*a))
         form.solution(st, st.roots[0], xi)(form.grid(st, xi, 1, seed=N)[0])
-    (args,) = calls
-    return args
+    ((num, den, walk, _, q),) = calls
+    return num, den, walk.rows, walk.rates, q
 
 
 def direct_or_pole(factors, q, s):
@@ -204,7 +209,7 @@ class TestSpiralTerms:
         # the shared entries carry rescale steps too.
         q, xi = 0.6, 0.9 - 0.2j
         weights, rates = [1.0, 0.5j], [1e-20, 1e20]
-        walk = _bilateral.PowerWalk(rates)
+        walk = PowerWalk(rates, ())
         factors = ([0.4j], [0.3], [0.05], [0.07])
         shared = [SpiralTerms(*factors[:2], weights, walk, q, x, *factors[2:]) for x in (xi, 2 * xi)]
         lone = [SpiralTerms(*factors[:2], weights, rates, q, x, *factors[2:]) for x in (xi, 2 * xi)]
@@ -241,7 +246,7 @@ class TestCoefficientRatios:
         # Terms decay like r**n upward and like (0.17 / r)**|n| downward.
         num, den = [1.3 + 0.4j, 0.9 - 0.6j], [0.5j, 0.4 - 0.3j]
         weights, rates = [1.0, 0.5 - 0.25j], [0.6, 0.6 * q]
-        (got,) = weighted_bilateral(num, den, [weights], rates, q)
+        (got,) = one_row(num, den, weights, rates, q)
         want = self.direct_sum(num, den, weights, rates, q, range(-80, 80))
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -250,7 +255,7 @@ class TestCoefficientRatios:
         # one-sided, as at the special anchors of the bilateral forms.
         q = 0.5
         num, den = [0.3 + 0.2j], [q, 1.4 - 0.3j]
-        (got,), top, bottom = recorded_walk(monkeypatch, num, den, [[1.0]], [0.4], q)
+        (got,), top, bottom = recorded_walk(monkeypatch, num, den, [1.0], [0.4], q)
         want = self.direct_sum(num, den, [1.0], [0.4], q, range(80))
         assert self.direct_sum(num, den, [1.0], [0.4], q, range(-10, 0)) == 0
         assert got == pytest.approx(want, rel=1e-13)
@@ -261,11 +266,11 @@ class TestCoefficientRatios:
     def test_terminating_numerator_poles_at_the_anchor(self, monkeypatch):
         # (q^-3 q^n; q)_inf vanishes for n <= 3: its reciprocal poles at n = 0.
         q = 0.5
-        (got,) = weighted_bilateral([q**-3], [0.25j], [[1.0]], [0.3], q)
+        (got,) = one_row([q**-3], [0.25j], [1.0], [0.3], q)
         assert isinstance(got, PoleError)
         # As a numerator it zeroes the terms n <= 3: the side n >= 0
         # starts with four exact zeros and must not stop on them.
-        (got,), top, _ = recorded_walk(monkeypatch, [0.25j], [q**-3], [[1.0]], [0.3], q)
+        (got,), top, _ = recorded_walk(monkeypatch, [0.25j], [q**-3], [1.0], [0.3], q)
         want = self.direct_sum([0.25j], [q**-3], [1.0], [0.3], q, range(4, 80))
         assert self.direct_sum([0.25j], [q**-3], [1.0], [0.3], q, range(-10, 4)) == 0
         assert got == pytest.approx(want, rel=1e-13)
@@ -277,7 +282,7 @@ class TestTailBound:
         # The window alone would run 49 negligible terms past it.
         num, den, rows, rates, q = family_walk(monkeypatch, "family1", 4, "g1")
         for row in rows:
-            _, top, bottom = recorded_walk(monkeypatch, num, den, [row], rates, q)
+            _, top, bottom = recorded_walk(monkeypatch, num, den, row, rates, q)
             terms = SpiralTerms(den, num, row, rates, q)
             assert 0 <= top - first_negligible(terms, 0, 1) <= 3
             assert 0 <= first_negligible(terms, -1, -1) - bottom <= 3

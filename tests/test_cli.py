@@ -17,9 +17,15 @@ from qheun.accessory import (
 )
 from qheun.cli import main
 from qheun.errors import DomainError, NotARoot
-from qheun.family_one import family1_bilateral, family1_domain, family1_setup, family1_unilateral
-from qheun.family_two import family2_bilateral, family2_setup, g1_inhomogeneity, g2_inhomogeneity
+from qheun.family_one import (
+    family1_bilateral, family1_domain, family1_seed, family1_setup, family1_source_params, family1_unilateral,
+)
+from qheun.family_two import (
+    Family2Setup, family2_bilateral, family2_seed, family2_setup, family2_source_params,
+    g1_inhomogeneity, g2_inhomogeneity,
+)
 from qheun.qheun_op import QHeunParams
+from qheun.qtransform import TransformSpec, boundary_limits, boundary_terms, kernel_value, transform
 from qheun.sampling import (
     random_admissible_params,
     random_family1_params,
@@ -335,6 +341,18 @@ class TestVerify:
         assert rep["schema"] == "qheun/1"
         assert rep["error"]["reason"].startswith(f"precondition: config key {key!r}")
 
+    @pytest.mark.parametrize(
+        "config, extra",
+        [(5, []), (None, []), ("h1 h2", []), ([1, 2], ["--N", "2"])],
+        ids=["number", "null", "string", "array"],
+    )
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, runner, config, extra):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(config))
+        res = runner.invoke(main, ["verify", "--config", str(path), *extra])
+        assert res.exit_code == 2, res.output
+        assert json.loads(res.output)["error"]["reason"] == "precondition: config must be a JSON object"
+
     def test_integral_float_key_is_an_integer(self, tmp_path, runner, rng):
         p = random_family2_params(rng, 1)
         path = write_config(tmp_path, p, family="family2", N=1.0, grid_count=3.0, solution="g3")
@@ -580,8 +598,42 @@ class TestExtremeInputs:
                 lambda s1, s2, xi1, xi2: family2_bilateral(s2, "g2", s2.roots[0], xi2, 1e300),
                 r"^OverflowError at x = \(1e\+300\+0j\): ",
             ),
+            *(
+                (
+                    lambda s1, s2, xi1, xi2, f=family, k=kernel, x=x: transform(
+                        *jackson((s1, s2)[f], k, (xi1, xi2)[f]), (s1, s2)[f].roots[0], x
+                    ),
+                    "^" + re.escape(f"OverflowError at x = {complex(x)!r}: "),
+                )
+                for family, kernel, x in [
+                    (0, "P1", 1e-300), (0, "P2", 1e-300), (1, "P1", 1e-300), (1, "P2", 1e-300), (1, "P2", 1e150),
+                    (1, "P2", 1e300),
+                ]
+            ),
+            (
+                lambda s1, s2, xi1, xi2: boundary_limits(*jackson(s1, "P1", 1e300)),
+                r"^OverflowError at xi = \(1e\+300\+0j\): ",
+            ),
+            (
+                lambda s1, s2, xi1, xi2: boundary_limits(*jackson(s1, "P2", 1e-300)),
+                r"^OverflowError at xi = \(1e-300\+0j\): ",
+            ),
+            (
+                lambda s1, s2, xi1, xi2: boundary_terms(jackson(s1, "P1", xi1)[0], 1, 1, 1e-300),
+                r"^OverflowError at x = \(1e-300\+0j\): ",
+            ),
+            (
+                lambda s1, s2, xi1, xi2: kernel_value(jackson(s2, "P2", xi2)[0], 1e300, 1.0),
+                r"^OverflowError at x = \(1e\+300\+0j\), s = \(1\+0j\): ",
+            ),
         ],
-        ids=["g2-zero-anchor", "g1-zero-point", "g2-tiny-anchor", "family1-g2-huge-point", "family2-g2-huge-point"],
+        ids=[
+            "g2-zero-anchor", "g1-zero-point", "g2-tiny-anchor", "family1-g2-huge-point", "family2-g2-huge-point",
+            "family1-P1-transform-tiny-point", "family1-P2-transform-tiny-point", "family2-P1-transform-tiny-point",
+            "family2-P2-transform-tiny-point", "family2-P2-transform-large-point", "family2-P2-transform-huge-point",
+            "family1-P1-limits-huge-anchor", "family1-P2-limits-tiny-anchor", "family1-P1-boundary-tiny-point",
+            "family2-P2-kernel-huge-point",
+        ],
     )
     def test_library_overflow_is_a_domain_error(self, call, message):
         rng = np.random.default_rng(11)
@@ -598,6 +650,16 @@ class TestExtremeInputs:
         assert len(family.form("g3").grid(st, None, 3, seed=0)) == 3
         with pytest.raises(DomainError, match=r"^OverflowError in the g5 grid at q = 1e-40: "):
             family.form("g5").grid(st, None, 3, seed=0)
+
+
+def jackson(st, kernel, xi):
+    """(spec, h): the kernel transform of st's source system anchored at
+    xi, and the seed h that kernel takes, at st's first root."""
+    source_params, seed = (family2_source_params, family2_seed) if isinstance(st, Family2Setup) else (
+        family1_source_params, family1_seed
+    )
+    spec = TransformSpec(source=source_params(st), mu0=0.0, xi=xi, kernel=kernel, alpha1=st.params.alpha1)
+    return spec, seed(st, {"P1": "h1", "P2": "h2"}[kernel], st.roots[0])
 
 
 class TestSharedWork:
@@ -645,22 +707,15 @@ class TestSharedWork:
     @pytest.mark.parametrize("family, draw", [("family1", random_family1_params), ("family2", random_family2_params)])
     def test_g1_forms_each_weighted_sum_once_per_index(self, tmp_path, runner, monkeypatch, family, draw):
         # A root's sum_k w_k r_k**n is the same at every stencil point: the
-        # walks of all 3 * POINTS points share one memo per root, and each
-        # of its entries is formed once.
+        # walks of all 3 * POINTS points share one PowerWalk, with one memo
+        # per root, and each of its entries is formed once.
         products = self.counting(monkeypatch, _bilateral, "mul")
-        memos = []
-        dots = _bilateral.PowerWalk.dots
-
-        def recorded(walk, row):
-            memos.append(dots(walk, row))
-            return memos[-1]
-
-        monkeypatch.setattr(_bilateral.PowerWalk, "dots", recorded)
+        calls = self.counting(monkeypatch, _bilateral, "weighted_bilateral")
         self.run_verify(tmp_path, runner, family, draw, "g1")
-        assert len(memos) == 3 * self.POINTS * (self.N + 1)  # one per point and root
-        shared = {id(memo): memo for memo in memos}.values()
-        assert len(shared) == self.N + 1
-        assert len(products) == (self.N + 1) * sum(len(side) for memo in shared for side in memo)
+        assert len(calls) == 3 * self.POINTS  # one per point, for all roots
+        (walk,) = {args[2] for args in calls}
+        assert len(walk.memos) == self.N + 1
+        assert len(products) == (self.N + 1) * sum(len(side) for memo in walk.memos for side in memo)
 
     def counting_row_solves(self, monkeypatch) -> tuple[list, list]:
         """The calls of np.linalg.eig and of accessory.accessory_rows."""

@@ -111,7 +111,7 @@ class TestSharedWalk:
     def test_one_row_diverges_and_the_others_finish(self):
         # The rate 1.7 grows upward, so only the row that weights it fails.
         rows = [[1.0, 0.5 - 0.25j, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 1e-3], [0.3j, 1.0, 0.0]]
-        got = weighted_bilateral(self.num, self.den, rows, self.rates, self.q)
+        got = weighted_bilateral(self.num, self.den, PowerWalk(self.rates, rows), range(len(rows)), self.q)
         for row, value in zip(rows, got):
             assert same(value, self.alone(self.num, self.den, row, self.rates, self.q))
         assert isinstance(got[2], ConvergenceError)
@@ -123,24 +123,24 @@ class TestSharedWalk:
         # one its row gives alone.
         rows = [[1.0, 0.5 - 0.25j, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 1e-3]]
         tables = [(self.num, self.den), ([0.3j, 1.1], [0.2, 0.5 + 0.5j])]
-        walk = PowerWalk(self.rates)
+        walk = PowerWalk(self.rates, rows)
         products = []
         formed = []  # the sums formed by each table
         for num, den in tables:
             with monkeypatch.context() as m:
                 m.setattr(_bilateral, "mul", lambda a, b: products.append(a) or a * b)
-                got = weighted_bilateral(num, den, rows, walk, self.q)
+                got = weighted_bilateral(num, den, walk, range(len(rows)), self.q)
             for row, value in zip(rows, got, strict=True):
                 assert same(value, self.alone(num, den, row, self.rates, self.q))
             assert isinstance(got[2], ConvergenceError)
-            formed.append(sum(len(side) for row in rows for side in walk.dots(row)) - sum(formed))
+            formed.append(sum(len(side) for memo in walk.memos for side in memo) - sum(formed))
             assert len(products) == len(self.rates) * sum(formed)  # each sum formed once
         assert formed[1] < formed[0] / 10
 
     def test_a_pole_at_the_anchor_reaches_every_row(self):
         # (q^-3 q^n; q)_inf vanishes for n <= 3: its reciprocal poles at n = 0.
         rows = [[1.0], [2.0]]
-        got = weighted_bilateral([self.q**-3], [0.25j], rows, [0.3], self.q)
+        got = weighted_bilateral([self.q**-3], [0.25j], PowerWalk([0.3], rows), range(len(rows)), self.q)
         assert all(isinstance(v, PoleError) for v in got)
         for row, value in zip(rows, got):
             assert same(value, self.alone([self.q**-3], [0.25j], row, [0.3], self.q))

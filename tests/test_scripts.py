@@ -41,15 +41,15 @@ def test_accessory_scan_routes_agree(N, monkeypatch, capsys):
 
 def test_output_digest_is_stable_and_well_formed():
     digests = runpy.run_path(str(SCRIPTS / "output_digest.py"))["digests"]
-    small = dict(verify_ns=(1,), transform_ns=(1,), generic_ns=(0,))
+    small = dict(verify_ns=(1,), transform_ns=(1,), generic_ns=(0,), evaluate_ns=(1,))
     lines = digests(1, **small)
     assert digests(1, **small) == lines
     sections = [line.split()[0] for line in lines]
     cli = ["accessory", "verify", "eval"]
     common = cli + ["rows", "transform", "limits"]
     assert sections == (
-        [f"family1.{s}" for s in common + ["replay"]]
-        + [f"family2.{s}" for s in common + ["defects", "replay"]]
+        [f"family1.{s}" for s in common + ["replay", "evaluate"]]
+        + [f"family2.{s}" for s in common + ["defects", "replay", "evaluate"]]
         + [f"generic.{s}" for s in cli]
         + ["acceptance"]
     )
@@ -69,6 +69,9 @@ def test_ab_timing_runs_both_sides_on_the_same_jobs(monkeypatch, capsys):
     assert [line.split()[:4] for line in lines[4:6]] == [["g1/g2", "2", "jobs,", "ratios"], ["other", "15", "jobs,", "ratios"]]
     assert [line.split()[4::2] for line in lines[4:6]] == [["p50", "p90", "total"]] * 2
     assert lines[6] == "jobs with different output: 0"
-    assert lines[7] == "seed 1: 156 accessory-scan jobs, best of 3, change/parent"
+    assert lines[7] == "seed 1: 288 jackson-transform steps, best of 3, change/parent"
     assert [line.split()[0] for line in lines[8:11]] == ["p50", "p90", "total"]
-    assert lines[11:] == ["jobs with different output: 0"]
+    assert lines[11] == "steps with different output: 0"
+    assert lines[12] == "seed 1: 156 accessory-scan jobs, best of 3, change/parent"
+    assert [line.split()[0] for line in lines[13:16]] == ["p50", "p90", "total"]
+    assert lines[16:] == ["jobs with different output: 0"]
