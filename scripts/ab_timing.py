@@ -13,8 +13,11 @@ only read.  The jobs are, per stream of the seed:
 * jackson-transform: the first JACKSON_STEPS job steps (the stream's
   30-second budget), each a boundary-limit or a transform point check.
   Each checkout runs its own copy of the stream; a draw's prepare step
-  runs on both sides, untimed, before its jobs.  A step is timed whole,
-  with its checks, since they evaluate the explicit bilateral forms;
+  runs on both sides, untimed, before its jobs.  A step is timed over
+  the span that perfbench/run.py measures, up to the moment it starts
+  its checks (``Env.check_start``), so the check of a transform
+  against the explicit bilateral forms is excluded; the g1/g2 split of
+  verify-sweep times those forms;
 * accessory-scan: the first ACCESSORY_JOBS ``qheun accessory`` jobs
   (four rounds of its 39 family and N pairs).
 
@@ -123,11 +126,13 @@ def cli_runs(clis, jobs: list[tuple[dict, list[str]]], path: Path) -> list[list]
 
 
 def run_step(step, env) -> tuple[float, str]:
-    """(seconds, the checks' result) of one jackson-transform job step."""
-    start = time.perf_counter()
+    """(seconds, the checks' result) of one jackson-transform job step, timed
+    up to its env.checked_at where it sets one, as perfbench/run.py does."""
+    env.checked_at = None
+    start = env.clock()
     out = step.run(env)
-    seconds = time.perf_counter() - start
-    return seconds, repr((out.attempted, sorted(out.failures.items()), out.values))
+    end = env.checked_at if env.checked_at is not None else env.clock()
+    return end - start, repr((out.attempted, sorted(out.failures.items()), out.values))
 
 
 def step_runs(workloads, seed: int, count: int, workdir: Path) -> list[list]:

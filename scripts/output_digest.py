@@ -29,7 +29,11 @@ Sections, per family (family1, family2):
   EVALUATE_NS, from a generator of the section's own, over the roots,
   the first root once more and the first root + 0.1 (no root), at the
   stencil x/q, qx, x of a grid of EVALUATE_POINTS points, with the E0s
-  asked for shrinking from all of them to the last one.
+  asked for shrinking from all of them to the last one;
+* pointwise: transform and limits as above, on draws at TRANSFORM_NS
+  from a generator of the section's own, with each seed wrapped as the
+  plain callable ``lambda s: h(s)``, which transform and
+  boundary_limits evaluate at each spiral point instead of stepping.
 
 Then the generic family, on ``random_admissible_params`` draws at each
 N of GENERIC_NS: accessory, verify and eval as above, each of verify
@@ -134,28 +138,46 @@ def acceptance_section() -> list[str]:
     return [f"{r.index} {r.name} {r.passed} {r.detail}" for r in acceptance.run_all()]
 
 
-def transform_sections(family: str, rng: np.random.Generator, transform_ns) -> dict[str, list[str]]:
+def transform_draw(family: str, rng: np.random.Generator, N: int) -> tuple:
+    """(st, E0, xi, xs, [(spec, h) of seed h1 with P1 and h2 with P2]) of one draw at N."""
     module = MODULES[family]
-    setup = getattr(module, f"{family}_setup")
-    source_params = getattr(module, f"{family}_source_params")
+    p = DRAWS[family](rng, N)
+    st = getattr(module, f"{family}_setup")(p, N)
+    E0 = st.roots[0]
+    xi = 0.8 * abs(p.t1)
+    xs = [xi * p.q ** -(0.53 + 0.61 * k) * complex(1.0, 0.1 * k) for k in range(POINTS)]
+    source = getattr(module, f"{family}_source_params")(st)
     seed_of = getattr(module, f"{family}_seed")
+    seeds = [
+        (TransformSpec(source=source, mu0=0.0, xi=xi, kernel=kernel, alpha1=p.alpha1), seed_of(st, which, E0))
+        for which, kernel in SEEDS.items()
+    ]
+    return st, E0, xi, xs, seeds
+
+
+def transform_sections(family: str, rng: np.random.Generator, transform_ns) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {"transform": [], "limits": []}
     if family == "family2":
         out["defects"] = []
     for N in transform_ns:
-        p = DRAWS[family](rng, N)
-        st = setup(p, N)
-        E0 = st.roots[0]
-        xi = 0.8 * abs(p.t1)
-        xs = [xi * p.q ** -(0.53 + 0.61 * k) * complex(1.0, 0.1 * k) for k in range(POINTS)]
-        for which, kernel in SEEDS.items():
-            spec = TransformSpec(source=source_params(st), mu0=0.0, xi=xi, kernel=kernel, alpha1=p.alpha1)
-            h = seed_of(st, which, E0)
+        st, E0, xi, xs, seeds = transform_draw(family, rng, N)
+        for spec, h in seeds:
             out["transform"] += [attempt(transform, spec, h, E0, x) for x in xs]
             out["limits"].append(attempt(boundary_limits, spec, h))
         if family == "family2":
             out["defects"] += [attempt(family_two.g1_inhomogeneity, st, x) for x in xs]
             out["defects"] += [attempt(family_two.g2_inhomogeneity, st, xi, x) for x in xs]
+    return out
+
+
+def pointwise_section(family: str, rng: np.random.Generator, transform_ns) -> list[str]:
+    out = []
+    for N in transform_ns:
+        _, E0, _, xs, seeds = transform_draw(family, rng, N)
+        for spec, seed in seeds:
+            h = lambda s, seed=seed: seed(s)
+            out += [attempt(transform, spec, h, E0, x) for x in xs]
+            out.append(attempt(boundary_limits, spec, h))
     return out
 
 
@@ -202,6 +224,7 @@ def digests(
             sections.update(transform_sections(family, rng, transform_ns))
             sections["replay"] = replay_section(family, rng, Path(tmp))
             sections["evaluate"] = evaluate_section(family, np.random.default_rng([seed, index, 1]), evaluate_ns)
+            sections["pointwise"] = pointwise_section(family, np.random.default_rng([seed, index, 2]), transform_ns)
             lines += [digest_line(f"{family}.{name}", texts) for name, texts in sections.items()]
         rng = np.random.default_rng([seed, len(DRAWS)])
         for name, texts in generic_sections(rng, Path(tmp), generic_ns).items():

@@ -15,15 +15,16 @@ The same stepping gives the two-sided series of both solution families,
 
 i.e. (v; q)_inf / (u; q)_inf times the shifted-factorial coefficient
 (u; q)_n / (v; q)_n.  The products and the powers r_k**n do not depend
-on the weights w_k, so weighted_bilateral walks once for a list of
-weight vectors: a form's N + 1 accessory roots differ only in their
-weights, and a single root is the one-row case.  A row's weighted sum
+on the weights w_k, so one SpiralTerms walk, which keeps its entries
+by index, serves every weight row: a form's N + 1 accessory roots
+differ only in their weights, and weighted_bilateral sums their rows
+one after another through qcore.bilateral_sum.  A row's weighted sum
 sum_k w_k r_k**n depends on u and v no more than the powers do, so the
 PowerWalk shared by the walks of one evaluator holds its weight rows
 and keeps each row's sums per index, by the row's position: the walk
 that first reaches an index forms them, and the walks of the other
-points read them.  bilateral_table writes g1/g2 of both
-families once, over a family's list of singular pairs (h_i, l_i, t_i).
+points read them.  bilateral_table writes g1/g2 of both families once,
+over a family's list of singular pairs (h_i, l_i, t_i).
 
 The step factors also bound the tail.  Once the moduli of the factors
 of a step are bounded by F, and F |r_k| < 1 (F / |r_k| downward), the
@@ -42,7 +43,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ConvergenceError, DomainError, PreconditionError, QHeunError, typed_at_point
-from .qcore import TailSum, q_pochhammer_ratio
+from .qcore import bilateral_sum, q_pochhammer_ratio
 
 # A step factor (1 - y) closer to zero than this would divide out, or
 # multiply in, a zero or pole of the anchored value; the value at the
@@ -98,7 +99,8 @@ class PowerWalk:
 
     memos[j] holds the weighted sums of rows[j] the same way, per side
     (down, up): entry i of a side is the sum at n = -1 - i downward and
-    n = i upward, extended in index order by weighted_bilateral.
+    n = i upward, extended in index order by the terms of
+    SpiralTerms.row(j).
     """
 
     __slots__ = ("rates", "sides", "rows", "memos")
@@ -131,29 +133,28 @@ class PowerWalk:
 
 
 class SpiralTerms:
-    """term(n) = V(s_n) * sum_k w_k r_k**n along s_n = q**n * xi.
+    """The terms V(s_n) * sum_k w_k r_k**n along s_n = q**n * xi of each
+    weight row w of a PowerWalk.
 
     V is spiral_product(s, num, den, inv_num, inv_den, q).
 
     V(xi) is computed once with q_pochhammer_ratio; every other index is
-    reached by stepping from n = 0.  A step factor near zero means a
-    zero crossing or a near-pole, where stepping would cancel digits;
-    the value there is recomputed directly, which also raises PoleError
-    at a pole exactly where the direct product does.
+    reached by stepping from its neighbour towards n = 0.  A step factor
+    near zero means a zero crossing or a near-pole, where stepping would
+    cancel digits; the value there is recomputed directly, which also
+    raises PoleError at a pole exactly where the direct product does.
 
-    Only the states at n = 0 and at the two walk fronts are kept.  A
-    state holds V(s_n) * c and r_k**n / c for a scale c that keeps the
-    powers near 1.  The powers come from a PowerWalk: rates itself where
-    other walks share it (the walks of one evaluator, whose rates do not
-    depend on the point), else one made here from the plain rates.
+    Each side keeps one entry per index walked, so the rows of the walk
+    share every step.  The entry at n holds s_n, V(s_n) * c, the powers
+    r_k**n / c of the PowerWalk and c, for a scale c that keeps the
+    powers near 1.
     """
 
     def __init__(
         self,
         num: Sequence[complex],
         den: Sequence[complex],
-        weights: Sequence[complex],
-        rates: Sequence[complex] | PowerWalk,
+        walk: PowerWalk,
         q: float,
         xi: complex = 1.0,
         inv_num: Sequence[complex] = (),
@@ -163,9 +164,7 @@ class SpiralTerms:
         self.den = [complex(v) for v in den]
         self.inv_num = [complex(u) for u in inv_num]
         self.inv_den = [complex(v) for v in inv_den]
-        self.weights = [complex(w) for w in weights]
-        self.walk = rates if isinstance(rates, PowerWalk) else PowerWalk(rates, ())
-        self.rates = self.walk.rates
+        self.walk = walk
         self.q = q
         # Interleaved (multiplied, divided) coefficient pairs per direction,
         # so that large factors cancel before they overflow; a missing
@@ -184,26 +183,26 @@ class SpiralTerms:
             False: (_moduli(self.inv_pairs_down), _moduli(self.pairs_down)),
         }
         s0 = complex(xi)
-        # A state is [n, s_n, value * c, powers r_k**n / c, c].
-        self.origin = (0, s0, self._direct(s0), [1.0 + 0.0j] * len(self.rates), 1.0)
-        self.up = list(self.origin)
-        self.down = list(self.origin)
+        origin = (s0, self._direct(s0), [1.0 + 0.0j] * len(walk.rates), 1.0)
+        # Per side (down, up): the entry (s_n, value * c, powers, c) at |n| = i is side[i].
+        self.sides = ([origin], [origin])
 
     def _direct(self, s: complex) -> complex:
         return spiral_product(s, self.num, self.den, self.inv_num, self.inv_den, self.q)
 
-    def _step(self, state: list, upward: bool) -> None:
-        n, s, value, powers, scale = state
+    def _step(self, i: int, entry: tuple, upward: bool) -> tuple:
+        """The entry at |n| = i + 1 on the side of upward, stepped from entry, the one at |n| = i."""
+        s, value, powers, scale = entry
         # Factor pairs (a, b) step V by (1 - a u) / (1 - b u), with u = y,
         # that is s_n or s_(n-1), for s-factors and u = t, 1/s_(n+1) or
         # 1/s_n, for 1/s-factors.
         if upward:
-            n1, s1 = n + 1, s * self.q
+            n1, s1 = i + 1, s * self.q
             y, steps = s, self.steps_up
         else:
-            n1, s1 = n - 1, s / self.q
+            n1, s1 = -i - 1, s / self.q
             y, steps = s1, self.steps_down
-        powers, c = self.walk.step(abs(n), powers, upward)
+        powers, c = self.walk.step(i, powers, upward)
         t = None
         if self.inv_pairs_up:
             s_inv = s1 if upward else s
@@ -220,23 +219,53 @@ class SpiralTerms:
         if c is not None:
             value /= c
             scale /= c
-        state[:] = n1, s1, value, powers, scale
+        return s1, value, powers, scale
 
-    def _seek(self, n: int) -> list:
-        state = self.up if n >= 0 else self.down
-        if abs(n) < abs(state[0]):
-            state[:] = self.origin
-        while state[0] != n:
-            self._step(state, n > 0)
-        return state
+    def _at(self, n: int) -> tuple:
+        """The entry at n, stepping the side of n out to it in index order."""
+        upward = n >= 0
+        side = self.sides[upward]
+        while len(side) <= abs(n):
+            side.append(self._step(len(side) - 1, side[-1], upward))
+        return side[abs(n)]
 
     def point(self, n: int) -> complex:
         """The spiral point s_n = q**n * xi, as reached by stepping."""
-        return self._seek(n)[1]
+        return self._at(n)[0]
 
-    def __call__(self, n: int) -> complex:
-        _, _, value, powers, _ = self._seek(n)
-        return value * sum(map(mul, self.weights, powers))
+    def row(self, j: int) -> tuple[Callable[[int], complex], Callable[[int], float]]:
+        """(term, bound) of the weight row walk.rows[j], for qcore.bilateral_sum.
+
+        term(n) = V(s_n) * sum_k w_k r_k**n, its weighted sum read from
+        walk.memos[j], or formed and appended there in index order;
+        bound(n) = tail_bound(j, n).
+        """
+        weights, (memo_down, memo_up) = self.walk.rows[j], self.walk.memos[j]
+        down, up = self.sides
+        step = self._step
+
+        def term(n: int) -> complex:
+            # The entry at n is side[k]; the weighted sum at n is memo[i].
+            if n >= 0:
+                side, memo, k, i = up, memo_up, n, n
+            else:
+                side, memo, k, i = down, memo_down, -n, -1 - n
+            if k < len(side):
+                entry = side[k]
+            elif k == len(side):
+                entry = step(k - 1, side[-1], n >= 0)
+                side.append(entry)
+            else:
+                entry = self._at(n)
+            if i < len(memo):
+                return entry[1] * memo[i]
+            while len(memo) < i:  # an index read out of order: fill in index order
+                memo.append(sum(map(mul, weights, side[len(memo) + k - i][2])))
+            dot = sum(map(mul, weights, entry[2]))
+            memo.append(dot)
+            return entry[1] * dot
+
+        return term, partial(self.tail_bound, j)
 
     def _gains(self, n: int, s: complex) -> list[float] | None:
         """g_k with sum over m beyond n of |V(s_m) r_k**m| <= |V(s_n) r_k**n| g_k.
@@ -276,24 +305,24 @@ class SpiralTerms:
                     F /= d
                 F *= 1.0 + a * u
         gains = []
-        for r in self.rates:
+        for r in self.walk.rates:
             rho = F * abs(r) if upward else F / abs(r)
             gains.append(rho / (1.0 - rho) if rho < 1.0 else math.inf)
         return gains
 
-    def tail_bound(self, n: int, weights: Sequence[complex] | None = None) -> float:
-        """A bound on sum |term(m)| over every m beyond n, away from 0.
+    def tail_bound(self, j: int, n: int) -> float:
+        """A bound on sum |term(m)| over every m beyond n, away from 0, for
+        the terms of the weight row walk.rows[j].
 
-        term uses weights in place of the walk's own when given.  The
-        bound is |V(s_n)| sum_k |w_k r_k**n| g_k with _gains' g_k, and
+        The bound is |V(s_n)| sum_k |w_k r_k**n| g_k with _gains' g_k, and
         is inf (or NaN) where no bound is certified.
         """
-        n, s, value, powers, _ = self._seek(n)
+        s, value, powers, _ = self._at(n)
         gains = self._gains(n, s)
         if gains is None:
             return math.inf
         total = 0.0
-        for w, p, g in zip(self.weights if weights is None else weights, powers, gains):
+        for w, p, g in zip(self.walk.rows[j], powers, gains):
             if w:
                 total += abs(w) * abs(p) * g
         return abs(value) * total * BOUND_MARGIN
@@ -309,59 +338,25 @@ def weighted_bilateral(
     """The two-sided sum of the module docstring, with u = num and v = den,
     for each weight row walk.rows[j], j in live: its value or its QHeunError.
 
-    The terms of row j are SpiralTerms(den, num, walk.rows[j], walk, q)
-    along s_n = q**n, summed as qcore.bilateral_sum sums them: the side
-    n >= 0, then the side n <= -1, each stopped by its own TailSum with
-    the walk's tail_bound for that row.  Its weighted sums
-    sum_k w_k r_k**n / c_n are read from walk.memos[j], where sums of
-    other (num, den) on the walk left them, and extended there.  The
-    products and powers at each index are stepped once for all rows;
-    each row forms its terms, partial sums and stop decisions as it
-    would alone.  PoleError is raised where (num q**n; q)_inf vanishes,
-    the anchor n = 0 included; an error of a step goes only to the rows
-    whose walks reach that index.
+    One SpiralTerms(den, num, walk, q) walks s_n = q**n for all rows, and
+    qcore.bilateral_sum sums each row's terms with its tail bound, row
+    after row; the products and powers at each index are stepped once,
+    by the first row to reach it.  A row's weighted sums are read from
+    walk.memos[j], where sums of other (num, den) on the walk left them,
+    and extended there.  PoleError is raised where (num q**n; q)_inf
+    vanishes, the anchor n = 0 included; an error of a step goes only to
+    the rows whose sums reach that index.
     """
     try:
-        terms = SpiralTerms(den, num, (), walk, q)
+        terms = SpiralTerms(den, num, walk, q)
     except QHeunError as exc:
         return [exc] * len(live)
-    # Per place in live: its error once it failed, else its plus side, then its sum.
-    results: list = [None] * len(live)
-    for start, step in ((0, +1), (-1, -1)):
-        # Per row still summing: its place in live, weights, memo of this
-        # side, the sums that memo holds now, TailSum and tail bound.
-        summing = []
-        for place, j in enumerate(live):
-            if not isinstance(results[place], QHeunError):
-                row, memo = walk.rows[j], walk.memos[j][step > 0]
-                summing.append((place, row, memo, len(memo), TailSum(), partial(terms.tail_bound, weights=row)))
-        n, i = start, 0  # the index walked, the i-th of its side
-        while summing:
-            try:
-                _, _, value, powers, _ = terms._seek(n)
-            except QHeunError as exc:
-                for place, *_ in summing:
-                    results[place] = exc
-                break
-            ended = []
-            for place, row, memo, known, tail, bound in summing:
-                if i < known:
-                    dot = memo[i]
-                else:
-                    dot = sum(map(mul, row, powers))
-                    memo.append(dot)
-                try:
-                    if not tail.add(value * dot, n, bound):
-                        continue
-                except QHeunError as exc:
-                    results[place] = exc
-                else:
-                    results[place] = tail.total if step > 0 else results[place] + tail.total
-                ended.append(place)
-            if ended:
-                summing = [entry for entry in summing if entry[0] not in ended]
-            n += step
-            i += 1
+    results: list[complex | QHeunError] = []
+    for j in live:
+        try:
+            results.append(bilateral_sum(*terms.row(j)))
+        except QHeunError as exc:
+            results.append(exc)
     return results
 
 

@@ -124,17 +124,17 @@ def load_config(path: str, **overrides) -> JobConfig:
         t2=read("t2", _as_complex),
         q=read("q", _real),
     )
-    family = read("family", str, "generic")
+    family = read("family", _text, "generic")
     if family not in FAMILIES:
         raise PreconditionError(f"unknown family {family!r}")
-    fmt = read("format", str, "json")
+    fmt = read("format", _text, "json")
     if fmt not in ("json", "csv"):
         raise PreconditionError(f"unknown format {fmt!r}")
     cfg = JobConfig(
         params=params,
         family=family,
         N=read("N", _integer, 0),
-        solution=raw.get("solution"),
+        solution=read("solution", nullable(_text)),
         grid_count=read("grid_count", _integer, 20),
         grid_rmin=read("grid_rmin", nullable(_real)),
         grid_rmax=read("grid_rmax", nullable(_real)),

@@ -18,6 +18,9 @@ finite-sum form, forms that work once and keeps the chain for as long
 as it needs it.  Every value it gives is bit-for-bit the phi_series
 value.
 
+bilateral_sum, by _one_sided_sum, is the package's one two-sided loop:
+a side stops at the caller's tail bound, or without one by the window.
+
 All functions are pure and safe to call concurrently; a SeriesChain
 fills itself in as it is summed and belongs to one caller.
 """
@@ -30,7 +33,7 @@ import sys
 from itertools import zip_longest
 from typing import Callable, Sequence
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, out_of_range
 
 # Factors (1 - a q^k) with |a q^k| below this are numerically 1.
 PRODUCT_CUTOFF = 1e-17
@@ -38,7 +41,7 @@ PRODUCT_CUTOFF = 1e-17
 POLE_CUTOFF = 1e-12
 # A parameter a of phi_series terminates it where |1 - a q**m| is below this.
 TERMINATION_TOL = 16 * sys.float_info.epsilon
-# The one stop rule of every infinite sum (phi_series, TailSum): a tail
+# The one stop rule of every infinite sum (phi_series, _one_sided_sum): a tail
 # bound below REL_TOL times the partial sum ends it; DIVERGENCE_WINDOW terms
 # in a row below that settle a sum without a bound, or, failing to decrease,
 # diverge; MAX_TERMS terms (product levels, limit steps) end any of them.
@@ -310,79 +313,65 @@ class SeriesChain:
         raise ConvergenceError("series did not reach the stopping rule within max_terms")
 
 
-class TailSum:
-    """Running total and stop rule of one one-sided sum, fed term by term.
+def _one_sided_sum(
+    term: Callable[[int], complex], bound: Callable[[int], float] | None, start: int, step: int
+) -> complex:
+    """The sum of term(n) over n = start, start + step, ... by the one stop rule.
 
-    add(t, n, bound) adds the term t of index n and returns True once
-    the sum is settled.  A term at most REL_TOL times the running
-    total is negligible; at each negligible term bound(n), a bound on
-    the sum of |term| over every index beyond n, is asked for, and the
-    sum stops if it is strictly below REL_TOL times the total (so a
-    zero or NaN total never certifies).  Without a bound, or where it
-    certifies nothing, the sum stops after DIVERGENCE_WINDOW
-    consecutive negligible terms.  add raises ConvergenceError once
-    terms fail to decrease for that many consecutive indices, or once
-    MAX_TERMS terms have not settled the sum.  Every one-sided sum,
-    alone or sharing a walk with others, stops by this rule.
+    A term at most REL_TOL times the running total is negligible; at
+    each negligible term bound(n), a bound on the sum of |term| over
+    every index beyond n, is asked for, and the sum stops if it is
+    strictly below REL_TOL times the total (so a zero or NaN total
+    never certifies).  Without a bound, or where it certifies nothing,
+    the sum stops after DIVERGENCE_WINDOW consecutive negligible terms.
+    Raises ConvergenceError once terms fail to decrease for that many
+    consecutive indices, or once MAX_TERMS terms have not settled the
+    sum, and OverflowError at a term whose modulus is NaN: the inputs
+    are finite, so such a term means that some step left the float range.
     """
-
-    __slots__ = ("budget", "total", "small_run", "growth_run", "prev")
-
-    def __init__(self) -> None:
-        self.budget = MAX_TERMS  # terms left
-        self.total = 0.0 + 0.0j
-        self.small_run = 0
-        self.growth_run = 0
-        self.prev = math.inf
-
-    def add(self, t: complex, n: int, bound: Callable[[int], float] | None = None) -> bool:
-        self.total = total = self.total + t
+    total = 0.0 + 0.0j
+    small_run = growth_run = 0
+    prev = math.inf
+    n = start
+    for _ in range(MAX_TERMS):
+        t = term(n)
+        total += t
         mag = abs(t)
         size = abs(total)
         if size < _TINY:  # max(|total|, _TINY), a NaN total kept
             size = _TINY
         if mag <= REL_TOL * size:
-            self.small_run = small_run = self.small_run + 1
-            self.growth_run = 0
+            small_run += 1
+            growth_run = 0
             # Strictly below a nonzero total: an all-zero start never certifies.
             if small_run >= DIVERGENCE_WINDOW or (bound is not None and bound(n) < REL_TOL * abs(total)):
-                return True
+                return total
+        elif mag != mag:
+            raise OverflowError(f"term at n = {n} is not a number")
         else:
-            self.small_run = 0
-            if mag >= self.prev:
-                self.growth_run = growth_run = self.growth_run + 1
+            small_run = 0
+            if mag >= prev:
+                growth_run += 1
                 if growth_run >= DIVERGENCE_WINDOW:
                     raise ConvergenceError(f"terms fail to decay near n = {n}")
             else:
-                self.growth_run = 0
-        self.prev = mag
-        self.budget = budget = self.budget - 1
-        if not budget:
-            raise ConvergenceError("one-sided tail did not converge within max_terms")
-        return False
-
-
-def _one_sided_sum(term: Callable[[int], complex], start: int, step: int) -> complex:
-    tail = TailSum()
-    add = tail.add
-    bound = getattr(term, "tail_bound", None)
-    n = start
-    while not add(complex(term(n)), n, bound):
+                growth_run = 0
+        prev = mag
         n += step
-    return tail.total
+    raise ConvergenceError("one-sided tail did not converge within max_terms")
 
 
-def bilateral_sum(term: Callable[[int], complex]) -> complex:
+def bilateral_sum(term: Callable[[int], complex], bound: Callable[[int], float] | None) -> complex:
     """Two-sided sum of term(n) over all integers n.
 
     Evaluated as two independent one-sided sums (n >= 0 and n <= -1),
-    each stopped by TailSum's rule.  A term with a tail_bound(n) method
-    (a _bilateral.SpiralTerms walk) supplies the bound; any other
-    callable stops by the DIVERGENCE_WINDOW rule.  Raises
-    ConvergenceError if either tail fails to decay.
+    each stopped by _one_sided_sum's rule with the tail bound bound(n),
+    such as a _bilateral.SpiralTerms row gives; with bound None a side
+    stops by the DIVERGENCE_WINDOW rule.  Raises ConvergenceError if
+    either tail fails to decay, and OverflowError at a NaN term.
     """
-    plus = _one_sided_sum(term, 0, +1)
-    minus = _one_sided_sum(term, -1, -1)
+    plus = _one_sided_sum(term, bound, 0, +1)
+    minus = _one_sided_sum(term, bound, -1, -1)
     return plus + minus
 
 
@@ -409,7 +398,10 @@ def jackson_integral(
     xi: complex,
     q: float,
 ) -> complex:
-    """q-integral of f along the spiral {q^n xi}: (1-q) sum_n q^n xi f(q^n xi)."""
+    """q-integral of f along the spiral {q^n xi}: (1-q) sum_n q^n xi f(q^n xi).
+
+    An overflow, a NaN term included, raises the DomainError of out_of_range at xi.
+    """
     check_q(q)
     if xi == 0:
         raise DomainError("the anchor point xi must be nonzero")
@@ -417,6 +409,9 @@ def jackson_integral(
 
     def term(n: int) -> complex:
         s = spiral(n)
-        return s * f(s)
+        return complex(s * f(s))
 
-    return (1.0 - q) * bilateral_sum(term)
+    try:
+        return (1.0 - q) * bilateral_sum(term, None)
+    except ArithmeticError as exc:
+        raise out_of_range(exc, f"at xi = {xi!r}")

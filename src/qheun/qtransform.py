@@ -6,7 +6,9 @@ target parameters follow a rigid affine map of the source exponents;
 the transformed function satisfies the target eigen-equation up to two
 boundary terms proportional to the spiral limits C1 and C2 of h.  The
 integral stops by qcore's one rule and a limit walk settles at
-SETTLE_FLOOR; no call chooses either.
+SETTLE_FLOOR; no call chooses either.  A Seed on the source's base q
+is stepped along the spiral with a certified tail bound; any other h is
+evaluated at each spiral point.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Literal, Sequence
 
-from ._bilateral import SpiralTerms, spiral_product
+from ._bilateral import PowerWalk, SpiralTerms, spiral_product
 from .accessory import horner
 from .errors import DomainError, NoLimit, out_of_range, typed_at_point
 from .qcore import MAX_TERMS, bilateral_sum, theta
@@ -211,15 +213,16 @@ def _spiral_terms(
     kernel: Sequence[Sequence[complex]] = ((), (), (), ()),
     weight: complex = 1.0,
     rate: float = 1.0,
-) -> tuple[Callable[[int], complex], Callable[[int], complex]]:
-    """(term, point) with point(n) = s = q**n xi and
+) -> tuple[Callable[[int], complex], Callable[[int], float] | None, Callable[[int], complex]]:
+    """(term, bound, point) with point(n) = s = q**n xi and
     term(n) = weight * rate**n * s**shift * h(s) * V(s).
 
     V is the product of the kernel factors (num, den, inv_num, inv_den).
     A Seed on the same base q has its own factors, power and polynomial
     join the stepped product, since (q**n xi)**a == q**(n a) * xi**a for
-    q > 0; any other h, a Seed on another base included, is evaluated at
-    each point.
+    q > 0: the terms are the one row of a walk of its own, and bound is
+    that row's tail bound.  Any other h, a Seed on another base
+    included, is evaluated at each point, and bound is None.
     """
     num, den, inv_num, inv_den = (list(f) for f in kernel)
     if isinstance(h, Seed) and h.q == q:
@@ -227,12 +230,13 @@ def _spiral_terms(
         weights = [weight * c * xi ** (e + k) for k, c in enumerate(h.coeffs)]
         rates = [rate * q ** (e + k) for k in range(len(h.coeffs))]
         terms = SpiralTerms(
-            num + list(h.num), den + list(h.den), weights, rates, q, xi,
+            num + list(h.num), den + list(h.den), PowerWalk(rates, [weights]), q, xi,
             inv_num + list(h.inv_num), inv_den + list(h.inv_den),
         )
-        return terms, terms.point
-    terms = SpiralTerms(num, den, [weight * xi**shift], [rate * q**shift], q, xi, inv_num, inv_den)
-    return (lambda n: terms(n) * h(terms.point(n))), terms.point
+        return (*terms.row(0), terms.point)
+    terms = SpiralTerms(num, den, PowerWalk([rate * q**shift], [[weight * xi**shift]]), q, xi, inv_num, inv_den)
+    product, _ = terms.row(0)
+    return (lambda n: complex(product(n) * h(terms.point(n)))), None, terms.point
 
 
 @typed_at_point
@@ -262,11 +266,11 @@ def transform(
     xi = complex(spec.xi)
     *factors, power = _kernel_factors(spec, x)
     # (x / s_n)**power == (x / xi)**power * q**(-n * power) along the spiral.
-    term, _ = _spiral_terms(
+    term, bound, _ = _spiral_terms(
         h, xi, src.q, 1.0 - seed_weight_exponent(src), factors,
         (x / xi) ** power, src.q ** (-power),
     )
-    return x ** (-spec.alpha1) * (1.0 - src.q) * bilateral_sum(term)
+    return x ** (-spec.alpha1) * (1.0 - src.q) * bilateral_sum(term, bound)
 
 
 def _spiral_limit(values: Callable[[int], complex], point: Callable[[int], complex]) -> complex:
@@ -322,8 +326,8 @@ def boundary_limits(
     src = spec.source
     xi = complex(spec.xi)
     try:
-        inward, inward_at = _spiral_terms(h, xi, src.q, -seed_weight_exponent(src))
-        outward, outward_at = _spiral_terms(h, xi, src.q, src.alpha1)
+        inward, _, inward_at = _spiral_terms(h, xi, src.q, -seed_weight_exponent(src))
+        outward, _, outward_at = _spiral_terms(h, xi, src.q, src.alpha1)
         return (
             _spiral_limit(inward, inward_at),
             _spiral_limit(lambda k: outward(-k), lambda k: outward_at(-k)),

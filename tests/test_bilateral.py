@@ -12,7 +12,7 @@ from qheun.errors import ConvergenceError, PoleError
 from qheun.family_one import family1_seed, family1_source_params
 from qheun.family_two import family2_seed, family2_source_params
 from qheun.forms import FAMILIES
-from qheun.qcore import DIVERGENCE_WINDOW, REL_TOL, TailSum, _one_sided_sum, bilateral_sum, q_pochhammer, q_pochhammer_ratio
+from qheun.qcore import DIVERGENCE_WINDOW, REL_TOL, _one_sided_sum, bilateral_sum, q_pochhammer, q_pochhammer_ratio
 from qheun.qtransform import TransformSpec, transform
 from qheun.sampling import random_family1_params, random_family2_params
 
@@ -26,8 +26,16 @@ def direct(num, den, inv_num, inv_den, q, s):
     )
 
 
+def lone(num, den, weights, rates, q, xi=1.0, inv_num=(), inv_den=()):
+    """(SpiralTerms, term, bound) of the one weight row weights on a walk of its own."""
+    terms = SpiralTerms(num, den, PowerWalk(rates, [weights]), q, xi, inv_num, inv_den)
+    return terms, *terms.row(0)
+
+
 def stepped(num, den, inv_num, inv_den, q, xi):
-    return SpiralTerms(num, den, [1.0], [1.0], q, xi, inv_num, inv_den)
+    """(SpiralTerms, term) of V(s) alone."""
+    terms, term, _ = lone(num, den, [1.0], [1.0], q, xi, inv_num, inv_den)
+    return terms, term
 
 
 def one_row(num, den, row, rates, q):
@@ -49,7 +57,7 @@ def recorded_walk(monkeypatch, *args):
         m.setattr(_bilateral, "SpiralTerms", Recorded)
         got = one_row(*args)
     (walk,) = walks
-    return got, walk.up[0], walk.down[0]
+    return got, len(walk.sides[1]) - 1, 1 - len(walk.sides[0])
 
 
 def first_negligible(terms, start, step):
@@ -87,9 +95,9 @@ def direct_or_pole(factors, q, s):
         return PoleError
 
 
-def stepped_or_pole(terms, n):
+def stepped_or_pole(term, n):
     try:
-        return terms(n)
+        return term(n)
     except PoleError:
         return PoleError
 
@@ -101,10 +109,10 @@ GENERIC_XI = 0.9 + 0.2j
 
 class TestSpiralTerms:
     def test_matches_direct_products_both_ways(self):
-        terms = stepped(*GENERIC, 0.5, GENERIC_XI)
+        terms, term = stepped(*GENERIC, 0.5, GENERIC_XI)
         for n in list(range(0, 501, 7)) + list(range(0, -501, -7)) + [500, -500]:
             want = direct(*GENERIC, 0.5, terms.point(n))
-            assert abs(terms(n) - want) <= 1e-13 * abs(want), n
+            assert abs(term(n) - want) <= 1e-13 * abs(want), n
 
     def test_matches_high_precision_products_near_q_one(self):
         # 500 steps at q = 0.8 against mpmath at 40 digits, a reference
@@ -112,7 +120,7 @@ class TestSpiralTerms:
         mp = pytest.importorskip("mpmath")
         q = 0.8
         num, den, inv_num, inv_den = GENERIC
-        terms = stepped(*GENERIC, q, GENERIC_XI)
+        terms, term = stepped(*GENERIC, q, GENERIC_XI)
         with mp.workdps(40):
             qq = mp.mpf(q)
             for n in (1, 50, 137, 300, 500, -1, -50, -137, -300, -500):
@@ -126,23 +134,23 @@ class TestSpiralTerms:
                     want *= mp.qp(mp.mpc(c) / s, qq)
                 for c in inv_den:
                     want /= mp.qp(mp.mpc(c) / s, qq)
-                assert abs(terms(n) - want) <= 1e-13 * abs(want), n
+                assert abs(term(n) - want) <= 1e-13 * abs(want), n
 
     def test_point_follows_the_spiral(self):
         q, xi = 0.6, 0.7 - 0.3j
-        terms = SpiralTerms([], [], [1.0], [1.0], q, xi)
+        terms, _ = stepped([], [], [], [], q, xi)
         for n in (0, 5, 40, -3, -40):
             assert terms.point(n) == pytest.approx(q**n * xi, rel=1e-13)
 
     def test_weighted_powers(self):
         q, xi = 0.55, 1.2
         weights, rates = [2.0, -0.5j], [q**0.3, q**1.7]
-        terms = SpiralTerms([0.4j], [0.3], weights, rates, q, xi)
+        terms, term, _ = lone([0.4j], [0.3], weights, rates, q, xi)
         for n in (0, 9, -9, 60, -60):
             want = direct([0.4j], [0.3], [], [], q, terms.point(n)) * sum(
                 w * r**n for w, r in zip(weights, rates)
             )
-            assert abs(terms(n) - want) <= 1e-13 * abs(want)
+            assert abs(term(n) - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize(
         "factors, nonzero",
@@ -158,9 +166,9 @@ class TestSpiralTerms:
         # zero; stepping out of the zero region would divide 0 by 0, and
         # stepping into the next one multiplies by an exact 0.
         q = 0.5
-        terms = stepped(*factors, q, 1.0)
+        _, term = stepped(*factors, q, 1.0)
         for n in range(-20, 21):
-            got, want = terms(n), direct(*factors, q, 0.5**n)
+            got, want = term(n), direct(*factors, q, 0.5**n)
             if n in nonzero:
                 assert want != 0
                 assert abs(got - want) <= 1e-13 * abs(want), n
@@ -172,11 +180,11 @@ class TestSpiralTerms:
         q, xi = 0.45, 0.8
         c = (1.0 + 1e-9) / (q**7 * xi)
         factors = ([c, 0.5 - 0.5j], [0.3 + 0.7j, 0.2], [], [])
-        terms = stepped(*factors, q, xi)
+        terms, term = stepped(*factors, q, xi)
         # Up to n = 7 the value carries the ill-conditioned factor itself.
         for n in range(8, 40):
             want = direct(*factors, q, terms.point(n))
-            assert abs(terms(n) - want) <= 1e-13 * abs(want), n
+            assert abs(term(n) - want) <= 1e-13 * abs(want), n
 
     @pytest.mark.parametrize(
         "factors",
@@ -187,37 +195,40 @@ class TestSpiralTerms:
     )
     def test_pole_at_the_direct_products_index(self, factors):
         q = 0.5
-        terms = stepped(*factors, q, 1.0)
+        _, term = stepped(*factors, q, 1.0)
         for sign in (1, -1):
             for k in range(12):
                 n = sign * k
                 expect = direct_or_pole(factors, q, 0.5**n)
-                got = stepped_or_pole(terms, n)
+                got = stepped_or_pole(term, n)
                 if expect is PoleError or got is PoleError:
                     assert expect is got is PoleError, n
                     break
                 assert abs(got - expect) <= 1e-13 * abs(expect)
 
-    def test_revisiting_an_index_restarts_from_the_anchor(self):
+    def test_revisiting_an_index_reads_its_entry(self):
         q, xi = 0.6, 0.9
-        terms = SpiralTerms([0.5j], [0.7], [1.0], [q**0.5], q, xi)
-        first = [terms(n) for n in range(20)]
-        assert [terms(n) for n in (3, 11, 19)] == [first[3], first[11], first[19]]
+        terms, term, _ = lone([0.5j], [0.7], [1.0], [q**0.5], q, xi)
+        first = [term(n) for n in range(20)]
+        assert [term(n) for n in (3, 11, 19)] == [first[3], first[11], first[19]]
+        assert len(terms.sides[1]) == 20  # no index stepped twice
 
     def test_walks_sharing_a_power_walk_match_lone_walks(self):
         # Rates whose powers leave [1e-150, 1e150] within the walk, so
         # the shared entries carry rescale steps too.
         q, xi = 0.6, 0.9 - 0.2j
         weights, rates = [1.0, 0.5j], [1e-20, 1e20]
-        walk = PowerWalk(rates, ())
+        walk = PowerWalk(rates, [weights])
         factors = ([0.4j], [0.3], [0.05], [0.07])
-        shared = [SpiralTerms(*factors[:2], weights, walk, q, x, *factors[2:]) for x in (xi, 2 * xi)]
-        lone = [SpiralTerms(*factors[:2], weights, rates, q, x, *factors[2:]) for x in (xi, 2 * xi)]
+        shared = [SpiralTerms(*factors[:2], walk, q, x, *factors[2:]).row(0)[0] for x in (xi, 2 * xi)]
+        alone = [lone(*factors[:2], weights, rates, q, x, *factors[2:])[1] for x in (xi, 2 * xi)]
+        # Out of index order, so that each memo is filled past an unread index.
         order = [7, -7, 3, 12, -12, 0, 5]
         for n in order:
-            assert [t(n) for t in shared] == [t(n) for t in reversed(lone)][::-1]
+            assert [t(n) for t in shared] == [t(n) for t in reversed(alone)][::-1]
         # One entry per index walked on each side, however many walks.
         assert [len(side) for side in walk.sides] == [12, 12]
+        assert [len(side) for side in walk.memos[0]] == [12, 13]
 
 
 class TestCoefficientRatios:
@@ -226,12 +237,12 @@ class TestCoefficientRatios:
     def test_ratio_coefficients(self):
         q = 0.6
         u, v = [0.3 + 0.2j, 0.7], [0.5j, 1.4 - 0.3j]
-        terms = SpiralTerms(v, u, [1.0], [1.0], q)
+        _, term, _ = lone(v, u, [1.0], [1.0], q)
         for n in range(-12, 13):
-            want = terms(0) * q_pochhammer(u[0], q, n) * q_pochhammer(u[1], q, n) / (
+            want = term(0) * q_pochhammer(u[0], q, n) * q_pochhammer(u[1], q, n) / (
                 q_pochhammer(v[0], q, n) * q_pochhammer(v[1], q, n)
             )
-            assert abs(terms(n) - want) <= 1e-13 * abs(want)
+            assert abs(term(n) - want) <= 1e-13 * abs(want)
 
     @staticmethod
     def direct_sum(num, den, weights, rates, q, ns):
@@ -283,39 +294,40 @@ class TestTailBound:
         num, den, rows, rates, q = family_walk(monkeypatch, "family1", 4, "g1")
         for row in rows:
             _, top, bottom = recorded_walk(monkeypatch, num, den, row, rates, q)
-            terms = SpiralTerms(den, num, row, rates, q)
-            assert 0 <= top - first_negligible(terms, 0, 1) <= 3
-            assert 0 <= first_negligible(terms, -1, -1) - bottom <= 3
+            _, term, _ = lone(den, num, row, rates, q)
+            assert 0 <= top - first_negligible(term, 0, 1) <= 3
+            assert 0 <= first_negligible(term, -1, -1) - bottom <= 3
 
     def test_a_walk_past_the_spiral_underflow_certifies(self):
         # The rate 0.995 needs ~5900 terms; q**n underflows to 0 near n = 1075.
-        terms = SpiralTerms([], [], [1.0], [0.995], 0.5)
-        tail, n = TailSum(), 0
-        while not tail.add(terms(n), n, terms.tail_bound):
-            n += 1
-        assert terms.point(n) == 0
-        assert tail.total == pytest.approx(1 / (1 - 0.995), rel=1e-12)
+        terms, term, bound = lone([], [], [1.0], [0.995], 0.5)
+        total = _one_sided_sum(term, bound, 0, 1)
+        assert terms.point(len(terms.sides[1]) - 1) == 0
+        assert total == pytest.approx(1 / (1 - 0.995), rel=1e-12)
 
     def test_a_walk_with_inverse_factors_past_the_underflow_raises_typed(self):
-        # 1/s factors are undefined once s_n underflows to 0, past n = 1074.
+        # 1/s factors are undefined once s_n underflows to 0, past n = 1074;
+        # before that 1/s_n overflows to inf at n = 1024, and the term there is NaN.
         def walk():
-            return SpiralTerms([], [], [1.0], [0.995], 0.5, 1.0, [0.2], [0.2 * (1 + 1e-9)])
+            return lone([], [], [1.0], [0.995], 0.5, 1.0, [0.2], [0.2 * (1 + 1e-9)])
 
+        with pytest.raises(OverflowError, match="n = 1024 is not a number"):
+            _one_sided_sum(*walk()[1:], 0, 1)
         with pytest.raises(ConvergenceError, match="underflows"):
-            _one_sided_sum(walk(), 0, 1)
+            walk()[0].point(1075)
         # At the last nonzero point the next one underflows: no bound is certified.
-        assert walk().tail_bound(1074) == math.inf
+        assert walk()[0].tail_bound(0, 1074) == math.inf
 
     @staticmethod
     def exact_side(mp, terms, start, step, stop):
-        """The side's sum through index stop, the sum of |term| over it and
-        the sum of |term| beyond stop, each stepped exactly from the
-        anchor's products."""
-        q, s = mp.mpf(terms.q), mp.mpc(terms.origin[1])
+        """The side's sum of the walk's first row through index stop, the sum
+        of |term| over it and the sum of |term| beyond stop, each stepped
+        exactly from the anchor's products."""
+        q, s = mp.mpf(terms.q), mp.mpc(terms.point(0))
         num, den, inv_num, inv_den = (
             [mp.mpc(c) for c in f] for f in (terms.num, terms.den, terms.inv_num, terms.inv_den)
         )
-        weights, rates = [mp.mpc(w) for w in terms.weights], [mp.mpc(r) for r in terms.rates]
+        weights, rates = [mp.mpc(w) for w in terms.walk.rows[0]], [mp.mpc(r) for r in terms.walk.rates]
         value = mp.mpc(1)
         for c in num:
             value *= mp.qp(c * s, q)
@@ -355,19 +367,20 @@ class TestTailBound:
             n += step
         return side, side_abs, beyond
 
-    def check_sides(self, mp, terms):
+    def check_sides(self, mp, terms, term, bound):
+        """Each side of the walk's first row, summed by term and bound, stops
+        by its certificate, which bounds the exact tail."""
         for start, step in ((0, 1), (-1, -1)):
             # The side as bilateral_sum sums it.
-            tail, n = TailSum(), start
-            while not tail.add(terms(n), n, terms.tail_bound):
-                n += step
-            bound = terms.tail_bound(n)
-            assert bound < REL_TOL * abs(tail.total)  # it stopped by the certificate
+            asked = []
+            total = _one_sided_sum(lambda n: asked.append(n) or term(n), bound, start, step)
+            n = asked[-1]
+            assert bound(n) < REL_TOL * abs(total)  # it stopped by the certificate
             with mp.workdps(50):
                 side, side_abs, beyond = self.exact_side(mp, terms, start, step, n)
-                assert beyond <= bound
+                assert beyond <= bound(n)
                 # The omitted tail, plus the rounding of the float terms.
-                assert abs(tail.total - side) <= REL_TOL * abs(side) + 1e-14 * side_abs
+                assert abs(total - side) <= REL_TOL * abs(side) + 1e-14 * side_abs
 
     @pytest.mark.parametrize("N", [4, 8])
     @pytest.mark.parametrize("family", ["family1", "family2"])
@@ -375,7 +388,8 @@ class TestTailBound:
     def test_bilateral_tails_are_below_their_bounds(self, monkeypatch, family, N, name):
         mp = pytest.importorskip("mpmath")
         num, den, rows, rates, q = family_walk(monkeypatch, family, N, name)
-        self.check_sides(mp, SpiralTerms(den, num, rows[0], rates, q))
+        terms = SpiralTerms(den, num, PowerWalk(rates, rows[:1]), q)
+        self.check_sides(mp, terms, *terms.row(0))
 
     @pytest.mark.parametrize(
         "family, source_params, seed, which, kernel",
@@ -391,10 +405,36 @@ class TestTailBound:
         st = FAMILIES[family].setup(DRAWS[family](np.random.default_rng(100 + N), N), N)
         p = st.params
         spec = TransformSpec(source=source_params(st), mu0=0.0, xi=0.9 * abs(p.t1), kernel=kernel, alpha1=p.alpha1)
-        walks = []
+        walks, sums = [], []
+
+        class Recorded(SpiralTerms):
+            def __init__(self, *a, **k):
+                super().__init__(*a, **k)
+                walks.append(self)
+
         with monkeypatch.context() as m:
-            m.setattr(qtransform, "bilateral_sum", lambda t: walks.append(t) or bilateral_sum(t))
+            m.setattr(qtransform, "SpiralTerms", Recorded)
+            m.setattr(qtransform, "bilateral_sum", lambda *a: sums.append(a) or bilateral_sum(*a))
             transform(spec, seed(st, which, st.roots[0]), st.roots[0], 1.37 * abs(p.t1))
-        (terms,) = walks
-        assert isinstance(terms, SpiralTerms)
-        self.check_sides(mp, terms)
+        (terms,), ((term, bound),) = walks, sums
+        assert bound is not None  # the Seed is stepped, with its tail bound
+        self.check_sides(mp, terms, term, bound)
+
+    def test_a_wrapped_row_term_sums_as_the_row(self, monkeypatch):
+        # A tracer hands bilateral_sum its own closure around the term: it
+        # must be asked for the same indices and give the same sum.
+        num, den, rows, rates, q = family_walk(monkeypatch, "family1", 4, "g1")
+        plain, wrapped = (SpiralTerms(den, num, PowerWalk(rates, rows[:1]), q) for _ in range(2))
+        term, bound = wrapped.row(0)
+        asked = []
+        assert bilateral_sum(lambda n: asked.append(n) or term(n), bound) == bilateral_sum(*plain.row(0))
+        top, bottom = len(plain.walk.memos[0][1]) - 1, -len(plain.walk.memos[0][0])
+        assert asked == list(range(top + 1)) + list(range(-1, bottom - 1, -1))
+
+    def test_a_nan_term_ends_the_sum_where_it_appears(self):
+        # |term| is 1e60 at n = -20 and overflows to NaN at n = -48; the
+        # side stops there instead of walking MAX_TERMS indices.
+        walk = PowerWalk([0.6, 0.3, 1.7], [[0.0, 2.0, 0.0]])
+        with pytest.raises(OverflowError, match="n = -48 is not a number"):
+            weighted_bilateral([1.3 + 0.4j], [0.5j, 0.4 - 0.3j], walk, [0], 0.5)
+        assert len(walk.memos[0][0]) == 48

@@ -330,6 +330,10 @@ class TestVerify:
             ("N", 2.7), ("N", True), ("N", "3"), ("seed", 0.5), ("grid_count", "4"), ("root_index", False),
             # A complex value is a number or an [re, im] pair, and the error names the key.
             ("t1", [1, 2, 3]), ("xi", [1]), ("points", [[0.5, 0, 1]]),
+            # Text keys take only a string: an empty or false solution must not
+            # run every form, nor a list or a number name an unknown one.
+            ("solution", []), ("solution", 0), ("solution", False), ("solution", ["g3"]), ("solution", 5),
+            ("family", 1), ("family", ["family1"]), ("format", 0), ("format", ["csv"]),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, runner, rng, key, value):

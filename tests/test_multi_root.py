@@ -105,8 +105,8 @@ class TestSharedWalk:
 
     @staticmethod
     def alone(num, den, row, rates, q):
-        """The row summed by itself, through the generic two-sided driver."""
-        return single(lambda: bilateral_sum(SpiralTerms(den, num, row, rates, q)))
+        """The row summed by itself, on a walk of its own, by qcore.bilateral_sum."""
+        return single(lambda: bilateral_sum(*SpiralTerms(den, num, PowerWalk(rates, [row]), q).row(0)))
 
     def test_one_row_diverges_and_the_others_finish(self):
         # The rate 1.7 grows upward, so only the row that weights it fails.

@@ -12,7 +12,7 @@ from qheun.errors import ConvergenceError, DomainError, PoleError
 from qheun.qcore import (
     DIVERGENCE_WINDOW,
     REL_TOL,
-    TailSum,
+    _one_sided_sum,
     bilateral_sum,
     jackson_integral,
     phi_series,
@@ -376,24 +376,24 @@ class TestPhiSeriesOracle:
 class TestBilateralSum:
     def test_one_sided_geometric(self):
         q = 0.5
-        got = bilateral_sum(lambda n: q**n if n >= 0 else 0.0)
+        got = bilateral_sum(lambda n: q**n if n >= 0 else 0.0, None)
         assert got == pytest.approx(1 / (1 - q))
 
     def test_gaussian_decay_matches_direct_sum(self):
         q = 0.5
-        got = bilateral_sum(lambda n: q ** (n * n))
+        got = bilateral_sum(lambda n: q ** (n * n), None)
         want = math.fsum(q ** (n * n) for n in range(-200, 201))
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_constant_terms_diverge(self):
         with pytest.raises(ConvergenceError):
-            bilateral_sum(lambda n: 1.0)
+            bilateral_sum(lambda n: 1.0, None)
 
     def test_a_callable_without_a_tail_bound_stops_by_the_window(self):
         # Each side ends 49 terms after its first negligible one.
         q = 0.5
         calls = []
-        bilateral_sum(lambda n: calls.append(n) or q ** abs(n))
+        bilateral_sum(lambda n: calls.append(n) or q ** abs(n), None)
 
         def first_negligible(side):
             total = 0.0
@@ -407,45 +407,46 @@ class TestBilateralSum:
         assert calls == list(range(plus + window)) + list(range(-1, minus - window, -1))
 
 
+def scripted_side(terms, bound=None):
+    """_one_sided_sum over terms[n], n = 0, 1, ...: (its total, the indices it read)."""
+    read = []
+    total = _one_sided_sum(lambda n: read.append(n) or terms[n], bound, 0, 1)
+    return total, read
+
+
 class TestTailSum:
+    """The stop rule of one side of a two-sided sum, on scripted terms."""
+
     def test_bound_is_asked_once_a_term_is_negligible(self):
         asked = []
-        bound = lambda n: asked.append(n) or 0.0
-        tail = TailSum()
-        assert not tail.add(1.0, 0, bound)
-        assert not tail.add(1e-3, 1, bound)
-        assert asked == []
-        assert tail.add(1e-16, 2, bound)
+        total, read = scripted_side([1.0, 1e-3, 1e-16, 1.0], lambda n: asked.append(n) or 0.0)
+        assert read == [0, 1, 2]
         assert asked == [2]
+        assert total == 1.0 + 1e-3 + 1e-16
 
     def test_a_bound_not_below_rel_tol_leaves_the_window(self):
-        tail = TailSum()
-        tail.add(1.0, 0)
         window = DIVERGENCE_WINDOW
-        for n in range(1, window):
-            assert not tail.add(0.0, n, lambda n: REL_TOL)
-        assert tail.add(0.0, window, lambda n: math.inf)
+        terms = [1.0] + [0.0] * window + [1.0]
+        total, read = scripted_side(terms, lambda n: REL_TOL if n < window else math.inf)
+        assert read == list(range(window + 1))
+        assert total == 1.0
 
     def test_an_all_zero_start_never_certifies(self):
         # A zero bound is not below rel_tol times a zero total.
-        tail = TailSum()
         window = DIVERGENCE_WINDOW
-        for n in range(window - 1):
-            assert not tail.add(0.0, n, lambda n: 0.0)
-        assert tail.add(0.0, window - 1, lambda n: 0.0)  # by the window
+        total, read = scripted_side([0.0] * window + [1.0], lambda n: 0.0)
+        assert read == list(range(window))  # ended by the window
+        assert total == 0
 
     def test_nan_never_certifies(self):
-        # A NaN term makes the total NaN: no later term is negligible.
-        tail = TailSum()
-        for n, t in enumerate([math.nan, 0.0, 0.0]):
-            assert not tail.add(t, n, lambda n: 0.0)
+        # A NaN term ends the sum with an error, however small the bound.
+        with pytest.raises(OverflowError, match="term at n = 1 is not a number"):
+            scripted_side([1.0, math.nan, 0.0, 0.0], lambda n: 0.0)
         # A NaN bound certifies nothing; the window ends the sum.
-        tail = TailSum()
-        tail.add(1.0, 0)
         window = DIVERGENCE_WINDOW
-        for n in range(1, window):
-            assert not tail.add(1e-17, n, lambda n: math.nan)
-        assert tail.add(1e-17, window, lambda n: math.nan)
+        total, read = scripted_side([1.0] + [1e-17] * window + [1.0], lambda n: math.nan)
+        assert read == list(range(window + 1))
+        assert total == 1.0  # each 1e-17 rounds away
 
 
 class TestJacksonIntegral:
@@ -465,6 +466,19 @@ class TestJacksonIntegral:
     def test_zero_anchor_rejected(self):
         with pytest.raises(DomainError):
             jackson_integral(lambda s: s, 0.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            (lambda s: cmath.exp(1 / s), "OverflowError at xi = 1.0: math range error"),
+            (lambda s: math.nan, "OverflowError at xi = 1.0: term at n = 0 is not a number"),
+        ],
+        ids=["overflow", "nan"],
+    )
+    def test_an_out_of_range_term_is_a_domain_error(self, f, message):
+        with pytest.raises(DomainError) as err:
+            jackson_integral(f, 1.0, 0.5)
+        assert str(err.value) == message
 
     def test_linearity(self):
         q, xi = 0.45, 0.8
