@@ -1,22 +1,22 @@
 """Command-line front end: accessory reports, evaluation, verification.
 
 A job is described by a flat JSON config whose keys mirror the
-parameter field names; complex values are [re, im] pairs.  Flags
-override config values.  Exit codes: 0 all checks passed, 1 checks ran
-and failed, 2 configuration or precondition error.
+parameter field names; complex values are [re, im] pairs.  Each flag
+overrides the config key of its name and is checked as that key is.
+Exit codes: 0 all checks passed, 1 checks ran and failed, 2
+configuration or precondition error.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
+import functools
 import io
 import json
 import math
 from dataclasses import dataclass
 
-import click
-
-from . import acceptance
 from .accessory import root_certificate
 from .errors import PreconditionError, QHeunError
 from .family_two import Family2Setup
@@ -172,11 +172,14 @@ def _emit(cfg: JobConfig, command: str, csv_rows: list[dict], **fields) -> None:
         params.update(t1=_pair(p.t1), t2=_pair(p.t2), q=p.q)
         report = {"schema": SCHEMA, "command": command, "params": params, "family": cfg.family, "N": cfg.N}
         text = json.dumps({**report, **fields}, indent=2) + "\n"
-    if cfg.out:
+    if not cfg.out:
+        print(text, end="")
+        return
+    try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    except OSError as exc:
+        raise _fail_config(exc)
 
 
 def _fail_config(exc: Exception) -> "SystemExit":
@@ -184,7 +187,7 @@ def _fail_config(exc: Exception) -> "SystemExit":
         reason = f"precondition: {exc}"
     else:
         reason = f"{type(exc).__name__}: {exc}"
-    click.echo(json.dumps({"schema": SCHEMA, "error": {"reason": reason}}))
+    print(json.dumps({"schema": SCHEMA, "error": {"reason": reason}}))
     return SystemExit(2)
 
 
@@ -214,54 +217,21 @@ def _grid(cfg: JobConfig, form: Form, st) -> list[complex]:
     return cfg.points or form.grid(st, cfg.xi, cfg.grid_count, cfg.seed, cfg.grid_rmin, cfg.grid_rmax)
 
 
-@click.group()
-def main() -> None:
-    """Numerical reports for special solutions of the q-Heun equation."""
-
-
-_shared_options = [
-    click.option("--config", "config_path", required=True, type=click.Path(exists=True)),
-    click.option("--family", type=click.Choice(list(FAMILIES)), default=None),
-    click.option("--N", "N", type=int, default=None),
-    click.option("--solution", type=str, default=None),
-    click.option("--grid-count", "grid_count", type=int, default=None),
-    click.option("--grid-rmin", "grid_rmin", type=float, default=None),
-    click.option("--grid-rmax", "grid_rmax", type=float, default=None),
-    click.option("--seed", type=int, default=None),
-    click.option("--format", type=click.Choice(["json", "csv"]), default=None),
-    click.option("--out", type=str, default=None),
-    click.option("--tol", type=float, default=None),
-]
-
-
-def _with_shared_options(fn):
-    for opt in reversed(_shared_options):
-        fn = opt(fn)
-    return fn
-
-
-@main.command()
-@_with_shared_options
-def accessory(config_path, **overrides) -> None:
+def accessory(config: str, **overrides) -> None:
     """Report accessory-polynomial coefficients, roots and certificates."""
     try:
-        cfg = load_config(config_path, **overrides)
+        cfg = load_config(config, **overrides)
         data = _accessory_data(FAMILIES[cfg.family].setup(cfg.params, cfg.N))
     except CONFIG_ERRORS as exc:
         raise _fail_config(exc)
-    rows = [
-        {"x": r, "residual": c, "status": "root"}
-        for r, c in zip(data["roots"], data["certificates"])
-    ]
+    rows = [{"x": r, "residual": c, "status": "root"} for r, c in zip(data["roots"], data["certificates"])]
     _emit(cfg, "accessory", rows, accessory=data)
 
 
-@main.command(name="eval")
-@_with_shared_options
-def eval_cmd(config_path, **overrides) -> None:
+def eval_cmd(config: str, **overrides) -> None:
     """Evaluate one solution form on a point grid."""
     try:
-        cfg = load_config(config_path, **overrides)
+        cfg = load_config(config, **overrides)
         form = _forms(cfg)[0]
         st = FAMILIES[cfg.family].setup(cfg.params, cfg.N)
         pts = _grid(cfg, form, st)
@@ -280,12 +250,10 @@ def eval_cmd(config_path, **overrides) -> None:
     _emit(cfg, "eval", rows, solution=form.name, root_index=cfg.root_index, E=_pair(E0), rows=rows)
 
 
-@main.command()
-@_with_shared_options
-def verify(config_path, **overrides) -> None:
+def verify(config: str, **overrides) -> None:
     """Residual-check every available form at every accessory root."""
     try:
-        cfg = load_config(config_path, **overrides)
+        cfg = load_config(config, **overrides)
         forms = _forms(cfg)
         st = FAMILIES[cfg.family].setup(cfg.params, cfg.N)
         acc = _accessory_data(st)
@@ -325,15 +293,47 @@ def verify(config_path, **overrides) -> None:
     raise SystemExit(0 if all_pass else 1)
 
 
-@main.command()
 def selftest() -> None:
     """Run the full acceptance suite; exit 0 only if every criterion passes."""
+    from . import acceptance  # the suite and its samplers, loaded by this command only
+
     results = acceptance.run_all()
     for r in results:
-        click.echo(r.line())
+        print(r.line())
     failed = [r for r in results if not r.passed]
-    click.echo(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     raise SystemExit(1 if failed else 0)
+
+
+# --config names the config file; every other flag overrides a config key.
+FLAGS = (
+    ("--config", str), ("--family", str), ("--N", int), ("--solution", str),
+    ("--grid-count", int), ("--grid-rmin", float), ("--grid-rmax", float),
+    ("--seed", int), ("--format", str), ("--out", str), ("--tol", float),
+)
+
+COMMANDS = {  # name -> (function, its flags)
+    "accessory": (accessory, FLAGS), "eval": (eval_cmd, FLAGS),
+    "verify": (verify, FLAGS), "selftest": (selftest, ()),
+}
+
+
+@functools.cache
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The parser of every command, built once per program name."""
+    parser = argparse.ArgumentParser(prog=prog, description=__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, flags) in COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
+        for flag, kind in flags:
+            sub.add_argument(flag, type=kind, required=flag == "--config")
+    return parser
+
+
+def main(argv: list[str] | None = None, prog_name: str = "qheun") -> None:
+    """Run one command; a malformed command line exits 2 with a usage message."""
+    args = vars(_parser(prog_name).parse_args(argv))
+    COMMANDS[args.pop("command")][0](**args)
 
 
 if __name__ == "__main__":

@@ -191,8 +191,12 @@ def residual_reports(
     raised.  At each point x, g runs once per stencil point (x/q, qx, x,
     in that order) for the eigenvalues not yet failed, and T(x) once
     for all.  Entry j is the report residual_report gives for Es[j], or
-    the error it raises there, with exc.point set.
+    the error it raises there, with exc.point set.  An empty xs raises a
+    DomainError: a check at no point would pass any g.
     """
+    xs = list(xs)
+    if not xs:
+        raise DomainError("a residual check needs at least one point")
     failed: dict[int, QHeunError] = {}
     residuals: list[list[float]] = [[] for _ in Es]
     points: list[complex] = []
@@ -229,7 +233,7 @@ def residual_reports(
         points.append(complex(x))
     return [
         failed[j] if j in failed else ResidualReport(
-            points=tuple(points), residuals=tuple(rs), max_residual=max(rs, default=0.0)
+            points=tuple(points), residuals=tuple(rs), max_residual=max(rs)
         )
         for j, rs in enumerate(residuals)
     ]

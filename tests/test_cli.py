@@ -1,16 +1,21 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import cmath
+import io
 import json
 import math
+import os
 import re
-from dataclasses import replace
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+import qheun
 from qheun import _bilateral, _finite_sum, accessory, forms
 from qheun.accessory import (
     backward_error, exponent_at_origin, polynomial_at_root, polynomial_solution, require_root, root_certificate,
@@ -34,9 +39,30 @@ from qheun.sampling import (
 )
 
 
+@dataclass
+class Result:
+    exit_code: int
+    output: str  # stdout: the report, or the JSON error
+    stderr: str  # argparse's usage message
+
+
+class Runner:
+    """Runs a command line through main in-process, as the ``qheun`` script does."""
+
+    def invoke(self, main, argv: list[str]) -> Result:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                main(argv, prog_name="qheun")
+            code = 0
+        except SystemExit as stop:
+            code = stop.code
+        return Result(code, out.getvalue(), err.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write_config(tmp_path, p, name="job.json", **extra):
@@ -766,3 +792,71 @@ class TestDeterminism:
         assert res.exit_code == 0
         rep = json.loads(out.read_text())
         assert rep["command"] == "eval"
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv, code, reason",
+        [
+            ([], 2, None),
+            (["verify", "--config", "job.json", "--bogus", "1"], 2, None),
+            (["verify", "--config", "job.json", "--solu", "g3"], 2, None),
+            (["verify", "--config", "job.json", "--N", "1.5"], 2, None),
+            (["--help"], 0, None),
+            # Flag values meet load_config's rules, as the same values in a config file do.
+            (
+                ["verify", "--config", "missing.json"], 2,
+                "FileNotFoundError: [Errno 2] No such file or directory: 'missing.json'",
+            ),
+            (["verify", "--config", "job.json", "--family", "bogus"], 2, {"family": "bogus"}),
+            (["verify", "--config", "job.json", "--format", "xml"], 2, {"format": "xml"}),
+        ],
+        ids=[
+            "no-command", "unknown-flag", "abbreviated-flag", "fractional-N", "help",
+            "missing-config", "family", "format",
+        ],
+    )
+    def test_parse(self, tmp_path, runner, rng, monkeypatch, argv, code, reason):
+        monkeypatch.chdir(tmp_path)
+        p = random_family2_params(rng, 1)
+        write_config(tmp_path, p, family="family2", N=1, grid_count=3)
+        res = runner.invoke(main, argv)
+        assert res.exit_code == code, res.output + res.stderr
+        if argv == ["--help"]:
+            assert all(name in res.output for name in ("accessory", "eval", "verify", "selftest"))
+        elif reason is None:  # a usage message, before any config is read
+            assert res.output == "" and res.stderr.lower().startswith("usage: qheun")
+        else:
+            if isinstance(reason, dict):
+                in_file = write_config(tmp_path, p, "file.json", **reason)
+                res_file = runner.invoke(main, ["verify", "--config", in_file])
+                assert res_file.exit_code == 2
+                reason = json.loads(res_file.output)["error"]["reason"]
+            assert json.loads(res.output) == {"schema": "qheun/1", "error": {"reason": reason}}
+
+    @pytest.mark.parametrize("command", ["accessory", "eval", "verify"])
+    @pytest.mark.parametrize("out, error", [(".", "IsADirectoryError"), ("missing/report.json", "FileNotFoundError")])
+    def test_unwritable_out_exits_2(self, tmp_path, runner, rng, monkeypatch, command, out, error):
+        monkeypatch.chdir(tmp_path)
+        p = random_family2_params(rng, 1)
+        path = write_config(tmp_path, p, family="family2", N=1, grid_count=3)
+        res = runner.invoke(main, [command, "--config", path, "--out", out])
+        assert res.exit_code == 2, res.output
+        rep = json.loads(res.output)
+        assert rep["schema"] == "qheun/1"
+        assert rep["error"]["reason"].startswith(f"{error}: ")
+
+    def test_import_loads_only_numpy_and_not_the_acceptance_suite(self):
+        # Packages outside the standard library are numpy and qheun; the
+        # acceptance suite is loaded by selftest alone.
+        src = str(Path(qheun.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = (
+            "import sys; before = set(sys.modules); import qheun.cli\n"
+            "new = set(sys.modules) - before\n"
+            "print(sorted({m.partition('.')[0] for m in new} - set(sys.stdlib_module_names)), "
+            "'qheun.acceptance' in new)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['numpy', 'qheun'] False"

@@ -3,9 +3,9 @@ and every defaulted parameter of one is set by such a caller.
 
 A public top-level function of src/qheun is live when the program
 reaches it: the scripts or the benchmark harness name it (a call, an
-import or a traced-name string), a click command is it, or a live
-function or a statement of a module other than a def or an import (a
-class, a registry, a table) names it.  Anything else is on ALLOWED with the reason it is kept.
+import or a traced-name string), or a live function or a statement of
+a module other than a def or an import (a class, a registry, a table
+such as the CLI's COMMANDS) names it.  Anything else is on ALLOWED with the reason it is kept.
 
 A defaulted parameter is a knob a caller can turn.  One that no call in
 src/, scripts/ or perfbench/ sets, by keyword or by position, holds one
@@ -52,15 +52,6 @@ def names(node: ast.AST) -> set[str]:
     return found
 
 
-def is_command(fn: ast.FunctionDef) -> bool:
-    """Registered with click: decorated by ``<group>.command(...)`` or ``click.group(...)``."""
-    for dec in fn.decorator_list:
-        call = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(call, ast.Attribute) and call.attr in ("command", "group"):
-            return True
-    return False
-
-
 def scan() -> tuple[dict[str, str], set[str]]:
     """(public function -> its module, names the program reaches)."""
     public: dict[str, str] = {}
@@ -74,8 +65,6 @@ def scan() -> tuple[dict[str, str], set[str]]:
                 bodies.setdefault(node.name, []).append(node)
                 if not node.name.startswith("_"):
                     public[node.name] = path.stem
-                if is_command(node):
-                    live.add(node.name)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):  # an import alone is no call
                 live |= names(node)
     for folder in CALLERS:
@@ -94,7 +83,7 @@ PUBLIC, LIVE = scan()
 
 
 def test_scan_sees_the_package():
-    assert {"phi_series", "family1_setup", "residual_reports", "transform"} <= LIVE
+    assert {"phi_series", "family1_setup", "residual_reports", "transform", "eval_cmd", "selftest"} <= LIVE
     assert PUBLIC["phi_series"] == "qcore"
 
 

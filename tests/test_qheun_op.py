@@ -1,9 +1,11 @@
 """Operator application, cleared-equation coefficients, residuals, grids."""
 
+import numpy as np
 import pytest
 
 from qheun.accessory import exponent_at_origin, recurrence_coeffs
 from qheun.errors import DomainError, PoleError
+from qheun.forms import FAMILIES
 from qheun.qheun_op import (
     QHeunParams,
     hahn_coefficients,
@@ -13,7 +15,7 @@ from qheun.qheun_op import (
     spiral_distance,
     stencil_weights,
 )
-from qheun.sampling import random_admissible_params, random_generic_params
+from qheun.sampling import random_admissible_params, random_family2_params, random_generic_params
 
 
 def apply_qheun(p, g, x):
@@ -131,6 +133,16 @@ class TestResiduals:
         with pytest.raises(PoleError) as info:
             residual_report(p, 0.5, g, pts)
         assert info.value.point == pts[2]
+
+
+    def test_no_points_is_a_domain_error(self):
+        # A check at no point would pass E0, which is no root.
+        st = FAMILIES["family2"].setup(random_family2_params(np.random.default_rng(3), 2), 2)
+        E0 = st.roots[0] + 0.5
+        with pytest.raises(DomainError, match="at least one point"):
+            FAMILIES["family2"].form("g3").root_residuals(st, [E0], None, [])
+        with pytest.raises(DomainError, match="at least one point"):
+            residual_report(st.params, E0, lambda x: x, [])
 
 
 class TestGrid:
