@@ -33,7 +33,14 @@ Sections, per family (family1, family2):
 * pointwise: transform and limits as above, on draws at TRANSFORM_NS
   from a generator of the section's own, with each seed wrapped as the
   plain callable ``lambda s: h(s)``, which transform and
-  boundary_limits evaluate at each spiral point instead of stepping.
+  boundary_limits evaluate at each spiral point instead of stepping;
+* edges: ``Form.evaluate`` of every finite-sum form on a draw at
+  EDGES_N, from a generator of the section's own, over the roots and
+  the first root + 0.1 (no root), at the EDGE_POINTS (x = 0 among
+  them), half the low end of the form's band, twice its high end and
+  one in-band point; for family2 also on the same draw with alpha2
+  lowered by 3, where lambda1 + alpha2 <= 0; and the family's
+  finite-sum evaluator with the unknown form name "g0" at EDGE_POINTS.
 
 Then the generic family, on ``random_admissible_params`` draws at each
 N of GENERIC_NS: accessory, verify and eval as above, each of verify
@@ -50,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import hashlib
 import io
 import json
@@ -73,6 +81,8 @@ TRANSFORM_NS = (1, 2, 4)
 REPLAY_N = 2
 EVALUATE_NS = (1, 4)
 EVALUATE_POINTS = 2
+EDGES_N = 2
+EDGE_POINTS = (0.0, 1e-300, 1e300, 1e-30)
 GRID_COUNT = 4
 POINTS = 2
 DRAWS = {"family1": random_family1_params, "family2": random_family2_params}
@@ -202,9 +212,34 @@ def evaluate_section(family: str, rng: np.random.Generator, evaluate_ns) -> list
             g = form.evaluate(st, E0s, xi)
             for i, x in enumerate(pts):
                 live = list(range(i * (len(E0s) - 1) // (len(pts) - 1), len(E0s)))
-                values = [f"{type(v).__name__}: {v}" if isinstance(v, Exception) else repr(v) for v in g(x, live)]
-                out.append(f"{form.name} {x!r} {live} {values}")
+                out.append(f"{form.name} {x!r} {live} {outcomes(g(x, live))}")
     return out
+
+
+def edges_section(family: str, rng: np.random.Generator) -> list[str]:
+    out = []
+    p = DRAWS[family](rng, EDGES_N)
+    draws = [p] + ([dataclasses.replace(p, alpha2=p.alpha2 - 3.0)] if family == "family2" else [])
+    evaluator = {"family1": family_one.family1_unilateral_evaluator, "family2": family_two.family2_finite_evaluator}
+    for params in draws:
+        st = FAMILIES[family].setup(params, EDGES_N)
+        E0s = list(st.roots) + [st.roots[0] + 0.1]
+        everyone = list(range(len(E0s)))
+        for form in FAMILIES[family].forms:
+            if form.needs_xi:
+                continue
+            lo, hi = form.band(st)
+            g = form.evaluate(st, E0s, None)
+            for x in [*EDGE_POINTS, lo / 2, 2 * hi, *form.grid(st, None, 1, seed=EDGES_N)]:
+                out.append(f"{form.name} {x!r} {attempt(lambda: outcomes(g(x, everyone)))}")
+        unknown = evaluator[family](st, "g0", [st.root_coeffs[st.roots[0]]])
+        out += [f"g0 {x!r} {attempt(unknown, [0], x)}" for x in EDGE_POINTS]
+    return out
+
+
+def outcomes(values: list) -> list[str]:
+    """repr of each value, or the class and message of each error."""
+    return [f"{type(v).__name__}: {v}" if isinstance(v, Exception) else repr(v) for v in values]
 
 
 def digest_line(name: str, texts: list[str]) -> str:
@@ -225,6 +260,7 @@ def digests(
             sections["replay"] = replay_section(family, rng, Path(tmp))
             sections["evaluate"] = evaluate_section(family, np.random.default_rng([seed, index, 1]), evaluate_ns)
             sections["pointwise"] = pointwise_section(family, np.random.default_rng([seed, index, 2]), transform_ns)
+            sections["edges"] = edges_section(family, np.random.default_rng([seed, index, 3]))
             lines += [digest_line(f"{family}.{name}", texts) for name, texts in sections.items()]
         rng = np.random.default_rng([seed, len(DRAWS)])
         for name, texts in generic_sections(rng, Path(tmp), generic_ns).items():

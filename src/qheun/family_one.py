@@ -5,11 +5,10 @@ accessory polynomial, the equation admits solutions given by bilateral
 series depending on a free anchor xi (g1, g2) and, at four special
 anchors, by finite sums of N + 1 Gauss-type q-hypergeometric terms
 (g3..g6).  The forms come in two convergence regimes: g3/g4 for small
-|x|, g5/g6 for large |x|.  Each finite sum is a FiniteSum table,
-evaluated by _finite_sum.finite_evaluator; its scalar base is also the
-special anchor of the form.  Only z, the base of g4/g6 and the
-prefactor move with x: an evaluator forms R_k and the series chain of
-each term once, at its first point.  The module keeps the formulas; the
+|x|, g5/g6 for large |x|.  family1_unilateral_evaluator sums them; the
+scalar base of a finite sum is also the special anchor of the form.
+Only z, the base of g4/g6 and the prefactor move with x, so an
+evaluator forms R_k and the series chain of each term once.  The
 setup is accessory.family_setup over family1_recurrence.
 """
 
@@ -19,7 +18,6 @@ import warnings
 from typing import Callable, Literal, Sequence
 
 from ._bilateral import bilateral_evaluator
-from ._finite_sum import FiniteSum, QPower, finite_evaluator
 from .accessory import (
     INTEGER_TOL,
     FamilySetup,
@@ -35,10 +33,9 @@ from .errors import (
     DomainError,
     PreconditionError,
     QHeunError,
+    typed_at_point,
 )
-# Unused here, but perfbench/test_perfbench.py::test_tracing_restores_every_wrapped_function
-# reads this module's binding of it.
-from .qcore import q_pochhammer_ratio  # noqa: F401
+from .qcore import SeriesChain, q_pochhammer_ratio
 from .qheun_op import QHeunParams
 from .qtransform import Seed, product_seed, source_system
 
@@ -167,52 +164,76 @@ def family1_unilateral(
 def family1_unilateral_evaluator(
     setup: FamilySetup, which: UnilateralName, rows: Sequence[Sequence[complex]]
 ) -> Callable[[Sequence[int], complex], list[complex]]:
-    """at(live, x): g3..g6 at x for each coefficient row c_0..c_N of rows at a
-    position in live (_finite_sum.finite_evaluator of _unilateral_table)."""
-    return finite_evaluator(lambda x: _unilateral_table(setup, which, x), rows)
+    """at(live, x): g3..g6 at the nonzero x inside the form's domain, for each
+    coefficient row c_0..c_N of rows at a position in live.
 
-
-def _unilateral_table(setup: FamilySetup, which: UnilateralName, x: complex) -> FiniteSum:
-    """The FiniteSum of g3..g6 at the nonzero x inside the form's domain.
-
-    Term k carries (b; q)_inf / (a; q)_inf times 2phi1(u, a; b; q, z),
-    where the upper parameter a and the lower parameter b move with k.
+    The form is x**power sum_k c_k base**(k + shift) R_k 2phi1(u, a_k; b_k; q, z)
+    with R_k = (b_k; q)_inf / (a_k; q)_inf, where a_k = q**(e + step * k + tail)
+    and b_k likewise move with k, and only z, the base of g4/g6 and the
+    prefactor move with x.  So at its first point the evaluator forms u, a_k
+    and b_k, and R_k and the series chain of term k the first time a point
+    reaches k; a piece that fails is not kept.
     """
-    x = complex(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
-    lo, hi = family1_domain(setup, which)
-    if not (lo < abs(x) < hi):
-        raise ConvergenceError(f"|x| = {abs(x)} outside the ({lo:.4g}, {hi:.4g}) domain of {which}")
-    if not _bilateral_hypotheses_hold(setup):
-        warnings.warn(
-            "evaluating a unilateral form outside the bilateral hypotheses",
-            ConvergenceHypothesisWarning,
-            stacklevel=6,  # past two lambdas and typed_at_point, the caller of family1_unilateral
-        )
     p = setup.params
-    q = p.q
-    lam1 = setup.lambda1
-    lam2 = setup.lambda2
-    N = setup.N
-    shift = 0
+    q, N, lam1, lam2 = p.q, setup.N, setup.lambda1, setup.lambda2
+    # power, u's exponent and (e, step, tail) of a_k and of b_k; an unknown form fails at its point
+    power, e_u, a_exp, b_exp = {
+        "g3": (lam1, lam1 + p.alpha1, (lam1 + p.alpha2 + N, -1, 0.0), (-p.beta + 1.0, -1, 0.0)),
+        "g4": (lam2, lam2 + p.alpha2 + N, (lam2 + p.alpha1, 1, 0.0), (p.beta, 1, 1.0)),
+        "g5": (-p.alpha1, lam1 + p.alpha1, (lam2 + p.alpha1, 1, 0.0), (p.alpha1 - p.alpha2 - N, 1, 1.0)),
+        "g6": (
+            -p.alpha2, lam2 + p.alpha2 + N, (lam1 + p.alpha2 + N, -1, 0.0), (-p.alpha1 + p.alpha2 + 1.0 + N, -1, 0.0)
+        ),
+    }.get(which, (None,) * 4)
+    shift = -N if which == "g6" else 0
+    hypotheses_hold = _bilateral_hypotheses_hold(setup)
+    steady: list = []  # u, [a_k] and [b_k] once formed
+    terms: list[tuple[complex, SeriesChain]] = []  # (R_k, the chain of term k) for each k reached
+
+    def powers(e: float, step: int, tail: float) -> list[float]:
+        return [q ** (e + step * k + tail) for k in range(N + 1)]
+
+    @typed_at_point
+    def at(live: Sequence[int], x: complex) -> list[complex]:
+        x = complex(x)
+        if x == 0:
+            raise DomainError("x must be nonzero")
+        lo, hi = family1_domain(setup, which)
+        if not (lo < abs(x) < hi):
+            raise ConvergenceError(f"|x| = {abs(x)} outside the ({lo:.4g}, {hi:.4g}) domain of {which}")
+        if not hypotheses_hold:
+            warnings.warn(
+                "evaluating a unilateral form outside the bilateral hypotheses",
+                ConvergenceHypothesisWarning,
+                stacklevel=4,  # past typed_at_point, the caller of family1_unilateral
+            )
+        base = _unilateral_base(setup, which, x)
+        z = q ** (-p.h1 + 0.5) * x / p.t1 if which in ("g3", "g4") else q ** (p.l1 + 0.5) * p.t1 / x
+        if not steady:
+            steady[:] = q ** e_u, powers(*a_exp), powers(*b_exp)
+        u, a, b = steady
+        cs = [rows[j] for j in live]
+        totals = [0.0 + 0.0j] * len(cs)
+        for k in range(N + 1):
+            scalar = base ** (k + shift)
+            if k == len(terms):
+                terms.append((q_pochhammer_ratio([b[k]], [a[k]], q), SeriesChain([u, a[k]], [b[k]], q)))
+            ratio, chain = terms[k]
+            series = chain.sum(z)
+            totals = [total + scalar * c[k] * ratio * series for total, c in zip(totals, cs)]
+        pref = x ** power
+        return [pref * total for total in totals]
+
+    return at
+
+
+def _unilateral_base(setup: FamilySetup, which: UnilateralName, x: complex) -> complex:
+    """The scalar base of g3..g6 at x, which is also the form's special anchor."""
+    p = setup.params
     if which == "g3":
-        base, power = q ** (-lam1 + p.h1 - p.alpha1 + 0.5) * p.t1, lam1
-        u, a, b = q ** (lam1 + p.alpha1), QPower(lam1 + p.alpha2 + N, -1), QPower(-p.beta + 1.0, -1)
-    elif which == "g4":
-        base, power = q ** (-lam1 - p.alpha1 + 1.0) * x, lam2
-        u, a, b = q ** (lam2 + p.alpha2 + N), QPower(lam2 + p.alpha1, 1), QPower(p.beta, 1, 1.0)
-    elif which == "g5":
-        base, power = q ** (p.l1 + 0.5) * p.t1, -p.alpha1
-        u, a, b = q ** (lam1 + p.alpha1), QPower(lam2 + p.alpha1, 1), QPower(p.alpha1 - p.alpha2 - N, 1, 1.0)
-    elif which == "g6":
-        base, shift, power = x, -N, -p.alpha2
-        u, a = q ** (lam2 + p.alpha2 + N), QPower(lam1 + p.alpha2 + N, -1)
-        b = QPower(-p.alpha1 + p.alpha2 + 1.0 + N, -1)
-    else:
-        raise DomainError("which must be one of g3..g6")
-    if which in ("g3", "g4"):
-        z = q ** (-p.h1 + 0.5) * x / p.t1
-    else:
-        z = q ** (p.l1 + 0.5) * p.t1 / x
-    return FiniteSum(q, N, x, base, shift, (u, a), (b,), z, power, ratio=((b,), (a,)))
+        return p.q ** (-setup.lambda1 + p.h1 - p.alpha1 + 0.5) * p.t1
+    if which == "g4":
+        return p.q ** (-setup.lambda1 - p.alpha1 + 1.0) * x
+    if which == "g5":
+        return p.q ** (p.l1 + 0.5) * p.t1
+    return x

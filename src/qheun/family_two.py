@@ -6,12 +6,11 @@ the eigenvalue annihilates the family's accessory polynomial.  Under
 that condition the equation admits finite sums of N + 1 q-hypergeometric
 terms with two numerator rows (g3..g5, homogeneous) and a triple
 g6..g8 whose members each solve the same inhomogeneous equation, so
-that pairwise differences are again solutions.  Each finite sum is a
-FiniteSum table, evaluated by _finite_sum.finite_evaluator; its series
-parameters move with x and not with k, so the N + 1 series of a point
-share one chain and differ only in z_k.  The bilateral forms g1 and g2
-solve explicit inhomogeneous equations as well.  The module keeps the
-formulas; the setup is accessory.family_setup over family2_recurrence.
+that pairwise differences are again solutions.  family2_finite_evaluator
+sums them: the series parameters move with x and not with k, so the
+N + 1 series of a point share one chain and differ only in z_k.  The
+bilateral forms g1 and g2 solve explicit inhomogeneous equations as
+well.  The setup is accessory.family_setup over family2_recurrence.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 from ._bilateral import bilateral_evaluator, bilateral_table
-from ._finite_sum import FiniteSum, QPower, finite_evaluator
 from .accessory import (
     INTEGER_TOL,
     FamilySetup,
@@ -36,7 +34,7 @@ from .accessory import (
     one_root,
 )
 from .errors import ConvergenceError, DomainError, PreconditionError, QHeunError, typed_at_point
-from .qcore import theta
+from .qcore import SeriesChain, q_pochhammer_ratio, theta
 from .qheun_op import QHeunParams
 from .qtransform import Seed, product_seed, seed_weight_exponent, source_system
 
@@ -220,60 +218,75 @@ def family2_inhomogeneous_triple(
 def family2_finite_evaluator(
     setup: Family2Setup, which: HomogeneousName | TripleName, rows: Sequence[Sequence[complex]]
 ) -> Callable[[Sequence[int], complex], list[complex]]:
-    """at(live, x): g3..g8 at x for each coefficient row c_0..c_N of rows at a
-    position in live (_finite_sum.finite_evaluator of _finite_table)."""
-    return finite_evaluator(lambda x: _finite_table(setup, which, x), rows)
+    """at(live, x): g3..g8 at x, after the form's checks, for each coefficient
+    row c_0..c_N of rows at a position in live.
 
-
-def _finite_table(setup: Family2Setup, which: HomogeneousName | TripleName, x: complex) -> FiniteSum:
-    """The FiniteSum of g3..g8 at x, after the form's checks.
-
-    Each sums 3phi2(a1, a2, a3; b1, b2; q, z_k) series.  g3/g4 take
-    z_k = q**(lambda1 + alpha2 + N - k) and the prefactor
+    Each sums base**(k + shift) 3phi2(a1, a2, a3; b1, b2; q, z_k) over k.
+    g3/g4 take z_k = q**(lambda1 + alpha2 + N - k) and the prefactor
     x**lambda1 (b2; q)_inf / (a3; q)_inf, g5 the same z_k and
     x**(-alpha2) (b1, b2; q)_inf / (a1, a2; q)_inf; g6..g8 take
     z_k = q**(k + 1) and (1 - q) x**(-alpha1) (q, b1, b2; q)_inf / (a1, a2, a3; q)_inf.
     g3/g4 and g6/g7 are mirror images under the swap of the indices 1, 2.
+    The series parameters move with x and not with k, so the N + 1 series
+    of a point share one chain; the z_k are formed at the first point.
     """
     p = setup.params
-    q = p.q
-    lam = setup.lambda1
-    N = setup.N
-    if which in ("g3", "g4", "g5") and not lam + p.alpha2 > 0.0:
-        raise ConvergenceError("series argument needs lambda1 + alpha2 > 0")
-    x = complex(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
-    one, two = p.pairs
-    (h, l, t), (h_o, l_o, t_o) = (one, two) if which in ("g3", "g6") else (two, one)
-    if which in ("g3", "g4"):
-        own, other = q ** (lam - h + l + p.alpha1), q ** (lam - h + l_o + p.alpha1) * t_o / t
-        upper = ((own, other) if which == "g3" else (other, own)) + (q ** (-h + 0.5) * x / t,)
-        lower = (q ** (-h + h_o + 1.0) * t_o / t, q ** (lam - h + p.alpha1 + 0.5) * x / t)
-        base, shift, power = q ** (-lam + h - p.alpha1 + 0.5) * t, 0, lam
-        prefactor_ratio = lower[1:], upper[2:]
-    elif which == "g5":
-        upper = tuple(q ** (l_i + 0.5) * t_i / x for _, l_i, t_i in (one, two)) + (q ** (-lam - p.alpha1 + 1.0),)
-        lower = tuple(q ** (-lam + h_i - p.alpha1 + 1.5) * t_i / x for h_i, _, t_i in (one, two))
-        base, shift, power = x, -N, -p.alpha2
-        prefactor_ratio = lower, upper[:2]
-    elif which in ("g6", "g7"):
-        own, other = q ** (lam - h + l + p.alpha1), q ** (lam - h_o + l + p.alpha1) * (t / t_o)
-        upper = ((own, other) if which == "g6" else (other, own)) + (q ** (l + 0.5) * t / x,)
-        lower = (q ** (l - l_o + 1.0) * t / t_o, q ** (lam + l + p.alpha1 + 0.5) * t / x)
-        base = q ** (l + 0.5) * t
-    elif which == "g8":
-        upper = (q ** (-lam - p.alpha1 + 1.0),) + tuple(q ** (-h_i + 0.5) * x / t_i for h_i, _, t_i in (one, two))
-        lower = tuple(q ** (-lam - l_i - p.alpha1 + 1.5) * x / t_i for _, l_i, t_i in (one, two))
-        base = q ** (-lam - p.alpha1 + 1.0) * x
-    else:
-        raise DomainError("which must be one of g3..g8")
-    if which in ("g3", "g4", "g5"):
-        z, constant = QPower(lam + p.alpha2 + N, -1), None
-    else:
-        z, constant, shift, power = QPower(0.0, 1, 1.0), 1.0 - q, 1, -p.alpha1
-        prefactor_ratio = (q, *lower), upper
-    return FiniteSum(q, N, x, base, shift, upper, lower, z, power, constant, prefactor_ratio)
+    q, lam, N = p.q, setup.lambda1, setup.N
+    homogeneous = which in ("g3", "g4", "g5")
+    # (e, step, tail) of z_k = q**(e + step * k + tail)
+    e, step, tail = (lam + p.alpha2 + N, -1, 0.0) if homogeneous else (0.0, 1, 1.0)
+    zs: list[float] = []
+
+    @typed_at_point
+    def at(live: Sequence[int], x: complex) -> list[complex]:
+        if homogeneous and not lam + p.alpha2 > 0.0:
+            raise ConvergenceError("series argument needs lambda1 + alpha2 > 0")
+        x = complex(x)
+        if x == 0:
+            raise DomainError("x must be nonzero")
+        one, two = p.pairs
+        (h, l, t), (h_o, l_o, t_o) = (one, two) if which in ("g3", "g6") else (two, one)
+        if which in ("g3", "g4"):
+            own, other = q ** (lam - h + l + p.alpha1), q ** (lam - h + l_o + p.alpha1) * t_o / t
+            upper = ((own, other) if which == "g3" else (other, own)) + (q ** (-h + 0.5) * x / t,)
+            lower = (q ** (-h + h_o + 1.0) * t_o / t, q ** (lam - h + p.alpha1 + 0.5) * x / t)
+            base, shift, power = q ** (-lam + h - p.alpha1 + 0.5) * t, 0, lam
+            ratio = lower[1:], upper[2:]
+        elif which == "g5":
+            upper = tuple(q ** (l_i + 0.5) * t_i / x for _, l_i, t_i in (one, two)) + (q ** (-lam - p.alpha1 + 1.0),)
+            lower = tuple(q ** (-lam + h_i - p.alpha1 + 1.5) * t_i / x for h_i, _, t_i in (one, two))
+            base, shift, power = x, -N, -p.alpha2
+            ratio = lower, upper[:2]
+        elif which in ("g6", "g7"):
+            own, other = q ** (lam - h + l + p.alpha1), q ** (lam - h_o + l + p.alpha1) * (t / t_o)
+            upper = ((own, other) if which == "g6" else (other, own)) + (q ** (l + 0.5) * t / x,)
+            lower = (q ** (l - l_o + 1.0) * t / t_o, q ** (lam + l + p.alpha1 + 0.5) * t / x)
+            base = q ** (l + 0.5) * t
+        elif which == "g8":
+            upper = (q ** (-lam - p.alpha1 + 1.0),) + tuple(q ** (-h_i + 0.5) * x / t_i for h_i, _, t_i in (one, two))
+            lower = tuple(q ** (-lam - l_i - p.alpha1 + 1.5) * x / t_i for _, l_i, t_i in (one, two))
+            base = q ** (-lam - p.alpha1 + 1.0) * x
+        else:
+            raise DomainError("which must be one of g3..g8")
+        if not homogeneous:
+            shift, power, ratio = 1, -p.alpha1, ((q, *lower), upper)
+        if not zs:
+            zs[:] = [q ** (e + step * k + tail) for k in range(N + 1)]
+        cs = [rows[j] for j in live]
+        totals = [0.0 + 0.0j] * len(cs)
+        for k in range(N + 1):
+            scalar = base ** (k + shift)
+            if k == 0:
+                chain = SeriesChain(upper, lower, q)
+            series = chain.sum(zs[k])
+            totals = [total + scalar * c[k] * series for total, c in zip(totals, cs)]
+        pref = x ** power
+        if not homogeneous:
+            pref = (1.0 - q) * pref
+        pref = pref * q_pochhammer_ratio(*ratio, q)
+        return [pref * total for total in totals]
+
+    return at
 
 
 def family2_pole_spirals(setup: Family2Setup) -> list[complex]:

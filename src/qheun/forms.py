@@ -16,10 +16,10 @@ in live.  ``Form.evaluate`` resolves each E0 to its row once
 (``accessory.coeff_row``, NotARoot off the roots), makes one evaluator
 of the rows that resolved and hands it the positions of those still
 live at each point.  What an evaluator forms once, for every point it
-serves, is the work that depends on neither x nor the row: R_k and the
-series chains of family 1's finite sums, the per-k values of both
-families' finite sums and the powers of the bilateral walks; and, per
-row position, a bilateral walk's weight row and weighted power sums.
+serves, is the work that depends on neither x nor the row: the per-k
+parameters, R_k and series chains of family 1's finite sums, the z_k of
+family 2's and the powers of the bilateral walks; and, per row
+position, a bilateral walk's weight row and weighted power sums.
 The generic form's row is the polynomial solution, built once per E0
 and checked against the setup's accessory polynomial.
 ``root_residuals`` checks every root through one

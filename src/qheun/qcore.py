@@ -72,33 +72,37 @@ def q_pochhammer(a: complex, q: float, n) -> complex:
 
     Raises PoleError when a negative-n value divides by a factor
     1 - a q^k that vanishes to within POLE_CUTOFF (relative), as the
-    product kernel does.
+    product kernel does, and a float overflow or division by zero as
+    the DomainError of out_of_range at (a, n).
     """
-    if n is math.inf or (isinstance(n, float) and math.isinf(n) and n > 0):
-        return q_pochhammer_ratio([a], [], q)
-    check_q(q)
-    a = complex(a)
-    if not isinstance(n, (int,)):
-        raise DomainError(f"n must be an integer or math.inf, got {n!r}")
-    if n == 0:
-        return 1.0 + 0.0j
-    if n > 0:
-        prod = 1.0 + 0.0j
-        ak = a
-        for _ in range(n):
-            prod *= 1.0 - ak
+    try:
+        if n is math.inf or (isinstance(n, float) and math.isinf(n) and n > 0):
+            return q_pochhammer_ratio([a], [], q)
+        check_q(q)
+        a = complex(a)
+        if not isinstance(n, (int,)):
+            raise DomainError(f"n must be an integer or math.inf, got {n!r}")
+        if n == 0:
+            return 1.0 + 0.0j
+        if n > 0:
+            prod = 1.0 + 0.0j
+            ak = a
+            for _ in range(n):
+                prod *= 1.0 - ak
+                ak *= q
+            return prod
+        # (a; q)_n = 1 / (a q^n; q)_{-n}
+        denom = 1.0 + 0.0j
+        ak = a * q ** n
+        for _ in range(-n):
+            f = 1.0 - ak
+            if abs(f) < POLE_CUTOFF * (1.0 + abs(ak)):
+                raise PoleError(f"(a; q)_n has a pole at a={a!r}, n={n}")
+            denom *= f
             ak *= q
-        return prod
-    # (a; q)_n = 1 / (a q^n; q)_{-n}
-    denom = 1.0 + 0.0j
-    ak = a * q ** n
-    for _ in range(-n):
-        f = 1.0 - ak
-        if abs(f) < POLE_CUTOFF * (1.0 + abs(ak)):
-            raise PoleError(f"(a; q)_n has a pole at a={a!r}, n={n}")
-        denom *= f
-        ak *= q
-    return 1.0 / denom
+        return 1.0 / denom
+    except ArithmeticError as exc:
+        raise out_of_range(exc, f"in (a; q)_n at a = {a!r}, n = {n!r}")
 
 
 def _top_modulus(values: Sequence[complex]) -> float:
@@ -122,7 +126,9 @@ def q_pochhammer_ratio(num: Sequence[complex], den: Sequence[complex], q: float)
     lists with large arguments cancel before they can overflow.  Raises
     PoleError when a denominator factor vanishes; a level is tested for
     poles only where M q**k > POLE_FREE, with M the largest denominator
-    argument modulus, since below that no factor can vanish.
+    argument modulus, since below that no factor can vanish.  Raises
+    OverflowError where the product is not finite: the inputs are
+    finite, so some level left the float range.
     """
     check_q(q)
     # (numerator, denominator) argument pairs; a missing partner is 0,
@@ -143,6 +149,8 @@ def q_pochhammer_ratio(num: Sequence[complex], den: Sequence[complex], q: float)
                 raise PoleError(f"denominator factor (1 - {y!r}) vanishes")
             value = value * (1.0 - x) / f
         if not live:
+            if not cmath.isfinite(value):
+                raise OverflowError(f"infinite product is not finite: {value!r}")
             return value
     raise ConvergenceError("infinite product did not settle within max_terms levels")
 
@@ -197,10 +205,14 @@ def phi_series(
     Raises ConvergenceError for a non-terminating series with |z| >= 1
     or one that has not stopped within MAX_TERMS terms,
     PoleError when a lower-parameter factor vanishes before termination,
-    and DomainError for a parameter that is not finite.
+    and DomainError for a parameter that is not finite or, as
+    out_of_range, for a float overflow or division by zero.
     This is the one-chain call: SeriesChain(upper, lower, q).sum(z).
     """
-    return SeriesChain(upper, lower, q).sum(z)
+    try:
+        return SeriesChain(upper, lower, q).sum(z)
+    except ArithmeticError as exc:
+        raise out_of_range(exc, f"in phi_series at z = {z!r}")
 
 
 class SeriesChain:

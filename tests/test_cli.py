@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qheun
-from qheun import _bilateral, _finite_sum, accessory, forms
+from qheun import _bilateral, accessory, family_one, family_two, forms
 from qheun.accessory import (
     backward_error, exponent_at_origin, polynomial_at_root, polynomial_solution, require_root, root_certificate,
 )
@@ -602,8 +602,9 @@ class TestExtremeInputs:
             assert r["error"]["point"] == x
 
     def test_verify_nan_residual_fails(self, tmp_path, runner):
-        # g2's defect is nan at x = 1e-30 on this draw (its thetas overflow
-        # to inf / inf); a NaN residual meets no tolerance.
+        # g2's defect at x = 1e-30 on this draw is a theta quotient whose
+        # products leave the float range (once a NaN residual): the point
+        # is a DomainError for every root, and verify fails.
         p = random_family2_params(np.random.default_rng(11), 1)
         path = write_config(
             tmp_path, p, family="family2", N=1, solution="g2", xi=[0.8 * abs(p.t1), 0.0], points=[[1e-30, 0.0]],
@@ -611,8 +612,8 @@ class TestExtremeInputs:
         res = runner.invoke(main, ["verify", "--config", path])
         assert res.exit_code == 1, res.output
         results = json.loads(res.output)["results"]
-        assert [r["status"] for r in results] == ["fail", "fail"]
-        assert all(r["max_residual"] != r["max_residual"] for r in results)
+        assert [r["status"] for r in results] == ["error: DomainError", "error: DomainError"]
+        assert all(r["error"]["point"] == [1e-30, 0.0] for r in results)
 
     @pytest.mark.parametrize(
         "call, message",
@@ -717,14 +718,14 @@ class TestSharedWork:
 
     def test_family2_g3_one_series_chain_per_stencil_point(self, tmp_path, runner, monkeypatch):
         # The N + 1 series of a point differ only in z_k.
-        chains = self.counting(monkeypatch, _finite_sum, "SeriesChain")
+        chains = self.counting(monkeypatch, family_two, "SeriesChain")
         self.run_verify(tmp_path, runner, "family2", random_family2_params, "g3")
         assert len(chains) == 3 * self.POINTS  # 3 * POINTS * (N + 1) with one series per term
 
     def test_family1_g3_products_once_per_term(self, tmp_path, runner, monkeypatch):
         # R_k and the series chain of each term do not depend on x.
-        products = self.counting(monkeypatch, _finite_sum, "q_pochhammer_ratio")
-        chains = self.counting(monkeypatch, _finite_sum, "SeriesChain")
+        products = self.counting(monkeypatch, family_one, "q_pochhammer_ratio")
+        chains = self.counting(monkeypatch, family_one, "SeriesChain")
         self.run_verify(tmp_path, runner, "family1", random_family1_params, "g3")
         assert len(products) == self.N + 1  # 3 * POINTS * (N + 1) when formed per point
         assert len(chains) == self.N + 1

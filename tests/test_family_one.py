@@ -13,7 +13,7 @@ from qheun.errors import (
     PreconditionError,
 )
 from qheun.family_one import (
-    _unilateral_table,
+    _unilateral_base,
     family1_bilateral,
     family1_domain,
     family1_recurrence,
@@ -191,7 +191,7 @@ class TestBilateral:
         [("g1", "g5"), ("g1", "g4"), ("g2", "g3"), ("g2", "g6")],
     )
     def test_special_anchor_collapses(self, rng, bilateral, form):
-        # At its special anchor, the base of the finite form's table, the
+        # At its special anchor, the scalar base of the finite form, the
         # two-sided series drops one tail and reproduces the finite form
         # up to an x-independent constant.
         N = 1
@@ -203,7 +203,7 @@ class TestBilateral:
         xs = [r * cmath.exp(1j * ph) for ph in (0.4, -0.9, 1.7, 0.1, -2.0)]
         ratios = []
         for x in xs:
-            anchor = _unilateral_table(st, form, x).base
+            anchor = _unilateral_base(st, form, x)
             ratios.append(
                 family1_bilateral(st, bilateral, E0, anchor, x)
                 / family1_unilateral(st, form, E0, x)

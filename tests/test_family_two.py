@@ -2,10 +2,11 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qheun.accessory import Poly, one_root, recurrence_coeffs
-from qheun.errors import PreconditionError
+from qheun.errors import DomainError, PreconditionError
 from qheun.family_two import (
     apparent_equivalence,
     family2_bilateral,
@@ -212,6 +213,14 @@ class TestBilateral:
             p, E0, lambda x: family2_bilateral(st, "g2", E0, xi, x), pts
         )
         assert rep.max_residual < 1e-8
+
+    def test_g2_inhomogeneity_out_of_the_float_range_is_typed(self):
+        # The thetas of q x/xi and q**(1 - lambda1 - alpha1) x/xi overflow
+        # at x = 1e-30 on this draw; their quotient was NaN.
+        p = random_family2_params(np.random.default_rng(11), 1)
+        st = family2_setup(p, 1)
+        with pytest.raises(DomainError, match=r"^OverflowError at x = \(1e-30\+0j\): infinite product is not finite"):
+            g2_inhomogeneity(st, 0.8 * abs(p.t1), 1e-30)
 
     def test_hypothesis_enforced(self, rng):
         p = random_family2_params(rng, 0)

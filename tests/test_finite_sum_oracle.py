@@ -2,11 +2,12 @@
 
 The written-out sums below use mpmath.qhyper and mpmath.qp only, none
 of qheun's series, products, tables or walks.  Each finite-sum form is
-evaluated at one in-band point of an N = 3 draw with the coefficient
-row of its first accessory root, the bilateral forms g1/g2 at
-BILATERAL_POINTS grid points with the anchor 0.8 |t1|, and the error is
-bounded relative to the sum of the absolute terms, which a cancelling
-sum cannot make small.
+evaluated at one in-band point of a draw at each N of FINITE_NS with
+the coefficient row of its first accessory root, the bilateral forms
+g1/g2 at BILATERAL_POINTS grid points of an N = 3 draw with the anchor
+0.8 |t1|, and the error is bounded relative to the sum of the absolute
+terms, which a cancelling sum cannot make small.  The transcriptions
+read N from the setup, so an index N - k cannot pass for 3 - k.
 """
 
 import numpy as np
@@ -18,19 +19,21 @@ from qheun.sampling import random_family1_params, random_family2_params
 mp = pytest.importorskip("mpmath")
 
 N = 3
+# The finite-sum cases at N keep the ids without an N suffix.
+FINITE_NS = (N, 1, 6)
 DRAWS = {"family1": random_family1_params, "family2": random_family2_params}
 FORMS = {
     "family1": ["g3", "g4", "g5", "g6"],
     "family2": ["g3", "g4", "g5", "g6", "g7", "g8", "g6-g7", "g7-g8"],
 }
-# The worst measured ratio is 1.4e-15 (family1 g5); rounding the inputs
-# to doubles alone moves a value by about 1e-16 of that scale.
+# The worst measured ratio is 2.6e-15 (family2 g5, N = 1); rounding the
+# inputs to doubles alone moves a value by about 1e-16 of that scale.
 REL_TOL = 1e-14
 
 
 def family1_terms(st, name, x):
     """prefactor and the outer terms base**(k+shift) R_k phi_k of family-1 g3..g6, without c_k."""
-    p = st.params
+    p, N = st.params, st.N
     q = mp.mpf(p.q)
     t1 = mp.mpc(p.t1)
     h1, l1, a1, a2, beta = (mp.mpf(v) for v in (p.h1, p.l1, p.alpha1, p.alpha2, p.beta))
@@ -58,7 +61,7 @@ def family1_terms(st, name, x):
 
 def family2_terms(st, name, x):
     """prefactor and the outer terms base**(k+shift) phi_k of family-2 g3..g8, without c_k."""
-    p = st.params
+    p, N = st.params, st.N
     q = mp.mpf(p.q)
     t = {1: mp.mpc(p.t1), 2: mp.mpc(p.t2)}
     h = {1: mp.mpf(p.h1), 2: mp.mpf(p.h2)}
@@ -122,10 +125,11 @@ def oracle(family, st, name, row, x):
 
 
 def cases():
-    for family, names in FORMS.items():
-        st = FAMILIES[family].setup(DRAWS[family](np.random.default_rng(41), N), N)
-        for name in names:
-            yield pytest.param(family, st, name, id=f"{family}-{name}")
+    for n in FINITE_NS:
+        for family, names in FORMS.items():
+            st = FAMILIES[family].setup(DRAWS[family](np.random.default_rng(41), n), n)
+            for name in names:
+                yield pytest.param(family, st, name, id=f"{family}-{name}" + ("" if n == N else f"-N{n}"))
 
 
 @pytest.mark.parametrize("family, st, name", cases())

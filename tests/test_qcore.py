@@ -125,6 +125,11 @@ class TestQPochhammer:
         with pytest.raises(DomainError):
             q_pochhammer(0.3, 1.2, 2)
 
+    def test_an_overflow_is_a_domain_error(self):
+        # |1 - a q**-1| overflows in the pole check.
+        with pytest.raises(DomainError, match=r"^OverflowError in \(a; q\)_n at a = .*, n = -1: "):
+            q_pochhammer(1.5e308 + 1.5e308j, 0.9, -1)
+
 
 class TestQPochhammerRatio:
     def test_matches_high_precision_products_near_q_one(self):
@@ -141,6 +146,12 @@ class TestQPochhammerRatio:
                 qp = [mp.qp(mp.mpc(a), mp.mpf(q)) for a in args]
                 want = qp[0] * qp[1] / (qp[2] * qp[3])
                 assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_a_product_out_of_the_float_range_raises(self):
+        # The factors 1 - 3e5 * 0.9**k overflow to inf long before they
+        # settle, and inf * 0 then leaves a NaN product.
+        with pytest.raises(OverflowError, match=r"^infinite product is not finite: \(nan\+nanj\)$"):
+            q_pochhammer_ratio([3e5], [], 0.9)
 
 
 def theta_factors(t: complex, q: float) -> list[complex]:
@@ -186,6 +197,11 @@ class TestTheta:
     def test_zero_argument_rejected(self):
         with pytest.raises(DomainError):
             theta(0.0, 0.5)
+
+    def test_a_tiny_argument_overflows(self):
+        # (q/t; q)_inf with q/t = 5e199 leaves the float range.
+        with pytest.raises(OverflowError, match="not finite"):
+            theta(1e-200, 0.5)
 
     @settings(max_examples=40, deadline=None)
     @given(t=complexes(), q=QS)
@@ -247,6 +263,16 @@ class TestPhiSeries:
         # Its termination index would round a NaN or an infinity.
         with pytest.raises(DomainError, match=r"^series parameter .* is not finite$"):
             phi_series(upper, lower, 0.5, 0.3)
+
+    @pytest.mark.parametrize(
+        "upper, lower, z",
+        [([0.5], [], 1.5e308 + 1.5e308j), ([0.1, 0.2], [1.5e308 + 1.5e308j], 0.5)],
+        ids=["argument", "lower"],
+    )
+    def test_an_overflow_is_a_domain_error(self, upper, lower, z):
+        # |z| or |b| overflows: "absolute value too large".
+        with pytest.raises(DomainError, match=r"^OverflowError in phi_series at z = .*: absolute value too large$"):
+            phi_series(upper, lower, 0.5, z)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -48,8 +48,8 @@ def test_output_digest_is_stable_and_well_formed():
     cli = ["accessory", "verify", "eval"]
     common = cli + ["rows", "transform", "limits"]
     assert sections == (
-        [f"family1.{s}" for s in common + ["replay", "evaluate", "pointwise"]]
-        + [f"family2.{s}" for s in common + ["defects", "replay", "evaluate", "pointwise"]]
+        [f"family1.{s}" for s in common + ["replay", "evaluate", "pointwise", "edges"]]
+        + [f"family2.{s}" for s in common + ["defects", "replay", "evaluate", "pointwise", "edges"]]
         + [f"generic.{s}" for s in cli]
         + ["acceptance"]
     )
