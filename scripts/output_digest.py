@@ -45,8 +45,23 @@ Sections, per family (family1, family2):
 Then the generic family, on ``random_admissible_params`` draws at each
 N of GENERIC_NS: accessory, verify and eval as above, each of verify
 and eval also with ``e_offset`` E_OFFSET and at EXPLICIT_POINTS (x = 0
-among them).  Last, acceptance: each criterion of
-``acceptance.run_all`` with its pass flag and detail, not its timing.
+among them).  Then qcore, on draws from a generator of its own, at
+each q of QCORE_QS:
+
+* qcore.phi_series: ``phi_series`` at each z of QCORE_ZS on a seeded
+  2phi1 and 3phi2, and on 2phi1s with the terminating parameter q**-3,
+  the near-lattice one q**-3 (1 + 1e-9) and the lower parameter q**-2,
+  which meets a pole;
+* qcore.chain: one ``SeriesChain`` per parameter set above, summed at
+  QCORE_ZS forwards, backwards and forwards once more, so a value that
+  depends on what the chain held before shows;
+* qcore.jackson_integral: ``jackson_integral`` of s, s**2, the
+  non-decaying 1/s and two decaying rational integrands at a seeded
+  anchor.
+
+Parameter moduli stay far below the float range.  Last, acceptance:
+each criterion of ``acceptance.run_all`` with its pass flag and detail,
+not its timing.
 
 Values are hashed by repr, which round-trips a float exactly, and an
 error by its class and message, so a changed bit or message changes
@@ -70,6 +85,7 @@ import numpy as np
 from qheun import acceptance, family_one, family_two
 from qheun import cli as qcli
 from qheun.forms import FAMILIES
+from qheun.qcore import SeriesChain, jackson_integral, phi_series
 from qheun.qtransform import TransformSpec, boundary_limits, transform
 from qheun.sampling import random_admissible_params, random_family1_params, random_family2_params
 
@@ -85,6 +101,15 @@ EDGES_N = 2
 EDGE_POINTS = (0.0, 1e-300, 1e300, 1e-30)
 GRID_COUNT = 4
 POINTS = 2
+QCORE_QS = (0.3, 0.6, 0.9)
+QCORE_ZS = (0.0, 0.3 + 0.2j, -0.7j, 0.95, 1.0, 1.5 - 0.5j)
+INTEGRANDS = (
+    lambda s: s,
+    lambda s: s * s,
+    lambda s: 1 / s,
+    lambda s: s / (1 + s**4),
+    lambda s: 1 / (1 + s * s) ** 2,
+)
 DRAWS = {"family1": random_family1_params, "family2": random_family2_params}
 MODULES = {"family1": family_one, "family2": family_two}
 SEEDS = {"h1": "P1", "h2": "P2"}
@@ -237,6 +262,31 @@ def edges_section(family: str, rng: np.random.Generator) -> list[str]:
     return out
 
 
+def qcore_sections(rng: np.random.Generator) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {"phi_series": [], "chain": [], "jackson_integral": []}
+
+    def draw(count: int) -> list[complex]:
+        return [complex(*v) for v in rng.uniform(-1.2, 1.2, (count, 2))]
+
+    for q in QCORE_QS:
+        (a, b), (c,) = draw(2), draw(1)
+        params = [
+            (draw(2), draw(1)),
+            (draw(3), draw(2)),
+            ([q**-3, a], [c]),
+            ([q**-3 * (1 + 1e-9), a], [c]),
+            ([a, b], [q**-2]),
+        ]
+        for upper, lower in params:
+            out["phi_series"] += [f"{q!r} {z!r} {attempt(phi_series, upper, lower, q, z)}" for z in QCORE_ZS]
+            chain = SeriesChain(upper, lower, q)
+            zs = [*QCORE_ZS, *reversed(QCORE_ZS), *QCORE_ZS]
+            out["chain"] += [f"{q!r} {z!r} {attempt(chain.sum, z)}" for z in zs]
+        (xi,) = draw(1)
+        out["jackson_integral"] += [attempt(jackson_integral, f, xi, q) for f in INTEGRANDS]
+    return out
+
+
 def outcomes(values: list) -> list[str]:
     """repr of each value, or the class and message of each error."""
     return [f"{type(v).__name__}: {v}" if isinstance(v, Exception) else repr(v) for v in values]
@@ -265,6 +315,8 @@ def digests(
         rng = np.random.default_rng([seed, len(DRAWS)])
         for name, texts in generic_sections(rng, Path(tmp), generic_ns).items():
             lines.append(digest_line(f"generic.{name}", texts))
+    for name, texts in qcore_sections(np.random.default_rng([seed, len(DRAWS) + 1])).items():
+        lines.append(digest_line(f"qcore.{name}", texts))
     lines.append(digest_line("acceptance", acceptance_section()))
     return lines
 

@@ -14,6 +14,7 @@ setup is accessory.family_setup over family1_recurrence.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from typing import Callable, Literal, Sequence
 
@@ -170,9 +171,9 @@ def family1_unilateral_evaluator(
     The form is x**power sum_k c_k base**(k + shift) R_k 2phi1(u, a_k; b_k; q, z)
     with R_k = (b_k; q)_inf / (a_k; q)_inf, where a_k = q**(e + step * k + tail)
     and b_k likewise move with k, and only z, the base of g4/g6 and the
-    prefactor move with x.  So at its first point the evaluator forms u, a_k
-    and b_k, and R_k and the series chain of term k the first time a point
-    reaches k; a piece that fails is not kept.
+    prefactor move with x.  So the evaluator forms u, a_k, b_k, R_k and the
+    series chain of term k the first time a point reaches k; a piece that
+    fails is not kept.
     """
     p = setup.params
     q, N, lam1, lam2 = p.q, setup.N, setup.lambda1, setup.lambda2
@@ -187,11 +188,7 @@ def family1_unilateral_evaluator(
     }.get(which, (None,) * 4)
     shift = -N if which == "g6" else 0
     hypotheses_hold = _bilateral_hypotheses_hold(setup)
-    steady: list = []  # u, [a_k] and [b_k] once formed
     terms: list[tuple[complex, SeriesChain]] = []  # (R_k, the chain of term k) for each k reached
-
-    def powers(e: float, step: int, tail: float) -> list[float]:
-        return [q ** (e + step * k + tail) for k in range(N + 1)]
 
     @typed_at_point
     def at(live: Sequence[int], x: complex) -> list[complex]:
@@ -209,15 +206,15 @@ def family1_unilateral_evaluator(
             )
         base = _unilateral_base(setup, which, x)
         z = q ** (-p.h1 + 0.5) * x / p.t1 if which in ("g3", "g4") else q ** (p.l1 + 0.5) * p.t1 / x
-        if not steady:
-            steady[:] = q ** e_u, powers(*a_exp), powers(*b_exp)
-        u, a, b = steady
         cs = [rows[j] for j in live]
         totals = [0.0 + 0.0j] * len(cs)
         for k in range(N + 1):
             scalar = base ** (k + shift)
+            if not cmath.isfinite(scalar):  # a negative power of a large base overflows
+                scalar = (1.0 / base) ** -(k + shift)
             if k == len(terms):
-                terms.append((q_pochhammer_ratio([b[k]], [a[k]], q), SeriesChain([u, a[k]], [b[k]], q)))
+                u, (a, b) = q ** e_u, [q ** (e + step * k + tail) for e, step, tail in (a_exp, b_exp)]
+                terms.append((q_pochhammer_ratio([b], [a], q), SeriesChain([u, a], [b], q)))
             ratio, chain = terms[k]
             series = chain.sum(z)
             totals = [total + scalar * c[k] * ratio * series for total, c in zip(totals, cs)]

@@ -15,6 +15,7 @@ well.  The setup is accessory.family_setup over family2_recurrence.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
@@ -276,6 +277,8 @@ def family2_finite_evaluator(
         totals = [0.0 + 0.0j] * len(cs)
         for k in range(N + 1):
             scalar = base ** (k + shift)
+            if not cmath.isfinite(scalar):  # a negative power of a large base overflows
+                scalar = (1.0 / base) ** -(k + shift)
             if k == 0:
                 chain = SeriesChain(upper, lower, q)
             series = chain.sum(zs[k])

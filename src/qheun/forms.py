@@ -148,7 +148,10 @@ class Family:
             raise out_of_range(exc, f"in setup at q = {p.q!r}, N = {N}")
 
     def form(self, name: str) -> Form:
-        return next(f for f in self.forms if f.name == name)
+        for f in self.forms:
+            if f.name == name:
+                return f
+        raise PreconditionError(f"unknown form {name!r}; the family has {', '.join(f.name for f in self.forms)}")
 
 
 def _band(lo: float, hi: float) -> Callable:

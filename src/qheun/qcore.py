@@ -12,11 +12,10 @@ Conventions fixed for the whole package:
 
 phi_series is one SeriesChain summed once.  A chain holds what a
 series does not owe to its argument z (the factors, denominators and
-pole checks of each term, and the tail-bound products), so a caller
-that sums one parameter set at many z, such as the N + 1 terms of a
-finite-sum form, forms that work once and keeps the chain for as long
-as it needs it.  Every value it gives is bit-for-bit the phi_series
-value.
+pole checks of each term), so a caller that sums one parameter set at
+many z, such as the N + 1 terms of a finite-sum form, forms that work
+once and keeps the chain for as long as it needs it.  Every value it
+gives is bit-for-bit the phi_series value.
 
 bilateral_sum, by _one_sided_sum, is the package's one two-sided loop:
 a side stops at the caller's tail bound, or without one by the window.
@@ -52,7 +51,6 @@ _TINY = 1e-300
 # A denominator factor 1 - b q**k with |b| q**k <= POLE_FREE cannot
 # vanish, so its pole check is skipped there.
 POLE_FREE = 0.5
-_UNKNOWN = object()  # a SeriesChain field not formed yet
 
 
 def check_q(q: float) -> float:
@@ -218,20 +216,20 @@ def phi_series(
 class SeriesChain:
     """The z-free part of phi_series(upper, lower, q, z), summed at any number of z.
 
-    Level n holds the upper factors (1 - a q**n), the denominator
-    (1 - q**(n+1)) prod (1 - b q**n), whose pole check it has passed,
-    and q**(n+1); the two products of the tail bound at that level join
-    it the first time a term there is negligible.  Levels are formed on
-    first use, so a chain holds as many as its longest sum needed, and a
-    level is kept only once it is formed: every sum that reaches a pole
-    raises a PoleError of its own.  The termination index and the
-    parameter moduli are likewise formed by the first sum that needs
-    them.  sum(z) runs the series loop and stop rule of phi_series on
-    these levels, with the same floating-point operations in the same
-    order, so its value does not depend on what the chain held before.
+    The constructor forms the termination index and the parameter
+    moduli.  Level n holds the upper factors (1 - a q**n), the
+    denominator (1 - q**(n+1)) prod (1 - b q**n), whose pole check it
+    has passed, and q**(n+1).  Levels are formed on first use, so a
+    chain holds as many as its longest sum needed, and a level is kept
+    only once it is formed: every sum that reaches a pole raises a
+    PoleError of its own.  The two products of the tail bound are formed
+    where a term is negligible, and not kept.  sum(z) runs the series
+    loop and stop rule of phi_series on these levels, with the same
+    floating-point operations in the same order, so its value does not
+    depend on what the chain held before.
     """
 
-    __slots__ = ("q", "ups", "los", "lo_moduli", "factors", "dens", "powers", "bounds", "stop", "moduli")
+    __slots__ = ("q", "ups", "los", "stop", "moduli", "factors", "dens", "powers")
 
     def __init__(self, upper: Sequence[complex], lower: Sequence[complex], q: float) -> None:
         check_q(q)
@@ -243,32 +241,13 @@ class SeriesChain:
             if not cmath.isfinite(a):
                 raise DomainError(f"series parameter {a!r} is not finite")
         self.q = q
-        # |b| per lower parameter, for the pole-check bound (no overflow error).
-        self.lo_moduli = [math.hypot(b.real, b.imag) for b in self.los]
+        self.stop = _termination_index(self.ups, q)  # the termination index, or None
+        # |a| per upper and |b| per lower parameter, and max |b|; an overflowing modulus raises
+        abs_ups, abs_los = [abs(a) for a in self.ups], [abs(b) for b in self.los]
+        self.moduli = (abs_ups, abs_los, max(abs_los, default=0.0))
         self.factors: list[list[complex]] = []  # level n: the upper factors
         self.dens: list[complex] = []  # level n: the denominator
         self.powers = [1.0]  # q**n for n = 0 .. the number of levels
-        self.bounds: dict[int, tuple | None] = {}  # level n: tail-bound products, or None
-        self.stop = _UNKNOWN  # the termination index, or None
-        self.moduli = None  # (|a| per upper, |b| per lower, max |b|)
-
-    def _bound(self, n: int) -> tuple | None:
-        """(prod (1 + |a_i| y), (1 - q y) prod (1 - |b_j| y)) at y = q**(n+1), or
-        None where some 1 - |b_j| y may not be positive."""
-        try:
-            return self.bounds[n]
-        except KeyError:
-            pass
-        abs_ups, abs_los, max_lo = self.moduli
-        qn = self.powers[n + 1]
-        bound = None
-        if max_lo * qn < 1.0:
-            bound = (
-                math.prod(1.0 + a * qn for a in abs_ups),
-                (1.0 - self.q * qn) * math.prod(1.0 - b * qn for b in abs_los),
-            )
-        self.bounds[n] = bound
-        return bound
 
     def sum(self, z: complex) -> complex:
         """phi_series(upper, lower, q, z)."""
@@ -276,18 +255,13 @@ class SeriesChain:
         if z == 0:
             return 1.0 + 0.0j
         stop = self.stop
-        if stop is _UNKNOWN:
-            stop = self.stop = _termination_index(self.ups, self.q)
         if stop is None and abs(z) >= 1.0:
             raise ConvergenceError(f"non-terminating series with |z| = {abs(z)} >= 1")
-        if self.moduli is None:
-            abs_ups = [abs(a) for a in self.ups]
-            abs_los = [abs(b) for b in self.los]
-            self.moduli = (abs_ups, abs_los, max(abs_los, default=0.0))
-        q, ups, lower = self.q, self.ups, list(zip(self.los, self.lo_moduli))
+        q, ups, (abs_ups, abs_los, max_lo) = self.q, self.ups, self.moduli
+        lower = list(zip(self.los, abs_los))
         all_factors, dens, powers = self.factors, self.dens, self.powers
         formed = len(dens)
-        prod, rel_tol, tiny = math.prod, REL_TOL, _TINY
+        prod, rel_tol, tiny, inf = math.prod, REL_TOL, _TINY, math.inf
         total = 0.0 + 0.0j
         term = 1.0 + 0.0j
         for n in range(MAX_TERMS):
@@ -312,14 +286,19 @@ class SeriesChain:
             # z times the factors in order: the ratio of term n + 1 to term n.
             term = term * prod(factors, start=z) / den
             if stop is None:
-                # The tail bound is formed only once the term itself is negligible.
                 mag = abs(term)
+                if not mag < inf:  # the inputs are finite, so some level left the float range
+                    raise OverflowError(f"series term at n = {n + 1} is not finite: {term!r}")
                 size = abs(total + term)
                 limit = rel_tol * (tiny if tiny > size else size)  # max(size, _TINY), a NaN kept
+                # The tail bound, at y = q**(n+1), is formed only once the term is negligible,
+                # and only where every 1 - |b_j| y is positive.
                 if mag <= limit:
-                    bound = self._bound(n)
-                    if bound is not None:
-                        rho = abs(z) * bound[0] / bound[1]
+                    y = powers[n + 1]
+                    if max_lo * y < 1.0:
+                        rho = abs(z) * prod(1.0 + a * y for a in abs_ups) / (
+                            (1.0 - q * y) * prod(1.0 - b * y for b in abs_los)
+                        )
                         if rho < 1.0 and mag <= limit * (1.0 - rho):
                             return total + term
         raise ConvergenceError("series did not reach the stopping rule within max_terms")
@@ -387,24 +366,6 @@ def bilateral_sum(term: Callable[[int], complex], bound: Callable[[int], float] 
     return plus + minus
 
 
-def q_spiral(xi: complex, q: float) -> Callable[[int], complex]:
-    """Cached map n -> q**n * xi, filled incrementally to avoid pow overflow."""
-    cache = {0: complex(xi)}
-    lo = [0]
-    hi = [0]
-
-    def point(n: int) -> complex:
-        while hi[0] < n:
-            cache[hi[0] + 1] = cache[hi[0]] * q
-            hi[0] += 1
-        while lo[0] > n:
-            cache[lo[0] - 1] = cache[lo[0]] / q
-            lo[0] -= 1
-        return cache[n]
-
-    return point
-
-
 def jackson_integral(
     f: Callable[[complex], complex],
     xi: complex,
@@ -412,15 +373,23 @@ def jackson_integral(
 ) -> complex:
     """q-integral of f along the spiral {q^n xi}: (1-q) sum_n q^n xi f(q^n xi).
 
-    An overflow, a NaN term included, raises the DomainError of out_of_range at xi.
+    Each point is stepped from its neighbour toward n = 0, s_{n-1} * q above
+    and s_{n+1} / q below, which bilateral_sum's order n = 0, 1, ... then
+    -1, -2, ... always asks for just before.  An overflow, a NaN term
+    included, raises the DomainError of out_of_range at xi.
     """
     check_q(q)
     if xi == 0:
         raise DomainError("the anchor point xi must be nonzero")
-    spiral = q_spiral(xi, q)
+    anchor = complex(xi)
+    last = [anchor]  # the point asked for last
 
     def term(n: int) -> complex:
-        s = spiral(n)
+        if n > 0:
+            s = last[0] * q
+        else:
+            s = anchor if n == 0 else (anchor if n == -1 else last[0]) / q
+        last[0] = s
         return complex(s * f(s))
 
     try:

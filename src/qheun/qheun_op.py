@@ -109,8 +109,14 @@ def stencil_weights(p: QHeunParams, x: complex) -> tuple[complex, complex, compl
         raise DomainError("the operator is singular at x = 0")
     q = p.q
     x = complex(x)
-    down = (x - q ** (p.h1 + 0.5) * p.t1) * (x - q ** (p.h2 + 0.5) * p.t2) / x
-    up = q ** (p.alpha1 + p.alpha2) * (x - q ** (p.l1 - 0.5) * p.t1) * (x - q ** (p.l2 - 0.5) * p.t2) / x
+    a, b = q ** (p.h1 + 0.5) * p.t1, q ** (p.h2 + 0.5) * p.t2
+    down = (x - a) * (x - b) / x
+    if not cmath.isfinite(down):  # |x|**2 left the float range
+        down = (x - a) * ((x - b) / x)
+    c, a, b = q ** (p.alpha1 + p.alpha2), q ** (p.l1 - 0.5) * p.t1, q ** (p.l2 - 0.5) * p.t2
+    up = c * (x - a) * (x - b) / x
+    if not cmath.isfinite(up):
+        up = c * (x - a) * ((x - b) / x)
     mid = -((q ** p.alpha1 + q ** p.alpha2) * x + _b0(p) / x)
     return down, up, mid
 

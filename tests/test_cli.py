@@ -21,7 +21,7 @@ from qheun.accessory import (
     backward_error, exponent_at_origin, polynomial_at_root, polynomial_solution, require_root, root_certificate,
 )
 from qheun.cli import main
-from qheun.errors import DomainError, NotARoot
+from qheun.errors import DomainError, NotARoot, PreconditionError
 from qheun.family_one import (
     family1_bilateral, family1_domain, family1_seed, family1_setup, family1_source_params, family1_unilateral,
 )
@@ -681,6 +681,10 @@ class TestExtremeInputs:
         assert len(family.form("g3").grid(st, None, 3, seed=0)) == 3
         with pytest.raises(DomainError, match=r"^OverflowError in the g5 grid at q = 1e-40: "):
             family.form("g5").grid(st, None, 3, seed=0)
+
+    def test_an_unknown_form_name_is_a_precondition_error(self):
+        with pytest.raises(PreconditionError, match=r"^unknown form 'g9'; the family has g1, g2, g3, g4, g5, g6$"):
+            forms.FAMILIES["family1"].form("g9")
 
 
 def jackson(st, kernel, xi):

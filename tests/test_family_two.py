@@ -222,6 +222,16 @@ class TestBilateral:
         with pytest.raises(DomainError, match=r"^OverflowError at x = \(1e-30\+0j\): infinite product is not finite"):
             g2_inhomogeneity(st, 0.8 * abs(p.t1), 1e-30)
 
+    @pytest.mark.parametrize("name, x", [("g3", 1e300), ("g4", 1e300), ("g8", 1e300), ("g6", 1e-300)])
+    def test_a_series_term_out_of_the_float_range_is_typed_at_its_point(self, name, x):
+        # Series parameters near 1e300 overflow a term's product within a few
+        # dozen levels; each root's sum stops there instead of at MAX_TERMS.
+        st = family2_setup(random_family2_params(np.random.default_rng([1, 1, 3]), 2), 2)
+        for v in FAMILY2.form(name).evaluate(st, list(st.roots), None)(x + 0j, [0, 1, 2]):
+            assert isinstance(v, DomainError)
+            assert str(v).startswith(f"OverflowError at x = {x + 0j!r}: series term at n = ")
+            assert "is not finite" in str(v)
+
     def test_hypothesis_enforced(self, rng):
         p = random_family2_params(rng, 0)
         bad = replace(p, alpha2=p.alpha2 - 3.0)

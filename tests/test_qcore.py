@@ -12,6 +12,7 @@ from qheun.errors import ConvergenceError, DomainError, PoleError
 from qheun.qcore import (
     DIVERGENCE_WINDOW,
     REL_TOL,
+    SeriesChain,
     _one_sided_sum,
     bilateral_sum,
     jackson_integral,
@@ -266,11 +267,18 @@ class TestPhiSeries:
 
     @pytest.mark.parametrize(
         "upper, lower, z",
-        [([0.5], [], 1.5e308 + 1.5e308j), ([0.1, 0.2], [1.5e308 + 1.5e308j], 0.5)],
-        ids=["argument", "lower"],
+        [
+            ([0.5], [], 1.5e308 + 1.5e308j),
+            ([0.1, 0.2], [1.5e308 + 1.5e308j], 0.5),
+            ([1.5e308 + 1.5e308j, 0.2], [0.3], 0.0),
+            ([0.1, 0.2], [1.5e308 + 1.5e308j], 2.0),
+        ],
+        ids=["argument", "lower", "upper-at-zero", "lower-outside-the-disc"],
     )
     def test_an_overflow_is_a_domain_error(self, upper, lower, z):
-        # |z| or |b| overflows: "absolute value too large".
+        # |z| or |b| overflows: "absolute value too large".  A chain forms
+        # every parameter modulus before any sum, so that error comes
+        # before the value 1 at z = 0 and the |z| >= 1 check.
         with pytest.raises(DomainError, match=r"^OverflowError in phi_series at z = .*: absolute value too large$"):
             phi_series(upper, lower, 0.5, z)
 
@@ -387,10 +395,18 @@ class TestPhiSeriesOracle:
             phi_series([0.3, 0.7j], [0.2], 0.5, z)
 
     def test_growing_at_the_term_budget_diverges(self):
-        # Terms grow while |a| q**n > 1 until they overflow, so no later
-        # term certifies the tail within the term budget.
-        with pytest.raises(ConvergenceError):
+        # Terms grow while |a| q**n > 1 until they overflow, and the first
+        # term that is not finite ends the sum.
+        with pytest.raises(DomainError, match=r"^OverflowError in phi_series at z = 0.5: series term at n = \d+ is not finite"):
             phi_series([1e6, 1e6], [0.5], 0.9, 0.5)
+
+    def test_a_term_out_of_the_float_range_stops_the_sum(self):
+        # The term ratio tends to 5 z, and its product z (1 - 1e300 q**n) ...
+        # overflows long before the series could settle at n ~ 1000.
+        chain = SeriesChain([0.5, 1e300], [2e299], 0.5)
+        with pytest.raises(OverflowError, match=r"^series term at n = \d+ is not finite"):
+            chain.sum(0.9)
+        assert len(chain.dens) < 100
 
     def test_tail_not_certified_within_the_term_budget(self):
         # At |z| = 0.9995 the terms fall by at most that ratio, so no stop

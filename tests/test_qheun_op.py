@@ -1,5 +1,8 @@
 """Operator application, cleared-equation coefficients, residuals, grids."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,12 @@ from qheun.qheun_op import (
     spiral_distance,
     stencil_weights,
 )
-from qheun.sampling import random_admissible_params, random_family2_params, random_generic_params
+from qheun.sampling import (
+    random_admissible_params,
+    random_family1_params,
+    random_family2_params,
+    random_generic_params,
+)
 
 
 def apply_qheun(p, g, x):
@@ -143,6 +151,19 @@ class TestResiduals:
             FAMILIES["family2"].form("g3").root_residuals(st, [E0], None, [])
         with pytest.raises(DomainError, match="at least one point"):
             residual_report(st.params, E0, lambda x: x, [])
+
+    @pytest.mark.parametrize(
+        "family, draw, seed, name",
+        [("family1", random_family1_params, [1, 0, 3], "g6"), ("family2", random_family2_params, [1, 1, 3], "g5")],
+        ids=["family1-g6", "family2-g5"],
+    )
+    def test_points_beyond_the_square_root_of_the_float_range(self, family, draw, seed, name):
+        # |x|**2 and the finite sum's base**-N leave the float range there.
+        st = FAMILIES[family].setup(draw(np.random.default_rng(seed), 2), 2)
+        pts = [1e160 + 0j, 1e300 + 0j, 1e160 * cmath.exp(0.7j)]
+        assert all(cmath.isfinite(w) for x in pts for w in stencil_weights(st.params, x))
+        for rep in FAMILIES[family].form(name).root_residuals(st, list(st.roots), None, pts):
+            assert math.isfinite(rep.max_residual) and rep.max_residual < 1e-8
 
 
 class TestGrid:
