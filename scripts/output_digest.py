@@ -59,7 +59,14 @@ each q of QCORE_QS:
   non-decaying 1/s and two decaying rational integrands at a seeded
   anchor.
 
-Parameter moduli stay far below the float range.  Last, acceptance:
+Parameter moduli stay far below the float range.  Then recurrence, on
+draws from a generator of its own: for generic
+(``random_generic_params``), family1 and family2, one draw at each N of
+RECURRENCE_NS and one at EXTREME_N taken once with each q of
+EXTREME_QS, each with the setup's accessory polynomial, roots and
+``root_coeffs``, ``accessory_poly`` and ``accessory_poly_expanded``,
+family2's ``d_poly`` and, for generic, ``series_coefficients`` up to
+c_N at each root.  Last, acceptance:
 each criterion of ``acceptance.run_all`` with its pass flag and detail,
 not its timing.
 
@@ -84,10 +91,16 @@ import numpy as np
 
 from qheun import acceptance, family_one, family_two
 from qheun import cli as qcli
+from qheun.accessory import accessory_poly, accessory_poly_expanded, series_coefficients
 from qheun.forms import FAMILIES
 from qheun.qcore import SeriesChain, jackson_integral, phi_series
 from qheun.qtransform import TransformSpec, boundary_limits, transform
-from qheun.sampling import random_admissible_params, random_family1_params, random_family2_params
+from qheun.sampling import (
+    random_admissible_params,
+    random_family1_params,
+    random_family2_params,
+    random_generic_params,
+)
 
 VERIFY_NS = (1, 2, 4, 6, 8)
 GENERIC_NS = (0, 1, 2, 4)
@@ -101,6 +114,9 @@ EDGES_N = 2
 EDGE_POINTS = (0.0, 1e-300, 1e300, 1e-30)
 GRID_COUNT = 4
 POINTS = 2
+RECURRENCE_NS = range(13)
+EXTREME_N = 6
+EXTREME_QS = (0.02, 0.98)
 QCORE_QS = (0.3, 0.6, 0.9)
 QCORE_ZS = (0.0, 0.3 + 0.2j, -0.7j, 0.95, 1.0, 1.5 - 0.5j)
 INTEGRANDS = (
@@ -287,6 +303,30 @@ def qcore_sections(rng: np.random.Generator) -> dict[str, list[str]]:
     return out
 
 
+def recurrence_section(rng: np.random.Generator) -> list[str]:
+    out = []
+    draws = {"generic": lambda rng, N: random_generic_params(rng), **DRAWS}
+    for family, draw in draws.items():
+        cases = [(draw(rng, N), N) for N in RECURRENCE_NS]
+        extreme = draw(rng, EXTREME_N)
+        cases += [(dataclasses.replace(extreme, q=q), EXTREME_N) for q in EXTREME_QS]
+        for p, N in cases:
+            routes = [attempt(accessory_poly, p, N), attempt(accessory_poly_expanded, p, N)]
+            out.append(f"{family} {N} {p.q!r} {routes} {attempt(setup_outputs, family, p, N)}")
+    return out
+
+
+def setup_outputs(family: str, p, N: int) -> list:
+    """A setup's accessory, roots and rows; family2's d_poly; the generic series at each root."""
+    st = FAMILIES[family].setup(p, N)
+    values = [st.accessory, st.roots, st.root_coeffs]
+    if family == "family2":
+        values.append(st.d_poly)
+    if family == "generic":
+        values += [attempt(series_coefficients, p, r, N) for r in st.roots]
+    return values
+
+
 def outcomes(values: list) -> list[str]:
     """repr of each value, or the class and message of each error."""
     return [f"{type(v).__name__}: {v}" if isinstance(v, Exception) else repr(v) for v in values]
@@ -317,6 +357,7 @@ def digests(
             lines.append(digest_line(f"generic.{name}", texts))
     for name, texts in qcore_sections(np.random.default_rng([seed, len(DRAWS) + 1])).items():
         lines.append(digest_line(f"qcore.{name}", texts))
+    lines.append(digest_line("recurrence", recurrence_section(np.random.default_rng([seed, len(DRAWS) + 2]))))
     lines.append(digest_line("acceptance", acceptance_section()))
     return lines
 

@@ -1,16 +1,18 @@
 """Accessory polynomials and local series solutions at the origin.
 
 A formal solution x^lambda * sum c_n x^n of the eigen-equation forces
-the coefficients through a three-term recurrence.  Truncating at degree
-N and demanding consistency yields a monic polynomial of degree N + 1
-in the eigenvalue; its roots are exactly the eigenvalues admitting
+the coefficients through a three-term recurrence, given by its triples
+at indices 1..N+1.  Truncating at degree N and demanding consistency
+yields a monic polynomial of degree N + 1 in the eigenvalue, formed on
+coefficient lists; its roots are exactly the eigenvalues admitting
 polynomial-type solutions (under the integer exponent condition) or an
 apparent singularity at the origin (when beta = N + 1).  The roots are
 companion-matrix eigenvalues; the coefficients c_0..c_N at each root are
-an eigenvector of the recurrence's tridiagonal matrix, solved when a setup's root_coeffs is first read.
-All three families keep them in a FamilySetup, built by family_setup.  coeff_row checks an eigenvalue against the
-polynomial and returns the coefficients of its root: the one way a
-solution form takes a root.
+an eigenvector of the recurrence's tridiagonal matrix, solved when a
+setup's root_coeffs is first read.  All three families keep them in a
+FamilySetup, built by family_setup.  coeff_row checks an eigenvalue
+against the polynomial and returns the coefficients of its root: the
+one way a solution form takes a root.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,10 +46,7 @@ class Poly:
 
     @staticmethod
     def of(values: Sequence[complex]) -> "Poly":
-        cs = [complex(v) for v in values]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
+        return Poly(tuple(_stripped([complex(v) for v in values])))
 
     @property
     def degree(self) -> int:
@@ -60,24 +59,26 @@ class Poly:
     def __call__(self, value: complex) -> complex:
         return horner(self.coeffs, value)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0j] * (n - len(other.coeffs))
-        return Poly.of([x + y for x, y in zip(a, b)])
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scaled(-1.0)
+def _stripped(cs: list[complex]) -> list[complex]:
+    """cs without its trailing zero coefficients, the constant one kept."""
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return cs
 
-    def scaled(self, s: complex) -> "Poly":
-        return Poly.of([s * c for c in self.coeffs])
 
-    def times_linear(self, y: complex) -> "Poly":
-        """Multiply by (X + y) where X is the polynomial variable."""
-        shifted = [0j] + list(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            shifted[i] += y * c
-        return Poly.of(shifted)
+def _plus(a: list[complex], b: list[complex]) -> list[complex]:
+    """a + b, the shorter list padded with 0j."""
+    n = max(len(a), len(b))
+    return _stripped([u + v for u, v in zip(a + [0j] * (n - len(a)), b + [0j] * (n - len(b)))])
+
+
+def _times_x_plus(cs: list[complex], y: complex) -> list[complex]:
+    """cs times (X + y), X the polynomial variable: 0j + y c_0, c_{i-1} + y c_i, c_last."""
+    out = [0j] + cs
+    for i, c in enumerate(cs):
+        out[i] += y * c
+    return _stripped(out)
 
 
 def horner(coeffs: Sequence[complex], x: complex) -> complex:
@@ -95,10 +96,6 @@ def coeff_gap(a: Poly, b: Poly) -> float:
     cb = list(b.coeffs) + [0j] * (n - len(b.coeffs))
     scale = max(max(abs(v) for v in ca), max(abs(v) for v in cb), 1e-300)
     return max(abs(x - y) for x, y in zip(ca, cb)) / scale
-
-
-POLY_ONE = Poly((1.0 + 0.0j,))
-POLY_ZERO = Poly((0.0 + 0.0j,))
 
 
 @dataclass(frozen=True)
@@ -153,40 +150,44 @@ def recurrence_coeffs(p: QHeunParams, n: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(x=x, y=y, z=z)
 
 
-def run_poly_recursion(
-    triple: Callable[[int], RecurrenceCoeffs],
-    N: int,
-    scale: float,
-) -> tuple[list[Poly], Poly]:
-    """Coefficient polynomials c_0..c_N and the consistency polynomial.
+def _forward_rows(E: complex, recurrence: Iterable[RecurrenceCoeffs], scale: float = 0.0) -> list[complex]:
+    """c_0 = 1, c_k = ((E + y_k) c_{k-1} - z_k c_{k-2}) / x_k; DegenerateRecurrence where |x_k| < 1e-14 scale."""
+    c = [0j, 1.0 + 0j]  # c_{-1}, c_0
+    for k, rc in enumerate(recurrence, 1):
+        if abs(rc.x) < DEGENERATE_REL * scale:
+            raise DegenerateRecurrence(f"leading coefficient x_{k} vanishes: c_{k} is undetermined")
+        c.append(((E + rc.y) * c[-1] - rc.z * c[-2]) / rc.x)
+    return c[1:]
 
-    c_0 = 1 and x_n c_n = c_{n-1}(E + y_n) - c_{n-2} z_n; the returned
-    consistency polynomial is x_1..x_N [c_N (E + y_{N+1}) - c_{N-1} z_{N+1}],
-    monic of degree N + 1.  Raises DegenerateRecurrence when some x_n
-    with n <= N is numerically zero relative to the supplied scale.
+
+def run_poly_recursion(recurrence: Sequence[RecurrenceCoeffs], scale: float) -> tuple[list[Poly], Poly]:
+    """Coefficient polynomials c_0..c_N and the consistency polynomial of the triples of indices 1..N+1.
+
+    c_0 = 1 and x_n c_n = c_{n-1}(E + y_n) - c_{n-2} z_n; the returned consistency polynomial
+    is x_1..x_N [c_N (E + y_{N+1}) - c_{N-1} z_{N+1}], monic of degree N + 1.  Raises
+    DegenerateRecurrence when some x_n with n <= N is numerically zero relative to scale.
     """
-    if N < 0:
+    if not recurrence:
         raise DomainError("N must be non-negative")
-    polys = [POLY_ONE]
-    prev = POLY_ZERO
-    xs_product = 1.0 + 0.0j
-    for n in range(1, N + 1):
-        rc = triple(n)
+    c, xs_product = [[0j], [1.0 + 0.0j]], 1.0 + 0.0j  # c_{-1}, c_0; x_1 ... x_{n-1}
+    for n, rc in enumerate(recurrence, 1):
+        row = _plus(_times_x_plus(c[-1], rc.y), [-1.0 * v for v in _stripped([rc.z * v for v in c[-2]])])
+        if n == len(recurrence):
+            return [Poly(tuple(cs)) for cs in c[1:]], Poly(tuple(_stripped([xs_product * v for v in row])))
         if abs(rc.x) < DEGENERATE_REL * scale:
             raise DegenerateRecurrence(f"leading coefficient x_{n} vanishes")
-        nxt = (polys[-1].times_linear(rc.y) - prev.scaled(rc.z)).scaled(1.0 / rc.x)
-        prev = polys[-1]
-        polys.append(nxt)
+        s = 1.0 / rc.x
+        c.append(_stripped([s * v for v in row]))
         xs_product *= rc.x
-    tail = triple(N + 1)
-    closing = polys[-1].times_linear(tail.y) - prev.scaled(tail.z)
-    return polys, closing.scaled(xs_product)
+
+
+def _origin_recurrence(p: QHeunParams, N: int) -> list[RecurrenceCoeffs]:
+    return [recurrence_coeffs(p, n) for n in range(1, N + 2)]
 
 
 def accessory_poly(p: QHeunParams, N: int) -> Poly:
     """Monic degree-(N+1) accessory polynomial, built from the recurrence."""
-    _, c = run_poly_recursion(lambda n: recurrence_coeffs(p, n), N, abs(p.t1 * p.t2))
-    return c
+    return run_poly_recursion(_origin_recurrence(p, N), abs(p.t1 * p.t2))[1]
 
 
 def gap_subsets(N: int) -> list[list[int]]:
@@ -197,37 +198,36 @@ def gap_subsets(N: int) -> list[list[int]]:
     return out
 
 
-def expand_accessory_poly(triple: Callable[[int], RecurrenceCoeffs], N: int) -> Poly:
-    """Closed-form expansion of the consistency polynomial.
+def expand_accessory_poly(recurrence: Sequence[RecurrenceCoeffs]) -> Poly:
+    """Closed-form expansion of the consistency polynomial of the triples of indices 1..N+1.
 
     Sums (-1)^k x_{i_1} z_{i_1+1} ... x_{i_k} z_{i_k+1} times the
     product of (E + y_j) over the untouched indices j in {1..N+1},
     over all index sets with gaps >= 2 (the empty set included).  No
     division by x_n occurs, so degenerate recurrences are fine here.
     """
-    data = {n: triple(n) for n in range(1, N + 2)}
-    total = POLY_ZERO
-    for subset in gap_subsets(N):
+    total = [0j]
+    for subset in gap_subsets(len(recurrence) - 1):
         covered = set()
         weight = 1.0 + 0.0j
         for i in subset:
-            weight *= data[i].x * data[i + 1].z
+            weight *= recurrence[i - 1].x * recurrence[i].z
             covered.update((i, i + 1))
         if len(subset) % 2:
             weight = -weight
-        term = Poly((weight,))
-        for j in range(1, N + 2):
+        term = [weight]
+        for j, rc in enumerate(recurrence, 1):
             if j not in covered:
-                term = term.times_linear(data[j].y)
-        total = total + term
-    return total
+                term = _times_x_plus(term, rc.y)
+        total = _plus(total, term)
+    return Poly(tuple(total))
 
 
 def accessory_poly_expanded(p: QHeunParams, N: int) -> Poly:
     """Accessory polynomial via the direct expansion (division-free oracle)."""
     if N < 0:
         raise DomainError("N must be non-negative")
-    return expand_accessory_poly(lambda n: recurrence_coeffs(p, n), N)
+    return expand_accessory_poly(_origin_recurrence(p, N))
 
 
 def poly_roots(poly: Poly) -> list[complex]:
@@ -281,10 +281,8 @@ def accessory_rows(
         j = np.argmin(abs(values - r))
         E, column = complex(values[j]), vectors[:, j].tolist()
         peak = max(range(len(column)), key=lambda i: abs(column[i]))
-        c = [0j, 1.0 + 0j]  # c_{-1}, c_0
-        for rc in recurrence[:peak]:
-            c.append(((E + rc.y) * c[-1] - rc.z * c[-2]) / rc.x)
-        coeffs[r] = tuple(c[1:] + [v * c[-1] / column[peak] for v in column[peak + 1:]])
+        c = _forward_rows(E, recurrence[:peak])
+        coeffs[r] = tuple(c + [v * c[-1] / column[peak] for v in column[peak + 1:]])
     return coeffs
 
 
@@ -313,7 +311,7 @@ class FamilySetup:
 def family_setup(p: QHeunParams, N: int, triple: Callable[[QHeunParams, int, int], RecurrenceCoeffs]) -> FamilySetup:
     """The FamilySetup of the triples triple(p, N, n), n = 1..N+1; the caller checks its family's relation."""
     recurrence = tuple(triple(p, N, n) for n in range(1, N + 2))
-    _, cpoly = run_poly_recursion(lambda n: recurrence[n - 1], N, abs(p.t1 * p.t2))
+    _, cpoly = run_poly_recursion(recurrence, abs(p.t1 * p.t2))
     return FamilySetup(p, N, exponent_at_origin(p), recurrence, cpoly, tuple(poly_roots(cpoly)))
 
 
@@ -410,18 +408,8 @@ def series_coefficients(p: QHeunParams, E: complex, M: int) -> list[complex]:
     """
     if M < 0:
         raise DomainError("M must be non-negative")
-    scale = abs(p.t1 * p.t2)
-    out = [1.0 + 0.0j]
-    c_prev2 = 0.0 + 0.0j
-    c_prev1 = 1.0 + 0.0j
-    for n in range(1, M + 1):
-        rc = recurrence_coeffs(p, n)
-        if abs(rc.x) < DEGENERATE_REL * scale:
-            raise DegenerateRecurrence(f"leading coefficient x_{n} vanishes: c_{n} is undetermined")
-        c_n = (c_prev1 * (complex(E) + rc.y) - c_prev2 * rc.z) / rc.x
-        out.append(c_n)
-        c_prev2, c_prev1 = c_prev1, c_n
-    return out
+    triples = (recurrence_coeffs(p, n) for n in range(1, M + 1))
+    return _forward_rows(complex(E), triples, abs(p.t1 * p.t2))
 
 
 def polynomial_degree(p: QHeunParams) -> tuple[int, int] | None:

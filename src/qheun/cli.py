@@ -284,11 +284,12 @@ def verify(config: str, **overrides) -> None:
                 )
             results.append(result)
     all_pass = all(r["status"] == "pass" for r in results)
-    rows = [
-        {"x": x, "residual": r, "status": f"{res['form']}[{res['root_index']}]:{res['status']}"}
-        for res in results
-        for x, r in zip(res["points"], res["residuals"])
-    ]
+    rows = []
+    for res in results:
+        status = f"{res['form']}[{res['root_index']}]:{res['status']}"
+        if "error" in res:  # one row at the error's point, with no value or residual
+            rows.append({"x": res["error"]["point"] or ("", ""), "status": status})
+        rows += [{"x": x, "residual": r, "status": status} for x, r in zip(res["points"], res["residuals"])]
     _emit(cfg, "verify", rows, tol=cfg.tol, accessory=acc, results=results, all_pass=all_pass)
     raise SystemExit(0 if all_pass else 1)
 

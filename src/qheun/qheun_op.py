@@ -197,8 +197,9 @@ def residual_reports(
     raised.  At each point x, g runs once per stencil point (x/q, qx, x,
     in that order) for the eigenvalues not yet failed, and T(x) once
     for all.  Entry j is the report residual_report gives for Es[j], or
-    the error it raises there, with exc.point set.  An empty xs raises a
-    DomainError: a check at no point would pass any g.
+    the error it raises there, with exc.point set.  A point where every
+    term of Es[j]'s equation is exactly 0 ends entry j in a DomainError,
+    and an empty xs raises one: a check there would pass any g.
     """
     xs = list(xs)
     if not xs:
@@ -233,6 +234,10 @@ def residual_reports(
         for j in live:
             down, up, mid = (w * v for w, v in zip(weights, stencil[j]))
             eg = Es[j] * stencil[j][2]
+            if not (down or up or mid or eg or extra):  # a check of zeros would pass any g
+                failed[j] = DomainError("every term of the equation is zero, so the residual checks nothing")
+                failed[j].point = x
+                continue
             defect = down + up + mid - eg - extra
             scale = max(abs(down), abs(up), abs(mid), abs(eg), abs(extra), _TINY)
             residuals[j].append(abs(defect) / scale)
@@ -258,7 +263,7 @@ def spiral_distance(x: complex, bases: Sequence[complex], q: float) -> float:
     if ax == 0:
         return 0.0
     lnq = math.log(q)
-    for b in bases:
+    for b in filter(None, bases):  # a zero base is no spiral
         k0 = (math.log(ax) - math.log(abs(b))) / lnq  # ax / |b| may leave the float range
         for k in range(math.floor(k0) - 1, math.floor(k0) + 3):
             s = b * q ** k

@@ -115,7 +115,15 @@ class TestRecurrence:
 
 def coefficient_polys(p, N):
     """Eigenvalue polynomials c_0(E)..c_N(E) of the local series coefficients."""
-    return run_poly_recursion(lambda n: recurrence_coeffs(p, n), N, abs(p.t1 * p.t2))[0]
+    return run_poly_recursion([recurrence_coeffs(p, n) for n in range(1, N + 2)], abs(p.t1 * p.t2))[0]
+
+
+def poly_from_roots(roots):
+    """The monic polynomial prod (X - r) over roots, by the schoolbook product."""
+    cs = [1.0 + 0j]
+    for r in roots:
+        cs = [a - r * b for a, b in zip([0j] + cs, cs + [0j])]
+    return Poly.of(cs)
 
 
 class TestCoefficientPolys:
@@ -206,6 +214,19 @@ class TestAccessoryPoly:
                 )
                 assert abs(a.lead - 1.0) < 1e-10
 
+    def test_all_triples_are_formed_before_the_recursion(self):
+        # beta = 1 makes x_1 vanish, and at q = 0.02 the triple of index
+        # 201 overflows.  accessory_poly forms every triple first, as
+        # family_setup does, so the overflow comes first; the local
+        # series checks each triple before it forms the next.
+        p = params(beta=1.0, q=0.02)
+        with pytest.raises(OverflowError):
+            accessory_poly(p, 200)
+        with pytest.raises(DegenerateRecurrence, match="x_1 vanishes"):
+            accessory_poly(p, 2)
+        with pytest.raises(DegenerateRecurrence, match="x_1 vanishes: c_1 is undetermined"):
+            series_coefficients(p, 0.3, 200)
+
 
 class TestPolyRoots:
     def test_linear(self):
@@ -223,16 +244,14 @@ class TestPolyRoots:
             assert min(abs(r - e) for e in explicit) < 1e-10 * max(1, abs(r))
 
     def test_constructed_cubic(self):
-        poly = Poly.of([1.0]).times_linear(-1.0).times_linear(-2.0).times_linear(-3.0)
+        poly = poly_from_roots([1.0, 2.0, 3.0])
         got = sorted(poly_roots(poly), key=lambda z: z.real)
         assert got[0] == pytest.approx(1.0, abs=1e-12)
         assert got[1] == pytest.approx(2.0, abs=1e-12)
         assert got[2] == pytest.approx(3.0, abs=1e-12)
 
     def test_roots_come_back_sorted(self):
-        poly = Poly.of([1.0])
-        for r in (2.0 - 1j, -0.9 + 3j, 2.1 + 1j, 0.5, -1.0 - 3j):
-            poly = poly.times_linear(-r)
+        poly = poly_from_roots([2.0 - 1j, -0.9 + 3j, 2.1 + 1j, 0.5, -1.0 - 3j])
         got = poly_roots(poly)
         want = [-1.0 - 3j, -0.9 + 3j, 0.5, 2.0 - 1j, 2.1 + 1j]
         assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
@@ -314,7 +333,7 @@ class TestRootCoefficients:
     def test_small_n_matches_coefficient_polys(self, rng):
         for N in (0, 1, 2):
             st = family2_setup(random_family2_params(rng, N), N)
-            polys, _ = run_poly_recursion(lambda n: st.recurrence[n - 1], N, abs(st.params.t1 * st.params.t2))
+            polys, _ = run_poly_recursion(st.recurrence, abs(st.params.t1 * st.params.t2))
             for root in st.roots:
                 got = coeff_values(st.root_coeffs, root)
                 want = [c(root) for c in polys]

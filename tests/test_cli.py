@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, determinism."""
 
 import cmath
+import csv
 import io
 import json
 import math
@@ -286,6 +287,35 @@ class TestVerify:
             assert r["status"] == "error: ConvergenceError"
             assert r["error"]["message"] == "series argument needs lambda1 + alpha2 > 0"
             assert len(r["error"]["point"]) == 2
+
+    def test_csv_error_results_are_rows(self, tmp_path, runner):
+        # Off the roots g3 ends in NotARoot at each root's first point:
+        # one CSV row each, at that point, with no value or residual.
+        p = random_family2_params(np.random.default_rng(3), 1)
+        job = dict(family="family2", N=1, grid_count=3, e_offset=0.1, solution="g3")
+        res = runner.invoke(main, ["verify", "--config", write_config(tmp_path, p, **job, format="csv")])
+        assert res.exit_code == 1, res.output
+        header, *rows = csv.reader(io.StringIO(res.output))
+        assert header == ["x_re", "x_im", "value_re", "value_im", "residual", "status"]
+        results = json.loads(runner.invoke(main, ["verify", "--config", write_config(tmp_path, p, **job)]).output)["results"]
+        assert len(results) == 2
+        assert rows == [
+            [*map(repr, r["error"]["point"]), "", "", "", f"g3[{r['root_index']}]:error: NotARoot"] for r in results
+        ]
+
+    def test_all_zero_terms_are_an_error_result(self, tmp_path, runner):
+        # g3 underflows to 0 around 1e160, far outside its band.
+        p = random_family2_params(np.random.default_rng([1, 1, 3]), 2)
+        path = write_config(tmp_path, p, family="family2", N=2, solution="g3", points=[[1.0, 0.0], [1e160, 0.0]])
+        res = runner.invoke(main, ["verify", "--config", path])
+        assert res.exit_code == 1, res.output
+        results = json.loads(res.output)["results"]
+        assert len(results) == 3
+        for r in results:
+            assert r["status"] == "error: DomainError"
+            assert r["error"] == {
+                "message": "every term of the equation is zero, so the residual checks nothing", "point": [1e160, 0.0],
+            }
 
     @pytest.mark.parametrize(
         "family, draw, message",

@@ -100,11 +100,24 @@ class TestHahnForm:
 
 
 class TestResiduals:
-    def test_zero_function_scores_zero(self, rng, default_grid):
+    def test_zero_function_checks_nothing(self, rng, default_grid):
+        # Every term of the equation is 0, so the check would pass any g.
         p = random_generic_params(rng)
-        rep = residual_report(p, 1.0, lambda x: 0.0, default_grid(p, count=5))
-        assert rep.max_residual == 0
-        assert all(r == 0 for r in rep.residuals)
+        pts = default_grid(p, count=5)
+        with pytest.raises(DomainError, match="every term of the equation is zero") as err:
+            residual_report(p, 1.0, lambda x: 0.0, pts)
+        assert err.value.point == pts[0]
+
+    def test_values_that_underflow_to_zero_are_a_domain_error(self):
+        # Far outside their band g3 and g4 underflow to 0 at 1e160, and g6
+        # at 1e300, at every stencil point; the in-band point 1.0 checks.
+        st = FAMILIES["family2"].setup(random_family2_params(np.random.default_rng([1, 1, 3]), 2), 2)
+        for name, x in (("g3", 1e160), ("g4", 1e160), ("g6", 1e300)):
+            reports = FAMILIES["family2"].form(name).root_residuals(st, list(st.roots), None, [1.0, x])
+            assert len(reports) == 3
+            for rep in reports:
+                assert isinstance(rep, DomainError) and rep.point == x, (name, rep)
+                assert str(rep) == "every term of the equation is zero, so the residual checks nothing"
 
     def test_non_solution_scores_large(self, rng, default_grid):
         p = random_admissible_params(rng, 0, which_alpha=1)
@@ -180,6 +193,21 @@ class TestGrid:
             pts = default_grid(p, count=20, seed=seed)
             bases = singular_spirals(p)
             assert all(spiral_distance(x, bases, p.q) > 1e-6 for x in pts)
+
+    def test_a_zero_base_is_no_spiral(self):
+        # family1 g1/g2 and every family2 form add xi to their spirals
+        # whenever it is given, so an anchor xi = 0 reached spiral_distance.
+        assert spiral_distance(1.1 + 0.2j, [0j, 2.0], 0.5) == spiral_distance(1.1 + 0.2j, [2.0], 0.5)
+        rng = np.random.default_rng(3)
+        for family, draw in (("family2", random_family2_params), ("family1", random_family1_params)):
+            st = FAMILIES[family].setup(draw(rng, 1), 1)
+            for form in FAMILIES[family].forms:
+                if form.needs_xi:
+                    pts = form.grid(st, 0j, 3, seed=1)
+                    for rep in form.root_residuals(st, list(st.roots), 0j, pts):
+                        assert isinstance(rep, DomainError) and str(rep) == "xi and x must be nonzero"
+                elif family == "family2":
+                    assert form.grid(st, 0j, 3, seed=1) == form.grid(st, None, 3, seed=1), form.name
 
     def test_deterministic(self, rng, default_grid):
         p = random_generic_params(rng)

@@ -52,7 +52,7 @@ def test_output_digest_is_stable_and_well_formed():
         + [f"family2.{s}" for s in common + ["defects", "replay", "evaluate", "pointwise", "edges"]]
         + [f"generic.{s}" for s in cli]
         + ["qcore.phi_series", "qcore.chain", "qcore.jackson_integral"]
-        + ["acceptance"]
+        + ["recurrence", "acceptance"]
     )
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     assert len({line.split()[1] for line in lines}) == len(lines)
