@@ -10,7 +10,7 @@ import csv
 import sys
 
 from qheun.accessory import coeff_gap
-from qheun.family_two import family2_setup
+from qheun.forms import FAMILIES
 from qheun.qheun_op import QHeunParams
 
 
@@ -31,7 +31,7 @@ def main() -> None:
             alpha1=0.7, alpha2=-0.2, beta=args.N + 1.0,
             t1=1.0 + 0.4j, t2=0.8 - 0.9j, q=q,
         )
-        st = family2_setup(p, args.N)
+        st = FAMILIES["family2"].setup(p, args.N)
         # Agreement gap between the two accessory routes, as a sanity column.
         gap = coeff_gap(st.accessory, st.d_poly)
         for j, root in enumerate(st.roots):

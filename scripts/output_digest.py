@@ -66,7 +66,11 @@ RECURRENCE_NS and one at EXTREME_N taken once with each q of
 EXTREME_QS, each with the setup's accessory polynomial, roots and
 ``root_coeffs``, ``accessory_poly`` and ``accessory_poly_expanded``,
 family2's ``d_poly`` and, for generic, ``series_coefficients`` up to
-c_N at each root.  Last, acceptance:
+c_N at each root.  Then errors: one line per entry point typed by
+``errors.typed`` (and ``transform`` for ``typed_at_point``), with the
+class and message it raises on the extreme finite input of
+tests/test_errors.py.  Then scripts.transform_demo: the stdout of
+scripts/transform_demo.py at each N of DEMO_NS.  Last, acceptance:
 each criterion of ``acceptance.run_all`` with its pass flag and detail,
 not its timing.
 
@@ -83,6 +87,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import runpy
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -91,10 +97,11 @@ import numpy as np
 
 from qheun import acceptance, family_one, family_two
 from qheun import cli as qcli
-from qheun.accessory import accessory_poly, accessory_poly_expanded, series_coefficients
+from qheun.accessory import accessory_poly, accessory_poly_expanded, apparent_singularity_check, series_coefficients
 from qheun.forms import FAMILIES
-from qheun.qcore import SeriesChain, jackson_integral, phi_series
-from qheun.qtransform import TransformSpec, boundary_limits, transform
+from qheun.qcore import SeriesChain, jackson_integral, phi_series, q_pochhammer
+from qheun.qheun_op import QHeunParams
+from qheun.qtransform import TransformSpec, boundary_limits, kernel_value, transform
 from qheun.sampling import (
     random_admissible_params,
     random_family1_params,
@@ -126,6 +133,7 @@ INTEGRANDS = (
     lambda s: s / (1 + s**4),
     lambda s: 1 / (1 + s * s) ** 2,
 )
+DEMO_NS = (1, 2)
 DRAWS = {"family1": random_family1_params, "family2": random_family2_params}
 MODULES = {"family1": family_one, "family2": family_two}
 SEEDS = {"h1": "P1", "h2": "P2"}
@@ -327,6 +335,54 @@ def setup_outputs(family: str, p, N: int) -> list:
     return values
 
 
+def errors_sections() -> dict[str, list[str]]:
+    """Each typed entry point on the extreme input of tests/test_errors.py: its outcome."""
+    rng = np.random.default_rng(7)
+    f1, f2, g = [draw(rng, 2) for draw in (random_family1_params, random_family2_params, random_admissible_params)]
+    s1, s2 = FAMILIES["family1"].setup(f1, 2), FAMILIES["family2"].setup(f2, 2)
+    flat = dict(h1=0.0, h2=0.0, l1=0.0, l2=0.0, alpha1=0.0, alpha2=0.0, t1=1.0, t2=1.0, q=0.02)
+
+    def jackson(family: str, st, kernel: str, xi: complex) -> tuple:
+        module = MODULES[family]
+        source = getattr(module, f"{family}_source_params")(st)
+        spec = TransformSpec(source=source, mu0=0.0, xi=xi, kernel=kernel, alpha1=st.params.alpha1)
+        return spec, getattr(module, f"{family}_seed")(st, {"P1": "h1", "P2": "h2"}[kernel], st.roots[0])
+
+    cases = {
+        "Family.setup": lambda: FAMILIES["generic"].setup(dataclasses.replace(g, q=1e-80), 2),
+        "Form.grid": lambda: FAMILIES["family1"].form("g5").grid(
+            FAMILIES["family1"].setup(dataclasses.replace(f1, q=1e-40), 2), None, 3, 0
+        ),
+        "q_pochhammer": lambda: q_pochhammer(1.5e308 + 1.5e308j, 0.9, -1),
+        "phi_series": lambda: phi_series([1e6, 1e6], [0.5], 0.9, 0.5),
+        "jackson_integral": lambda: jackson_integral(lambda s: cmath.exp(1 / s), 1.0, 0.5),
+        "kernel_value": lambda: kernel_value(jackson("family2", s2, "P2", 1.0)[0], 1e300, 1.0),
+        "boundary_limits": lambda: boundary_limits(*jackson("family1", s1, "P1", 1e300)),
+        "transform": lambda: transform(*jackson("family2", s2, "P2", 1.0), s2.roots[0], 1e-300),
+        "accessory_poly": lambda: accessory_poly(QHeunParams(beta=1.0, **flat), 200),
+        "accessory_poly_expanded": lambda: accessory_poly_expanded(dataclasses.replace(g, q=1e-80), 2),
+        "series_coefficients": lambda: series_coefficients(QHeunParams(beta=0.5, **flat), 1.0, 200),
+        "apparent_singularity_check": lambda: apparent_singularity_check(QHeunParams(beta=201.0, **flat), 1.0, 200),
+    }
+    return {name: [name, attempt(call)] for name, call in cases.items()}
+
+
+def demo_section() -> list[str]:
+    """The stdout of scripts/transform_demo.py at each N of DEMO_NS."""
+    out = []
+    argv = sys.argv
+    try:
+        for N in DEMO_NS:
+            sys.argv = ["transform_demo.py", "--N", str(N)]
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                runpy.run_path(str(Path(__file__).with_name("transform_demo.py")), run_name="__main__")
+            out.append(buf.getvalue())
+    finally:
+        sys.argv = argv
+    return out
+
+
 def outcomes(values: list) -> list[str]:
     """repr of each value, or the class and message of each error."""
     return [f"{type(v).__name__}: {v}" if isinstance(v, Exception) else repr(v) for v in values]
@@ -358,6 +414,8 @@ def digests(
     for name, texts in qcore_sections(np.random.default_rng([seed, len(DRAWS) + 1])).items():
         lines.append(digest_line(f"qcore.{name}", texts))
     lines.append(digest_line("recurrence", recurrence_section(np.random.default_rng([seed, len(DRAWS) + 2]))))
+    lines += [digest_line(f"errors.{name}", texts) for name, texts in errors_sections().items()]
+    lines.append(digest_line("scripts.transform_demo", demo_section()))
     lines.append(digest_line("acceptance", acceptance_section()))
     return lines
 

@@ -12,13 +12,9 @@ import argparse
 
 import numpy as np
 
-from qheun.family_one import (
-    family1_bilateral,
-    family1_seed,
-    family1_setup,
-    family1_source_params,
-)
-from qheun.qheun_op import residual_report
+from qheun.accessory import one_root
+from qheun.family_one import family1_seed, family1_source_params
+from qheun.forms import FAMILIES
 from qheun.qtransform import TransformSpec, transform
 from qheun.sampling import random_family1_params
 
@@ -32,20 +28,22 @@ def main() -> None:
 
     rng = np.random.default_rng(args.seed)
     p = random_family1_params(rng, args.N)
-    st = family1_setup(p, args.N)
+    st = FAMILIES["family1"].setup(p, args.N)
     E0 = st.roots[0]
     src = family1_source_params(st)
     xi = 0.9 * abs(p.t1)
     seed_fn = family1_seed(st, "h1", E0)
     spec = TransformSpec(source=src, mu0=0.0, xi=xi, kernel="P1", alpha1=p.alpha1)
+    form = FAMILIES["family1"].form("g1")
+    g1 = form.solution(st, E0, xi)
 
     print(f"# N = {args.N}, q = {p.q:.4f}, accessory root E0 = {E0:.6g}")
     print(f"{'x':>10} {'|series|':>14} {'|transform|':>14} {'rel diff':>10} {'residual':>10}")
     for k in range(args.points):
         x = xi * p.q ** (-(0.53 + 0.61 * k))
-        series = family1_bilateral(st, "g1", E0, xi, x)
+        series = g1(x)
         integral = transform(spec, seed_fn, E0, x)
-        rep = residual_report(p, E0, lambda v: family1_bilateral(st, "g1", E0, xi, v), [x])
+        rep = one_root(form.root_residuals(st, [E0], xi, [x]))
         print(
             f"{x:10.4f} {abs(series):14.8g} {abs(integral):14.8g} "
             f"{abs(series - integral) / abs(series):10.2e} {rep.max_residual:10.2e}"

@@ -3,8 +3,8 @@
 Each criterion returns (passed, detail); run_one times one criterion
 and run_all runs them all.  The CLI `selftest` subcommand and
 tests/test_acceptance.py both drive this module, so the shipped
-package can re-verify itself.  Criteria 4, 5 and 7 take their forms
-and residual grids from the registry in qheun.forms.
+package can re-verify itself.  Every criterion that needs a setup, a
+form or a residual grid takes it from the registry in qheun.forms.
 """
 
 from __future__ import annotations
@@ -18,19 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .accessory import accessory_poly, accessory_poly_expanded, coeff_gap, one_root
-from .family_one import family1_bilateral, family1_seed, family1_source_params
-from .family_two import (
-    apparent_equivalence,
-    family2_bilateral,
-    family2_homogeneous,
-    family2_pole_spirals,
-    family2_seed,
-    family2_setup,
-    family2_source_params,
-)
+from .family_one import family1_seed, family1_source_params
+from .family_two import apparent_equivalence, family2_seed, family2_source_params
 from .forms import FAMILIES
 from .qcore import phi_series, q_pochhammer, q_pochhammer_ratio, theta
-from .qheun_op import QHeunParams, grid_points, spiral_distance
+from .qheun_op import QHeunParams, spiral_distance
 from .qtransform import TransformSpec, boundary_limits, source_chi, transform
 from .sampling import (
     random_admissible_params,
@@ -90,11 +82,12 @@ def family2_apparent() -> tuple[bool, str]:
     """Both accessory routes agree for the beta = N + 1 family and every
     root passes the direct closing-relation check."""
     rng = np.random.default_rng(303)
+    family = FAMILIES["family2"]
     worst = 0.0
     checks = True
     for _ in range(50):
         N = int(rng.integers(0, 6))
-        st = family2_setup(random_family2_params(rng, N), N)
+        st = family.setup(random_family2_params(rng, N), N)
         worst = max(worst, coeff_gap(st.accessory, st.d_poly))
         checks = apparent_equivalence(st) and checks
     return checks and worst < 1e-10, f"max coeff diff {worst:.2e}"
@@ -188,11 +181,12 @@ def variant_regression() -> tuple[bool, str]:
     """beta = 1 reduction: the three finite forms match the degree-two
     variant solutions pointwise and the root matches its eigenvalue."""
     rng = np.random.default_rng(606)
+    family = FAMILIES["family2"]
     worst_val = 0.0
     worst_e = 0.0
     for i in range(10):
         p = random_family2_params(rng, 0)
-        st = family2_setup(p, 0)
+        st = family.setup(p, 0)
         E0 = st.roots[0]
         scale = p.q ** ((p.h1 + p.h2 + p.l1 + p.l2 + p.alpha1 + p.alpha2) / 2.0)
         e_variant = -scale * (
@@ -200,12 +194,11 @@ def variant_regression() -> tuple[bool, str]:
         )
         worst_e = max(worst_e, abs(E0 - e_variant) / abs(e_variant))
         m = min(abs(p.t1), abs(p.t2))
-        pts = grid_points(
-            p.q, family2_pole_spirals(st), 4, 0.5 * m, 2.0 * m, seed=i, min_rel_dist=1e-3
-        )
-        for form, variant in (("g3", "h1"), ("g4", "h2"), ("g5", "h3")):
+        pts = family.form("g3").grid(st, None, 4, i, 0.5 * m, 2.0 * m)  # every family-2 form shares this grid
+        for name, variant in (("g3", "h1"), ("g4", "h2"), ("g5", "h3")):
+            g = family.form(name).solution(st, E0, None)
             for x in pts:
-                got = family2_homogeneous(st, form, E0, x)
+                got = g(x)
                 want = _variant_solutions(p, variant, x)
                 worst_val = max(worst_val, abs(got - want) / max(abs(want), 1e-300))
     ok = worst_val < 1e-10 and worst_e < 1e-12
@@ -229,9 +222,9 @@ def transform_consistency() -> tuple[bool, str]:
     rng = np.random.default_rng(707)
     worst = 0.0
     drawn = {}
-    for family, draw, source_params, seed, bilateral in (
-        ("family1", random_family1_params, family1_source_params, family1_seed, family1_bilateral),
-        ("family2", random_family2_params, family2_source_params, family2_seed, family2_bilateral),
+    for family, draw, source_params, seed in (
+        ("family1", random_family1_params, family1_source_params, family1_seed),
+        ("family2", random_family2_params, family2_source_params, family2_seed),
     ):
         p = draw(rng, 1)
         st = FAMILIES[family].setup(p, 1)
@@ -243,8 +236,9 @@ def transform_consistency() -> tuple[bool, str]:
             spec = TransformSpec(source=source_params(st), mu0=0.0, xi=xi, kernel=kernel, alpha1=p.alpha1)
             h = seed(st, which, E)
             drawn[family, which] = st, spec, h
+            g = FAMILIES[family].form(form).solution(st, E, xi)
             for x in xs:
-                want = bilateral(st, form, E, xi, x)
+                want = g(x)
                 worst = max(worst, abs(transform(spec, h, E, x) - want) / abs(want))
     # beta' < 0 and alpha1' < alpha2' hold for family 1's source system,
     # so both limits of its P1 seed must vanish.

@@ -31,6 +31,7 @@ from .errors import (
     NotARoot,
     PreconditionError,
     QHeunError,
+    typed,
 )
 from .qheun_op import QHeunParams
 
@@ -185,6 +186,7 @@ def _origin_recurrence(p: QHeunParams, N: int) -> list[RecurrenceCoeffs]:
     return [recurrence_coeffs(p, n) for n in range(1, N + 2)]
 
 
+@typed(lambda p, N: f"in the accessory polynomial at q = {p.q!r}, N = {N}")
 def accessory_poly(p: QHeunParams, N: int) -> Poly:
     """Monic degree-(N+1) accessory polynomial, built from the recurrence."""
     return run_poly_recursion(_origin_recurrence(p, N), abs(p.t1 * p.t2))[1]
@@ -223,6 +225,7 @@ def expand_accessory_poly(recurrence: Sequence[RecurrenceCoeffs]) -> Poly:
     return Poly(tuple(total))
 
 
+@typed(lambda p, N: f"in the expanded accessory polynomial at q = {p.q!r}, N = {N}")
 def accessory_poly_expanded(p: QHeunParams, N: int) -> Poly:
     """Accessory polynomial via the direct expansion (division-free oracle)."""
     if N < 0:
@@ -398,6 +401,7 @@ def one_root(results: Sequence) -> complex:
     return value
 
 
+@typed(lambda p, E, M: f"in the local series at q = {p.q!r}, E = {E!r}, M = {M}")
 def series_coefficients(p: QHeunParams, E: complex, M: int) -> list[complex]:
     """Numeric local-series coefficients c_0..c_M at a fixed eigenvalue
     (M = 0 gives c_0 = 1 alone).
@@ -453,6 +457,7 @@ def polynomial_at_root(p: QHeunParams, accessory: Poly, E0: complex, N: int) -> 
     return SeriesSolution(exponent=exponent_at_origin(p), coeffs=tuple(coeffs))
 
 
+@typed(lambda p, E, N: f"in the apparent-singularity check at q = {p.q!r}, E = {E!r}, N = {N}")
 def apparent_singularity_check(p: QHeunParams, E: complex, N: int) -> bool:
     """Whether the origin is an apparent singularity at eigenvalue E.
 

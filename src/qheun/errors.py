@@ -2,13 +2,19 @@
 
 Every numerical routine reports domain violations and convergence
 failures through these classes so that callers (and the CLI) can react
-per point instead of aborting a whole run.  A float overflow or a
-division by zero becomes a DomainError that names the original class
-and where it happened (out_of_range); the library's point functions
-raise it so (typed_at_point).
+per point instead of aborting a whole run.
+
+A float overflow or a division by zero is typed in one place: an entry
+point decorated with typed(where) raises it as a DomainError that names
+the original class and where(*args, **kwargs), the call's own account
+of where it happened; typed_at_point is typed with the rule "at x = ...".
+The float kernels (accessory.recurrence_coeffs, qcore.q_pochhammer_ratio,
+qcore.theta) are not decorated: they raise the raw error by contract,
+and each caller types it with its own context.
 """
 
 import functools
+from typing import Callable
 
 
 class QHeunError(Exception):
@@ -53,22 +59,22 @@ class ConvergenceHypothesisWarning(UserWarning):
     """Evaluation proceeds, but a sufficient-condition inequality fails."""
 
 
-def out_of_range(exc: ArithmeticError, where: str) -> DomainError:
-    """The typed error for a float overflow or a division by zero, where it happened."""
-    err = DomainError(f"{type(exc).__name__} {where}: {exc}")
-    err.__cause__ = exc
-    return err
+def typed(where: Callable[..., str]) -> Callable:
+    """Decorator: fn, raising a float overflow or division by zero as the
+    DomainError "<class> <where(*args, **kwargs)>: <message>" that it causes."""
+
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def typed_fn(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except ArithmeticError as exc:
+                raise DomainError(f"{type(exc).__name__} {where(*args, **kwargs)}: {exc}") from exc
+
+        return typed_fn
+
+    return decorate
 
 
-def typed_at_point(fn):
-    """fn, whose last argument is the point x, raising a float overflow or
-    division by zero as the DomainError of out_of_range at x."""
-
-    @functools.wraps(fn)
-    def typed(*args):
-        try:
-            return fn(*args)
-        except ArithmeticError as exc:
-            raise out_of_range(exc, f"at x = {complex(args[-1])!r}")
-
-    return typed
+# fn, whose last argument is the point x, typed at that point.
+typed_at_point = typed(lambda *args: f"at x = {complex(args[-1])!r}")

@@ -27,9 +27,10 @@ evaluator in one pass over the grid; ``solution`` is the one-root case
 of ``evaluate``.
 
 A float overflow or division by zero in a setup, a grid or an evaluation
-leaves the registry as a DomainError that names the original error:
-``errors.out_of_range`` types those of setups and grids here, and every
-point function (at, and T of the inhomogeneous forms) types its own.
+leaves the registry as a DomainError that names the original error and
+where it happened, typed by ``errors.typed``: ``Family.setup`` and
+``Form.grid`` are decorated with it here, and every point function (at,
+and T of the inhomogeneous forms) with ``errors.typed_at_point``.
 
 Family functions are looked up by name when a form runs, never stored
 at import, so a patched module binding (a tracer's wrapper) is honoured.
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .accessory import coeff_row, family_setup, one_root, polynomial_at_root, recurrence_coeffs
-from .errors import PreconditionError, QHeunError, out_of_range, typed_at_point
+from .errors import PreconditionError, QHeunError, typed, typed_at_point
 from .family_one import (
     family1_bilateral_evaluator,
     family1_residual_band,
@@ -71,6 +72,7 @@ class Form:
     needs_xi: bool = False
     resolve: Callable = coeff_row  # (setup, E0) -> the row an evaluator takes for E0
 
+    @typed(lambda form, setup, *_, **__: f"in the {form.name} grid at q = {setup.params.q!r}")
     def grid(self, setup, xi, count: int, seed: int, rmin=None, rmax=None) -> list[complex]:
         """Seeded residual grid; rmin/rmax override the default band."""
         if count < 1:
@@ -79,11 +81,8 @@ class Form:
         lo, hi = lo if rmin is None else rmin, hi if rmax is None else rmax
         if not (0 < lo <= hi):
             raise PreconditionError("grid radius range must be positive")
-        try:
-            spirals = self.spirals(setup, xi)
-            return grid_points(setup.params.q, spirals, count, lo, hi, seed=seed, min_rel_dist=self.min_rel_dist)
-        except ArithmeticError as exc:
-            raise out_of_range(exc, f"in the {self.name} grid at q = {setup.params.q!r}")
+        spirals = self.spirals(setup, xi)
+        return grid_points(setup.params.q, spirals, count, lo, hi, seed=seed, min_rel_dist=self.min_rel_dist)
 
     def _inhomogeneity(self, setup, xi) -> Callable | None:
         if self.inhomogeneity is None:
@@ -140,12 +139,10 @@ class Family:
     build: Callable  # (params, N) -> an accessory.FamilySetup
     forms: tuple[Form, ...]
 
+    @typed(lambda family, p, N: f"in setup at q = {p.q!r}, N = {N}")
     def setup(self, p: QHeunParams, N: int):
         """build(p, N); a float overflow or division by zero becomes a DomainError."""
-        try:
-            return self.build(p, N)
-        except ArithmeticError as exc:
-            raise out_of_range(exc, f"in setup at q = {p.q!r}, N = {N}")
+        return self.build(p, N)
 
     def form(self, name: str) -> Form:
         for f in self.forms:

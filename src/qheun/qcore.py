@@ -32,7 +32,7 @@ import sys
 from itertools import zip_longest
 from typing import Callable, Sequence
 
-from .errors import ConvergenceError, DomainError, PoleError, out_of_range
+from .errors import ConvergenceError, DomainError, PoleError, typed
 
 # Factors (1 - a q^k) with |a q^k| below this are numerically 1.
 PRODUCT_CUTOFF = 1e-17
@@ -60,6 +60,7 @@ def check_q(q: float) -> float:
     return q
 
 
+@typed(lambda a, q, n: f"in (a; q)_n at a = {a!r}, n = {n!r}")
 def q_pochhammer(a: complex, q: float, n) -> complex:
     """Shifted factorial (a; q)_n for integer or infinite n.
 
@@ -71,36 +72,33 @@ def q_pochhammer(a: complex, q: float, n) -> complex:
     Raises PoleError when a negative-n value divides by a factor
     1 - a q^k that vanishes to within POLE_CUTOFF (relative), as the
     product kernel does, and a float overflow or division by zero as
-    the DomainError of out_of_range at (a, n).
+    a DomainError at (a, n).
     """
-    try:
-        if n is math.inf or (isinstance(n, float) and math.isinf(n) and n > 0):
-            return q_pochhammer_ratio([a], [], q)
-        check_q(q)
-        a = complex(a)
-        if not isinstance(n, (int,)):
-            raise DomainError(f"n must be an integer or math.inf, got {n!r}")
-        if n == 0:
-            return 1.0 + 0.0j
-        if n > 0:
-            prod = 1.0 + 0.0j
-            ak = a
-            for _ in range(n):
-                prod *= 1.0 - ak
-                ak *= q
-            return prod
-        # (a; q)_n = 1 / (a q^n; q)_{-n}
-        denom = 1.0 + 0.0j
-        ak = a * q ** n
-        for _ in range(-n):
-            f = 1.0 - ak
-            if abs(f) < POLE_CUTOFF * (1.0 + abs(ak)):
-                raise PoleError(f"(a; q)_n has a pole at a={a!r}, n={n}")
-            denom *= f
+    if n is math.inf or (isinstance(n, float) and math.isinf(n) and n > 0):
+        return q_pochhammer_ratio([a], [], q)
+    check_q(q)
+    a = complex(a)
+    if not isinstance(n, (int,)):
+        raise DomainError(f"n must be an integer or math.inf, got {n!r}")
+    if n == 0:
+        return 1.0 + 0.0j
+    if n > 0:
+        prod = 1.0 + 0.0j
+        ak = a
+        for _ in range(n):
+            prod *= 1.0 - ak
             ak *= q
-        return 1.0 / denom
-    except ArithmeticError as exc:
-        raise out_of_range(exc, f"in (a; q)_n at a = {a!r}, n = {n!r}")
+        return prod
+    # (a; q)_n = 1 / (a q^n; q)_{-n}
+    denom = 1.0 + 0.0j
+    ak = a * q ** n
+    for _ in range(-n):
+        f = 1.0 - ak
+        if abs(f) < POLE_CUTOFF * (1.0 + abs(ak)):
+            raise PoleError(f"(a; q)_n has a pole at a={a!r}, n={n}")
+        denom *= f
+        ak *= q
+    return 1.0 / denom
 
 
 def _top_modulus(values: Sequence[complex]) -> float:
@@ -179,6 +177,7 @@ def _termination_index(params: Sequence[complex], q: float) -> int | None:
     return min(stops, default=None)
 
 
+@typed(lambda upper, lower, q, z: f"in phi_series at z = {z!r}")
 def phi_series(
     upper: Sequence[complex],
     lower: Sequence[complex],
@@ -203,14 +202,11 @@ def phi_series(
     Raises ConvergenceError for a non-terminating series with |z| >= 1
     or one that has not stopped within MAX_TERMS terms,
     PoleError when a lower-parameter factor vanishes before termination,
-    and DomainError for a parameter that is not finite or, as
-    out_of_range, for a float overflow or division by zero.
+    and DomainError for a parameter that is not finite or, through
+    errors.typed, for a float overflow or division by zero.
     This is the one-chain call: SeriesChain(upper, lower, q).sum(z).
     """
-    try:
-        return SeriesChain(upper, lower, q).sum(z)
-    except ArithmeticError as exc:
-        raise out_of_range(exc, f"in phi_series at z = {z!r}")
+    return SeriesChain(upper, lower, q).sum(z)
 
 
 class SeriesChain:
@@ -366,6 +362,7 @@ def bilateral_sum(term: Callable[[int], complex], bound: Callable[[int], float] 
     return plus + minus
 
 
+@typed(lambda f, xi, q: f"at xi = {xi!r}")
 def jackson_integral(
     f: Callable[[complex], complex],
     xi: complex,
@@ -376,7 +373,7 @@ def jackson_integral(
     Each point is stepped from its neighbour toward n = 0, s_{n-1} * q above
     and s_{n+1} / q below, which bilateral_sum's order n = 0, 1, ... then
     -1, -2, ... always asks for just before.  An overflow, a NaN term
-    included, raises the DomainError of out_of_range at xi.
+    included, raises a DomainError at xi.
     """
     check_q(q)
     if xi == 0:
@@ -392,7 +389,4 @@ def jackson_integral(
         last[0] = s
         return complex(s * f(s))
 
-    try:
-        return (1.0 - q) * bilateral_sum(term, None)
-    except ArithmeticError as exc:
-        raise out_of_range(exc, f"at xi = {xi!r}")
+    return (1.0 - q) * bilateral_sum(term, None)

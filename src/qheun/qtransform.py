@@ -20,7 +20,7 @@ from typing import Callable, Literal, Sequence
 
 from ._bilateral import PowerWalk, SpiralTerms, spiral_product
 from .accessory import horner
-from .errors import DomainError, NoLimit, out_of_range, typed_at_point
+from .errors import DomainError, NoLimit, typed, typed_at_point
 from .qcore import MAX_TERMS, bilateral_sum, theta
 from .qheun_op import QHeunParams
 
@@ -188,6 +188,7 @@ def _kernel_factors(spec: TransformSpec, x: complex):
     return [], [], [q ** (-mu0 + 1.0) * x], [q ** (-mu + 1.0) * x], mu - mu0
 
 
+@typed(lambda spec, x, s: f"at x = {complex(x)!r}, s = {complex(s)!r}")
 def kernel_value(spec: TransformSpec, x: complex, s: complex) -> complex:
     """Transform kernel at (x, s); both arguments must be nonzero.
 
@@ -198,11 +199,8 @@ def kernel_value(spec: TransformSpec, x: complex, s: complex) -> complex:
     if x == 0 or s == 0:
         raise DomainError("kernel arguments must be nonzero")
     x, s = complex(x), complex(s)
-    try:
-        *factors, power = _kernel_factors(spec, x)
-        return (x / s) ** power * spiral_product(s, *factors, spec.source.q)
-    except ArithmeticError as exc:
-        raise out_of_range(exc, f"at x = {x!r}, s = {s!r}")
+    *factors, power = _kernel_factors(spec, x)
+    return (x / s) ** power * spiral_product(s, *factors, spec.source.q)
 
 
 def _spiral_terms(
@@ -312,6 +310,7 @@ def _spiral_limit(values: Callable[[int], complex], point: Callable[[int], compl
     raise NoLimit(f"spiral sequence neither settled nor decayed to zero by k = {MAX_TERMS - 1}")
 
 
+@typed(lambda spec, h: f"at xi = {complex(spec.xi)!r}")
 def boundary_limits(
     spec: TransformSpec,
     h: Callable[[complex], complex],
@@ -325,15 +324,12 @@ def boundary_limits(
     """
     src = spec.source
     xi = complex(spec.xi)
-    try:
-        inward, _, inward_at = _spiral_terms(h, xi, src.q, -seed_weight_exponent(src))
-        outward, _, outward_at = _spiral_terms(h, xi, src.q, src.alpha1)
-        return (
-            _spiral_limit(inward, inward_at),
-            _spiral_limit(lambda k: outward(-k), lambda k: outward_at(-k)),
-        )
-    except ArithmeticError as exc:
-        raise out_of_range(exc, f"at xi = {xi!r}")
+    inward, _, inward_at = _spiral_terms(h, xi, src.q, -seed_weight_exponent(src))
+    outward, _, outward_at = _spiral_terms(h, xi, src.q, src.alpha1)
+    return (
+        _spiral_limit(inward, inward_at),
+        _spiral_limit(lambda k: outward(-k), lambda k: outward_at(-k)),
+    )
 
 
 @typed_at_point

@@ -20,7 +20,7 @@ from qheun.accessory import (
     run_poly_recursion,
     series_coefficients,
 )
-from qheun.errors import DegenerateRecurrence, NoConvergence, NotARoot, PreconditionError
+from qheun.errors import DegenerateRecurrence, DomainError, NoConvergence, NotARoot, PreconditionError
 from qheun.family_one import family1_setup
 from qheun.family_two import family2_setup
 from qheun.qheun_op import QHeunParams, hahn_coefficients, residual_report
@@ -217,10 +217,10 @@ class TestAccessoryPoly:
     def test_all_triples_are_formed_before_the_recursion(self):
         # beta = 1 makes x_1 vanish, and at q = 0.02 the triple of index
         # 201 overflows.  accessory_poly forms every triple first, as
-        # family_setup does, so the overflow comes first; the local
+        # family_setup does, so the overflow, typed, comes first; the local
         # series checks each triple before it forms the next.
         p = params(beta=1.0, q=0.02)
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError, match=r"^OverflowError in the accessory polynomial at q = 0.02, N = 200: "):
             accessory_poly(p, 200)
         with pytest.raises(DegenerateRecurrence, match="x_1 vanishes"):
             accessory_poly(p, 2)

@@ -131,6 +131,10 @@ class TestQPochhammer:
         with pytest.raises(DomainError, match=r"^OverflowError in \(a; q\)_n at a = .*, n = -1: "):
             q_pochhammer(1.5e308 + 1.5e308j, 0.9, -1)
 
+    def test_an_argument_out_of_the_float_range_is_named_as_given(self):
+        with pytest.raises(DomainError, match=r"^OverflowError in \(a; q\)_n at a = 10{400}, n = 2: int too large"):
+            q_pochhammer(10**400, 0.5, 2)
+
 
 class TestQPochhammerRatio:
     def test_matches_high_precision_products_near_q_one(self):

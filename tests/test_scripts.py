@@ -39,6 +39,13 @@ def test_accessory_scan_routes_agree(N, monkeypatch, capsys):
     assert all(float(r[4]) <= 1e-10 for r in rows)
 
 
+# The entry points of tests/test_errors.py, in its order.
+ERRORS = [
+    "Family.setup", "Form.grid", "q_pochhammer", "phi_series", "jackson_integral", "kernel_value", "boundary_limits",
+    "transform", "accessory_poly", "accessory_poly_expanded", "series_coefficients", "apparent_singularity_check",
+]
+
+
 def test_output_digest_is_stable_and_well_formed():
     digests = runpy.run_path(str(SCRIPTS / "output_digest.py"))["digests"]
     small = dict(verify_ns=(1,), transform_ns=(1,), generic_ns=(0,), evaluate_ns=(1,))
@@ -52,7 +59,9 @@ def test_output_digest_is_stable_and_well_formed():
         + [f"family2.{s}" for s in common + ["defects", "replay", "evaluate", "pointwise", "edges"]]
         + [f"generic.{s}" for s in cli]
         + ["qcore.phi_series", "qcore.chain", "qcore.jackson_integral"]
-        + ["recurrence", "acceptance"]
+        + ["recurrence"]
+        + [f"errors.{name}" for name in ERRORS]
+        + ["scripts.transform_demo", "acceptance"]
     )
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     assert len({line.split()[1] for line in lines}) == len(lines)
