@@ -29,10 +29,25 @@ whole runs by up to a factor of two.
 Prints, per stream, the change/parent ratios of the median, the 90th
 percentile and the total of the per-job best times, and the number of
 jobs whose result differs (stdout and exit code of a command; attempted
-checks, failures and values of a jackson-transform step); exits 1 if
-any job differs.  For verify-sweep it also prints those three ratios
-for the jobs of the bilateral forms g1/g2 and for the other jobs, to
-show where a change of one kind of sum lands.
+checks, failures and values of a jackson-transform step).  A refactor
+that claims identical answers reads 0 there.  For verify-sweep it also
+prints those three ratios for the jobs of the bilateral forms g1/g2 and
+for the other jobs, to show where a change of one kind of sum lands.
+
+Each job that differs is then classified by its answers:
+
+* verify-sweep, per (form, root) check: pass -> fail, fail -> pass or
+  both fail, and the change/parent ratio of the max residuals of the
+  checks with a finite residual on both sides (median and worst);
+* jackson-transform, per step: pass -> fail, fail -> pass or both fail
+  by whether any of its checks failed, and the change/parent ratio of
+  its checked values (residuals and errors; median and worst);
+* accessory-scan, per job: pass -> fail, fail -> pass or both fail by
+  exit code and certificates (each at most 1e-10), the worst move of a
+  root relative to its modulus and the worst change/parent ratio of a
+  root's certificate.
+
+Exits 1 if any check goes from pass to fail.
 """
 
 from __future__ import annotations
@@ -42,10 +57,12 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import statistics
 import sys
 import tempfile
 import time
+from collections import Counter
 from contextlib import redirect_stdout
 from functools import partial
 from pathlib import Path
@@ -54,6 +71,8 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 REPEATS = 3
 JACKSON_STEPS = 288
 ACCESSORY_JOBS = 156
+ACCESSORY_TOL = 1e-10  # the certificate bound of an accessory root
+TRANSITIONS = ("pass->fail", "fail->pass", "both fail")
 
 
 def load_checkout(root: Path, name: str):
@@ -126,37 +145,40 @@ def cli_runs(clis, jobs: list[tuple[dict, list[str]]], path: Path) -> list[list]
 
 
 def run_step(step, env) -> tuple[float, str]:
-    """(seconds, the checks' result) of one jackson-transform job step, timed
-    up to its env.checked_at where it sets one, as perfbench/run.py does."""
+    """(seconds, the checks' result as JSON) of one jackson-transform job step,
+    timed up to its env.checked_at where it sets one, as perfbench/run.py does."""
     env.checked_at = None
     start = env.clock()
     out = step.run(env)
     end = env.checked_at if env.checked_at is not None else env.clock()
-    return end - start, repr((out.attempted, sorted(out.failures.items()), out.values))
+    return end - start, json.dumps([out.attempted, sorted(out.failures.items()), out.values])
 
 
-def step_runs(workloads, seed: int, count: int, workdir: Path) -> list[list]:
+def step_runs(workloads, seed: int, count: int, workdir: Path) -> tuple[list[list], list[str]]:
     """Per job step of the first count of each side's jackson-transform
-    stream, its run on each side; the prepare steps before it have run."""
+    stream, its run on each side, and its label; the prepare steps before
+    it have run."""
     envs = [w.Env(time.perf_counter) for w in workloads]
     streams = [w.WORKLOADS["jackson-transform"](seed, workdir) for w in workloads]
-    runs = []
+    runs, labels = [], []
     for steps in zip(*streams):
         if len(runs) == count:
             break
         assert steps[0].label == steps[1].label, steps
         if steps[0].job:
             runs.append([partial(run_step, step, env) for step, env in zip(steps, envs)])
+            labels.append(steps[0].label)
         else:
             for step, env in zip(steps, envs):
                 step.run(env)
-    return runs
+    return runs, labels
 
 
-def compare(runs: list[list]) -> tuple[list[list[float]], int]:
-    """Per side, each job's best time; and the number of jobs whose result differs."""
+def compare(runs: list[list]) -> tuple[list[list[float]], dict[int, tuple[str, str]]]:
+    """Per side, each job's best time; and job index -> (parent's result,
+    change's result) of each job whose result differs."""
     best = [[], []]
-    differ = 0
+    differ = {}
     for index, sides in enumerate(runs):
         times, results = [[], []], [set(), set()]
         for repeat in range(REPEATS):
@@ -164,10 +186,89 @@ def compare(runs: list[list]) -> tuple[list[list[float]], int]:
                 seconds, result = sides[side]()
                 times[side].append(seconds)
                 results[side].add(result)
-        differ += results[0] != results[1] or len(results[0]) != 1
+        if results[0] != results[1] or len(results[0]) != 1:
+            differ[index] = (min(results[0]), min(results[1]))
         for side in (0, 1):
             best[side].append(min(times[side]))
     return best, differ
+
+
+def transition(passed: tuple[bool, bool]) -> str | None:
+    """The TRANSITIONS entry of a check that passed on (parent, change), None where both pass."""
+    return {(True, False): "pass->fail", (False, True): "fail->pass", (False, False): "both fail"}.get(passed)
+
+
+def report(result: str) -> tuple[dict, int]:
+    """(the JSON report, exit code) of a command's result; {} where stdout holds no report."""
+    text, _, code = result.rpartition("exit ")
+    try:
+        return json.loads(text), int(code)
+    except ValueError:
+        return {}, int(code)
+
+
+def verify_checks(result: str) -> dict[tuple, tuple[bool, float]]:
+    """(form, root index) -> (passed, max residual) of each check of a verify report."""
+    results = report(result)[0].get("results", [])
+    return {(r["form"], r["root_index"]): (r["status"] == "pass", r["max_residual"]) for r in results}
+
+
+def label(config: dict, command: list[str]) -> str:
+    return f"{config.get('family', 'generic')} N={config.get('N', 0)} {command[2] if len(command) > 2 else ''}".strip()
+
+
+def spread(ratios: list[tuple[float, str]], what: str) -> str:
+    """The median and the worst (largest) of ratios, with the worst's label."""
+    if not ratios:
+        return f"{what}: none"
+    worst = max(ratios)
+    return f"{what}: median {statistics.median(r for r, _ in ratios):.3g}, worst {worst[0]:.3g} at {worst[1]}"
+
+
+def classify_verify(jobs, differ) -> tuple[Counter, str]:
+    """Transitions of the (form, root) checks of the differing verify jobs,
+    and the spread of their max-residual ratios."""
+    counts, ratios = Counter(), []
+    for index, results in differ.items():
+        parent, change = (verify_checks(result) for result in results)
+        for key in parent.keys() | change.keys():
+            (p_pass, p_res), (c_pass, c_res) = parent.get(key, (False, math.inf)), change.get(key, (False, math.inf))
+            counts[transition((p_pass, c_pass))] += 1
+            if 0 < p_res < math.inf and 0 <= c_res < math.inf:
+                ratios.append((c_res / p_res, f"{label(*jobs[index])}[{key[1]}]"))
+    return counts, spread(ratios, "max residual change/parent")
+
+
+def classify_steps(labels, differ) -> tuple[Counter, str]:
+    """Transitions of the differing jackson-transform steps by whether any
+    check failed, and the spread of the ratios of their checked values."""
+    counts, ratios = Counter(), []
+    for index, results in differ.items():
+        (_, p_fail, p_values), (_, c_fail, c_values) = (json.loads(result) for result in results)
+        counts[transition((not p_fail, not c_fail))] += 1
+        ratios += [(b / a, labels[index]) for a, b in zip(p_values, c_values) if 0 < a < math.inf and math.isfinite(b)]
+    return counts, spread(ratios, "checked value change/parent")
+
+
+def accessory_answers(result: str) -> tuple[bool, list[complex], list[float]]:
+    """(passed, roots, certificates) of an accessory report."""
+    rep, code = report(result)
+    acc = rep.get("accessory", {})
+    roots, certs = [complex(*r) for r in acc.get("roots", [])], acc.get("certificates", [])
+    return code == 0 and bool(certs) and all(c <= ACCESSORY_TOL for c in certs), roots, certs
+
+
+def classify_accessory(jobs, differ) -> tuple[Counter, str]:
+    """Transitions of the differing accessory jobs, the worst root move
+    relative to |r| and the worst certificate ratio."""
+    counts, moves, ratios = Counter(), [], []
+    for index, results in differ.items():
+        (p_pass, p_roots, p_certs), (c_pass, c_roots, c_certs) = (accessory_answers(r) for r in results)
+        counts[transition((p_pass, c_pass))] += 1
+        where = label(*jobs[index])
+        moves += [(abs(b - a) / max(abs(a), 1e-300), where) for a, b in zip(p_roots, c_roots)]
+        ratios += [(b / a, where) for a, b in zip(p_certs, c_certs) if 0 < a < math.inf and math.isfinite(b)]
+    return counts, f"{spread(moves, 'root move relative to |r|')}; {spread(ratios, 'certificate change/parent')}"
 
 
 BILATERAL = ("g1", "g2")
@@ -204,12 +305,13 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     clis = [load_checkout(args.parent.resolve(), "qheun_parent"), load_checkout(args.change.resolve(), "qheun_change")]
     workloads = [load_workloads("qheun_parent"), load_workloads("qheun_change")]
-    differ = 0
+    worse = 0
     with tempfile.TemporaryDirectory() as tmp:
         streams = (("verify-sweep", args.jobs), ("jackson-transform", JACKSON_STEPS), ("accessory-scan", ACCESSORY_JOBS))
         for stream, count in streams:
             if stream == "jackson-transform":
-                runs, unit = step_runs(workloads, args.seed, count, Path(tmp)), "steps"
+                runs, labels = step_runs(workloads, args.seed, count, Path(tmp))
+                unit = "steps"
             else:
                 jobs = stream_jobs(workloads[1], stream, args.seed, count)
                 runs, unit = cli_runs(clis, jobs, Path(tmp) / "job.json"), "jobs"
@@ -221,9 +323,19 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{key:>5}  {parent:10.2f} ms -> {change:10.2f} ms  ratio {change / parent:.3f}")
             if stream == "verify-sweep":
                 print_bilateral_split(jobs, best)
-            print(f"{unit} with different output: {stream_differ}")
-            differ += stream_differ
-    return 1 if differ else 0
+            print(f"{unit} with different output: {len(stream_differ)}")
+            if stream == "verify-sweep":
+                counts, detail = classify_verify(jobs, stream_differ)
+                kind = "checks"
+            elif stream == "jackson-transform":
+                counts, detail = classify_steps(labels, stream_differ)
+                kind = "steps"
+            else:
+                counts, detail = classify_accessory(jobs, stream_differ)
+                kind = "jobs"
+            print(f"{kind} that differ: " + ", ".join(f"{name} {counts[name]}" for name in TRANSITIONS) + f"; {detail}")
+            worse += counts["pass->fail"]
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":

@@ -31,13 +31,11 @@ from .accessory import (
     FamilySetup,
     Poly,
     RecurrenceCoeffs,
-    SeriesSolution,
     accessory_poly,
     accessory_poly_expanded,
     apparent_singularity_check,
     exponent_at_origin,
     poly_roots,
-    polynomial_solution,
     recurrence_coeffs,
 )
 from .qtransform import (

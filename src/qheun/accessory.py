@@ -6,17 +6,17 @@ at indices 1..N+1.  Truncating at degree N and demanding consistency
 yields a monic polynomial of degree N + 1 in the eigenvalue, formed on
 coefficient lists; its roots are exactly the eigenvalues admitting
 polynomial-type solutions (under the integer exponent condition) or an
-apparent singularity at the origin (when beta = N + 1).  The roots are
-companion-matrix eigenvalues; the coefficients c_0..c_N at each root are
-an eigenvector of the recurrence's tridiagonal matrix, solved when a
-setup's root_coeffs is first read.  All three families keep them in a
-FamilySetup, built by family_setup.  coeff_row checks an eigenvalue
-against the polynomial and returns the coefficients of its root: the
-one way a solution form takes a root.
+apparent singularity at the origin (when beta = N + 1).  All three
+families keep them in a FamilySetup, built by family_setup: companion
+eigenvalues, each refined by one Newton step on the continuant and
+certified, and at each root the coefficients c_0..c_N of one twisted
+sweep of the recurrence, formed when first read.  coeff_row checks an
+eigenvalue and returns its root's row: the one way a form takes a root.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,8 +70,7 @@ def _stripped(cs: list[complex]) -> list[complex]:
 
 def _plus(a: list[complex], b: list[complex]) -> list[complex]:
     """a + b, the shorter list padded with 0j."""
-    n = max(len(a), len(b))
-    return _stripped([u + v for u, v in zip(a + [0j] * (n - len(a)), b + [0j] * (n - len(b)))])
+    return _stripped([u + v for u, v in itertools.zip_longest(a, b, fillvalue=0j)])
 
 
 def _times_x_plus(cs: list[complex], y: complex) -> list[complex]:
@@ -92,11 +91,9 @@ def horner(coeffs: Sequence[complex], x: complex) -> complex:
 
 def coeff_gap(a: Poly, b: Poly) -> float:
     """Largest coefficient difference relative to the larger coefficient scale."""
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = list(a.coeffs) + [0j] * (n - len(a.coeffs))
-    cb = list(b.coeffs) + [0j] * (n - len(b.coeffs))
-    scale = max(max(abs(v) for v in ca), max(abs(v) for v in cb), 1e-300)
-    return max(abs(x - y) for x, y in zip(ca, cb)) / scale
+    pairs = list(itertools.zip_longest(a.coeffs, b.coeffs, fillvalue=0j))
+    scale = max(max(max(abs(x), abs(y)) for x, y in pairs), 1e-300)
+    return max(abs(x - y) for x, y in pairs) / scale
 
 
 @dataclass(frozen=True)
@@ -106,20 +103,6 @@ class RecurrenceCoeffs:
     x: complex
     y: complex
     z: complex
-
-
-@dataclass(frozen=True)
-class SeriesSolution:
-    """A local solution x^exponent * sum coeffs[n] x^n (DomainError at 0 if exponent < 0)."""
-
-    exponent: float
-    coeffs: tuple[complex, ...]
-
-    def __call__(self, x: complex) -> complex:
-        x = complex(x)
-        if x == 0 and self.exponent < 0:
-            raise DomainError("a negative exponent has no value at x = 0")
-        return x ** self.exponent * horner(self.coeffs, x)
 
 
 def exponent_at_origin(p: QHeunParams) -> float:
@@ -152,10 +135,10 @@ def recurrence_coeffs(p: QHeunParams, n: int) -> RecurrenceCoeffs:
 
 
 def _forward_rows(E: complex, recurrence: Iterable[RecurrenceCoeffs], scale: float = 0.0) -> list[complex]:
-    """c_0 = 1, c_k = ((E + y_k) c_{k-1} - z_k c_{k-2}) / x_k; DegenerateRecurrence where |x_k| < 1e-14 scale."""
+    """c_0 = 1, c_k = ((E + y_k) c_{k-1} - z_k c_{k-2}) / x_k; DegenerateRecurrence where |x_k| <= 1e-14 scale."""
     c = [0j, 1.0 + 0j]  # c_{-1}, c_0
     for k, rc in enumerate(recurrence, 1):
-        if abs(rc.x) < DEGENERATE_REL * scale:
+        if abs(rc.x) <= DEGENERATE_REL * scale:
             raise DegenerateRecurrence(f"leading coefficient x_{k} vanishes: c_{k} is undetermined")
         c.append(((E + rc.y) * c[-1] - rc.z * c[-2]) / rc.x)
     return c[1:]
@@ -234,14 +217,10 @@ def accessory_poly_expanded(p: QHeunParams, N: int) -> Poly:
 
 
 def poly_roots(poly: Poly) -> list[complex]:
-    """All complex roots: the eigenvalues of the companion matrix (numpy.roots).
-
-    The eigenvalue route is backward-stable where root iteration on the
-    monomial coefficients is not (Edelman & Murakami, Math. Comp. 64,
-    1995).  The roots come back sorted by (real, imag); the CLI's
-    root_index and every report follow that order.  Raises NoConvergence
-    when a root's certificate exceeds 1e-10, or when the monic
-    coefficients are not finite, so that no root can be certified.
+    """All complex roots, sorted by (real, imag): the eigenvalues of the companion matrix
+    (numpy.roots), backward-stable where root iteration on the monomial coefficients is not
+    (Edelman & Murakami, Math. Comp. 64, 1995).  Raises NoConvergence when a root's
+    certificate exceeds 1e-10, or when the monic coefficients are not finite.
     """
     cs = Poly.of(poly.coeffs).coeffs
     if len(cs) < 2:
@@ -251,42 +230,75 @@ def poly_roots(poly: Poly) -> list[complex]:
     if not np.isfinite(monic).all():
         raise NoConvergence("root certificate failed: the monic coefficients are not finite")
     roots = sorted((complex(r) for r in np.roots(monic)), key=lambda r: (r.real, r.imag))
-    for r in roots:
-        cert = root_certificate(cs, r)
+    _certified(cs, roots)
+    return roots
+
+
+def _certified(cs: Sequence[complex], roots: Sequence[complex]) -> list[float]:
+    """root_certificate of each of roots; NoConvergence where one exceeds 1e-10."""
+    certs = [root_certificate(cs, r) for r in roots]
+    for r, cert in zip(roots, certs):
         if not cert <= 1e-10:  # also fails a NaN certificate
             raise NoConvergence(f"root certificate failed at {r!r}: {cert:.3g}")
-    return roots
+    return certs
+
+
+def _newton_step(recurrence: Sequence[RecurrenceCoeffs], E: complex) -> complex:
+    """E after one Newton step on the continuant P_{N+1} of the triples of indices 1..N+1, the
+    accessory polynomial: P_0 = 1, P_{-1} = 0, P_k = (E + y_k) P_{k-1} - x_{k-1} z_k P_{k-2}.
+
+    E itself where the step is not finite or |step| >= 1e-6 max(1, |E|),
+    which could land on a neighbouring root.
+    """
+    p, p_prev, d, d_prev, x_prev = 1.0 + 0j, 0j, 0j, 0j, 0j
+    for rc in recurrence:
+        b, w = E + rc.y, x_prev * rc.z
+        p, p_prev, d, d_prev = b * p - w * p_prev, p, p + b * d - w * d_prev, d
+        x_prev = rc.x
+    step = p / d if d else math.inf
+    return E - step if abs(step) < 1e-6 * max(1.0, abs(E)) else E
+
+
+def _twisted_row(recurrence: Sequence[RecurrenceCoeffs], E: complex) -> tuple[complex, ...]:
+    """c_0 = 1, ..., c_N at E, a root of the accessory polynomial of the triples of indices 1..N+1.
+
+    Equation k is x_k c_k = (E + y_k) c_{k-1} - z_k c_{k-2}, with c_{-1} = c_{N+1} = 0.  A forward
+    sweep from c_0 meets equations 1..r, a backward one from c_{N+1} meets r + 2..N+1; they join
+    at the r that minimises the defect of equation r + 1 times max|c| / |c_r|**2 (Fernando, SIAM J.
+    Matrix Anal. Appl. 18 (1997) 1013-1034).  Raises DegenerateRecurrence on a zero x_k or z_k.
+    """
+    N = len(recurrence) - 1
+    fwd = _forward_rows(E, recurrence[:N])  # c_0..c_N from c_0 = 1
+    bwd = [0j, 1.0 + 0j]  # c_{N+1}, c_N, then c_{N-1}..c_0
+    for k in range(N + 1, 1, -1):  # equation k gives c_{k-2}
+        rc = recurrence[k - 1]
+        if rc.z == 0:
+            raise DegenerateRecurrence(f"z_{k} vanishes: c_{k - 2} is undetermined by the closure")
+        bwd.append(((E + rc.y) * bwd[-1] - rc.x * bwd[-2]) / rc.z)
+    bwd.reverse()  # c_0..c_{N+1}
+    head = list(itertools.accumulate((abs(c) for c in fwd), max))
+    tail = list(itertools.accumulate((abs(c) for c in reversed(bwd)), max))[::-1]
+    best, join = math.inf, None
+    for r, rc in enumerate(recurrence):
+        if fwd[r] == 0 or bwd[r] == 0:
+            continue
+        s = fwd[r] / bwd[r]
+        defect = (E + rc.y) * fwd[r] - rc.z * (fwd[r - 1] if r else 0j) - rc.x * s * bwd[r + 1]
+        size = abs(fwd[r])
+        gamma = abs(defect) / size * max(head[r], abs(s) * tail[r]) / size
+        if gamma < best:  # never a NaN
+            best, join = gamma, (r, s)
+    if join is None:  # no c_r is finite and nonzero
+        raise NoConvergence(f"no finite nonzero c_r joins the sweeps at E = {E!r}")
+    r, s = join
+    return tuple(fwd[: r + 1] + [s * c for c in bwd[r + 1 : N + 1]])
 
 
 def accessory_rows(
     recurrence: Sequence[RecurrenceCoeffs], roots: Sequence[complex]
 ) -> dict[complex, tuple[complex, ...]]:
-    """The coefficients c_0..c_N at each of roots, the certified roots of the accessory polynomial.
-
-    recurrence holds the triples of indices 1..N+1, each evaluated once.
-    Closed by c_{N+1} = 0, the recurrence says E c = M c for the
-    tridiagonal M with M[i, i] = -y_{i+1}, M[i, i-1] = z_{i+1} and
-    M[i, i+1] = x_{i+1}.  One eigen-solve of M serves every root: the
-    eigenvector of the eigenvalue nearest the root, scaled to c_0 = 1.
-    An eigenvector is accurate only relative to its largest entry, so
-    c_1 up to that entry come from the recurrence at the eigenvalue,
-    which grows toward it stably; a graded vector's tiny c_0 would
-    otherwise set the scale of all of them from rounding noise.
-    """
-    matrix = (
-        np.diag([-rc.y for rc in recurrence])
-        + np.diag([rc.z for rc in recurrence[1:]], -1)
-        + np.diag([rc.x for rc in recurrence[:-1]], 1)
-    )
-    values, vectors = np.linalg.eig(matrix)
-    coeffs = {}
-    for r in roots:
-        j = np.argmin(abs(values - r))
-        E, column = complex(values[j]), vectors[:, j].tolist()
-        peak = max(range(len(column)), key=lambda i: abs(column[i]))
-        c = _forward_rows(E, recurrence[:peak])
-        coeffs[r] = tuple(c + [v * c[-1] / column[peak] for v in column[peak + 1:]])
-    return coeffs
+    """root -> its _twisted_row, for each of roots."""
+    return {r: _twisted_row(recurrence, r) for r in roots}
 
 
 @dataclass(frozen=True)
@@ -299,6 +311,7 @@ class FamilySetup:
     recurrence: tuple[RecurrenceCoeffs, ...]  # indices 1..N+1
     accessory: Poly
     roots: tuple[complex, ...]
+    certificates: tuple[float, ...]  # root_certificate of each root
 
     @property
     def lambda2(self) -> float:
@@ -312,10 +325,19 @@ class FamilySetup:
 
 
 def family_setup(p: QHeunParams, N: int, triple: Callable[[QHeunParams, int, int], RecurrenceCoeffs]) -> FamilySetup:
-    """The FamilySetup of the triples triple(p, N, n), n = 1..N+1; the caller checks its family's relation."""
+    """The FamilySetup of the triples triple(p, N, n), n = 1..N+1; the caller checks its family's relation.
+
+    Each root of poly_roots takes one _newton_step; the refined roots are
+    sorted by (real, imag) and certified again, and NoConvergence is
+    raised where two of them coincide.
+    """
     recurrence = tuple(triple(p, N, n) for n in range(1, N + 2))
     _, cpoly = run_poly_recursion(recurrence, abs(p.t1 * p.t2))
-    return FamilySetup(p, N, exponent_at_origin(p), recurrence, cpoly, tuple(poly_roots(cpoly)))
+    roots = sorted((_newton_step(recurrence, r) for r in poly_roots(cpoly)), key=lambda r: (r.real, r.imag))
+    if any(a == b for a, b in zip(roots, roots[1:])):
+        raise NoConvergence(f"two accessory roots coincide after refinement at N = {N}")
+    certs = _certified(cpoly.coeffs, roots)
+    return FamilySetup(p, N, exponent_at_origin(p), recurrence, cpoly, tuple(roots), tuple(certs))
 
 
 def coeff_values(root_coeffs: dict[complex, tuple[complex, ...]], E0: complex) -> tuple[complex, ...]:
@@ -332,9 +354,7 @@ def _scaled_horner(cs: Sequence[complex], r: complex) -> tuple[complex, float]:
     m = max(1.0, abs(r))
     u, t = r / m, 1.0 / m
     au = abs(u)
-    acc = cs[-1]
-    size = abs(cs[-1])
-    tk = 1.0
+    acc, size, tk = cs[-1], abs(cs[-1]), 1.0
     for c in reversed(cs[:-1]):
         tk *= t
         acc = acc * u + c * tk
@@ -383,12 +403,8 @@ def require_root(poly: Poly, E0: complex) -> None:
 
 
 def coeff_row(setup: FamilySetup, E0: complex) -> tuple[complex, ...]:
-    """c_0..c_N at the accessory root E0 of a family setup (its accessory
-    and root_coeffs, as family_setup and accessory_rows form them).
-
-    Raises NotARoot where require_root does.  Every use of a root by a
-    family goes through here, once per root and call.
-    """
+    """c_0..c_N at the accessory root E0 of a family setup; NotARoot where require_root
+    raises.  Every use of a root by a family goes through here, once per root and call."""
     require_root(setup.accessory, E0)
     return coeff_values(setup.root_coeffs, E0)
 
@@ -403,58 +419,24 @@ def one_root(results: Sequence) -> complex:
 
 @typed(lambda p, E, M: f"in the local series at q = {p.q!r}, E = {E!r}, M = {M}")
 def series_coefficients(p: QHeunParams, E: complex, M: int) -> list[complex]:
-    """Numeric local-series coefficients c_0..c_M at a fixed eigenvalue
-    (M = 0 gives c_0 = 1 alone).
-
-    Raises DegenerateRecurrence where the leading recurrence factor
-    vanishes at some index n in {1..M} (beta an integer there), which
-    leaves c_n undetermined.
-    """
+    """Numeric local-series coefficients c_0..c_M at a fixed eigenvalue (M = 0 gives c_0 = 1
+    alone); DegenerateRecurrence where x_n vanishes for an n in {1..M} (beta an integer there)."""
     if M < 0:
         raise DomainError("M must be non-negative")
     triples = (recurrence_coeffs(p, n) for n in range(1, M + 1))
     return _forward_rows(complex(E), triples, abs(p.t1 * p.t2))
 
 
-def polynomial_degree(p: QHeunParams) -> tuple[int, int] | None:
-    """(N, which_alpha) if -lambda - alpha_i is a non-negative integer, else None."""
+def polynomial_case_violation(p: QHeunParams, N: int) -> str | None:
+    """Why p has no degree-N polynomial-type solution, or None: it needs
+    -lambda - alpha_i = N for an alpha (within 1e-9) and beta off {1..N}."""
     lam = exponent_at_origin(p)
-    for which, alpha in ((1, p.alpha1), (2, p.alpha2)):
-        val = -lam - alpha
-        n = round(val)
-        if n >= 0 and abs(val - n) < INTEGER_TOL:
-            return n, which
-    return None
-
-
-def _require_polynomial_case(p: QHeunParams, N: int) -> None:
-    hit = polynomial_degree(p)
-    if hit is None or hit[0] != N:
-        raise PreconditionError(f"-lambda - alpha is not the integer {N}")
+    if all(abs(-lam - alpha - N) >= INTEGER_TOL for alpha in (p.alpha1, p.alpha2)):
+        return f"-lambda - alpha is not the integer {N}"
     for n in range(1, N + 1):
         if abs(p.beta - n) < INTEGER_TOL:
-            raise PreconditionError(f"beta = {n} degenerates the recurrence")
-
-
-def polynomial_solution(p: QHeunParams, E0: complex, N: int) -> SeriesSolution:
-    """Degree-N polynomial-type solution at an accessory root E0.
-
-    Requires -lambda - alpha_i = N for one of the alphas (within 1e-9),
-    beta away from {1..N}, and E0 to annihilate the accessory
-    polynomial; raises PreconditionError / NotARoot accordingly.
-    """
-    _require_polynomial_case(p, N)
-    return polynomial_at_root(p, accessory_poly(p, N), E0, N)
-
-
-def polynomial_at_root(p: QHeunParams, accessory: Poly, E0: complex, N: int) -> SeriesSolution:
-    """polynomial_solution(p, E0, N), with E0 checked against accessory,
-    the caller's accessory_poly(p, N), instead of a fresh build; it
-    raises what polynomial_solution raises."""
-    _require_polynomial_case(p, N)
-    require_root(accessory, E0)
-    coeffs = series_coefficients(p, E0, N)
-    return SeriesSolution(exponent=exponent_at_origin(p), coeffs=tuple(coeffs))
+            return f"beta = {n} degenerates the recurrence"
+    return None
 
 
 @typed(lambda p, E, N: f"in the apparent-singularity check at q = {p.q!r}, E = {E!r}, N = {N}")

@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .accessory import root_certificate
 from .errors import PreconditionError, QHeunError
 from .family_two import Family2Setup
 from .forms import FAMILIES, Form
@@ -57,8 +56,11 @@ class _NotFinite(ValueError):
 
 
 def _real(value) -> float:
-    """A finite real number; _NotFinite names a NaN or an infinity."""
-    x = float(value)
+    """A finite real number; _NotFinite names a NaN, an infinity or an int beyond the float range."""
+    try:
+        x = float(value)
+    except OverflowError:
+        raise _NotFinite from None
     if not math.isfinite(x):
         raise _NotFinite
     return x
@@ -195,7 +197,7 @@ def _accessory_data(st) -> dict:
     data = {
         "coeffs": [_pair(c) for c in st.accessory.coeffs],
         "roots": [_pair(r) for r in st.roots],
-        "certificates": [root_certificate(st.accessory.coeffs, r) for r in st.roots],
+        "certificates": list(st.certificates),
     }
     if isinstance(st, Family2Setup):
         data["d_coeffs"] = [_pair(c) for c in st.d_poly.coeffs]

@@ -8,6 +8,7 @@ A float overflow or a division by zero is typed in one place: an entry
 point decorated with typed(where) raises it as a DomainError that names
 the original class and where(*args, **kwargs), the call's own account
 of where it happened; typed_at_point is typed with the rule "at x = ...".
+A where rule shows a point through shown, which takes any number.
 The float kernels (accessory.recurrence_coeffs, qcore.q_pochhammer_ratio,
 qcore.theta) are not decorated: they raise the raw error by contract,
 and each caller types it with its own context.
@@ -76,5 +77,13 @@ def typed(where: Callable[..., str]) -> Callable:
     return decorate
 
 
+def shown(value) -> str:
+    """repr(complex(value)), or repr(value) where complex() cannot take it (an int beyond the float range)."""
+    try:
+        return repr(complex(value))
+    except OverflowError:
+        return repr(value)
+
+
 # fn, whose last argument is the point x, typed at that point.
-typed_at_point = typed(lambda *args: f"at x = {complex(args[-1])!r}")
+typed_at_point = typed(lambda *args: f"at x = {shown(args[-1])}")

@@ -8,23 +8,19 @@ a default |x| band, the q-spirals to avoid and the relative distance to
 keep from them.  The CLI and the acceptance criteria both read forms
 from here.
 
-A family form at an accessory root E0 is a sum over the root's
-coefficients c_0..c_N of pieces that do not depend on E0 (q-series,
-products, the bilateral walk).  So a form is an evaluator (setup, xi,
-rows) -> at, with at(live, x) -> one value or QHeunError per position
-in live.  ``Form.evaluate`` resolves each E0 to its row once
-(``accessory.coeff_row``, NotARoot off the roots), makes one evaluator
-of the rows that resolved and hands it the positions of those still
-live at each point.  What an evaluator forms once, for every point it
-serves, is the work that depends on neither x nor the row: the per-k
-parameters, R_k and series chains of family 1's finite sums, the z_k of
-family 2's and the powers of the bilateral walks; and, per row
-position, a bilateral walk's weight row and weighted power sums.
-The generic form's row is the polynomial solution, built once per E0
-and checked against the setup's accessory polynomial.
-``root_residuals`` checks every root through one
-evaluator in one pass over the grid; ``solution`` is the one-root case
-of ``evaluate``.
+A form at an accessory root E0 is a sum over the root's row c_0..c_N
+of pieces that do not depend on E0 (q-series, products, the bilateral
+walk; the generic form's x^lambda1 x^k).  So a form is an evaluator
+(setup, xi, rows) -> at, with at(live, x) -> one value or QHeunError
+per position in live.  ``Form.evaluate`` resolves each E0 to its row
+once (``accessory.coeff_row``, NotARoot off the roots), makes one
+evaluator of the rows that resolved and hands it the positions of
+those still live at each point.  An evaluator forms once what depends
+on neither x nor the row: the per-k parameters, R_k and series chains
+of family 1's finite sums, the z_k of family 2's and the powers of the
+bilateral walks; and, per row, a walk's weights and weighted power
+sums.  ``root_residuals`` checks every root in one pass over the grid;
+``solution`` is the one-root case of ``evaluate``.
 
 A float overflow or division by zero in a setup, a grid or an evaluation
 leaves the registry as a DomainError that names the original error and
@@ -42,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .accessory import coeff_row, family_setup, one_root, polynomial_at_root, recurrence_coeffs
+from .accessory import coeff_row, family_setup, horner, one_root, polynomial_case_violation, recurrence_coeffs
 from .errors import PreconditionError, QHeunError, typed, typed_at_point
 from .family_one import (
     family1_bilateral_evaluator,
@@ -70,7 +66,6 @@ class Form:
     min_rel_dist: float = 1e-6
     inhomogeneity: Callable | None = None  # (setup, xi, x) -> T(x)
     needs_xi: bool = False
-    resolve: Callable = coeff_row  # (setup, E0) -> the row an evaluator takes for E0
 
     @typed(lambda form, setup, *_, **__: f"in the {form.name} grid at q = {setup.params.q!r}")
     def grid(self, setup, xi, count: int, seed: int, rmin=None, rmax=None) -> list[complex]:
@@ -103,7 +98,7 @@ class Form:
         rows, positions = [], []  # positions: per E0, its row's position in rows or its error
         for E0 in E0s:
             try:
-                rows.append(self.resolve(setup, E0))
+                rows.append(coeff_row(setup, E0))
                 positions.append(len(rows) - 1)
             except QHeunError as exc:
                 positions.append(exc)
@@ -206,19 +201,26 @@ def _form2(name: str, evaluator: Callable, inhomogeneity=None, needs_xi: bool = 
     return Form(name, evaluator, _band(0.4, 3.0), spirals, 1e-3, inhomogeneity, needs_xi)
 
 
-def _polynomial(st, xi, solutions) -> Callable:
-    # The roots share the exponent at the origin, so an error at x is every root's.
-    return typed_at_point(lambda live, x: [solutions[j](x) for j in live])
+def _polynomial(st, xi, rows) -> Callable:
+    """x^lambda1 sum_k c_k x^k of each row, or a PreconditionError at each
+    point where the parameters admit no polynomial-type solution."""
+    violation = polynomial_case_violation(st.params, st.N)
+
+    @typed_at_point
+    def at(live, x: complex) -> list[complex]:
+        if violation is not None:
+            raise PreconditionError(violation)
+        x = complex(x)
+        return [x**st.lambda1 * horner(rows[j], x) for j in live]
+
+    return at
 
 
 FAMILIES: dict[str, Family] = {
     "generic": Family(
         lambda p, N: family_setup(p, N, lambda p, N, n: recurrence_coeffs(p, n)),
         (
-            Form(
-                "poly", _polynomial, _band(0.1, 10.0), _singular,
-                resolve=lambda st, E0: polynomial_at_root(st.params, st.accessory, E0, st.N),
-            ),
+            Form("poly", _polynomial, _band(0.1, 10.0), _singular),
         ),
     ),
     "family1": Family(

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, QHeunError
+from .errors import DomainError, QHeunError, typed_at_point
 from .qcore import _TINY, check_q
 
 # Grid phases stay inside (-MAX_PHASE, MAX_PHASE), off the branch cut.
@@ -98,12 +98,14 @@ def _b0(p: QHeunParams) -> complex:
     )
 
 
+@typed_at_point
 def stencil_weights(p: QHeunParams, x: complex) -> tuple[complex, complex, complex]:
     """Factors w of the operator's three summands at x.
 
     Op g(x) = down + up + mid with down = w[0] g(x/q) (the downward
     shift), up = w[1] g(qx) (the upward shift) and mid = w[2] g(x) (the
-    multiplication part).  Raises DomainError at x = 0.
+    multiplication part).  Raises DomainError at x = 0, and where x is
+    a number no complex can hold.
     """
     if x == 0:
         raise DomainError("the operator is singular at x = 0")
@@ -241,7 +243,8 @@ def residual_reports(
             defect = down + up + mid - eg - extra
             scale = max(abs(down), abs(up), abs(mid), abs(eg), abs(extra), _TINY)
             residuals[j].append(abs(defect) / scale)
-        points.append(complex(x))
+        if live:  # a report's points are those its entry was checked at
+            points.append(complex(x))
     return [
         failed[j] if j in failed else ResidualReport(
             points=tuple(points), residuals=tuple(rs), max_residual=max(rs)

@@ -20,7 +20,7 @@ from typing import Callable, Literal, Sequence
 
 from ._bilateral import PowerWalk, SpiralTerms, spiral_product
 from .accessory import horner
-from .errors import DomainError, NoLimit, typed, typed_at_point
+from .errors import DomainError, NoLimit, shown, typed, typed_at_point
 from .qcore import MAX_TERMS, bilateral_sum, theta
 from .qheun_op import QHeunParams
 
@@ -188,7 +188,7 @@ def _kernel_factors(spec: TransformSpec, x: complex):
     return [], [], [q ** (-mu0 + 1.0) * x], [q ** (-mu + 1.0) * x], mu - mu0
 
 
-@typed(lambda spec, x, s: f"at x = {complex(x)!r}, s = {complex(s)!r}")
+@typed(lambda spec, x, s: f"at x = {shown(x)}, s = {shown(s)}")
 def kernel_value(spec: TransformSpec, x: complex, s: complex) -> complex:
     """Transform kernel at (x, s); both arguments must be nonzero.
 
@@ -310,7 +310,7 @@ def _spiral_limit(values: Callable[[int], complex], point: Callable[[int], compl
     raise NoLimit(f"spiral sequence neither settled nor decayed to zero by k = {MAX_TERMS - 1}")
 
 
-@typed(lambda spec, h: f"at xi = {complex(spec.xi)!r}")
+@typed(lambda spec, h: f"at xi = {shown(spec.xi)}")
 def boundary_limits(
     spec: TransformSpec,
     h: Callable[[complex], complex],

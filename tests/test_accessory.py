@@ -1,20 +1,24 @@
 """Recurrence data, accessory polynomials, roots, local solutions."""
 
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qheun import accessory
 from qheun.accessory import (
     Poly,
-    SeriesSolution,
+    RecurrenceCoeffs,
     accessory_poly,
     accessory_poly_expanded,
+    accessory_rows,
     apparent_singularity_check,
+    coeff_row,
     coeff_values,
     exponent_at_origin,
+    horner,
     poly_roots,
-    polynomial_solution,
     recurrence_coeffs,
     root_certificate,
     run_poly_recursion,
@@ -23,6 +27,7 @@ from qheun.accessory import (
 from qheun.errors import DegenerateRecurrence, DomainError, NoConvergence, NotARoot, PreconditionError
 from qheun.family_one import family1_setup
 from qheun.family_two import family2_setup
+from qheun.forms import FAMILIES
 from qheun.qheun_op import QHeunParams, hahn_coefficients, residual_report
 from qheun.sampling import (
     random_admissible_params,
@@ -299,13 +304,16 @@ class TestPolyRoots:
 
 
 class TestRootCoefficients:
-    @pytest.mark.parametrize("family, N", [("family2", 8), ("family1", 12)])
+    @pytest.mark.parametrize("family, N", [("family2", 8), ("family1", 12), ("family2", 12)])
     def test_eigenvectors_match_mpmath(self, family, N):
         # The coefficients at each root against a 60-digit eigenvector of
         # the same float recurrence matrix.  The coefficient polynomials
         # at the root missed it by up to 1.4e-5 on the family2 draws; the
         # family1 eigenvectors are graded, and scaling a computed one by
-        # its tiny c_0 missed by up to 2.7.
+        # its tiny c_0 missed by up to 2.7.  A float eigenvector of M,
+        # completed by the forward recurrence up to its peak, missed the
+        # family2 N = 12 rows by 4.7e-9; the twisted rows at the refined
+        # roots keep them to about 2e-13.
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(5)
         for _ in range(3):
@@ -340,6 +348,73 @@ class TestRootCoefficients:
                 scale = max(abs(w) for w in want)
                 assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-11 * scale
 
+    @pytest.mark.parametrize("family, draws", [("family2", 1), ("family1", 9)])
+    def test_every_form_passes_near_q_one(self, family, draws):
+        # N = 4, q = 0.9: the first draws of scripts/envelope.py's cell.  Rows
+        # from eig(M) at its own eigenvalue, not the root, failed all 50
+        # checks of the family2 draw and 18 of the 270 family1 checks.
+        sampler = {"family1": random_family1_params, "family2": random_family2_params}[family]
+        rng = np.random.default_rng([2026, 4, len(family)])
+        for index in range(draws):
+            st = FAMILIES[family].setup(replace(sampler(rng, 4), q=0.9), 4)
+            xi = 0.8 * abs(st.params.t1) * cmath.exp(0.3j)
+            for form in FAMILIES[family].forms:
+                for rep in form.root_residuals(st, st.roots, xi, form.grid(st, xi, 4, index)):
+                    assert rep.max_residual < 1e-8, (form.name, index)
+
+    def test_every_row_meets_every_equation(self, rng):
+        # The twisted row at a root meets the equation it was joined at as
+        # well as the ones its sweeps run, relative to the terms' size.
+        for N in (3, 8):
+            st = family2_setup(random_family2_params(rng, N), N)
+            for root in st.roots:
+                c = [0j, *st.root_coeffs[root], 0j]  # c_{-1}..c_{N+1}
+                assert c[1] == 1
+                for k, rc in enumerate(st.recurrence, 1):
+                    terms = (rc.x * c[k + 1], (root + rc.y) * c[k], rc.z * c[k - 1])
+                    defect = terms[0] - terms[1] + terms[2]
+                    assert abs(defect) <= 1e-12 * max(abs(t) for t in terms), (N, k)
+
+    def test_a_zero_sweep_divisor_is_typed(self):
+        # x_1 divides the forward sweep, z_2 the backward one.
+        one = 1.0 + 0j
+        with pytest.raises(DegenerateRecurrence, match=r"x_1 vanishes"):
+            accessory_rows([RecurrenceCoeffs(0j, one, one), RecurrenceCoeffs(one, one, one)], [0j])
+        with pytest.raises(DegenerateRecurrence, match=r"z_2 vanishes"):
+            accessory_rows([RecurrenceCoeffs(one, one, one), RecurrenceCoeffs(one, one, 0j)], [0j])
+
+
+class TestRootRefinement:
+    def test_certificates_are_kept_with_the_refined_roots(self, rng):
+        for N in (2, 8):
+            st = FAMILIES["family1"].setup(random_family1_params(rng, N), N)
+            assert st.certificates == tuple(root_certificate(st.accessory.coeffs, r) for r in st.roots)
+            assert list(st.roots) == sorted(st.roots, key=lambda r: (r.real, r.imag))
+            assert max(st.certificates) <= 1e-10
+
+    def test_refinement_moves_roots_toward_mpmath(self):
+        # One Newton step on the continuant: the refined roots of these
+        # family2 N = 12 draws are no farther from 60-digit roots of the
+        # same float polynomial than the companion eigenvalues, and closer
+        # in the worst case.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        raw_worst = refined_worst = 0.0
+        for _ in range(2):
+            st = family2_setup(random_family2_params(rng, 12), 12)
+            with mp.workdps(60):
+                exact = mp.polyroots([mp.mpc(c) for c in reversed(st.accessory.coeffs)], maxsteps=500, extraprec=200)
+                for raw, refined in zip(poly_roots(st.accessory), st.roots):
+                    w = min(exact, key=lambda e: abs(e - raw))
+                    raw_worst = max(raw_worst, float(abs(w - raw) / abs(w)))
+                    refined_worst = max(refined_worst, float(abs(w - refined) / abs(w)))
+        assert refined_worst < raw_worst
+
+    def test_coinciding_roots_raise(self, rng, monkeypatch):
+        monkeypatch.setattr(accessory, "_newton_step", lambda recurrence, E: 1.0 + 0j)
+        with pytest.raises(NoConvergence, match="coincide"):
+            FAMILIES["family2"].setup(random_family2_params(rng, 2), 2)
+
 
 class TestPowerSeries:
     def test_first_coefficient(self, rng):
@@ -360,7 +435,8 @@ class TestPowerSeries:
     def test_truncated_series_solves_near_origin(self, rng):
         p = random_generic_params(rng)
         E = 0.9 + 0.2j
-        sol = SeriesSolution(exponent_at_origin(p), tuple(series_coefficients(p, E, 40)))
+        coeffs = series_coefficients(p, E, 40)
+        sol = lambda x: complex(x) ** exponent_at_origin(p) * horner(coeffs, x)
         m = min(abs(p.t1), abs(p.t2))
         pts = [0.04 * m, 0.03 * m * 1j, 0.02 * m * (0.6 + 0.8j)]
         rep = residual_report(p, E, sol, pts)
@@ -374,32 +450,44 @@ class TestPowerSeries:
 
 
 class TestPolynomialSolution:
+    """The generic family's poly form: x^lambda times the polynomial of a root's row."""
+
+    family = FAMILIES["generic"]
+
+    def solution(self, p, N, E0=None):
+        st = self.family.setup(p, N)
+        return st, self.family.form("poly").solution(st, st.roots[0] if E0 is None else E0, None)
+
     def test_degree_zero_is_pure_power(self, rng):
         p = random_admissible_params(rng, 0)
         E0 = -recurrence_coeffs(p, 1).y
-        sol = polynomial_solution(p, E0, 0)
-        assert sol.coeffs == (1,)
-        assert sol.exponent == pytest.approx(exponent_at_origin(p))
+        st, sol = self.solution(p, 0, E0)
+        assert coeff_row(st, E0) == (1,)
+        assert st.lambda1 == exponent_at_origin(p)
+        x = 0.7 - 0.2j
+        assert sol(x) == x**st.lambda1
 
     @pytest.mark.parametrize("N", [1, 4])
     def test_every_root_solves(self, rng, default_grid, N):
         p = random_admissible_params(rng, N)
         grid = default_grid(p, count=20, seed=2)
-        for E0 in poly_roots(accessory_poly(p, N)):
-            sol = polynomial_solution(p, E0, N)
-            rep = residual_report(p, E0, sol, grid)
+        st = self.family.setup(p, N)
+        for E0 in st.roots:
+            rep = residual_report(p, E0, self.solution(p, N, E0)[1], grid)
             assert rep.max_residual < 1e-9
 
     def test_integer_condition_enforced(self, rng):
         p = random_generic_params(rng)  # generically no integer relation
-        with pytest.raises(PreconditionError):
-            polynomial_solution(p, 0.0, 2)
+        _, sol = self.solution(p, 2)
+        with pytest.raises(PreconditionError, match="is not the integer 2"):
+            sol(1.0)
 
     def test_not_a_root_rejected(self, rng):
         p = random_admissible_params(rng, 1)
-        E0 = poly_roots(accessory_poly(p, 1))[0]
+        E0 = self.family.setup(p, 1).roots[0]
+        _, sol = self.solution(p, 1, E0 + 1.0)
         with pytest.raises(NotARoot):
-            polynomial_solution(p, E0 + 1.0, 1)
+            sol(1.0)
 
 
 class TestApparentSingularity:

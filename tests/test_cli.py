@@ -19,7 +19,7 @@ import pytest
 import qheun
 from qheun import _bilateral, accessory, family_one, family_two, forms
 from qheun.accessory import (
-    backward_error, exponent_at_origin, polynomial_at_root, polynomial_solution, require_root, root_certificate,
+    backward_error, exponent_at_origin, require_root, root_certificate,
 )
 from qheun.cli import main
 from qheun.errors import DomainError, NotARoot, PreconditionError
@@ -204,7 +204,8 @@ class TestEval:
         assert res.exit_code == 0
         rep = json.loads(res.output)
         E0 = complex(*rep["E"])
-        sol = polynomial_solution(p, E0, 2)
+        generic = forms.FAMILIES["generic"]
+        sol = generic.form("poly").solution(generic.setup(p, 2), E0, None)
         for row in rep["rows"]:
             x = complex(*row["x"])
             want = sol(x)
@@ -438,8 +439,10 @@ class TestVerify:
         assert all(r["status"] == "pass" for r in rep["results"])
 
     def test_generic_builds_its_solution_once_per_root(self, tmp_path, runner, rng, monkeypatch):
+        # Each root's row is resolved once per command, as every family's is.
         builds = []
-        monkeypatch.setattr(forms, "polynomial_at_root", lambda *a: builds.append(a) or polynomial_at_root(*a))
+        coeff_row = forms.coeff_row
+        monkeypatch.setattr(forms, "coeff_row", lambda *a: builds.append(a) or coeff_row(*a))
         p = random_admissible_params(rng, 6)
         path = write_config(tmp_path, p, family="generic", N=6, grid_count=20)
         rep = json.loads(runner.invoke(main, ["verify", "--config", path]).output)
@@ -521,6 +524,15 @@ class TestExtremeInputs:
         res = runner.invoke(main, ["eval", "--config", path])
         assert res.exit_code == 0, res.output
         assert json.loads(res.output)["rows"] == [{"x": [x, 0.0], "value": None, "status": "DomainError"}]
+
+    @pytest.mark.parametrize(
+        "key, value", [("points", [[10**400, 0]]), ("q", 10**400), ("t1", [0, -(10**400)])], ids=["points", "q", "t1"]
+    )
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, runner, draws, key, value):
+        path = write_config(tmp_path, draws["family1"], family="family1", N=2, **{key: value})
+        res = runner.invoke(main, ["eval", "--config", path])
+        assert res.exit_code == 2, res.output
+        assert json.loads(res.output)["error"]["reason"] == f"precondition: config key {key!r} must be finite"
 
     def test_form_names_the_point(self, draws):
         family = forms.FAMILIES["family2"]
@@ -782,26 +794,22 @@ class TestSharedWork:
         assert len(walk.memos) == self.N + 1
         assert len(products) == (self.N + 1) * sum(len(side) for memo in walk.memos for side in memo)
 
-    def counting_row_solves(self, monkeypatch) -> tuple[list, list]:
-        """The calls of np.linalg.eig and of accessory.accessory_rows."""
-        return self.counting(monkeypatch, np.linalg, "eig"), self.counting(monkeypatch, accessory, "accessory_rows")
-
     @pytest.mark.parametrize("family, draw", [("family1", random_family1_params), ("family2", random_family2_params)])
     def test_accessory_forms_no_rows(self, tmp_path, runner, monkeypatch, family, draw):
         # The report reads the polynomial and its roots, never the rows.
-        eigs, rows = self.counting_row_solves(monkeypatch)
+        rows = self.counting(monkeypatch, accessory, "accessory_rows")
         path = write_config(tmp_path, draw(np.random.default_rng(4), self.N), family=family, N=self.N)
         res = runner.invoke(main, ["accessory", "--config", path])
         assert res.exit_code == 0
         assert len(json.loads(res.output)["accessory"]["roots"]) == self.N + 1
-        assert eigs == [] and rows == []
+        assert rows == []
 
     @pytest.mark.parametrize("family, draw", [("family1", random_family1_params), ("family2", random_family2_params)])
     def test_verify_forms_the_rows_once_per_setup(self, tmp_path, runner, monkeypatch, family, draw):
-        # Every root reads its row from the one solve of the setup.
-        eigs, rows = self.counting_row_solves(monkeypatch)
+        # Every root reads its row from the one twisted sweep per root of the setup.
+        rows = self.counting(monkeypatch, accessory, "accessory_rows")
         self.run_verify(tmp_path, runner, family, draw, "g3")
-        assert len(eigs) == len(rows) == 1
+        assert len(rows) == 1
 
 
 class TestDeterminism:

@@ -143,3 +143,25 @@ def test_only_errors_py_catches_float_errors():
         path.name for path in package.glob("*.py") if re.search(r"except ArithmeticError|out_of_range\(", path.read_text())
     )
     assert catching == ["errors.py"]
+
+
+# A Python int that no float, and so no complex, can hold: complex() refuses it with an OverflowError.
+HUGE = 10**400
+
+
+def test_a_number_complex_cannot_take_leaves_typed(draws):
+    # The where rules show such a point as given instead of raising again
+    # inside the handler.
+    st = draws["s1"]
+    form = FAMILIES["family1"].form("g3")
+    with pytest.raises(DomainError, match=rf"^OverflowError at x = {HUGE}: "):
+        form.solution(st, st.roots[0], None)(HUGE)
+    reports = form.root_residuals(st, st.roots, None, [HUGE])
+    assert all(type(rep) is DomainError and rep.point == HUGE for rep in reports)
+    spec, h = jackson(st, "P1", 1.0)
+    with pytest.raises(DomainError, match=rf"^OverflowError at x = {HUGE}, s = \(1\+0j\): "):
+        kernel_value(spec, HUGE, 1.0)
+    with pytest.raises(DomainError, match=rf"^OverflowError at x = {HUGE}: "):
+        transform(spec, h, st.roots[0], HUGE)
+    with pytest.raises(DomainError, match=rf"^OverflowError at xi = {HUGE}: "):
+        boundary_limits(*jackson(st, "P1", HUGE))

@@ -5,7 +5,7 @@ import pytest
 
 from qheun import _bilateral, accessory, forms
 from qheun._bilateral import PowerWalk, SpiralTerms, weighted_bilateral
-from qheun.accessory import one_root, polynomial_at_root, require_root
+from qheun.accessory import one_root, require_root
 from qheun.errors import ConvergenceError, NotARoot, PoleError, QHeunError
 from qheun.forms import FAMILIES
 from qheun.qcore import bilateral_sum
@@ -53,15 +53,15 @@ def test_every_form_matches_single_root_calls(family, N, monkeypatch):
                 assert same(value, single(lambda: form.solution(st, E0, xi)(x))), (form.name, E0, x)
             assert isinstance(shared[-1], NotARoot)
         # The residual reports, T(x) of g1/g2/g6..g8 included.  Each E0
-        # is checked against the accessory polynomial once per pass, not
-        # once per stencil point, and the poly form builds each root's
-        # polynomial once, the failing off-root build included.
+        # is resolved to its row and checked against the accessory
+        # polynomial once per pass, not once per stencil point, the
+        # failing off-root E0 included.
         builds, checks = [], []
         with monkeypatch.context() as m:
-            m.setattr(forms, "polynomial_at_root", lambda p, c, E0, N: builds.append(E0) or polynomial_at_root(p, c, E0, N))
+            m.setattr(forms, "coeff_row", lambda st, E0: builds.append(E0) or accessory.coeff_row(st, E0))
             m.setattr(accessory, "require_root", lambda poly, E0: checks.append(E0) or require_root(poly, E0))
             reports = form.root_residuals(st, E0s, xi, pts)
-        assert builds == (E0s if family == "generic" else [])
+        assert builds == E0s, form.name
         assert checks == E0s, form.name
         for E0, rep in zip(E0s, reports):
             assert same(rep, single(lambda: one_root(form.root_residuals(st, [E0], xi, pts)))), (form.name, E0)
@@ -74,7 +74,7 @@ def test_generic_pass_builds_the_accessory_polynomial_once(monkeypatch):
     builds, checked = [], []
     run = accessory.run_poly_recursion
     monkeypatch.setattr(accessory, "run_poly_recursion", lambda *a: builds.append(run(*a)) or builds[-1])
-    monkeypatch.setattr(forms, "polynomial_at_root", lambda p, c, E0, N: checked.append(c) or polynomial_at_root(p, c, E0, N))
+    monkeypatch.setattr(accessory, "require_root", lambda poly, E0: checked.append(poly) or require_root(poly, E0))
     family = FAMILIES["generic"]
     st = family.setup(random_admissible_params(np.random.default_rng(106), 6), 6)
     form = family.form("poly")

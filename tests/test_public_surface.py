@@ -26,7 +26,6 @@ ALLOWED = {
     "hahn_coefficients": "reference transcription of the cleared equation that tests check the stencil against",
     "hahn_combination": "left side of the cleared equation, the tests' oracle for the operator",
     "param_map": "forward parameter map that tests check source_system against",
-    "polynomial_solution": "public entry to one polynomial-type solution, with its accessory polynomial built",
 }
 
 # Defaulted parameters that no program caller sets, each with the reason it stays.

@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from qheun.accessory import accessory_poly, coeff_values, poly_roots, polynomial_solution
+from qheun import forms
+from qheun.accessory import coeff_values
 from qheun.errors import NoLimit, PoleError
 from qheun.family_one import (
     family1_bilateral,
@@ -338,6 +339,13 @@ class TestBoundaryData:
         assert rep.max_residual < 1e-8
 
 
+def polynomial(p, N):
+    """(root 0, the generic poly form at it) of the degree-N polynomial-type solutions of p."""
+    generic = forms.FAMILIES["generic"]
+    st = generic.setup(p, N)
+    return st.roots[0], generic.form("poly").solution(st, st.roots[0], None)
+
+
 def swapped_params(p, index):
     """The system solved by gauge seeds: h_i and l_i interchanged."""
     if index == 1:
@@ -370,8 +378,7 @@ class TestGauge:
         N = 2
         ps = random_admissible_params(rng, N)
         p = swapped_params(ps, index=index)
-        E0 = poly_roots(accessory_poly(ps, N))[0]
-        f = polynomial_solution(ps, E0, N)
+        E0, f = polynomial(ps, N)
         pts = grid_points(
             p.q, singular_spirals(p) + singular_spirals(ps), 8,
             0.3 * abs(p.t1), 3.0 * abs(p.t1), seed=4, min_rel_dist=1e-4,
@@ -386,8 +393,7 @@ class TestGauge:
         # quasi-periodicity multiplier, so the ratio is q-periodic.
         ps = random_admissible_params(rng, 1)
         p = swapped_params(ps, index=1)
-        E0 = poly_roots(accessory_poly(ps, 1))[0]
-        f = polynomial_solution(ps, E0, 1)
+        _, f = polynomial(ps, 1)
         g1 = gauge_transform(p, f, "g1", 1)
         g2 = gauge_transform(p, f, "g2", 1)
         for x in (1.2 * abs(p.t1) * cmath.exp(0.5j), 0.8 * abs(p.t1) * cmath.exp(-1.1j)):

@@ -78,10 +78,25 @@ def test_ab_timing_runs_both_sides_on_the_same_jobs(monkeypatch, capsys):
     # The first 17 jobs of seed 1 hold two of g1/g2, both family1 g2.
     assert [line.split()[:4] for line in lines[4:6]] == [["g1/g2", "2", "jobs,", "ratios"], ["other", "15", "jobs,", "ratios"]]
     assert [line.split()[4::2] for line in lines[4:6]] == [["p50", "p90", "total"]] * 2
+    # A checkout against itself: no output differs, so nothing is classified.
     assert lines[6] == "jobs with different output: 0"
-    assert lines[7] == "seed 1: 288 jackson-transform steps, best of 3, change/parent"
-    assert [line.split()[0] for line in lines[8:11]] == ["p50", "p90", "total"]
-    assert lines[11] == "steps with different output: 0"
-    assert lines[12] == "seed 1: 156 accessory-scan jobs, best of 3, change/parent"
-    assert [line.split()[0] for line in lines[13:16]] == ["p50", "p90", "total"]
-    assert lines[16:] == ["jobs with different output: 0"]
+    assert lines[7] == "checks that differ: pass->fail 0, fail->pass 0, both fail 0; max residual change/parent: none"
+    assert lines[8] == "seed 1: 288 jackson-transform steps, best of 3, change/parent"
+    assert [line.split()[0] for line in lines[9:12]] == ["p50", "p90", "total"]
+    assert lines[12] == "steps with different output: 0"
+    assert lines[13] == "steps that differ: pass->fail 0, fail->pass 0, both fail 0; checked value change/parent: none"
+    assert lines[14] == "seed 1: 156 accessory-scan jobs, best of 3, change/parent"
+    assert [line.split()[0] for line in lines[15:18]] == ["p50", "p90", "total"]
+    assert lines[18:] == [
+        "jobs with different output: 0",
+        "jobs that differ: pass->fail 0, fail->pass 0, both fail 0; root move relative to |r|: none; "
+        "certificate change/parent: none",
+    ]
+
+
+def test_envelope_prints_one_cell(monkeypatch, capsys):
+    out = run_script("envelope.py", ["--family", "family2", "--N", "1", "--q", "0.5"], monkeypatch, capsys)
+    (line,) = out.splitlines()
+    # 10 draws, 2 roots and 10 forms; N = 1 fails no check at q = 0.5.
+    assert line.startswith("family2 N=1 q=0.5  0/200  worst passing ")
+    assert line.endswith("  failing: -")
