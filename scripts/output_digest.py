@@ -63,10 +63,12 @@ Parameter moduli stay far below the float range.  Then recurrence, on
 draws from a generator of its own: for generic
 (``random_generic_params``), family1 and family2, one draw at each N of
 RECURRENCE_NS and one at EXTREME_N taken once with each q of
-EXTREME_QS, each with the setup's accessory polynomial, roots and
-``root_coeffs``, ``accessory_poly`` and ``accessory_poly_expanded``,
-family2's ``d_poly`` and, for generic, ``series_coefficients`` up to
-c_N at each root.  Then errors: one line per entry point typed by
+EXTREME_QS, plus for generic one N = 2 draw at beta = 1, where x_1
+vanishes; each with the setup's accessory polynomial, roots and
+``root_coeffs`` (or the error forming them raises),
+``accessory_poly`` and ``accessory_poly_expanded``, family2's
+``d_poly`` and, for generic, ``series_coefficients`` up to c_N at each
+root.  Then errors: one line per entry point typed by
 ``errors.typed`` (and ``transform`` for ``typed_at_point``), with the
 class and message it raises on the extreme finite input of
 tests/test_errors.py.  Then scripts.transform_demo: the stdout of
@@ -318,6 +320,8 @@ def recurrence_section(rng: np.random.Generator) -> list[str]:
         cases = [(draw(rng, N), N) for N in RECURRENCE_NS]
         extreme = draw(rng, EXTREME_N)
         cases += [(dataclasses.replace(extreme, q=q), EXTREME_N) for q in EXTREME_QS]
+        if family == "generic":  # x_1 = 0: the polynomial and roots are defined, the rows are not
+            cases.append((dataclasses.replace(draw(rng, 2), beta=1.0), 2))
         for p, N in cases:
             routes = [attempt(accessory_poly, p, N), attempt(accessory_poly_expanded, p, N)]
             out.append(f"{family} {N} {p.q!r} {routes} {attempt(setup_outputs, family, p, N)}")
@@ -327,7 +331,7 @@ def recurrence_section(rng: np.random.Generator) -> list[str]:
 def setup_outputs(family: str, p, N: int) -> list:
     """A setup's accessory, roots and rows; family2's d_poly; the generic series at each root."""
     st = FAMILIES[family].setup(p, N)
-    values = [st.accessory, st.roots, st.root_coeffs]
+    values = [st.accessory, st.roots, attempt(getattr, st, "root_coeffs")]
     if family == "family2":
         values.append(st.d_poly)
     if family == "generic":

@@ -52,8 +52,6 @@ def accessory_equivalence() -> tuple[bool, str]:
     worst_monic = 0.0
     for _ in range(50):
         p = random_generic_params(rng)
-        while any(abs(p.beta - m) < 0.05 for m in range(1, 7)):
-            p = random_generic_params(rng)
         for N in range(7):
             c = accessory_poly(p, N)
             e = accessory_poly_expanded(p, N)

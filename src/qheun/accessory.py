@@ -3,10 +3,11 @@
 A formal solution x^lambda * sum c_n x^n of the eigen-equation forces
 the coefficients through a three-term recurrence, given by its triples
 at indices 1..N+1.  Truncating at degree N and demanding consistency
-yields a monic polynomial of degree N + 1 in the eigenvalue, formed on
-coefficient lists; its roots are exactly the eigenvalues admitting
-polynomial-type solutions (under the integer exponent condition) or an
-apparent singularity at the origin (when beta = N + 1).  All three
+yields a monic polynomial of degree N + 1 in the eigenvalue, the
+continuant of the triples, formed on coefficient lists with no division;
+its roots are exactly the eigenvalues admitting polynomial-type
+solutions (under the integer exponent condition) or an apparent
+singularity at the origin (when beta = N + 1).  All three
 families keep them in a FamilySetup, built by family_setup: companion
 eigenvalues, each refined by one Newton step on the continuant and
 certified, and at each root the coefficients c_0..c_N of one twisted
@@ -144,25 +145,20 @@ def _forward_rows(E: complex, recurrence: Iterable[RecurrenceCoeffs], scale: flo
     return c[1:]
 
 
-def run_poly_recursion(recurrence: Sequence[RecurrenceCoeffs], scale: float) -> tuple[list[Poly], Poly]:
-    """Coefficient polynomials c_0..c_N and the consistency polynomial of the triples of indices 1..N+1.
+def run_poly_recursion(recurrence: Sequence[RecurrenceCoeffs]) -> Poly:
+    """The accessory polynomial of the triples of indices 1..N+1: the monic continuant P_{N+1},
+    P_{-1} = 0, P_0 = 1, P_k = (E + y_k) P_{k-1} - x_{k-1} z_k P_{k-2}, on coefficient lists.
 
-    c_0 = 1 and x_n c_n = c_{n-1}(E + y_n) - c_{n-2} z_n; the returned consistency polynomial
-    is x_1..x_N [c_N (E + y_{N+1}) - c_{N-1} z_{N+1}], monic of degree N + 1.  Raises
-    DegenerateRecurrence when some x_n with n <= N is numerically zero relative to scale.
+    P_k = x_1..x_{k-1} times the consistency relation of c_{k-1}, with c_0 = 1 and
+    x_n c_n = (E + y_n) c_{n-1} - z_n c_{n-2}; no x_n divides, so a vanishing one is fine.
     """
     if not recurrence:
         raise DomainError("N must be non-negative")
-    c, xs_product = [[0j], [1.0 + 0.0j]], 1.0 + 0.0j  # c_{-1}, c_0; x_1 ... x_{n-1}
-    for n, rc in enumerate(recurrence, 1):
-        row = _plus(_times_x_plus(c[-1], rc.y), [-1.0 * v for v in _stripped([rc.z * v for v in c[-2]])])
-        if n == len(recurrence):
-            return [Poly(tuple(cs)) for cs in c[1:]], Poly(tuple(_stripped([xs_product * v for v in row])))
-        if abs(rc.x) < DEGENERATE_REL * scale:
-            raise DegenerateRecurrence(f"leading coefficient x_{n} vanishes")
-        s = 1.0 / rc.x
-        c.append(_stripped([s * v for v in row]))
-        xs_product *= rc.x
+    p, p_prev, x_prev = [1.0 + 0j], [0j], 0j
+    for rc in recurrence:
+        w = x_prev * rc.z
+        p, p_prev, x_prev = _plus(_times_x_plus(p, rc.y), [-w * v for v in p_prev]), p, rc.x
+    return Poly(tuple(p))
 
 
 def _origin_recurrence(p: QHeunParams, N: int) -> list[RecurrenceCoeffs]:
@@ -172,7 +168,7 @@ def _origin_recurrence(p: QHeunParams, N: int) -> list[RecurrenceCoeffs]:
 @typed(lambda p, N: f"in the accessory polynomial at q = {p.q!r}, N = {N}")
 def accessory_poly(p: QHeunParams, N: int) -> Poly:
     """Monic degree-(N+1) accessory polynomial, built from the recurrence."""
-    return run_poly_recursion(_origin_recurrence(p, N), abs(p.t1 * p.t2))[1]
+    return run_poly_recursion(_origin_recurrence(p, N))
 
 
 def gap_subsets(N: int) -> list[list[int]]:
@@ -188,8 +184,9 @@ def expand_accessory_poly(recurrence: Sequence[RecurrenceCoeffs]) -> Poly:
 
     Sums (-1)^k x_{i_1} z_{i_1+1} ... x_{i_k} z_{i_k+1} times the
     product of (E + y_j) over the untouched indices j in {1..N+1},
-    over all index sets with gaps >= 2 (the empty set included).  No
-    division by x_n occurs, so degenerate recurrences are fine here.
+    over all index sets with gaps >= 2 (the empty set included): the
+    continuant of run_poly_recursion expanded term by term, which checks
+    it independently of its recurrence.
     """
     total = [0j]
     for subset in gap_subsets(len(recurrence) - 1):
@@ -210,7 +207,7 @@ def expand_accessory_poly(recurrence: Sequence[RecurrenceCoeffs]) -> Poly:
 
 @typed(lambda p, N: f"in the expanded accessory polynomial at q = {p.q!r}, N = {N}")
 def accessory_poly_expanded(p: QHeunParams, N: int) -> Poly:
-    """Accessory polynomial via the direct expansion (division-free oracle)."""
+    """Accessory polynomial via the direct expansion (the subset-sum oracle)."""
     if N < 0:
         raise DomainError("N must be non-negative")
     return expand_accessory_poly(_origin_recurrence(p, N))
@@ -244,8 +241,8 @@ def _certified(cs: Sequence[complex], roots: Sequence[complex]) -> list[float]:
 
 
 def _newton_step(recurrence: Sequence[RecurrenceCoeffs], E: complex) -> complex:
-    """E after one Newton step on the continuant P_{N+1} of the triples of indices 1..N+1, the
-    accessory polynomial: P_0 = 1, P_{-1} = 0, P_k = (E + y_k) P_{k-1} - x_{k-1} z_k P_{k-2}.
+    """E after one Newton step on the accessory polynomial, evaluated with its derivative at E by
+    the continuant recurrence of run_poly_recursion, which forms its coefficients.
 
     E itself where the step is not finite or |step| >= 1e-6 max(1, |E|),
     which could land on a neighbouring root.
@@ -332,7 +329,7 @@ def family_setup(p: QHeunParams, N: int, triple: Callable[[QHeunParams, int, int
     raised where two of them coincide.
     """
     recurrence = tuple(triple(p, N, n) for n in range(1, N + 2))
-    _, cpoly = run_poly_recursion(recurrence, abs(p.t1 * p.t2))
+    cpoly = run_poly_recursion(recurrence)
     roots = sorted((_newton_step(recurrence, r) for r in poly_roots(cpoly)), key=lambda r: (r.real, r.imag))
     if any(a == b for a, b in zip(roots, roots[1:])):
         raise NoConvergence(f"two accessory roots coincide after refinement at N = {N}")

@@ -10,10 +10,12 @@ from qheun import accessory
 from qheun.accessory import (
     Poly,
     RecurrenceCoeffs,
+    _forward_rows,
     accessory_poly,
     accessory_poly_expanded,
     accessory_rows,
     apparent_singularity_check,
+    coeff_gap,
     coeff_row,
     coeff_values,
     exponent_at_origin,
@@ -21,7 +23,6 @@ from qheun.accessory import (
     poly_roots,
     recurrence_coeffs,
     root_certificate,
-    run_poly_recursion,
     series_coefficients,
 )
 from qheun.errors import DegenerateRecurrence, DomainError, NoConvergence, NotARoot, PreconditionError
@@ -118,43 +119,12 @@ class TestRecurrence:
                 assert abs(rc.z - z_n) < 1e-12 * max(abs(z_n), 1e-10)
 
 
-def coefficient_polys(p, N):
-    """Eigenvalue polynomials c_0(E)..c_N(E) of the local series coefficients."""
-    return run_poly_recursion([recurrence_coeffs(p, n) for n in range(1, N + 2)], abs(p.t1 * p.t2))[0]
-
-
 def poly_from_roots(roots):
     """The monic polynomial prod (X - r) over roots, by the schoolbook product."""
     cs = [1.0 + 0j]
     for r in roots:
         cs = [a - r * b for a, b in zip([0j] + cs, cs + [0j])]
     return Poly.of(cs)
-
-
-class TestCoefficientPolys:
-    def test_first_poly(self, rng):
-        p = random_generic_params(rng)
-        c = coefficient_polys(p, 1)
-        r1 = recurrence_coeffs(p, 1)
-        assert c[1].coeffs[1] == pytest.approx(1 / r1.x)
-        assert c[1].coeffs[0] == pytest.approx(r1.y / r1.x)
-
-    def test_second_poly(self, rng):
-        p = random_generic_params(rng)
-        c2 = coefficient_polys(p, 2)[2]
-        r1, r2 = recurrence_coeffs(p, 1), recurrence_coeffs(p, 2)
-        for E in (0.3 + 0.1j, -1.2 + 0.8j):
-            want = (E + r1.y) * (E + r2.y) / (r1.x * r2.x) - r2.z / r2.x
-            assert c2(E) == pytest.approx(want)
-
-    def test_degrees(self, rng):
-        p = random_generic_params(rng)
-        polys = coefficient_polys(p, 5)
-        assert [c.degree for c in polys] == list(range(6))
-
-    def test_degenerate_recurrence_detected(self):
-        with pytest.raises(DegenerateRecurrence):
-            coefficient_polys(params(beta=1.0), 2)
 
 
 class TestAccessoryPoly:
@@ -208,8 +178,6 @@ class TestAccessoryPoly:
     def test_expansion_matches_recursion(self, rng):
         for _ in range(10):
             p = random_generic_params(rng)
-            if any(abs(p.beta - m) < 0.05 for m in range(1, 7)):
-                continue
             for N in range(7):
                 a = accessory_poly(p, N)
                 b = accessory_poly_expanded(p, N)
@@ -222,15 +190,25 @@ class TestAccessoryPoly:
     def test_all_triples_are_formed_before_the_recursion(self):
         # beta = 1 makes x_1 vanish, and at q = 0.02 the triple of index
         # 201 overflows.  accessory_poly forms every triple first, as
-        # family_setup does, so the overflow, typed, comes first; the local
-        # series checks each triple before it forms the next.
+        # family_setup does, so the overflow, typed, comes first; below it
+        # the continuant divides by no x_n and meets the expansion.  The
+        # local series checks each triple before it forms the next.
         p = params(beta=1.0, q=0.02)
         with pytest.raises(DomainError, match=r"^OverflowError in the accessory polynomial at q = 0.02, N = 200: "):
             accessory_poly(p, 200)
-        with pytest.raises(DegenerateRecurrence, match="x_1 vanishes"):
-            accessory_poly(p, 2)
+        assert coeff_gap(accessory_poly(p, 2), accessory_poly_expanded(p, 2)) <= 1e-14
         with pytest.raises(DegenerateRecurrence, match="x_1 vanishes: c_1 is undetermined"):
             series_coefficients(p, 0.3, 200)
+
+    def test_a_vanishing_x_leaves_the_polynomial_defined(self):
+        # beta = 1 makes x_1 exactly 0: the polynomial is the expansion's,
+        # while the local series, which divides by x_1, still refuses.
+        p = replace(random_generic_params(np.random.default_rng(1)), beta=1.0)
+        assert recurrence_coeffs(p, 1).x == 0
+        for N in range(1, 7):
+            assert coeff_gap(accessory_poly(p, N), accessory_poly_expanded(p, N)) <= 1e-14, N
+            with pytest.raises(DegenerateRecurrence, match="x_1 vanishes"):
+                series_coefficients(p, 0.3, N)
 
 
 class TestPolyRoots:
@@ -339,12 +317,13 @@ class TestRootCoefficients:
                     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10 * scale
 
     def test_small_n_matches_coefficient_polys(self, rng):
+        # The coefficients c_n(E) at a root are the forward sweep from
+        # c_0 = 1 over the setup's own triples.
         for N in (0, 1, 2):
             st = family2_setup(random_family2_params(rng, N), N)
-            polys, _ = run_poly_recursion(st.recurrence, abs(st.params.t1 * st.params.t2))
             for root in st.roots:
                 got = coeff_values(st.root_coeffs, root)
-                want = [c(root) for c in polys]
+                want = _forward_rows(root, st.recurrence[:N])
                 scale = max(abs(w) for w in want)
                 assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-11 * scale
 

@@ -164,6 +164,23 @@ class TestAccessory:
             r = complex(*pair)
             assert min(abs(r - e) for e in explicit) < 1e-9
 
+    def test_a_vanishing_x_is_a_per_root_error_of_the_forms(self, tmp_path, runner):
+        # The README job as a generic N = 2 one at beta = 1, where x_1 = 0:
+        # the accessory polynomial divides by no x_n, the rows do.
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({**readme_config(), "family": "generic", "beta": 1.0, "N": 2}))
+        res = runner.invoke(main, ["accessory", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        acc = json.loads(res.output)["accessory"]
+        assert len(acc["roots"]) == 3 and all(c <= 1e-10 for c in acc["certificates"])
+        res = runner.invoke(main, ["verify", "--config", str(path)])
+        assert res.exit_code == 1
+        results = json.loads(res.output)["results"]
+        assert [r["root_index"] for r in results] == [0, 1, 2]
+        for r in results:
+            assert r["status"] == "error: DegenerateRecurrence"
+            assert r["error"]["message"] == "leading coefficient x_1 vanishes: c_1 is undetermined"
+
     def test_family2_beta_mismatch_exits_2(self, tmp_path, runner, rng):
         p = random_family2_params(rng, 1)
         path = write_config(tmp_path, p, family="family2", N=3)

@@ -80,7 +80,7 @@ def test_generic_pass_builds_the_accessory_polynomial_once(monkeypatch):
     form = family.form("poly")
     reports = form.root_residuals(st, st.roots, None, form.grid(st, None, 4, seed=6))
     assert len(st.roots) == 7 and len(builds) == 1
-    assert len(checked) == 7 and all(c is builds[0][1] for c in checked)
+    assert len(checked) == 7 and all(c is builds[0] for c in checked)
     assert all(not isinstance(rep, QHeunError) for rep in reports)
 
 
