@@ -47,6 +47,12 @@ Each job that differs is then classified by its answers:
   root relative to its modulus and the worst change/parent ratio of a
   root's certificate.
 
+It ends with one line for the start-up cost: IMPORT_RUNS fresh
+interpreters per side, the sides alternating, each timing its own
+``import qheun.cli``; the line gives both medians, their change/parent
+ratio and the packages outside the standard library that the import
+loads on each side.
+
 Exits 1 if any check goes from pass to fail.
 """
 
@@ -58,7 +64,9 @@ import importlib.util
 import io
 import json
 import math
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -73,6 +81,16 @@ JACKSON_STEPS = 288
 ACCESSORY_JOBS = 156
 ACCESSORY_TOL = 1e-10  # the certificate bound of an accessory root
 TRANSITIONS = ("pass->fail", "fail->pass", "both fail")
+IMPORT_RUNS = 9
+IMPORT_PROBE = (
+    "import sys, time\n"
+    "before = set(sys.modules)\n"
+    "start = time.perf_counter()\n"
+    "import qheun.cli\n"
+    "seconds = time.perf_counter() - start\n"
+    "new = {m.partition('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names) - {'qheun'}\n"
+    "print(seconds, ','.join(sorted(new)) or '-')"
+)
 
 
 def load_checkout(root: Path, name: str):
@@ -296,6 +314,32 @@ def print_bilateral_split(jobs: list[tuple[dict, list[str]]], best: list[list[fl
             print(f"{name:>5}  {len(picked)} jobs, ratios  {ratios}")
 
 
+def import_run(root: Path) -> tuple[float, str]:
+    """(seconds, the packages outside the standard library and qheun it loads) of
+    ``import qheun.cli`` from root's src, in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True).stdout
+    seconds, loaded = out.split()
+    return float(seconds), loaded
+
+
+def print_import_times(roots: list[Path]) -> None:
+    """The median of IMPORT_RUNS fresh-interpreter imports of qheun.cli on each side,
+    the sides alternating, their ratio, and the packages each side's import loads."""
+    times, loaded = [[], []], [set(), set()]
+    for run in range(IMPORT_RUNS):
+        for side in ((0, 1) if run % 2 == 0 else (1, 0)):
+            seconds, packages = import_run(roots[side])
+            times[side].append(1000.0 * seconds)
+            loaded[side].add(packages)
+    parent, change = (statistics.median(t) for t in times)
+    print(
+        f"import qheun.cli, median of {IMPORT_RUNS} fresh interpreters: {parent:.1f} ms -> {change:.1f} ms  "
+        f"ratio {change / parent:.3f}; outside the standard library: parent {'|'.join(sorted(loaded[0]))}, "
+        f"change {'|'.join(sorted(loaded[1]))}"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path)
@@ -335,6 +379,7 @@ def main(argv: list[str] | None = None) -> int:
                 kind = "jobs"
             print(f"{kind} that differ: " + ", ".join(f"{name} {counts[name]}" for name in TRANSITIONS) + f"; {detail}")
             worse += counts["pass->fail"]
+    print_import_times([args.parent.resolve(), args.change.resolve()])
     return 1 if worse else 0
 
 

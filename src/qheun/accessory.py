@@ -7,23 +7,25 @@ yields a monic polynomial of degree N + 1 in the eigenvalue, the
 continuant of the triples, formed on coefficient lists with no division;
 its roots are exactly the eigenvalues admitting polynomial-type
 solutions (under the integer exponent condition) or an apparent
-singularity at the origin (when beta = N + 1).  All three
-families keep them in a FamilySetup, built by family_setup: companion
-eigenvalues, each refined by one Newton step on the continuant and
-certified, and at each root the coefficients c_0..c_N of one twisted
-sweep of the recurrence, formed when first read.  coeff_row checks an
+singularity at the origin (when beta = N + 1), and they are the
+eigenvalues of the tridiagonal matrix of the triples.  All three
+families keep them in a FamilySetup, built by family_setup: eigenvalues
+of that tridiagonal, symmetrised, by complex-symmetric QL, each refined
+by one Newton step on the continuant and certified, and at each root
+the coefficients c_0..c_N of one twisted sweep of the recurrence,
+formed when first read.  coeff_row checks an
 eigenvalue and returns its root's row: the one way a form takes a root.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     DegenerateRecurrence,
@@ -38,6 +40,8 @@ from .qheun_op import QHeunParams
 
 INTEGER_TOL = 1e-9
 DEGENERATE_REL = 1e-14
+EPS = sys.float_info.epsilon
+QL_SWEEPS = 30  # QL sweeps allowed per eigenvalue
 
 
 @dataclass(frozen=True)
@@ -213,22 +217,83 @@ def accessory_poly_expanded(p: QHeunParams, N: int) -> Poly:
     return expand_accessory_poly(_origin_recurrence(p, N))
 
 
-def poly_roots(poly: Poly) -> list[complex]:
-    """All complex roots, sorted by (real, imag): the eigenvalues of the companion matrix
-    (numpy.roots), backward-stable where root iteration on the monomial coefficients is not
-    (Edelman & Murakami, Math. Comp. 64, 1995).  Raises NoConvergence when a root's
-    certificate exceeds 1e-10, or when the monic coefficients are not finite.
+def _ql_eigenvalues(d: list[complex], e: list[complex]) -> list[complex]:
+    """Eigenvalues of the complex symmetric tridiagonal with diagonal d and off-diagonal e.
+
+    QL with implicit Wilkinson shifts, its rotations complex orthogonal (c**2 + s**2 = 1;
+    Cullum & Willoughby, SIAM J. Matrix Anal. Appl. 17 (1996) 83-109).  The matrix is
+    reversed first where its larger diagonal end is on top, so that QL meets it graded
+    downwards.  Raises NoConvergence after QL_SWEEPS sweeps per eigenvalue, or where a
+    rotation breaks down (f**2 + g**2 = 0 with f, g not both 0).
     """
-    cs = Poly.of(poly.coeffs).coeffs
-    if len(cs) < 2:
+    if abs(d[-1]) < abs(d[0]):
+        d, e = d[::-1], e[::-1]
+    d, e = list(d), list(e) + [0j]
+    n = len(d)
+    sqrt = cmath.sqrt
+    sweeps = QL_SWEEPS * n
+    for top in range(n - 1):
+        while True:
+            m = top  # the first m >= top whose e[m] is negligible, or n - 1
+            while m < n - 1 and abs(e[m]) > EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == top:
+                break  # d[top] is an eigenvalue
+            sweeps -= 1
+            if sweeps < 0:
+                raise NoConvergence(f"QL found no eigenvalue of the {n} x {n} tridiagonal in {QL_SWEEPS * n} sweeps")
+            g = (d[top + 1] - d[top]) / (2.0 * e[top])
+            r = sqrt(g * g + 1.0)
+            if g.real * r.real + g.imag * r.imag < 0:  # the root making |g + r| the larger
+                r = -r
+            g = d[m] - d[top] + e[top] / (g + r)  # d[m] less the Wilkinson shift
+            s = c = 1.0
+            p = 0j
+            for i in range(m - 1, top - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = sqrt(f * f + g * g)
+                if not r:  # f**2 + g**2 underflowed, or vanishes
+                    k = max(abs(f), abs(g))
+                    r = k and k * sqrt((f / k) ** 2 + (g / k) ** 2)
+                    if not r:
+                        raise NoConvergence(f"a QL rotation breaks down: f**2 + g**2 = 0 at f = {f!r}")
+                e[i + 1] = r
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            d[top] -= p
+            e[top] = g
+            e[m] = 0j
+    return d
+
+
+def poly_roots(poly: Poly, recurrence: Sequence[RecurrenceCoeffs]) -> dict[complex, float]:
+    """root -> root_certificate of each root of poly, the accessory polynomial of recurrence
+    (the triples of indices 1..N+1), sorted by (real, imag).
+
+    The roots are the eigenvalues of the tridiagonal M of the triples, with
+    M[k, k] = -y_{k+1}, M[k, k+1] = x_{k+1} and M[k+1, k] = z_{k+2}, found by
+    _ql_eigenvalues on M symmetrised by a diagonal similarity, whose off-diagonal is
+    the principal square root of x_{k+1} z_{k+2}.  Unlike the monomial coefficients,
+    the tridiagonal keeps the roots well determined as q -> 1.  Each eigenvalue then
+    takes one _newton_step.  Raises NoConvergence where the tridiagonal is not finite,
+    QL does not converge, two roots coincide or a certificate exceeds 1e-10.
+    """
+    if not recurrence:
         raise DomainError("root finding needs degree >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):
-        monic = np.asarray(cs[::-1]) / cs[-1]
-    if not np.isfinite(monic).all():
-        raise NoConvergence("root certificate failed: the monic coefficients are not finite")
-    roots = sorted((complex(r) for r in np.roots(monic)), key=lambda r: (r.real, r.imag))
-    _certified(cs, roots)
-    return roots
+    if poly.degree != len(recurrence):
+        raise DomainError(f"a degree-{poly.degree} polynomial is no continuant of {len(recurrence)} triples")
+    d = [-rc.y for rc in recurrence]
+    e = [cmath.sqrt(a.x * b.z) for a, b in zip(recurrence, recurrence[1:])]
+    if not all(map(cmath.isfinite, d + e)):
+        raise NoConvergence("the tridiagonal of the triples is not finite")
+    roots = sorted((_newton_step(recurrence, r) for r in _ql_eigenvalues(d, e)), key=lambda r: (r.real, r.imag))
+    if any(a == b for a, b in zip(roots, roots[1:])):
+        raise NoConvergence(f"two accessory roots coincide after refinement at N = {len(roots) - 1}")
+    return dict(zip(roots, _certified(poly.coeffs, roots)))
 
 
 def _certified(cs: Sequence[complex], roots: Sequence[complex]) -> list[float]:
@@ -322,19 +387,12 @@ class FamilySetup:
 
 
 def family_setup(p: QHeunParams, N: int, triple: Callable[[QHeunParams, int, int], RecurrenceCoeffs]) -> FamilySetup:
-    """The FamilySetup of the triples triple(p, N, n), n = 1..N+1; the caller checks its family's relation.
-
-    Each root of poly_roots takes one _newton_step; the refined roots are
-    sorted by (real, imag) and certified again, and NoConvergence is
-    raised where two of them coincide.
-    """
+    """The FamilySetup of the triples triple(p, N, n), n = 1..N+1, with the roots and
+    certificates of poly_roots; the caller checks its family's relation."""
     recurrence = tuple(triple(p, N, n) for n in range(1, N + 2))
     cpoly = run_poly_recursion(recurrence)
-    roots = sorted((_newton_step(recurrence, r) for r in poly_roots(cpoly)), key=lambda r: (r.real, r.imag))
-    if any(a == b for a, b in zip(roots, roots[1:])):
-        raise NoConvergence(f"two accessory roots coincide after refinement at N = {N}")
-    certs = _certified(cpoly.coeffs, roots)
-    return FamilySetup(p, N, exponent_at_origin(p), recurrence, cpoly, tuple(roots), tuple(certs))
+    roots = poly_roots(cpoly, recurrence)
+    return FamilySetup(p, N, exponent_at_origin(p), recurrence, cpoly, tuple(roots), tuple(roots.values()))
 
 
 def coeff_values(root_coeffs: dict[complex, tuple[complex, ...]], E0: complex) -> tuple[complex, ...]:

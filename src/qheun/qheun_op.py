@@ -11,17 +11,22 @@ linear middle coefficient.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, QHeunError, typed_at_point
 from .qcore import _TINY, check_q
 
 # Grid phases stay inside (-MAX_PHASE, MAX_PHASE), off the branch cut.
 MAX_PHASE = 0.9 * math.pi
+
+# numpy's SeedSequence hash constants and the PCG64 multiplier
+# (numpy/random/bit_generator.pyx and numpy/random/src/pcg64/pcg64.h).
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 @dataclass(frozen=True)
@@ -275,6 +280,75 @@ def spiral_distance(x: complex, bases: Sequence[complex], q: float) -> float:
     return best
 
 
+def _hashmix(hash_const: int, mult: int) -> Callable[[int], int]:
+    """numpy SeedSequence's hashmix from the hash constant hash_const: each call hashes one
+    32-bit word and steps the constant by mult."""
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_words(seed: int) -> list[int]:
+    """The eight 32-bit words of numpy's SeedSequence(seed).generate_state(4, uint64).
+
+    seed, a non-negative int, enters as its 32-bit words, least
+    significant first, hashed into a pool of four words and mixed.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+
+    def mix(x: int, y: int) -> int:
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return value ^ value >> 16
+
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    generate = _hashmix(0x8B51F9DD, 0x58F38DED)
+    return [generate(value) for value in itertools.islice(itertools.cycle(pool), 8)]
+
+
+def _uniform_draws(seed: int, low: float, high: float) -> Iterator[float]:
+    """The draws of numpy.random.default_rng(seed).uniform(low, high), called once per
+    draw, bit for bit: numpy's PCG64 (128-bit LCG, XSL-RR output) seeded by _seed_words,
+    its top 53 bits scaled into [0, 1) and then into [low, high)."""
+    words = _seed_words(seed)
+    w = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]  # little-endian uint64 pairs
+    state, inc = w[0] << 64 | w[1], (w[2] << 64 | w[3]) << 1 & _MASK128 | 1
+    state = ((inc + state) * _PCG_MULT + inc) & _MASK128
+    span = high - low
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        rot, word = state >> 122, (state >> 64 ^ state) & _MASK64
+        word = (word >> rot | word << (-rot & 63)) & _MASK64
+        yield low + span * ((word >> 11) * (1.0 / 9007199254740992.0))
+
+
+def _log_radii(rmin: float, rmax: float, count: int) -> list[float]:
+    """count moduli log-spaced on [rmin, rmax] as numpy.geomspace forms them:
+    rmin, then 10**(log10 rmin + i step), then rmax."""
+    if count == 1:
+        return [float(rmin)]
+    lo = math.log10(rmin)
+    step = (math.log10(rmax) - lo) / (count - 1)
+    return [float(rmin), *(10.0 ** (i * step + lo) for i in range(1, count - 1)), float(rmax)]
+
+
 def grid_points(
     q: float,
     spirals: Sequence[complex],
@@ -289,18 +363,19 @@ def grid_points(
     Phases are drawn uniformly and redrawn until the point keeps the
     requested relative distance from every listed q-spiral; phases stay
     inside (-MAX_PHASE, MAX_PHASE) so that scaling by q never crosses
-    the branch cut of principal powers.
+    the branch cut of principal powers.  The draws are those of
+    numpy.random.default_rng(seed), and the moduli those of
+    numpy.geomspace up to an ulp, formed without numpy.
     """
     if count < 1:
         raise DomainError("grid count must be at least 1")
     if not (0 < rmin <= rmax):
         raise DomainError("need 0 < rmin <= rmax")
-    rng = np.random.default_rng(seed)
-    radii = np.geomspace(rmin, rmax, count).tolist()
+    phases = _uniform_draws(seed, -MAX_PHASE, MAX_PHASE)
     pts: list[complex] = []
-    for r in radii:
+    for r in _log_radii(rmin, rmax, count):
         for _ in range(200):
-            phase = rng.uniform(-MAX_PHASE, MAX_PHASE)
+            phase = next(phases)
             x = r * cmath.exp(1j * phase)
             if not spirals or spiral_distance(x, spirals, q) > min_rel_dist:
                 pts.append(x)

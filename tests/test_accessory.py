@@ -23,6 +23,7 @@ from qheun.accessory import (
     poly_roots,
     recurrence_coeffs,
     root_certificate,
+    run_poly_recursion,
     series_coefficients,
 )
 from qheun.errors import DegenerateRecurrence, DomainError, NoConvergence, NotARoot, PreconditionError
@@ -55,6 +56,31 @@ def assert_roots_match(mp, poly: Poly, roots, rel: float, conditioned: bool = Fa
                 kappa = float(sum(abs(c) * abs(w) ** k for k, c in enumerate(poly.coeffs)) / abs(w * dp))
             w = complex(w)
             assert min(abs(r - w) for r in roots) <= rel * kappa * abs(w)
+
+
+def roots_of(recurrence) -> list[complex]:
+    """poly_roots of the continuant of recurrence, a list of triples."""
+    return list(poly_roots(run_poly_recursion(recurrence), recurrence))
+
+
+def origin_roots(p: QHeunParams, N: int) -> tuple[Poly, list[complex]]:
+    """The accessory polynomial of p at N and its roots, from the triples at the origin."""
+    recurrence = [recurrence_coeffs(p, n) for n in range(1, N + 2)]
+    return run_poly_recursion(recurrence), roots_of(recurrence)
+
+
+def exact_eigenvalues(mp, recurrence) -> list[complex]:
+    """Eigenvalues of the tridiagonal of the float triples recurrence, in 50-digit arithmetic."""
+    n = len(recurrence)
+    with mp.workdps(50):
+        M = mp.matrix(n, n)
+        for i, rc in enumerate(recurrence):
+            M[i, i] = -mp.mpc(rc.y)
+            if i > 0:
+                M[i, i - 1] = mp.mpc(rc.z)
+            if i < n - 1:
+                M[i, i + 1] = mp.mpc(rc.x)
+        return [complex(v) for v in mp.eig(M, left=False, right=False)]
 
 
 def params(**kw) -> QHeunParams:
@@ -117,14 +143,6 @@ class TestRecurrence:
                 assert abs(rc.x - x_n) < 1e-12 * max(abs(x_n), 1e-10)
                 assert abs(rc.y - y_n) < 1e-12 * max(abs(y_n), 1e-10)
                 assert abs(rc.z - z_n) < 1e-12 * max(abs(z_n), 1e-10)
-
-
-def poly_from_roots(roots):
-    """The monic polynomial prod (X - r) over roots, by the schoolbook product."""
-    cs = [1.0 + 0j]
-    for r in roots:
-        cs = [a - r * b for a, b in zip([0j] + cs, cs + [0j])]
-    return Poly.of(cs)
 
 
 class TestAccessoryPoly:
@@ -211,33 +229,40 @@ class TestAccessoryPoly:
                 series_coefficients(p, 0.3, N)
 
 
+def toeplitz(n: int, y: complex, x: complex, z: complex) -> list[RecurrenceCoeffs]:
+    """n equal triples: a tridiagonal whose eigenvalues are -y + 2 sqrt(x z) cos(k pi / (n + 1)), k = 1..n."""
+    return [RecurrenceCoeffs(x, y, z)] * n
+
+
 class TestPolyRoots:
     def test_linear(self):
-        roots = poly_roots(Poly.of([0.7 - 0.2j, 1.0]))
+        roots = roots_of([RecurrenceCoeffs(1.0, 0.7 - 0.2j, 1.0)])
         assert roots[0] == pytest.approx(-0.7 + 0.2j)
 
     def test_quadratic_formula(self, rng):
         p = random_generic_params(rng)
-        c = accessory_poly(p, 1)
+        c, got = origin_roots(p, 1)
         b, a = c.coeffs[1], c.coeffs[2]
         disc = (b / a) ** 2 - 4 * c.coeffs[0] / a
         explicit = {(-b / a + disc**0.5) / 2, (-b / a - disc**0.5) / 2}
-        got = poly_roots(c)
         for r in got:
             assert min(abs(r - e) for e in explicit) < 1e-10 * max(1, abs(r))
 
     def test_constructed_cubic(self):
-        poly = poly_from_roots([1.0, 2.0, 3.0])
-        got = sorted(poly_roots(poly), key=lambda z: z.real)
+        # diagonal 2, off-diagonal products 1/2: eigenvalues 2 + sqrt(2) cos(k pi / 4) = 3, 2, 1.
+        got = roots_of(toeplitz(3, -2.0, 0.5, 1.0))
         assert got[0] == pytest.approx(1.0, abs=1e-12)
         assert got[1] == pytest.approx(2.0, abs=1e-12)
         assert got[2] == pytest.approx(3.0, abs=1e-12)
 
     def test_roots_come_back_sorted(self):
-        poly = poly_from_roots([2.0 - 1j, -0.9 + 3j, 2.1 + 1j, 0.5, -1.0 - 3j])
-        got = poly_roots(poly)
-        want = [-1.0 - 3j, -0.9 + 3j, 0.5, 2.0 - 1j, 2.1 + 1j]
-        assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
+        # A coupled 3 x 3 block with eigenvalues 2 + 0.5i + (1, 0, -1) and, decoupled
+        # by z_4 = 0, a 2 x 2 block with eigenvalues 0.5 +- (0.1 + i).
+        xz = (0.1 + 1j) ** 2
+        block = toeplitz(3, -2.0 - 0.5j, 0.5, 1.0) + [RecurrenceCoeffs(xz, -0.5, 0j), RecurrenceCoeffs(1.0, -0.5, 1.0)]
+        got = roots_of(block)
+        want = [0.4 - 1j, 0.6 + 1j, 1 + 0.5j, 2 + 0.5j, 3 + 0.5j]
+        assert all(abs(g - w) < 1e-12 for g, w in zip(got, want)), got
 
     def test_certificate_of_huge_roots_does_not_overflow(self):
         # A generic N = 12 draw whose coefficients span 1 .. 2e25.  Its
@@ -246,8 +271,8 @@ class TestPolyRoots:
         # term by term instead.
         mp = pytest.importorskip("mpmath")
         p = random_generic_params(np.random.default_rng(2))
-        poly = accessory_poly(p, 12)
-        assert_roots_match(mp, poly, poly_roots(poly), rel=1e-10)
+        poly, roots = origin_roots(p, 12)
+        assert_roots_match(mp, poly, roots, rel=1e-10)
         r = 1.729e25 * cmath.exp(0.4j)
         deg = poly.degree
         scale = max(abs(c) for c in poly.coeffs)
@@ -264,8 +289,7 @@ class TestPolyRoots:
         rng = np.random.default_rng(3)
         for _ in range(3):
             if family == "generic":
-                poly = accessory_poly(random_generic_params(rng), N)
-                roots = poly_roots(poly)
+                poly, roots = origin_roots(random_generic_params(rng), N)
             elif family == "family1":
                 st = family1_setup(random_family1_params(rng, N), N)
                 poly, roots = st.accessory, st.roots
@@ -274,11 +298,39 @@ class TestPolyRoots:
                 poly, roots = st.accessory, st.roots
             assert_roots_match(mp, poly, roots, rel=16 * EPS, conditioned=True)
 
-    @pytest.mark.parametrize("coeffs", [[1e300, 0.0, 1e-300], [-1e150, 0.0, 0.0, 1e-200]])
+    @pytest.mark.parametrize("coeffs", [[(1e300, 0.0, 1e300)] * 2, [(1.0, 1e200, 1.0), (1.0, -1e200, 1.0)]])
     def test_non_finite_roots_fail_the_certificate(self, coeffs):
-        # The monic coefficients overflow, so no root can be certified.
-        with pytest.raises(NoConvergence, match="certificate"):
-            poly_roots(Poly.of(coeffs))
+        # x_1 z_2 = 1e600 leaves the tridiagonal infinite; y_1 y_2 = -1e400
+        # leaves the polynomial's constant coefficient infinite, so its
+        # finite eigenvalues cannot be certified.
+        with pytest.raises(NoConvergence, match="not finite|certificate failed"):
+            roots_of([RecurrenceCoeffs(*t) for t in coeffs])
+
+    @pytest.mark.parametrize("family, N, q", [("family1", 8, 0.9), ("family2", 8, 0.95)])
+    def test_roots_near_q_one_match_the_tridiagonal(self, family, N, q):
+        # The first two draws of scripts/envelope.py's cell, against a 50-digit
+        # eig of the same float triples.  Companion eigenvalues of the monomial
+        # coefficients, Newton-refined, missed them by up to 2.2e-3 (family1)
+        # and 2.2e-2 (family2) relative; QL roots by at most 1.1e-16.
+        mp = pytest.importorskip("mpmath")
+        sampler = {"family1": random_family1_params, "family2": random_family2_params}[family]
+        rng = np.random.default_rng([2026, N, len(family)])
+        for index in range(2):
+            st = FAMILIES[family].setup(replace(sampler(rng, N), q=q), N)
+            for w in exact_eigenvalues(mp, st.recurrence):
+                assert min(abs(r - w) for r in st.roots) <= 1e-12 * max(1.0, abs(w)), (index, w)
+
+    def test_a_rotation_that_breaks_down_is_no_convergence(self):
+        # d = (1, -1) and off-diagonal i: the nilpotent complex symmetric
+        # [[1, i], [i, -1]], whose accessory polynomial is E**2.  Its first
+        # rotation meets f**2 + g**2 = i**2 + 1 = 0.
+        with pytest.raises(NoConvergence, match="rotation breaks down"):
+            roots_of([RecurrenceCoeffs(1.0, -1.0, 1.0), RecurrenceCoeffs(1.0, 1.0, -1.0)])
+
+    def test_a_triple_count_unlike_the_degree_is_refused(self):
+        triples = toeplitz(3, -2.0, 0.5, 1.0)
+        with pytest.raises(DomainError, match="no continuant of 2 triples"):
+            poly_roots(run_poly_recursion(triples), triples[:2])
 
 
 class TestRootCoefficients:
@@ -373,20 +425,20 @@ class TestRootRefinement:
 
     def test_refinement_moves_roots_toward_mpmath(self):
         # One Newton step on the continuant: the refined roots of these
-        # family2 N = 12 draws are no farther from 60-digit roots of the
-        # same float polynomial than the companion eigenvalues, and closer
-        # in the worst case.
+        # family2 N = 12 draws are no farther from 50-digit eigenvalues of
+        # the same float triples than the QL eigenvalues, and closer in the
+        # worst case (3.4e-15 -> 5.0e-16).
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(5)
         raw_worst = refined_worst = 0.0
         for _ in range(2):
             st = family2_setup(random_family2_params(rng, 12), 12)
-            with mp.workdps(60):
-                exact = mp.polyroots([mp.mpc(c) for c in reversed(st.accessory.coeffs)], maxsteps=500, extraprec=200)
-                for raw, refined in zip(poly_roots(st.accessory), st.roots):
-                    w = min(exact, key=lambda e: abs(e - raw))
-                    raw_worst = max(raw_worst, float(abs(w - raw) / abs(w)))
-                    refined_worst = max(refined_worst, float(abs(w - refined) / abs(w)))
+            d = [-rc.y for rc in st.recurrence]
+            e = [cmath.sqrt(a.x * b.z) for a, b in zip(st.recurrence, st.recurrence[1:])]
+            raw = accessory._ql_eigenvalues(d, e)
+            for w in exact_eigenvalues(mp, st.recurrence):
+                raw_worst = max(raw_worst, min(abs(w - r) for r in raw) / abs(w))
+                refined_worst = max(refined_worst, min(abs(w - r) for r in st.roots) / abs(w))
         assert refined_worst < raw_worst
 
     def test_coinciding_roots_raise(self, rng, monkeypatch):
@@ -406,7 +458,7 @@ class TestPowerSeries:
 
     def test_root_kills_next_coefficient(self, rng):
         p = random_admissible_params(rng, 3)
-        E0 = poly_roots(accessory_poly(p, 3))[0]
+        E0 = origin_roots(p, 3)[1][0]
         coeffs = series_coefficients(p, E0, 6)
         scale = max(abs(c) for c in coeffs[:4])
         assert abs(coeffs[4]) < 1e-9 * scale
@@ -423,7 +475,7 @@ class TestPowerSeries:
 
     def test_degenerate_without_choice(self, rng):
         p = random_family2_params(rng, 2)
-        E0 = poly_roots(accessory_poly(p, 2))[0]
+        E0 = origin_roots(p, 2)[1][0]
         with pytest.raises(DegenerateRecurrence):
             series_coefficients(p, E0, 8)
 
@@ -473,7 +525,7 @@ class TestApparentSingularity:
     def test_roots_pass_and_perturbations_fail(self, rng):
         for N in (0, 1, 3):
             p = random_family2_params(rng, N)
-            for E0 in poly_roots(accessory_poly(p, N)):
+            for E0 in origin_roots(p, N)[1]:
                 assert apparent_singularity_check(p, E0, N)
                 assert not apparent_singularity_check(p, E0 + 1.0, N)
 

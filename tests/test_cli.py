@@ -906,17 +906,43 @@ class TestCommandLine:
         assert rep["schema"] == "qheun/1"
         assert rep["error"]["reason"].startswith(f"{error}: ")
 
-    def test_import_loads_only_numpy_and_not_the_acceptance_suite(self):
-        # Packages outside the standard library are numpy and qheun; the
-        # acceptance suite is loaded by selftest alone.
+    @staticmethod
+    def fresh_interpreter(probe: str) -> str:
+        """stdout of probe, run by a new Python process that imports this checkout's qheun."""
         src = str(Path(qheun.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_import_loads_no_third_party_package_nor_the_acceptance_suite(self):
+        # The only package outside the standard library is qheun itself;
+        # the acceptance suite, and numpy with it, is loaded by selftest alone.
         probe = (
             "import sys; before = set(sys.modules); import qheun.cli\n"
             "new = set(sys.modules) - before\n"
             "print(sorted({m.partition('.')[0] for m in new} - set(sys.stdlib_module_names)), "
             "'qheun.acceptance' in new)"
         )
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "['numpy', 'qheun'] False"
+        assert self.fresh_interpreter(probe) == "['qheun'] False"
+
+    def test_commands_run_without_numpy(self, tmp_path):
+        # accessory (roots) and verify (roots, rows, grid, values) on a
+        # family2 job; an import inside a command would show here.
+        p = random_family2_params(np.random.default_rng(1), 2)
+        path = write_config(tmp_path, p, family="family2", N=2, grid_count=3)
+        probe = (
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from qheun.cli import main\n"
+            "codes = []\n"
+            f"for argv in (['accessory', '--config', {path!r}], ['verify', '--config', {path!r}, '--solution', 'g3']):\n"
+            "    try:\n"
+            "        with redirect_stdout(io.StringIO()):\n"
+            "            main(argv, prog_name='qheun')\n"
+            "        codes.append(0)\n"
+            "    except SystemExit as stop:\n"
+            "        codes.append(stop.code)\n"
+            "print(codes, 'numpy' in sys.modules)"
+        )
+        assert self.fresh_interpreter(probe) == "[0, 0] False"

@@ -1,6 +1,7 @@
 """Operator application, cleared-equation coefficients, residuals, grids."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,11 @@ from qheun.accessory import exponent_at_origin, recurrence_coeffs
 from qheun.errors import DomainError, PoleError
 from qheun.forms import FAMILIES
 from qheun.qheun_op import (
+    MAX_PHASE,
     QHeunParams,
+    _log_radii,
+    _uniform_draws,
+    grid_points,
     hahn_coefficients,
     hahn_combination,
     residual_report,
@@ -212,3 +217,23 @@ class TestGrid:
     def test_deterministic(self, rng, default_grid):
         p = random_generic_params(rng)
         assert default_grid(p, seed=9) == default_grid(p, seed=9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 9, 2**31 - 1, 2**32, 2**64 + 5, 10**30])
+    def test_phases_are_numpys_draws_bit_for_bit(self, seed):
+        # Seeds from 2**32 up enter numpy's SeedSequence as several 32-bit words.
+        rng = np.random.default_rng(seed)
+        want = [rng.uniform(-MAX_PHASE, MAX_PHASE) for _ in range(200)]
+        assert list(itertools.islice(_uniform_draws(seed, -MAX_PHASE, MAX_PHASE), 200)) == want
+
+    def test_radii_run_from_rmin_to_rmax(self):
+        for rmin, rmax, count in ((0.1, 10.0, 5), (1e-3, 7.0, 20), (0.3, 0.3, 4), (0.5, 2.0, 2)):
+            radii = _log_radii(rmin, rmax, count)
+            assert radii[0] == rmin and radii[-1] == rmax and len(radii) == count
+            want = np.geomspace(rmin, rmax, count)
+            assert all(abs(r - w) <= 2**-52 * w for r, w in zip(radii, want))
+        assert _log_radii(0.5, 2.0, 1) == [0.5]
+        assert [abs(x) for x in grid_points(0.5, [], 1, 0.5, 2.0)] == pytest.approx([0.5], rel=1e-15)
+
+    def test_a_negative_seed_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            grid_points(0.5, [], 3, 0.5, 2.0, seed=-1)

@@ -87,11 +87,18 @@ def test_ab_timing_runs_both_sides_on_the_same_jobs(monkeypatch, capsys):
     assert lines[13] == "steps that differ: pass->fail 0, fail->pass 0, both fail 0; checked value change/parent: none"
     assert lines[14] == "seed 1: 156 accessory-scan jobs, best of 3, change/parent"
     assert [line.split()[0] for line in lines[15:18]] == ["p50", "p90", "total"]
-    assert lines[18:] == [
+    assert lines[18:20] == [
         "jobs with different output: 0",
         "jobs that differ: pass->fail 0, fail->pass 0, both fail 0; root move relative to |r|: none; "
         "certificate change/parent: none",
     ]
+    # Last, the start-up cost; the command path loads no package outside the standard library.
+    assert re.fullmatch(
+        r"import qheun\.cli, median of 9 fresh interpreters: \d+\.\d ms -> \d+\.\d ms  ratio \d\.\d{3}; "
+        r"outside the standard library: parent -, change -",
+        lines[20],
+    ), lines[20]
+    assert len(lines) == 21
 
 
 def test_envelope_prints_one_cell(monkeypatch, capsys):
